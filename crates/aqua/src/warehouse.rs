@@ -420,7 +420,11 @@ impl Warehouse {
                     .inc();
                 let table = d.table.read();
                 let query = engine::sql::parse(table.schema(), sql)?;
-                let result = engine::execute_exact_cancellable(&table, &query, cancel)?;
+                let opts = engine::ExecOptions {
+                    cancel,
+                    ..Default::default()
+                };
+                let result = engine::execute_exact_opts(&table, &query, &opts)?;
                 Ok(Arc::new(crate::ServedAnswer {
                     answer: ApproximateAnswer {
                         result,

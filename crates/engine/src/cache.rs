@@ -83,11 +83,6 @@ pub struct ExecOptions<'a> {
     /// [`EngineError::Cancelled`](crate::error::EngineError::Cancelled).
     /// A token that never fires cannot change the computed result.
     pub cancel: Option<&'a crate::cancel::CancelToken>,
-    /// Use zone-map chunk pruning when evaluating the predicate (on by
-    /// default). Pruning verdicts are exact under the engine's `total_cmp`
-    /// comparison semantics, so disabling it only changes how much work the
-    /// scan does — never the computed result.
-    pub pruning: bool,
     /// Use the decode-free scan kernels (see [`relation::kernels`]) for
     /// predicate evaluation and scalar aggregate folds. Defaults to the
     /// `CONGRESS_SCAN_KERNELS` env gate. Kernels are bit-identical to the
@@ -103,7 +98,6 @@ impl Default for ExecOptions<'_> {
             parallel: false,
             trace: None,
             cancel: None,
-            pruning: true,
             kernels: relation::scan_kernels_enabled(),
         }
     }

@@ -5,7 +5,7 @@ use relation::{chunk_count, chunk_range, Bitmap, DataType, EncodedRelation, Expr
 
 use crate::aggregate::{Accumulator, Partial};
 use crate::cache::{ExecOptions, ServedFrom};
-use crate::cancel::{self, CancelToken};
+use crate::cancel;
 use crate::error::Result;
 use crate::grouping::GroupIndex;
 use crate::query::GroupByQuery;
@@ -40,35 +40,19 @@ use crate::rewrite::{accumulate, eval_predicate, finish_rows, masked_exprs};
 /// assert_eq!(result.group_count(), 2);
 /// ```
 pub fn execute_exact(rel: &Relation, query: &GroupByQuery) -> Result<QueryResult> {
-    execute_exact_cancellable(rel, query, None)
+    execute_exact_opts(rel, query, &ExecOptions::default())
 }
 
-/// [`execute_exact`] with a cooperative [`CancelToken`] polled at chunk
-/// boundaries of the aggregation pass, so an exact scan over a large base
-/// table (e.g. a degraded warehouse relation) still honors per-request
-/// deadlines. A token that never fires cannot change the result.
-pub fn execute_exact_cancellable(
-    rel: &Relation,
-    query: &GroupByQuery,
-    cancel: Option<&CancelToken>,
-) -> Result<QueryResult> {
-    execute_exact_opts(
-        rel,
-        query,
-        &ExecOptions {
-            cancel,
-            ..ExecOptions::default()
-        },
-    )
-}
-
-/// [`execute_exact`] with explicit [`ExecOptions`]. Pruning (on by
-/// default) runs the zone-map pass first, so a selective predicate over a
-/// clustered column skips whole chunks in the predicate scan *and* in the
-/// group-index build; the result is bit-identical either way because chunk
-/// verdicts are exact. `opts.cache` is ignored — exact execution runs over
-/// the base table, whose group index is predicate-filtered and therefore
-/// not reusable across predicates.
+/// [`execute_exact`] with explicit [`ExecOptions`]. The zone-map pass
+/// runs first, so a selective predicate over a clustered column skips
+/// whole chunks in the predicate scan *and* in the group-index build; the
+/// result is bit-identical to a full scan because chunk verdicts are
+/// exact. `opts.cancel` is polled at chunk boundaries of the aggregation
+/// pass, so an exact scan over a large base table (e.g. a degraded
+/// warehouse relation) still honors per-request deadlines; a token that
+/// never fires cannot change the result. `opts.cache` is ignored — exact
+/// execution runs over the base table, whose group index is
+/// predicate-filtered and therefore not reusable across predicates.
 pub fn execute_exact_opts(
     rel: &Relation,
     query: &GroupByQuery,
@@ -145,6 +129,7 @@ fn execute_exact_encoded_pooled(
     };
     if let Some(trace) = opts.trace {
         trace.record_chunks(stats.chunks - stats.pruned, stats.pruned);
+        trace.record_selected(mask.count_ones() as u64);
         trace.record(ServedFrom::ColdScan, ranges.covered_rows() as u64);
     }
 
@@ -518,48 +503,89 @@ mod tests {
         ]
     }
 
-    /// `execute_exact_opts` (pruning on and off) and
-    /// `execute_exact_encoded` must all be bit-identical to the plain
-    /// dense executor — zone-map verdicts are exact, so pruning and
-    /// decode-on-demand only change cost, never bits.
+    /// `query` evaluated one row at a time — `Predicate::eval_row`, then a
+    /// sequential per-group fold in row order — with no zone maps, no
+    /// encoding, no group index and no chunk merges. MIN/MAX skip NaN
+    /// inputs (`f64::min`/`max`), as SQL aggregates skip NULLs.
+    fn row_at_a_time(rel: &Relation, query: &GroupByQuery) -> Vec<(GroupKey, Vec<f64>)> {
+        use crate::aggregate::AggregateFn;
+        // Per group, per aggregate: the inputs of its qualifying rows.
+        let mut groups = std::collections::BTreeMap::<GroupKey, Vec<Vec<f64>>>::new();
+        for row in (0..rel.row_count()).filter(|&row| query.predicate.eval_row(rel, row)) {
+            let key = query.grouping.iter().map(|&c| rel.column(c).value(row));
+            let inputs = groups
+                .entry(GroupKey::new(key.collect()))
+                .or_insert_with(|| vec![Vec::new(); query.aggregates.len()]);
+            for (spec, vals) in query.aggregates.iter().zip(inputs) {
+                let expr = spec.expr.as_ref();
+                vals.push(expr.map_or(0.0, |e| e.eval_row(rel, row).unwrap()));
+            }
+        }
+        let fold = |(spec, vals): (&AggregateSpec, &Vec<f64>)| match spec.func {
+            AggregateFn::Sum => vals.iter().sum(),
+            AggregateFn::Count => vals.len() as f64,
+            AggregateFn::Avg => vals.iter().sum::<f64>() / vals.len() as f64,
+            AggregateFn::Min => vals.iter().copied().fold(f64::INFINITY, f64::min),
+            AggregateFn::Max => vals.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        };
+        let finish = |vals: Vec<Vec<f64>>| query.aggregates.iter().zip(&vals).map(fold).collect();
+        groups
+            .into_iter()
+            .map(|(k, vals)| (k, finish(vals)))
+            .collect()
+    }
+
+    /// Rows with each value as its bit pattern: equality is bit-identity.
+    fn bits(result: &QueryResult) -> Vec<(&GroupKey, Vec<u64>)> {
+        let to_bits = |values: &Vec<f64>| values.iter().map(|v| v.to_bits()).collect();
+        result.rows().iter().map(|(k, v)| (k, to_bits(v))).collect()
+    }
+
+    fn traced(trace: &crate::ExecTrace) -> crate::ExecOptions<'_> {
+        crate::ExecOptions {
+            trace: Some(trace),
+            ..Default::default()
+        }
+    }
+
+    /// The three-chunk exact path is pinned against truth: the executor
+    /// returns the groups of the row-at-a-time reference with values
+    /// within 1e-9 relative (chunk merges reorder the additions).
+    /// `execute_exact_opts` and `execute_exact_encoded` must also be
+    /// bit-identical to the plain dense executor and record the same trace
+    /// counters — decode-on-demand changes cost, never bits or counts.
     #[test]
     fn pruned_and_encoded_exact_execution_are_bit_identical() {
-        use crate::{ExecOptions, ExecTrace};
+        use crate::ExecTrace;
         let rows = 40_000; // 3 chunks at CHUNK_ROWS = 16Ki
         let r = chunked_rel(rows);
         let enc = relation::EncodedRelation::encode(&r);
         for q in chunked_queries(rows) {
             let baseline = execute_exact(&r, &q).unwrap();
-            let unpruned = execute_exact_opts(
-                &r,
-                &q,
-                &ExecOptions {
-                    pruning: false,
-                    ..ExecOptions::default()
-                },
-            )
-            .unwrap();
-            let trace = ExecTrace::new();
-            let pruned = execute_exact_opts(
-                &r,
-                &q,
-                &ExecOptions {
-                    trace: Some(&trace),
-                    ..ExecOptions::default()
-                },
-            )
-            .unwrap();
-            let encoded = execute_exact_encoded(&enc, &q, &ExecOptions::default()).unwrap();
-            for other in [&unpruned, &pruned, &encoded] {
-                assert_eq!(other.aggregate_names, baseline.aggregate_names);
-                assert_eq!(other.rows().len(), baseline.rows().len());
-                for ((k1, v1), (k2, v2)) in other.rows().iter().zip(baseline.rows()) {
-                    assert_eq!(k1, k2);
-                    for (x, y) in v1.iter().zip(v2) {
-                        assert_eq!(x.to_bits(), y.to_bits(), "key {k1}");
-                    }
+            let reference = row_at_a_time(&r, &q);
+            assert_eq!(baseline.rows().len(), reference.len());
+            for ((k1, v1), (k2, v2)) in baseline.rows().iter().zip(&reference) {
+                assert_eq!(k1, k2);
+                for (x, y) in v1.iter().zip(v2) {
+                    assert!(
+                        x == y || (x.is_nan() && y.is_nan()) || (x - y).abs() <= 1e-9 * y.abs(),
+                        "key {k1}: executor {x} vs row-at-a-time {y}"
+                    );
                 }
             }
+            let (dense_trace, enc_trace) = (ExecTrace::new(), ExecTrace::new());
+            let pruned = execute_exact_opts(&r, &q, &traced(&dense_trace)).unwrap();
+            let encoded = execute_exact_encoded(&enc, &q, &traced(&enc_trace)).unwrap();
+            for other in [&pruned, &encoded] {
+                assert_eq!(other.aggregate_names, baseline.aggregate_names);
+                assert_eq!(bits(other), bits(&baseline));
+            }
+            let selected = (0..rows).filter(|&row| q.predicate.eval_row(&r, row));
+            assert_eq!(dense_trace.rows_selected(), selected.count() as u64);
+            assert_eq!(enc_trace.rows_scanned(), dense_trace.rows_scanned());
+            assert_eq!(enc_trace.rows_selected(), dense_trace.rows_selected());
+            assert_eq!(enc_trace.chunks_scanned(), dense_trace.chunks_scanned());
+            assert_eq!(enc_trace.chunks_pruned(), dense_trace.chunks_pruned());
         }
     }
 
@@ -605,20 +631,13 @@ mod tests {
             let trace = ExecTrace::new();
             let on = ExecOptions {
                 kernels: true,
-                trace: Some(&trace),
-                ..ExecOptions::default()
+                ..traced(&trace)
             };
             let dense_kernels = execute_exact_opts(&r, q, &on).unwrap();
             let enc_off = execute_exact_encoded(&enc, q, &off).unwrap();
             let enc_on = execute_exact_encoded(&enc, q, &on).unwrap();
             for other in [&dense_kernels, &enc_off, &enc_on] {
-                assert_eq!(other.rows().len(), baseline.rows().len());
-                for ((k1, v1), (k2, v2)) in other.rows().iter().zip(baseline.rows()) {
-                    assert_eq!(k1, k2);
-                    for (x, y) in v1.iter().zip(v2) {
-                        assert_eq!(x.to_bits(), y.to_bits(), "key {k1}");
-                    }
-                }
+                assert_eq!(bits(other), bits(&baseline));
             }
             kernel_pred += trace.kernel_pred_chunks();
             kernel_folds += trace.kernel_fold_sum() + trace.kernel_fold_minmax();
@@ -629,21 +648,13 @@ mod tests {
 
     #[test]
     fn selective_predicate_records_pruned_chunks() {
-        use crate::{ExecOptions, ExecTrace};
+        use crate::ExecTrace;
         let rows = 64_000; // 4 chunks
         let r = chunked_rel(rows);
         let q = GroupByQuery::new(vec![ColumnId(1)], vec![AggregateSpec::count("c")])
             .with_predicate(Predicate::between(ColumnId(0), 0i64, 999i64));
         let trace = ExecTrace::new();
-        let res = execute_exact_opts(
-            &r,
-            &q,
-            &ExecOptions {
-                trace: Some(&trace),
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
+        let res = execute_exact_opts(&r, &q, &traced(&trace)).unwrap();
         assert_eq!(res.rows()[0].1[0], 1000.0);
         // The clustered BETWEEN keeps only the first chunk; the other three
         // are skipped by their zone maps.

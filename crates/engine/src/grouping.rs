@@ -26,9 +26,9 @@ use relation::{Bitmap, ColumnId, GroupKey, Relation, RowRangeList};
 pub const PAR_MIN_ROWS: usize = 4096;
 
 /// Minimum rows *per shard* for the sharded parallel index build. The
-/// cold-parallel regression in BENCH_query.json (631.8 q/s vs 688.1
-/// serial at a 50k-row sample) came from gating on total rows only:
-/// splitting 50k rows across 8+ threads gives each shard so little work
+/// measured cold-parallel regression (631.8 q/s vs 688.1 serial at a
+/// 50k-row sample) came from gating on total rows only: splitting 50k
+/// rows across 8+ threads gives each shard so little work
 /// that per-shard dictionaries plus the merge pass cost more than they
 /// save. Capping the shard count at `n / PAR_SHARD_MIN_ROWS` keeps every
 /// shard beyond the measured break-even (~32Ki rows).

@@ -85,48 +85,37 @@ pub(crate) use relation::CHUNK_ROWS;
 /// Chunk boundaries are fixed by [`CHUNK_ROWS`] for determinism, so the
 /// only free knob is whether chunks run concurrently — and with fewer
 /// than ~8 chunks (≈128Ki rows) the fork/join overhead outweighs the
-/// parallel speedup (the cold-parallel regression recorded in
-/// BENCH_query.json: 631.8 q/s parallel vs 688.1 serial at 50k sample
-/// rows). Below this many chunks the fold runs serially; the merged
-/// result is bit-identical either way.
+/// parallel speedup (the measured cold-parallel regression: 631.8 q/s
+/// parallel vs 688.1 serial at 50k sample rows). Below this many chunks
+/// the fold runs serially; the merged result is bit-identical either way.
 pub(crate) const PAR_MIN_CHUNKS: usize = 8;
 
-/// Evaluate `pred` over `rel`, using the zone-map pruning pass when
-/// `opts.pruning` is set (the default). Returns the selection bitmap plus
-/// the row ranges that survived pruning; the bitmap is bit-identical to
-/// `pred.eval(rel)` either way because chunk verdicts are exact under the
-/// engine's `total_cmp` comparison semantics. Chunk counters are recorded
-/// into the trace when one is present.
+/// Evaluate `pred` over `rel` through the zone-map pruning pass: chunk
+/// verdicts first, then only the `Maybe` chunks row by row. Returns the
+/// selection bitmap plus the row ranges that survived pruning; the bitmap
+/// is bit-identical to `pred.eval(rel)` because chunk verdicts are exact
+/// under the engine's `total_cmp` comparison semantics. Chunk counters are
+/// recorded into the trace when one is present.
 pub(crate) fn eval_predicate(
     rel: &Relation,
     pred: &Predicate,
     opts: &ExecOptions,
 ) -> (Bitmap, relation::RowRangeList) {
-    if opts.pruning {
-        let (mask, ranges, stats) = if opts.kernels {
-            let mut kstats = relation::KernelStats::default();
-            let out = pred.eval_pruned_kernels(rel, &mut kstats);
-            if let Some(trace) = opts.trace {
-                trace.record_kernels(&kstats);
-            }
-            out
-        } else {
-            pred.eval_pruned(rel)
-        };
+    let (mask, ranges, stats) = if opts.kernels {
+        let mut kstats = relation::KernelStats::default();
+        let out = pred.eval_pruned_kernels(rel, &mut kstats);
         if let Some(trace) = opts.trace {
-            trace.record_chunks(stats.chunks - stats.pruned, stats.pruned);
-            trace.record_selected(mask.count_ones() as u64);
+            trace.record_kernels(&kstats);
         }
-        (mask, ranges)
+        out
     } else {
-        let n = rel.row_count();
-        let mask = pred.eval(rel);
-        if let Some(trace) = opts.trace {
-            trace.record_chunks(relation::chunk_count(n) as u64, 0);
-            trace.record_selected(mask.count_ones() as u64);
-        }
-        (mask, relation::RowRangeList::full(n))
+        pred.eval_pruned(rel)
+    };
+    if let Some(trace) = opts.trace {
+        trace.record_chunks(stats.chunks - stats.pruned, stats.pruned);
+        trace.record_selected(mask.count_ones() as u64);
     }
+    (mask, ranges)
 }
 
 /// The *unfiltered* group index for `cols` over `rel`: from the query cache
@@ -226,7 +215,7 @@ pub(crate) fn accumulate(
     // the raw chunk count: after zone-map pruning a selective predicate
     // leaves a handful of live chunks in a large relation, and forking the
     // rayon pool to scan mostly-empty chunks costs more than the scan
-    // (the cold-parallel-selective regression in BENCH_query.json).
+    // (the measured cold-parallel-selective regression).
     // Empty chunks still fold serially — they produce empty partials in
     // microseconds — so the merged result is bit-identical either way.
     let fan_out =
