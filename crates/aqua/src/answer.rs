@@ -1,19 +1,17 @@
 //! Approximate answers with per-group error bounds (Figures 2 and 4).
 
-use std::collections::HashMap;
 use std::fmt;
-
 use std::sync::Arc;
 
 use congress::bounds::{
     avg_bound_hoeffding, stratified_avg_bound, stratified_sum_bound, ErrorBound, Moments,
 };
-use engine::rewrite::measure_key;
+use engine::rewrite::{measure_key, select};
 use engine::{
-    AggregateFn, GroupByQuery, GroupIndex, QueryCache, QueryResult, StratifiedInput, StratumCell,
-    StratumSummary,
+    AggregateFn, CellLayout, ExecOptions, GroupByQuery, GroupIndex, QueryCache, QueryResult,
+    Selection, StratifiedInput, StratumSummary,
 };
-use relation::GroupKey;
+use relation::{ColumnId, Expr, GroupKey};
 
 use crate::error::Result;
 
@@ -116,8 +114,9 @@ pub fn compute_bounds(
 }
 
 /// [`compute_bounds`] with an optional per-synopsis [`QueryCache`]: the
-/// unfiltered group index over the sample is the same one the rewrite
-/// strategies memoize, so the warm path skips rebuilding it here too.
+/// unfiltered group index and the grouping's [`CellLayout`] are memoized
+/// there, and a predicate over the grouping columns alone is served from
+/// cached moment cells without touching a sample row.
 pub fn compute_bounds_cached(
     input: &StratifiedInput,
     query: &GroupByQuery,
@@ -125,82 +124,135 @@ pub fn compute_bounds_cached(
     confidence: f64,
     cache: Option<&QueryCache>,
 ) -> Result<Vec<GroupBounds>> {
+    compute_bounds_shared(input, query, result, confidence, cache, None)
+}
+
+/// [`compute_bounds_cached`] given the [`Selection`] the scan that
+/// produced `result` already computed (see [`ExecOptions::capture`]), so a
+/// miss filters and materialises the sample once. `None` evaluates it here
+/// through [`engine::rewrite::select`] — the same code, same bits.
+///
+/// Both sources of moments are dense per-measure tables over the
+/// grouping's [`CellLayout`]:
+///
+/// * **Cached cells** — when the predicate is determined by the grouping
+///   columns alone, every surviving result group is fully selected, so the
+///   unfiltered table (folded once per generation over every row) *is* the
+///   scan's table for those groups.
+/// * **Scanned cells** — otherwise, one fold over the selected rows. The
+///   SUM/COUNT bound wants moments of `v·sel` over *all* of a cell's rows;
+///   the unselected rows would each add `0.0` to `Σx` and `Σx²`, which
+///   cannot change their bits (a running sum that starts at `+0.0` is
+///   never `−0.0`), so those are the selected rows' sums with the layout's
+///   unfiltered row count as `n`.
+pub fn compute_bounds_shared(
+    input: &StratifiedInput,
+    query: &GroupByQuery,
+    result: &QueryResult,
+    confidence: f64,
+    cache: Option<&QueryCache>,
+    selection: Option<Selection>,
+) -> Result<Vec<GroupBounds>> {
     let rel = &input.rows;
-
-    // O(groups) fast path: when the predicate is determined by the grouping
-    // columns alone, every surviving result group is fully selected, so
-    // cached per-(group, stratum) moment cells reproduce the scan's
-    // moments exactly — no row scan, no masked evaluation.
-    if let Some(cache) = cache {
-        if rel.row_count() > 0 && query.predicate.references_only(&query.grouping) {
-            return bounds_from_summaries(input, query, result, confidence, cache);
+    let (index, layout) = cell_layout(input, &query.grouping, cache);
+    let source = match cache {
+        Some(c) if rel.row_count() > 0 && query.predicate.references_only(&query.grouping) => {
+            Cells::Cached(c)
         }
-    }
-
-    // Zone-map pruned evaluation: bit-identical to `eval` (chunk verdicts
-    // are exact), the bounds pass just pays less for selective predicates.
-    let (mask, _ranges, _stats) = query.predicate.eval_pruned(rel);
-    // Group rows by the *query's* grouping (not the strata grouping).
-    let index: Arc<GroupIndex> = match cache {
-        Some(c) => c.index_for(rel, &query.grouping, false),
-        None => Arc::new(GroupIndex::build(rel, &query.grouping)),
+        _ => Cells::Scanned(match selection {
+            Some(s) => s,
+            None => select(rel, query, &ExecOptions::default())?,
+        }),
     };
-
-    // Masked evaluation: unselected slots come back 0.0, which is exactly
-    // what the indicator-moment accumulation below pushes for them anyway.
-    let exprs: Vec<Option<Vec<f64>>> = query
-        .aggregates
-        .iter()
-        .map(|a| {
-            a.expr
-                .as_ref()
-                .map(|e| e.eval_masked(rel, &mask))
-                .transpose()
-        })
-        .collect::<std::result::Result<_, _>>()
-        .map_err(crate::AquaError::from)?;
-
-    // Per (group, stratum): moments of v·sel over all sampled tuples
-    // (sum/count bound) and of v over selected tuples (avg bound), plus
-    // tuple counts.
-    type Cell = (Vec<Moments>, Vec<Moments>, u64, u64); // (all, sel, n_all, n_sel)
-    let aggs = query.aggregates.len();
-    let mut cells: HashMap<(u32, u32), Cell> = HashMap::new();
-    for row in 0..rel.row_count() {
-        let g = index.group_of(row);
-        if g == u32::MAX {
-            continue;
-        }
-        let s = input.stratum_of_row[row];
-        let cell = cells
-            .entry((g, s))
-            .or_insert_with(|| (vec![Moments::new(); aggs], vec![Moments::new(); aggs], 0, 0));
-        cell.2 += 1;
-        let sel = mask.get(row);
-        if sel {
-            cell.3 += 1;
-        }
-        for (ai, e) in exprs.iter().enumerate() {
-            let v = e.as_ref().map_or(1.0, |vals| vals[row]);
-            cell.0[ai].push(if sel { v } else { 0.0 });
-            if sel {
-                cell.1[ai].push(v);
-            }
-        }
+    // One table per bounded aggregate (MIN/MAX have no distribution-free
+    // bound from a sample and need none).
+    let mut tables: Vec<Option<Arc<StratumSummary>>> = Vec::with_capacity(query.aggregates.len());
+    for (ai, spec) in query.aggregates.iter().enumerate() {
+        tables.push(match (spec.func, &source) {
+            (AggregateFn::Min | AggregateFn::Max, _) => None,
+            (_, Cells::Scanned(sel)) => Some(Arc::new(StratumSummary::fold(
+                &layout,
+                sel.exprs[ai].as_deref(),
+                sel.mask.ones(),
+            ))),
+            (_, Cells::Cached(cache)) => Some(unfiltered_cells(
+                input,
+                &query.grouping,
+                spec.expr.as_ref(),
+                &layout,
+                cache,
+            )?),
+        });
     }
+    Ok(assemble_bounds(
+        input, query, result, confidence, &index, &layout, &tables,
+    ))
+}
 
-    // Assemble per result group. Sort each group's strata by stratum id:
-    // the bound formulas fold floating-point terms in vec order, and the
-    // HashMap above iterates in a random order, so without the sort two
-    // identical calls could disagree in the last bits (and the scan path
-    // would not match the summary path, which is id-sorted by build).
-    let mut per_group: HashMap<u32, Vec<(u32, Cell)>> = HashMap::new();
-    for ((g, s), cell) in cells {
-        per_group.entry(g).or_default().push((s, cell));
-    }
-    for strata in per_group.values_mut() {
-        strata.sort_unstable_by_key(|&(s, _)| s);
-    }
+/// The unfiltered group index of `grouping` over the sample (the *query's*
+/// grouping, not the strata grouping) and its [`CellLayout`], memoized in
+/// `cache` when there is one.
+pub(crate) fn cell_layout(
+    input: &StratifiedInput,
+    grouping: &[ColumnId],
+    cache: Option<&QueryCache>,
+) -> (Arc<GroupIndex>, Arc<CellLayout>) {
+    let index = match cache {
+        Some(c) => c.index_for(&input.rows, grouping, false),
+        None => Arc::new(GroupIndex::build(&input.rows, grouping)),
+    };
+    let build = || CellLayout::build(&index, &input.stratum_of_row, input.scale_factors.len());
+    let layout = match cache {
+        Some(c) => c.cell_layout_for(grouping, build),
+        None => Arc::new(build()),
+    };
+    (index, layout)
+}
+
+/// The generation's memoized moment table of `measure` (`None` = COUNT)
+/// over every sample row: a dense fold over `layout`, built on a miss.
+pub(crate) fn unfiltered_cells(
+    input: &StratifiedInput,
+    grouping: &[ColumnId],
+    measure: Option<&Expr>,
+    layout: &CellLayout,
+    cache: &QueryCache,
+) -> Result<Arc<StratumSummary>> {
+    let rel = &input.rows;
+    Ok(
+        cache.stratum_summary_for(grouping, &measure_key(measure), || {
+            let values = measure.map(|e| e.eval(rel)).transpose()?;
+            Ok(StratumSummary::fold(
+                layout,
+                values.as_deref(),
+                0..rel.row_count(),
+            ))
+        })?,
+    )
+}
+
+/// Where a query's per-cell moments come from.
+enum Cells<'a> {
+    /// The generation's unfiltered tables, memoized per (grouping, measure).
+    Cached(&'a QueryCache),
+    /// A fold over the rows the query selected.
+    Scanned(Selection),
+}
+
+/// Bounds for every result group from per-aggregate moment tables over
+/// `layout`, whichever source filled them. A group's cells come sorted by
+/// stratum id, so the bound formulas fold their floating-point terms in
+/// one fixed order on every path.
+fn assemble_bounds(
+    input: &StratifiedInput,
+    query: &GroupByQuery,
+    result: &QueryResult,
+    confidence: f64,
+    index: &GroupIndex,
+    layout: &CellLayout,
+    tables: &[Option<Arc<StratumSummary>>],
+) -> Vec<GroupBounds> {
+    let mut parts: Vec<(Moments, f64, u64)> = Vec::new();
     let mut out = Vec::with_capacity(result.group_count());
     for (key, _) in result.iter() {
         // Map result keys back to index group ids via the index's memoized
@@ -208,156 +260,58 @@ pub fn compute_bounds_cached(
         let Some(gid) = index.gid_of_key(key) else {
             out.push(GroupBounds {
                 key: key.clone(),
-                bounds: vec![None; aggs],
+                bounds: vec![None; tables.len()],
             });
             continue;
         };
-        let strata = per_group.get(&gid).map_or(&[][..], |v| &v[..]);
-        let mut bounds = Vec::with_capacity(aggs);
-        for (ai, spec) in query.aggregates.iter().enumerate() {
-            let bound = match spec.func {
-                AggregateFn::Sum | AggregateFn::Count => {
-                    let parts: Vec<(Moments, f64, u64)> = strata
-                        .iter()
-                        .map(|(s, cell)| {
-                            let sf = input.scale_factors[*s as usize];
-                            let pop = (sf * cell.2 as f64).round() as u64;
-                            (cell.0[ai], sf, pop.max(cell.2))
-                        })
-                        .collect();
-                    Some(stratified_sum_bound(&parts, confidence))
-                }
-                AggregateFn::Avg => {
-                    let parts: Vec<(Moments, f64, u64)> = strata
-                        .iter()
-                        .filter(|(_, cell)| cell.3 > 0)
-                        .map(|(s, cell)| {
-                            let sf = input.scale_factors[*s as usize];
-                            let pop = (sf * cell.3 as f64).round() as u64;
-                            (cell.1[ai], sf, pop.max(cell.3))
-                        })
-                        .collect();
-                    if parts.len() == 1 {
-                        Some(avg_bound_hoeffding(&parts[0].0, confidence))
-                    } else {
-                        Some(stratified_avg_bound(&parts, confidence))
-                    }
-                }
-                AggregateFn::Min | AggregateFn::Max => None,
+        let mut bounds = Vec::with_capacity(tables.len());
+        for (spec, table) in query.aggregates.iter().zip(tables) {
+            let Some(table) = table else {
+                bounds.push(None);
+                continue;
             };
-            bounds.push(bound);
+            let table = table.cells();
+            // A cell's moments with `n` sampled tuples standing for
+            // `SF × n` of the population.
+            let part = |c: usize, n: u64| {
+                let cell = &table[c];
+                let sf = input.scale_factors[layout.stratum_of(c) as usize];
+                let pop = (sf * n as f64).round() as u64;
+                let moments = Moments {
+                    n,
+                    sum: cell.sum,
+                    sum_sq: cell.sum_sq,
+                    min: cell.min,
+                    max: cell.max,
+                };
+                (moments, sf, pop.max(n))
+            };
+            parts.clear();
+            bounds.push(Some(if spec.func == AggregateFn::Avg {
+                // Qualifying tuples only; strata with none drop out.
+                parts.extend(
+                    layout
+                        .cells_of(gid)
+                        .filter(|&c| table[c].count > 0)
+                        .map(|c| part(c, table[c].count)),
+                );
+                if parts.len() == 1 {
+                    avg_bound_hoeffding(&parts[0].0, confidence)
+                } else {
+                    stratified_avg_bound(&parts, confidence)
+                }
+            } else {
+                // SUM/COUNT: indicator values over all of the cell's tuples.
+                parts.extend(layout.cells_of(gid).map(|c| part(c, layout.rows_of(c))));
+                stratified_sum_bound(&parts, confidence)
+            }));
         }
         out.push(GroupBounds {
             key: key.clone(),
             bounds,
         });
     }
-    Ok(out)
-}
-
-/// Bounds served from cached [`StratumSummary`] tables — the O(groups)
-/// path for predicates over the grouping columns alone (including no
-/// predicate at all).
-///
-/// Bit-identity with the scan path: every result group is fully selected
-/// (group-determined predicates drop excluded groups from `result`
-/// entirely), so the scan's indicator moments over *all* tuples equal its
-/// moments over *selected* tuples equal the cached cells, which
-/// [`StratumSummary::build`] folds in the same row order with the same
-/// float operations as `Moments::push`. Both paths then combine strata
-/// sorted by stratum id, so even the fold order of the bound formulas
-/// matches.
-fn bounds_from_summaries(
-    input: &StratifiedInput,
-    query: &GroupByQuery,
-    result: &QueryResult,
-    confidence: f64,
-    cache: &QueryCache,
-) -> Result<Vec<GroupBounds>> {
-    let rel = &input.rows;
-    let index = cache.index_for(rel, &query.grouping, false);
-    let aggs = query.aggregates.len();
-
-    // One cached per-(group, stratum) moment table per bounded aggregate
-    // (MIN/MAX have no distribution-free bound and need no table).
-    let mut tables: Vec<Option<Arc<StratumSummary>>> = Vec::with_capacity(aggs);
-    for spec in &query.aggregates {
-        let table = match spec.func {
-            AggregateFn::Min | AggregateFn::Max => None,
-            _ => Some(cache.stratum_summary_for(
-                &query.grouping,
-                &measure_key(spec.expr.as_ref()),
-                || {
-                    let values = spec.expr.as_ref().map(|e| e.eval(rel)).transpose()?;
-                    Ok(StratumSummary::build(
-                        &index,
-                        &input.stratum_of_row,
-                        values.as_deref(),
-                    ))
-                },
-            )?),
-        };
-        tables.push(table);
-    }
-
-    let moments = |cell: &StratumCell| Moments {
-        n: cell.count,
-        sum: cell.sum,
-        sum_sq: cell.sum_sq,
-        min: cell.min,
-        max: cell.max,
-    };
-
-    let mut out = Vec::with_capacity(result.group_count());
-    for (key, _) in result.iter() {
-        let Some(gid) = index.gid_of_key(key) else {
-            out.push(GroupBounds {
-                key: key.clone(),
-                bounds: vec![None; aggs],
-            });
-            continue;
-        };
-        let mut bounds = Vec::with_capacity(aggs);
-        for (ai, spec) in query.aggregates.iter().enumerate() {
-            let bound = match spec.func {
-                AggregateFn::Sum | AggregateFn::Count => {
-                    let strata = tables[ai].as_ref().expect("table built").strata_of(gid);
-                    let parts: Vec<(Moments, f64, u64)> = strata
-                        .iter()
-                        .map(|(s, cell)| {
-                            let sf = input.scale_factors[*s as usize];
-                            let pop = (sf * cell.count as f64).round() as u64;
-                            (moments(cell), sf, pop.max(cell.count))
-                        })
-                        .collect();
-                    Some(stratified_sum_bound(&parts, confidence))
-                }
-                AggregateFn::Avg => {
-                    let strata = tables[ai].as_ref().expect("table built").strata_of(gid);
-                    let parts: Vec<(Moments, f64, u64)> = strata
-                        .iter()
-                        .map(|(s, cell)| {
-                            let sf = input.scale_factors[*s as usize];
-                            let pop = (sf * cell.count as f64).round() as u64;
-                            (moments(cell), sf, pop.max(cell.count))
-                        })
-                        .collect();
-                    if parts.len() == 1 {
-                        Some(avg_bound_hoeffding(&parts[0].0, confidence))
-                    } else {
-                        Some(stratified_avg_bound(&parts, confidence))
-                    }
-                }
-                AggregateFn::Min | AggregateFn::Max => None,
-            };
-            bounds.push(bound);
-        }
-        out.push(GroupBounds {
-            key: key.clone(),
-            bounds,
-        });
-    }
-    Ok(out)
+    out
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ use congress::GroupCensus;
 use engine::rewrite::measure_key;
 use engine::{
     execute_exact, CancelToken, EngineError, ExecOptions, ExecTrace, GroupByQuery, QueryResult,
-    ServedFrom, StratumSummary,
+    ServedFrom,
 };
 use relation::{ColumnId, Relation, Value};
 
@@ -18,7 +18,9 @@ use relation::{ColumnId, Relation, Value};
 /// [`Aqua::stats`] (re-exported from the `obs` crate).
 pub use obs::Snapshot as StatsSnapshot;
 
-use crate::answer::{compute_bounds_cached, AnswerProvenance, ApproximateAnswer};
+use crate::answer::{
+    cell_layout, compute_bounds_shared, unfiltered_cells, AnswerProvenance, ApproximateAnswer,
+};
 use crate::config::AquaConfig;
 use crate::error::{AquaError, Result};
 use crate::serve_cache::ServedAnswer;
@@ -47,6 +49,7 @@ struct QueryMetrics {
     served: [(&'static str, OnceLock<obs::Counter>); 5],
     errors: OnceLock<obs::Counter>,
     latency: OnceLock<obs::Histogram>,
+    bounds_latency: OnceLock<obs::Histogram>,
     rows_scanned: OnceLock<obs::Counter>,
     chunks_scanned: OnceLock<obs::Counter>,
     chunks_pruned: OnceLock<obs::Counter>,
@@ -76,6 +79,7 @@ impl QueryMetrics {
             ],
             errors: OnceLock::new(),
             latency: OnceLock::new(),
+            bounds_latency: OnceLock::new(),
             rows_scanned: OnceLock::new(),
             chunks_scanned: OnceLock::new(),
             chunks_pruned: OnceLock::new(),
@@ -187,6 +191,13 @@ impl QueryMetrics {
                 .get_or_init(|| self.registry.counter("aqua_scan_cancelled_total"))
                 .inc();
         }
+    }
+
+    /// `aqua_bounds_latency_us`: the error-bounds pass of each answer
+    /// computed from the synopsis (answer-cache hits never reach it).
+    fn bounds_latency(&self) -> &obs::Histogram {
+        self.bounds_latency
+            .get_or_init(|| self.registry.histogram("aqua_bounds_latency_us"))
     }
 
     fn sql_queries(&self) -> &obs::Counter {
@@ -427,11 +438,14 @@ impl Aqua {
             .plan()
             .expect("read_fresh materialized the plan");
         let cache = inner.synopsis.query_cache();
+        // The scan leaves its selection here for the bounds pass below.
+        let scanned = OnceLock::new();
         let opts = ExecOptions {
             cache: Some(cache),
             parallel: inner.synopsis.config().effective_parallelism() != 1,
             trace,
             cancel,
+            capture: Some(&scanned),
             ..ExecOptions::default()
         };
         let result = plan.execute_opts(query, &opts)?;
@@ -446,7 +460,18 @@ impl Aqua {
             .input()
             .expect("read_fresh materialized the input");
         let confidence = inner.synopsis.config().confidence;
-        let bounds = compute_bounds_cached(input, query, &result, confidence, Some(cache))?;
+        let timer = obs::Timer::start();
+        let bounds = compute_bounds_shared(
+            input,
+            query,
+            &result,
+            confidence,
+            Some(cache),
+            scanned.into_inner(),
+        )?;
+        if obs::ENABLED {
+            self.metrics.bounds_latency().record(timer.elapsed_us());
+        }
         Ok(ApproximateAnswer {
             result,
             bounds,
@@ -841,26 +866,17 @@ impl Aqua {
             synopsis.refresh(table)?;
         }
         // Variance criterion: per-group moments of the workload's hottest
-        // measure, pulled from the same cached StratumSummary cells the
-        // bounds path serves from (built on demand if cold).
-        let hottest = profile
-            .hottest_measure()
-            .map(|(k, m)| (k.to_string(), m.expr.clone()));
-        if let (Some((mkey, expr)), Some(input)) = (hottest, synopsis.input()) {
-            let rel = &input.rows;
+        // measure, summed from the same cached moment cells the bounds
+        // path serves from (built on demand if cold).
+        let hottest = profile.hottest_measure().map(|(_, m)| m.expr.clone());
+        if let (Some(expr), Some(input)) = (hottest, synopsis.input()) {
+            let grouping = synopsis.grouping();
             let cache = synopsis.query_cache();
-            let index = cache.index_for(rel, synopsis.grouping(), false);
-            let summary = cache.stratum_summary_for(synopsis.grouping(), &mkey, || {
-                let values = expr.as_ref().map(|e| e.eval(rel)).transpose()?;
-                Ok(StratumSummary::build(
-                    &index,
-                    &input.stratum_of_row,
-                    values.as_deref(),
-                ))
-            })?;
+            let (index, layout) = cell_layout(input, grouping, Some(cache));
+            let summary = unfiltered_cells(input, grouping, expr.as_ref(), &layout, cache)?;
             for (gid, key) in index.keys().iter().enumerate() {
                 let mut m = GroupMoments::default();
-                for (_, cell) in summary.strata_of(gid as u32) {
+                for cell in &summary.cells()[layout.cells_of(gid as u32)] {
                     m.n += cell.count;
                     m.sum += cell.sum;
                     m.sum_sq += cell.sum_sq;

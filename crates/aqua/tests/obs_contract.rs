@@ -145,6 +145,17 @@ fn served_from_labels_and_latency_per_strategy() {
         assert_eq!(hist.count, 3, "{name}: one latency sample per query");
         assert!(hist.p50() <= hist.p95() && hist.p95() <= hist.p99());
         assert!(hist.sum >= hist.min.saturating_mul(3));
+
+        // The bounds pass is timed on its own: once per answer computed
+        // from the synopsis, summary-served or scanned.
+        let bounds = s
+            .histogram("aqua_bounds_latency_us")
+            .unwrap_or_else(|| panic!("{name}: bounds histogram missing"));
+        assert_eq!(bounds.count, 3, "{name}: one bounds sample per answer");
+        assert!(
+            bounds.sum <= hist.sum,
+            "{name}: bounds are part of the answer"
+        );
     }
 }
 

@@ -12,13 +12,25 @@
 //!    through persistence are bit-identical to pre-save warm answers.
 //! 3. Concurrent readers hammering `Aqua::answer` while a writer ingests
 //!    never panic, and post-ingest answers reflect the new rows.
+//! 4. The dense cell-layout bounds (cached cells, scanned cells, and the
+//!    scan's own captured selection) are *bit-identical* to the per-row
+//!    `HashMap` walk they replaced, kept below as the reference.
 
-use aqua::answer::{compute_bounds, compute_bounds_cached};
+use std::collections::HashMap;
+use std::sync::OnceLock;
+
+use aqua::answer::{compute_bounds, compute_bounds_cached, compute_bounds_shared};
 use aqua::{ApproximateAnswer, Aqua, AquaConfig, RewriteChoice, SamplingStrategy, Warehouse};
+use congress::bounds::{
+    avg_bound_hoeffding, stratified_avg_bound, stratified_sum_bound, BoundKind, Moments,
+};
 use congress::MemStore;
 use engine::{
-    AggregateSpec, ExecOptions, GroupByQuery, Integrated, QueryCache, SamplePlan, StratifiedInput,
+    AggregateFn, AggregateSpec, ExecOptions, GroupByQuery, GroupIndex, Having, Integrated,
+    KeyNormalized, NestedIntegrated, Normalized, QueryCache, QueryResult, SamplePlan,
+    StratifiedInput,
 };
+use relation::predicate::CmpOp;
 use relation::{ColumnId, DataType, Expr, GroupKey, Predicate, Relation, RelationBuilder, Value};
 
 /// Deterministic stratified fixture: `rows` tuples over `strata` strata
@@ -133,6 +145,319 @@ fn summary_bounds_bit_identical_to_scan_bounds() {
             half_widths(&warm),
             "scan vs warm summary"
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Dense cell layout vs the per-row HashMap walk
+// ---------------------------------------------------------------------------
+
+/// The bounds pass as it was before the dense cell layout, kept as the
+/// reference: evaluate the predicate and every measure over the sample,
+/// walk all rows through a `HashMap<(gid, stratum), _>` pushing `v·sel`
+/// into the "all rows" moments and `v` into the "selected rows" moments,
+/// sort each group's strata by id, assemble.
+fn reference_bounds(
+    input: &StratifiedInput,
+    query: &GroupByQuery,
+    result: &QueryResult,
+    confidence: f64,
+) -> Vec<aqua::GroupBounds> {
+    let rel = &input.rows;
+    let mask = query.predicate.eval(rel);
+    let index = GroupIndex::build(rel, &query.grouping);
+    let exprs: Vec<Option<Vec<f64>>> = query
+        .aggregates
+        .iter()
+        .map(|a| a.expr.as_ref().map(|e| e.eval_masked(rel, &mask).unwrap()))
+        .collect();
+
+    type Cell = (Vec<Moments>, Vec<Moments>, u64, u64); // (all, sel, n_all, n_sel)
+    let aggs = query.aggregates.len();
+    let mut cells: HashMap<(u32, u32), Cell> = HashMap::new();
+    for row in 0..rel.row_count() {
+        let g = index.group_of(row);
+        if g == u32::MAX {
+            continue;
+        }
+        let cell = cells
+            .entry((g, input.stratum_of_row[row]))
+            .or_insert_with(|| (vec![Moments::new(); aggs], vec![Moments::new(); aggs], 0, 0));
+        cell.2 += 1;
+        let sel = mask.get(row);
+        cell.3 += u64::from(sel);
+        for (ai, e) in exprs.iter().enumerate() {
+            let v = e.as_ref().map_or(1.0, |vals| vals[row]);
+            cell.0[ai].push(if sel { v } else { 0.0 });
+            if sel {
+                cell.1[ai].push(v);
+            }
+        }
+    }
+    let mut per_group: HashMap<u32, Vec<(u32, Cell)>> = HashMap::new();
+    for ((g, s), cell) in cells {
+        per_group.entry(g).or_default().push((s, cell));
+    }
+    for strata in per_group.values_mut() {
+        strata.sort_unstable_by_key(|&(s, _)| s);
+    }
+
+    result
+        .iter()
+        .map(|(key, _)| {
+            let gid = index.gid_of_key(key).expect("result key is a sample group");
+            let strata = per_group.get(&gid).map_or(&[][..], |v| &v[..]);
+            let bounds = query
+                .aggregates
+                .iter()
+                .enumerate()
+                .map(|(ai, spec)| match spec.func {
+                    AggregateFn::Sum | AggregateFn::Count => {
+                        let parts: Vec<(Moments, f64, u64)> = strata
+                            .iter()
+                            .map(|(s, cell)| {
+                                let sf = input.scale_factors[*s as usize];
+                                let pop = (sf * cell.2 as f64).round() as u64;
+                                (cell.0[ai], sf, pop.max(cell.2))
+                            })
+                            .collect();
+                        Some(stratified_sum_bound(&parts, confidence))
+                    }
+                    AggregateFn::Avg => {
+                        let parts: Vec<(Moments, f64, u64)> = strata
+                            .iter()
+                            .filter(|(_, cell)| cell.3 > 0)
+                            .map(|(s, cell)| {
+                                let sf = input.scale_factors[*s as usize];
+                                let pop = (sf * cell.3 as f64).round() as u64;
+                                (cell.1[ai], sf, pop.max(cell.3))
+                            })
+                            .collect();
+                        Some(if parts.len() == 1 {
+                            avg_bound_hoeffding(&parts[0].0, confidence)
+                        } else {
+                            stratified_avg_bound(&parts, confidence)
+                        })
+                    }
+                    AggregateFn::Min | AggregateFn::Max => None,
+                })
+                .collect();
+            aqua::GroupBounds {
+                key: key.clone(),
+                bounds,
+            }
+        })
+        .collect()
+}
+
+/// Sample stratified on `(g, h)` — `strata_g × 5` strata — with a third,
+/// non-stratification dimension `k`, spanning three storage chunks.
+fn stratified_two_columns(rows: usize, strata_g: usize) -> StratifiedInput {
+    let mut b = RelationBuilder::new()
+        .column("g", DataType::Int)
+        .column("h", DataType::Int)
+        .column("k", DataType::Int)
+        .column("v", DataType::Float);
+    let mut stratum_of_row = Vec::with_capacity(rows);
+    let mut state = 0x0BAD_5EED_1234_5678u64;
+    for _ in 0..rows {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let g = ((state >> 33) as usize) % strata_g;
+        let h = ((state >> 17) as usize) % 5;
+        let k = ((state >> 45) as usize) % 3;
+        let v = ((state >> 11) % 10_000) as f64 / 100.0;
+        b.push_row(&[
+            Value::Int(g as i64),
+            Value::Int(h as i64),
+            Value::Int(k as i64),
+            Value::from(v),
+        ])
+        .unwrap();
+        stratum_of_row.push((g * 5 + h) as u32);
+    }
+    let strata = strata_g * 5;
+    StratifiedInput {
+        rows: relation::chunk::maybe_chunked_storage(b.finish()),
+        stratum_of_row,
+        scale_factors: (0..strata).map(|s| 1.0 + (s % 7) as f64 * 0.75).collect(),
+        strata_keys: (0..strata)
+            .map(|s| GroupKey::new(vec![Value::Int((s / 5) as i64), Value::Int((s % 5) as i64)]))
+            .collect(),
+        grouping_columns: vec![ColumnId(0), ColumnId(1)],
+    }
+}
+
+/// `(description, query, served from cached cells?)`.
+fn layout_queries() -> Vec<(&'static str, GroupByQuery, bool)> {
+    let v = Expr::col(ColumnId(3));
+    let all_three = || {
+        vec![
+            AggregateSpec::sum(v.clone(), "s"),
+            AggregateSpec::count("c"),
+            AggregateSpec::avg(v.clone(), "a"),
+        ]
+    };
+    vec![
+        (
+            "grouping ⊂ stratification columns, measure predicate",
+            GroupByQuery::new(vec![ColumnId(0)], all_three())
+                .with_predicate(Predicate::ge(ColumnId(3), 40.0)),
+            false,
+        ),
+        (
+            "grouping with a non-stratification column (cells > strata)",
+            GroupByQuery::new(vec![ColumnId(0), ColumnId(2)], all_three())
+                .with_predicate(Predicate::le(ColumnId(3), 70.0)),
+            false,
+        ),
+        (
+            "same grouping, group-only predicate",
+            GroupByQuery::new(vec![ColumnId(0), ColumnId(2)], all_three())
+                .with_predicate(Predicate::ge(ColumnId(2), 1i64)),
+            true,
+        ),
+        (
+            "no predicate",
+            GroupByQuery::new(vec![ColumnId(1)], all_three()),
+            true,
+        ),
+        (
+            "empty selection",
+            GroupByQuery::new(vec![ColumnId(0)], all_three())
+                .with_predicate(Predicate::ge(ColumnId(3), 1e9)),
+            false,
+        ),
+        (
+            "one contributing stratum per group (Hoeffding)",
+            GroupByQuery::new(vec![ColumnId(0)], all_three())
+                .with_predicate(Predicate::eq(ColumnId(1), 2i64)),
+            false,
+        ),
+        (
+            "HAVING drops groups",
+            GroupByQuery::new(vec![ColumnId(0), ColumnId(1)], all_three())
+                .with_predicate(Predicate::ge(ColumnId(3), 25.0))
+                .with_having(Having::new("a", CmpOp::Gt, 62.6)),
+            false,
+        ),
+        (
+            "MIN/MAX beside a bounded aggregate",
+            GroupByQuery::new(
+                vec![ColumnId(2)],
+                vec![
+                    AggregateSpec::min(v.clone(), "mn"),
+                    AggregateSpec::sum(v.clone(), "s"),
+                    AggregateSpec::max(v.clone(), "mx"),
+                ],
+            )
+            .with_predicate(Predicate::le(ColumnId(3), 50.0)),
+            false,
+        ),
+    ]
+}
+
+/// `(half_width bits, kind)` per aggregate, per group.
+type BoundBits = Vec<(GroupKey, Vec<Option<(u64, BoundKind)>>)>;
+
+fn bound_bits(bounds: &[aqua::GroupBounds]) -> BoundBits {
+    bounds
+        .iter()
+        .map(|gb| {
+            (
+                gb.key.clone(),
+                gb.bounds
+                    .iter()
+                    .map(|b| b.as_ref().map(|e| (e.half_width.to_bits(), e.kind)))
+                    .collect(),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn dense_bounds_bit_identical_to_hashmap_reference() {
+    let input = stratified_two_columns(40_000, 6);
+    assert!(relation::chunk_count(input.rows.row_count()) >= 3);
+    let plans: Vec<Box<dyn SamplePlan>> = vec![
+        Box::new(Integrated::build(&input).unwrap()),
+        Box::new(NestedIntegrated::build(&input).unwrap()),
+        Box::new(Normalized::build(&input).unwrap()),
+        Box::new(KeyNormalized::build(&input).unwrap()),
+    ];
+    for plan in &plans {
+        for parallel in [false, true] {
+            let cache = QueryCache::new();
+            for (what, q, from_cached_cells) in layout_queries() {
+                let ctx = format!("{} parallel={parallel}: {what}", plan.name());
+                let slot = OnceLock::new();
+                let result = plan
+                    .execute_opts(
+                        &q,
+                        &ExecOptions {
+                            cache: Some(&cache),
+                            parallel,
+                            capture: Some(&slot),
+                            ..ExecOptions::default()
+                        },
+                    )
+                    .unwrap();
+                let captured = slot.into_inner();
+                // A row scan hands its selection over; cached cells need none.
+                assert_eq!(captured.is_none(), from_cached_cells, "{ctx}");
+
+                let reference = bound_bits(&reference_bounds(&input, &q, &result, 0.9));
+                let shared =
+                    compute_bounds_shared(&input, &q, &result, 0.9, Some(&cache), captured)
+                        .unwrap();
+                let own = compute_bounds_cached(&input, &q, &result, 0.9, Some(&cache)).unwrap();
+                let cold = compute_bounds(&input, &q, &result, 0.9).unwrap();
+                assert_eq!(reference, bound_bits(&shared), "{ctx}: captured selection");
+                assert_eq!(reference, bound_bits(&own), "{ctx}: self-evaluated");
+                assert_eq!(reference, bound_bits(&cold), "{ctx}: no cache");
+                assert_eq!(reference.len(), result.group_count(), "{ctx}");
+            }
+        }
+    }
+}
+
+#[test]
+fn layout_cases_exercise_the_branches_they_name() {
+    let input = stratified_two_columns(40_000, 6);
+    let plan = Integrated::build(&input).unwrap();
+    let bounds_of = |what: &str| {
+        let (_, q, _) = layout_queries()
+            .into_iter()
+            .find(|(w, _, _)| w.starts_with(what))
+            .unwrap();
+        let result = plan.execute(&q).unwrap();
+        (compute_bounds(&input, &q, &result, 0.9).unwrap(), result)
+    };
+    let kinds = |b: &[aqua::GroupBounds], ai: usize| -> Vec<Option<BoundKind>> {
+        b.iter().map(|gb| gb.bounds[ai].map(|e| e.kind)).collect()
+    };
+
+    let (b, r) = bounds_of("empty selection");
+    assert!(b.is_empty() && r.group_count() == 0);
+
+    let (b, _) = bounds_of("one contributing stratum");
+    assert_eq!(kinds(&b, 2), vec![Some(BoundKind::Hoeffding); 6]);
+    assert_eq!(kinds(&b, 0), vec![Some(BoundKind::Chebyshev); 6]);
+    let (b, _) = bounds_of("grouping ⊂ stratification");
+    assert_eq!(kinds(&b, 2), vec![Some(BoundKind::Chebyshev); 6]);
+
+    let (b, r) = bounds_of("HAVING drops groups");
+    assert!(
+        0 < r.group_count() && r.group_count() < 30,
+        "{}",
+        r.group_count()
+    );
+    assert_eq!(b.len(), r.group_count());
+
+    let (b, _) = bounds_of("MIN/MAX");
+    for gb in &b {
+        assert!(gb.bounds[0].is_none() && gb.bounds[1].is_some() && gb.bounds[2].is_none());
     }
 }
 

@@ -160,6 +160,19 @@ fn render_human(s: &StatsSnapshot) -> String {
             h.p99()
         );
     }
+    // The error-bounds share of those latencies (answer-cache hits skip it).
+    if let Some(h) = s.histogram("aqua_bounds_latency_us") {
+        if h.count > 0 {
+            let _ = writeln!(
+                out,
+                "  bounds pass: n={} mean={:.0}us p50<={}us p95<={}us",
+                h.count,
+                h.mean(),
+                h.p50(),
+                h.p95()
+            );
+        }
+    }
 
     let _ = writeln!(out, "\n== query cache ==");
     let hits = s.counter("aqua_cache_hits_total");
@@ -291,6 +304,7 @@ mod tests {
             assert!(out.contains("answered 6"), "{out}");
             assert!(out.contains("served=\"summary\""), "{out}");
             assert!(out.contains("p95<="), "{out}");
+            assert!(out.contains("bounds pass: n=3"), "{out}");
             // The filtered demo query ran a pruning pass, so the chunk
             // accounting line must be present.
             assert!(out.contains("chunks scanned"), "{out}");

@@ -15,8 +15,10 @@
 //!   unfiltered and group-only-predicate queries restore accumulators in
 //!   O(groups) instead of re-scanning rows — bit-identical to the scan path
 //!   because the partials *are* the scan path's output.
-//! * **Stratum summaries** ([`StratumSummary`]): per-(group, stratum)
-//!   `count` / `Σx` / `Σx²` / range cells feeding the variance-based error
+//! * **Stratum summaries**: per grouping, the [`CellLayout`] naming which
+//!   (group, stratum) cells exist and which cell each sample row falls in;
+//!   per (grouping, measure), a [`StratumSummary`] of dense `count` / `Σx` /
+//!   `Σx²` / range cells over that layout, feeding the variance-based error
 //!   bounds without a row scan.
 //! * **The stratum layout**: a stable permutation of sample rows sorted by
 //!   stratum id, with one contiguous run per stratum. Expanding per-stratum
@@ -39,12 +41,13 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
 
-use relation::{ColumnId, Relation};
+use relation::{Bitmap, ColumnId, Relation};
 
 use crate::aggregate::Partial;
 use crate::grouping::{GroupIndex, PAR_MIN_ROWS};
@@ -89,6 +92,12 @@ pub struct ExecOptions<'a> {
     /// decode path by construction, so this flag only changes how the scan
     /// computes — never what it computes.
     pub kernels: bool,
+    /// Internal plumbing, not a knob: a slot the scan path moves its
+    /// [`Selection`] into once the estimates are folded, so the answer
+    /// pipeline's bounds pass folds the same rows without filtering and
+    /// materialising them again. Stays empty when no row scan ran (the
+    /// summary-served path). Never affects the computed result.
+    pub capture: Option<&'a OnceLock<Selection>>,
 }
 
 impl Default for ExecOptions<'_> {
@@ -99,8 +108,21 @@ impl Default for ExecOptions<'_> {
             trace: None,
             cancel: None,
             kernels: relation::scan_kernels_enabled(),
+            capture: None,
         }
     }
+}
+
+/// What a sample scan selected: the predicate's bitmap over the sample
+/// rows and each aggregate's input expression evaluated over the selected
+/// rows (`None` for COUNT; unselected slots hold `0.0`). Estimates and
+/// error bounds both fold over exactly this.
+#[derive(Debug)]
+pub struct Selection {
+    /// Rows satisfying the query's predicate.
+    pub mask: Bitmap,
+    /// Masked measure values, aligned with the query's aggregates.
+    pub exprs: Vec<Option<Vec<f64>>>,
 }
 
 /// Which execution path produced a query's result.
@@ -277,13 +299,13 @@ pub struct CacheStatsDetail {
     pub index: KindStats,
     /// Measure-summary (per-group partials) lookups.
     pub summary: KindStats,
-    /// Stratum-summary (bounds moments) lookups.
+    /// Stratum-summary (bounds moments) and cell-layout lookups.
     pub stratum_summary: KindStats,
     /// Stratum-layout lookups (single-slot, unsharded).
     pub layout: KindStats,
     /// Expanded per-row weight lookups (single-slot, unsharded).
     pub weights: KindStats,
-    /// Per-lock-shard totals across the three sharded maps.
+    /// Per-lock-shard totals across the sharded maps.
     pub shards: Vec<KindStats>,
     /// Times [`QueryCache::invalidate`] dropped every entry.
     pub invalidations: u64,
@@ -388,46 +410,143 @@ impl StratumCell {
     }
 }
 
-/// Per-(group, stratum) moment cells for one (grouping, measure) pair,
-/// feeding the variance-based error bounds without scanning rows. Cells
-/// are folded in row order (matching the bounds scan) and each group's
-/// strata are sorted by stratum id so the downstream bound combination
-/// folds in a deterministic order.
-#[derive(Debug, Clone)]
-pub struct StratumSummary {
-    by_group: Vec<Vec<(u32, StratumCell)>>,
+/// Which (group, stratum) cells exist in one sample generation under one
+/// grouping, and which cell each sample row falls in. A property of the
+/// sample, not of any query: built once per grouping, then every
+/// [`StratumSummary`] — cached or per query — is a dense array over it.
+///
+/// Cells are numbered in (group id, stratum id) order, so a group's cells
+/// are one contiguous range sorted by stratum id and the bound formulas
+/// fold their strata in a deterministic order. Sized by the cells that
+/// exist, never by `groups × strata`.
+#[derive(Debug)]
+pub struct CellLayout {
+    /// Cell of each sample row (`u32::MAX` for a row outside every group).
+    cell_of_row: Vec<u32>,
+    /// `gid_offsets[g]..gid_offsets[g + 1]` are the cells of group `g`.
+    gid_offsets: Vec<u32>,
+    stratum_of_cell: Vec<u32>,
+    /// Unfiltered sample rows per cell.
+    rows_of_cell: Vec<u64>,
 }
 
-impl StratumSummary {
-    /// Fold every live row of `index` into its (group, stratum) cell.
-    /// `values` is the evaluated measure expression (`None` means COUNT,
-    /// which folds `1.0` per row — the bounds-path convention).
-    pub fn build(
-        index: &GroupIndex,
-        stratum_of_row: &[u32],
-        values: Option<&[f64]>,
-    ) -> StratumSummary {
-        let mut cells: HashMap<(u32, u32), StratumCell> = HashMap::new();
-        for (r, &g) in index.group_ids().iter().enumerate() {
+impl CellLayout {
+    /// Lay out the cells of `index` over `stratum_count` strata without
+    /// hashing. Rows are visited stratum by stratum (a counting sort) and
+    /// the first row of a group within a stratum opens a cell: one such
+    /// pass counts each group's cells, a second hands out cell ids from
+    /// per-group cursors — ascending strata within a group because the
+    /// strata are visited in ascending order.
+    pub fn build(index: &GroupIndex, stratum_of_row: &[u32], stratum_count: usize) -> CellLayout {
+        let groups = index.group_count();
+        let by_stratum = StratumLayout::build(stratum_of_row, stratum_count);
+        let mut gid_offsets = vec![0u32; groups + 1];
+        visit_by_stratum(&by_stratum, index, |_, g, _, opens_cell| {
+            gid_offsets[g + 1] += u32::from(opens_cell)
+        });
+        for g in 0..groups {
+            gid_offsets[g + 1] += gid_offsets[g];
+        }
+
+        let cells = gid_offsets[groups] as usize;
+        let mut next_cell = gid_offsets[..groups].to_vec();
+        let mut stratum_of_cell = vec![0u32; cells];
+        let mut rows_of_cell = vec![0u64; cells];
+        let mut cell_of_row = vec![u32::MAX; stratum_of_row.len()];
+        visit_by_stratum(&by_stratum, index, |r, g, s, opens_cell| {
+            if opens_cell {
+                stratum_of_cell[next_cell[g] as usize] = s;
+                next_cell[g] += 1;
+            }
+            let cell = next_cell[g] - 1;
+            rows_of_cell[cell as usize] += 1;
+            cell_of_row[r] = cell;
+        });
+        CellLayout {
+            cell_of_row,
+            gid_offsets,
+            stratum_of_cell,
+            rows_of_cell,
+        }
+    }
+
+    /// Number of (group, stratum) cells with at least one sample row.
+    pub fn cell_count(&self) -> usize {
+        self.stratum_of_cell.len()
+    }
+
+    /// The cells of group `gid`, ascending by stratum id.
+    pub fn cells_of(&self, gid: u32) -> Range<usize> {
+        self.gid_offsets[gid as usize] as usize..self.gid_offsets[gid as usize + 1] as usize
+    }
+
+    /// Stratum id of `cell`.
+    pub fn stratum_of(&self, cell: usize) -> u32 {
+        self.stratum_of_cell[cell]
+    }
+
+    /// Unfiltered sample rows in `cell`.
+    pub fn rows_of(&self, cell: usize) -> u64 {
+        self.rows_of_cell[cell]
+    }
+}
+
+/// Calls `f(row, gid, stratum, opens_cell)` for every grouped row, stratum
+/// by stratum; `opens_cell` marks the first row of its group within its
+/// stratum.
+fn visit_by_stratum(
+    by_stratum: &StratumLayout,
+    index: &GroupIndex,
+    mut f: impl FnMut(usize, usize, u32, bool),
+) {
+    let gids = index.group_ids();
+    let mut last_stratum = vec![u32::MAX; index.group_count()];
+    for s in 0..by_stratum.stratum_count() {
+        for &r in by_stratum.rows_of(s) {
+            let g = gids[r as usize];
             if g == u32::MAX {
                 continue;
             }
-            let v = values.map_or(1.0, |vals| vals[r]);
-            cells.entry((g, stratum_of_row[r])).or_default().push(v);
+            let g = g as usize;
+            let opens_cell = last_stratum[g] != s as u32;
+            last_stratum[g] = s as u32;
+            f(r as usize, g, s as u32, opens_cell);
         }
-        let mut by_group: Vec<Vec<(u32, StratumCell)>> = vec![Vec::new(); index.group_count()];
-        for ((g, s), cell) in cells {
-            by_group[g as usize].push((s, cell));
+    }
+}
+
+/// Per-cell moments of one measure over a [`CellLayout`]: the cached
+/// table for the empty predicate when folded over every row, a query's
+/// own table when folded over the rows it selected.
+#[derive(Debug, Clone)]
+pub struct StratumSummary {
+    cells: Vec<StratumCell>,
+}
+
+impl StratumSummary {
+    /// Fold `values[row]` of each row in `rows` into the row's cell.
+    /// `values` is the evaluated measure expression (`None` means COUNT,
+    /// which folds `1.0` per row — the bounds-path convention). `rows`
+    /// must ascend: each cell then folds its rows in row order, whichever
+    /// subset is given.
+    pub fn fold(
+        layout: &CellLayout,
+        values: Option<&[f64]>,
+        rows: impl Iterator<Item = usize>,
+    ) -> StratumSummary {
+        let mut cells = vec![StratumCell::new(); layout.cell_count()];
+        for row in rows {
+            let c = layout.cell_of_row[row];
+            if c != u32::MAX {
+                cells[c as usize].push(values.map_or(1.0, |vals| vals[row]));
+            }
         }
-        for strata in &mut by_group {
-            strata.sort_unstable_by_key(|&(s, _)| s);
-        }
-        StratumSummary { by_group }
+        StratumSummary { cells }
     }
 
-    /// The non-empty strata of group `gid`, sorted by stratum id.
-    pub fn strata_of(&self, gid: u32) -> &[(u32, StratumCell)] {
-        &self.by_group[gid as usize]
+    /// Moment cells, indexed by the layout's cell id.
+    pub fn cells(&self) -> &[StratumCell] {
+        &self.cells
     }
 }
 
@@ -436,6 +555,7 @@ type SummaryKey = (Vec<ColumnId>, String, bool);
 type SummaryShard = RwLock<HashMap<SummaryKey, Arc<MeasureSummary>>>;
 type StratumKey = (Vec<ColumnId>, String);
 type StratumShard = RwLock<HashMap<StratumKey, Arc<StratumSummary>>>;
+type CellLayoutShard = RwLock<HashMap<Vec<ColumnId>, Arc<CellLayout>>>;
 
 /// Memoized query-serving state for one immutable sample generation.
 ///
@@ -445,6 +565,8 @@ pub struct QueryCache {
     indexes: Vec<IndexShard>,
     summaries: Vec<SummaryShard>,
     stratum_summaries: Vec<StratumShard>,
+    /// Per-grouping cell layouts; counted with the stratum-summary kind.
+    cell_layouts: Vec<CellLayoutShard>,
     layout: RwLock<Option<Arc<StratumLayout>>>,
     weights: RwLock<Option<Arc<Vec<f64>>>>,
     /// Hit/miss counters per cache kind ([`Kind`] order).
@@ -475,6 +597,7 @@ impl Default for QueryCache {
             indexes: (0..SHARDS).map(|_| RwLock::default()).collect(),
             summaries: (0..SHARDS).map(|_| RwLock::default()).collect(),
             stratum_summaries: (0..SHARDS).map(|_| RwLock::default()).collect(),
+            cell_layouts: (0..SHARDS).map(|_| RwLock::default()).collect(),
             layout: RwLock::new(None),
             weights: RwLock::new(None),
             kind_hits: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -564,6 +687,25 @@ impl QueryCache {
         Ok(Arc::clone(shard.write().entry(key).or_insert(built)))
     }
 
+    /// The memoized [`CellLayout`] for grouping `cols`, building it via
+    /// `build` on a miss. Counted under the stratum-summary kind: the
+    /// layout is the shared skeleton of that grouping's summaries.
+    pub fn cell_layout_for(
+        &self,
+        cols: &[ColumnId],
+        build: impl FnOnce() -> CellLayout,
+    ) -> Arc<CellLayout> {
+        let shard_ix = shard_of(cols);
+        let shard = &self.cell_layouts[shard_ix];
+        if let Some(l) = shard.read().get(cols) {
+            self.hit(Kind::StratumSummary, Some(shard_ix));
+            return Arc::clone(l);
+        }
+        self.miss(Kind::StratumSummary, Some(shard_ix));
+        let built = Arc::new(build());
+        Arc::clone(shard.write().entry(cols.to_vec()).or_insert(built))
+    }
+
     /// The memoized [`StratumSummary`] for `(cols, measure)`, building it
     /// via `build` on a miss.
     pub fn stratum_summary_for(
@@ -622,6 +764,9 @@ impl QueryCache {
             shard.write().clear();
         }
         for shard in &self.stratum_summaries {
+            shard.write().clear();
+        }
+        for shard in &self.cell_layouts {
             shard.write().clear();
         }
         *self.layout.write() = None;
@@ -820,31 +965,38 @@ mod tests {
     fn stratum_summary_build_matches_naive_moments() {
         let r = rel(40); // g = i % 7, v = i
         let ix = GroupIndex::build(&r, &[ColumnId(0)]);
-        let strata: Vec<u32> = (0..40).map(|i| (i / 20) as u32).collect();
+        // Stratum 3 is empty and every group spans both others: cells > strata.
+        let strata: Vec<u32> = (0..40).map(|i| (i / 20) as u32 * 2).collect();
         let values: Vec<f64> = (0..40).map(|i| i as f64).collect();
-        let summary = StratumSummary::build(&ix, &strata, Some(&values));
+        let layout = CellLayout::build(&ix, &strata, 4);
+        assert_eq!(layout.cell_count(), 14);
+        let summary = StratumSummary::fold(&layout, Some(&values), 0..40);
+        let evens = StratumSummary::fold(&layout, Some(&values), (0..40).step_by(2));
         for gid in 0..ix.group_count() as u32 {
-            let got = summary.strata_of(gid);
+            let cells = layout.cells_of(gid);
             // Strata sorted ascending, and each cell matches a naive fold.
-            assert!(got.windows(2).all(|w| w[0].0 < w[1].0));
-            for &(s, cell) in got {
+            let ids: Vec<u32> = cells.clone().map(|c| layout.stratum_of(c)).collect();
+            assert_eq!(ids, [0, 2]);
+            for c in cells {
                 let rows: Vec<usize> = (0..40)
-                    .filter(|&r2| ix.group_of(r2) == gid && strata[r2] == s)
+                    .filter(|&r2| ix.group_of(r2) == gid && strata[r2] == layout.stratum_of(c))
                     .collect();
-                assert_eq!(cell.count, rows.len() as u64);
+                assert_eq!(layout.rows_of(c), rows.len() as u64);
                 let mut want = StratumCell::new();
+                let mut want_even = StratumCell::new();
                 for &r2 in &rows {
                     want.push(values[r2]);
+                    if r2 % 2 == 0 {
+                        want_even.push(values[r2]);
+                    }
                 }
-                assert_eq!(cell, want);
+                assert_eq!(summary.cells()[c], want);
+                assert_eq!(evens.cells()[c], want_even);
             }
         }
         // COUNT convention: values = None folds 1.0 per row.
-        let counts = StratumSummary::build(&ix, &strata, None);
-        let total: f64 = (0..ix.group_count() as u32)
-            .flat_map(|g| counts.strata_of(g).iter().map(|&(_, c)| c.sum))
-            .sum();
-        assert_eq!(total, 40.0);
+        let counts = StratumSummary::fold(&layout, None, 0..40);
+        assert_eq!(counts.cells().iter().map(|c| c.sum).sum::<f64>(), 40.0);
     }
 
     #[test]
@@ -858,9 +1010,10 @@ mod tests {
             .summary_for(&[ColumnId(0)], "SUM(v)", true, || Ok(vec![Partial::new()]))
             .unwrap();
         let ix = GroupIndex::build(&r, &[ColumnId(0)]);
+        let layout = cache.cell_layout_for(&[ColumnId(0)], || CellLayout::build(&ix, &[0; 50], 1));
         let _ = cache
             .stratum_summary_for(&[ColumnId(0)], "SUM(v)", || {
-                Ok(StratumSummary::build(&ix, &[0; 50], None))
+                Ok(StratumSummary::fold(&layout, None, 0..50))
             })
             .unwrap();
         cache.invalidate();
@@ -883,10 +1036,12 @@ mod tests {
         let _ = cache
             .stratum_summary_for(&[ColumnId(0)], "SUM(v)", || {
                 ran2 = true;
-                Ok(StratumSummary::build(&ix, &[0; 50], None))
+                Ok(StratumSummary::fold(&layout, None, 0..50))
             })
             .unwrap();
         assert!(ran2);
+        let rebuilt = cache.cell_layout_for(&[ColumnId(0)], || CellLayout::build(&ix, &[0; 50], 1));
+        assert!(!Arc::ptr_eq(&layout, &rebuilt));
         assert!(format!("{cache:?}").contains("cached_groupings"));
     }
 

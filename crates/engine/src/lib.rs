@@ -35,8 +35,8 @@ pub mod stratified;
 
 pub use aggregate::{AggregateFn, AggregateSpec, Partial};
 pub use cache::{
-    CacheStats, CacheStatsDetail, ExecOptions, ExecTrace, KindStats, MeasureSummary, QueryCache,
-    ServedFrom, StratumCell, StratumLayout, StratumSummary,
+    CacheStats, CacheStatsDetail, CellLayout, ExecOptions, ExecTrace, KindStats, MeasureSummary,
+    QueryCache, Selection, ServedFrom, StratumCell, StratumLayout, StratumSummary,
 };
 pub use cancel::CancelToken;
 pub use error::{EngineError, Result};

@@ -33,7 +33,7 @@ use rayon::prelude::*;
 use relation::{Bitmap, ColumnId, Expr, Predicate, Relation};
 
 use crate::aggregate::{Accumulator, Partial};
-use crate::cache::{ExecOptions, QueryCache, ServedFrom};
+use crate::cache::{ExecOptions, QueryCache, Selection, ServedFrom};
 use crate::cancel::{self, CancelToken};
 use crate::error::Result;
 use crate::grouping::{GroupIndex, PAR_MIN_ROWS};
@@ -155,6 +155,25 @@ pub(crate) fn masked_exprs(
                 .transpose()
         })
         .collect::<std::result::Result<_, _>>()?)
+}
+
+/// The rows `query` selects from `rel` and its measures over them: what
+/// every rewrite's scan folds into estimates, and what the bounds pass
+/// folds into per-cell moments. Public so a standalone bounds computation
+/// filters with the same kernel-aware code as the scan.
+pub fn select(rel: &Relation, query: &GroupByQuery, opts: &ExecOptions) -> Result<Selection> {
+    let (mask, _ranges) = eval_predicate(rel, &query.predicate, opts);
+    let exprs = masked_exprs(rel, query, &mask)?;
+    Ok(Selection { mask, exprs })
+}
+
+/// Hand a finished scan's [`Selection`] to [`ExecOptions::capture`], if
+/// the caller asked for it.
+pub(crate) fn capture(opts: &ExecOptions, selection: Selection) {
+    if let Some(slot) = opts.capture {
+        // One scan per query; a slot someone already filled keeps its value.
+        let _ = slot.set(selection);
+    }
 }
 
 /// Chunked (optionally parallel) accumulation of the masked rows of `rel`
@@ -529,18 +548,18 @@ pub(crate) fn aggregate_weighted_opts(
         };
         trace.record(served, rel.row_count() as u64);
     }
-    let (mask, _ranges) = eval_predicate(rel, &query.predicate, opts);
+    let selection = select(rel, query, opts)?;
     let index = grouping_index(rel, &query.grouping, opts);
-    let exprs = masked_exprs(rel, query, &mask)?;
     let accs = accumulate(
         &index,
-        &mask,
-        &exprs,
+        &selection.mask,
+        &selection.exprs,
         Some(weights),
         query,
         opts.parallel,
         opts.cancel,
     )?;
+    capture(opts, selection);
     finish_rows(&index, accs, query)
 }
 

@@ -13,7 +13,7 @@ use crate::grouping::GroupIndex;
 use crate::query::GroupByQuery;
 use crate::result::QueryResult;
 use crate::rewrite::{
-    accumulate, eval_predicate, grouping_index, masked_exprs, summary_accumulators, SamplePlan,
+    accumulate, capture, grouping_index, select, summary_accumulators, SamplePlan,
 };
 use crate::stratified::StratifiedInput;
 
@@ -126,20 +126,20 @@ impl SamplePlan for NestedIntegrated {
             };
             trace.record(served, rel.row_count() as u64);
         }
-        let (mask, _ranges) = eval_predicate(rel, &query.predicate, opts);
+        let selection = select(rel, query, opts)?;
         let inner = grouping_index(rel, &inner_cols, opts);
-        let exprs = masked_exprs(rel, query, &mask)?;
 
         // Pass 1: raw (unscaled) aggregation per inner group.
         let inner_accs = accumulate(
             &inner,
-            &mask,
-            &exprs,
+            &selection.mask,
+            &selection.exprs,
             None,
             query,
             opts.parallel,
             opts.cancel,
         )?;
+        capture(opts, selection);
         self.fold_outer(&inner, inner_accs, query)
     }
 

@@ -428,6 +428,13 @@ fn stats_and_metrics_endpoints() {
             Some("1"),
             "per-endpoint error counter"
         );
+        // Two distinct texts reached the synopsis; the repeat hit the
+        // answer cache and skipped the bounds pass.
+        assert_eq!(
+            seen.get("aqua_bounds_latency_us_count").map(String::as_str),
+            Some("2"),
+            "bounds-pass histogram"
+        );
     }
     // The always-on serving signals are present on both feature legs.
     assert_eq!(seen.get("server_shed_total").map(String::as_str), Some("0"));
