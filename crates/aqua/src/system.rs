@@ -9,8 +9,8 @@ use congress::adaptive::{recompute_weights, DriftDetector, GroupMoments, Workloa
 use congress::GroupCensus;
 use engine::rewrite::measure_key;
 use engine::{
-    execute_exact, CancelToken, EngineError, ExecOptions, ExecTrace, GroupByQuery, QueryResult,
-    ServedFrom,
+    execute_exact_opts, CancelToken, EngineError, ExecOptions, ExecTrace, GroupByQuery,
+    QueryResult, ServedFrom,
 };
 use relation::{ColumnId, Relation, Value};
 
@@ -209,6 +209,46 @@ impl QueryMetrics {
         self.sql_parse_errors
             .get_or_init(|| self.registry.counter("aqua_sql_parse_errors_total"))
     }
+}
+
+/// Scan `table` exactly and record the scan in `registry`: what
+/// [`Aqua::exact`], [`Aqua::exact_sql`] and a warehouse's degraded
+/// relations (which have no [`Aqua`] of their own) answer with.
+/// `aqua_exact_queries_total` and the `aqua_exact_latency_us` histogram
+/// move once per finished scan; its rows and zone-map chunk walk land in
+/// the counters the sample scans feed (`aqua_rows_scanned_total`,
+/// `relation_chunks_{scanned,pruned}_total`). A scan that `cancel` stops
+/// counts in `aqua_scan_cancelled_total` instead. No-ops under `obs-off`.
+pub(crate) fn exact_scan(
+    registry: &obs::Registry,
+    table: &Relation,
+    query: &GroupByQuery,
+    cancel: Option<&CancelToken>,
+) -> Result<QueryResult> {
+    let timer = obs::Timer::start();
+    let trace = ExecTrace::new();
+    let opts = ExecOptions {
+        trace: obs::ENABLED.then_some(&trace),
+        cancel,
+        ..ExecOptions::default()
+    };
+    let result = execute_exact_opts(table, query, &opts);
+    if obs::ENABLED {
+        match &result {
+            Ok(_) => {
+                let add = |name: &str, by: u64| registry.counter(name).add(by);
+                add("aqua_exact_queries_total", 1);
+                add("aqua_rows_scanned_total", trace.rows_scanned());
+                add("relation_chunks_scanned_total", trace.chunks_scanned());
+                add("relation_chunks_pruned_total", trace.chunks_pruned());
+                let latency = registry.histogram("aqua_exact_latency_us");
+                latency.record(timer.elapsed_us());
+            }
+            Err(EngineError::Cancelled) => registry.counter("aqua_scan_cancelled_total").inc(),
+            Err(_) => {}
+        }
+    }
+    Ok(result?)
 }
 
 /// Runtime knobs for the closed-loop tuner ([`Aqua::tune`]).
@@ -539,7 +579,7 @@ impl Aqua {
     /// warehouse itself would return, used for accuracy comparisons).
     pub fn exact(&self, query: &GroupByQuery) -> Result<QueryResult> {
         let inner = self.inner.read();
-        Ok(execute_exact(&inner.table, query)?)
+        exact_scan(inner.synopsis.registry(), &inner.table, query, None)
     }
 
     /// Insert new tuples into the warehouse. The synopsis maintainer sees
@@ -723,7 +763,7 @@ impl Aqua {
     pub fn exact_sql(&self, sql: &str) -> Result<QueryResult> {
         let inner = self.inner.read();
         let query = engine::sql::parse(inner.table.schema(), sql)?;
-        Ok(execute_exact(&inner.table, &query)?)
+        exact_scan(inner.synopsis.registry(), &inner.table, &query, None)
     }
 
     /// Export the synopsis as a compact binary snapshot (durable storage,
@@ -1115,7 +1155,7 @@ mod tests {
         let t = table(500);
         let aqua = Aqua::build(t.clone(), vec![ColumnId(0)], config()).unwrap();
         let q = count_query();
-        let direct = execute_exact(&t, &q).unwrap();
+        let direct = engine::execute_exact(&t, &q).unwrap();
         assert_eq!(aqua.exact(&q).unwrap(), direct);
     }
 }

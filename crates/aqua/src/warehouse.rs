@@ -35,14 +35,14 @@ use parking_lot::RwLock;
 
 use congress::{crc32c, SnapshotStore};
 use engine::join::foreign_key_join;
-use engine::{execute_exact, GroupByQuery, QueryResult};
+use engine::{GroupByQuery, QueryResult};
 use relation::{binio, ColumnId, Relation, Schema, Value};
 
 use crate::answer::{AnswerProvenance, ApproximateAnswer};
 use crate::config::AquaConfig;
 use crate::error::{AquaError, Result};
 use crate::manifest::{FileRef, Manifest, ManifestEntry, MANIFEST_KEY, QUARANTINE_PREFIX};
-use crate::system::Aqua;
+use crate::system::{exact_scan, Aqua};
 
 /// What [`Warehouse::open`] does with a relation whose synopsis is
 /// missing or fails verification (the base table being intact).
@@ -380,7 +380,7 @@ impl Warehouse {
                 self.registry
                     .counter("warehouse_degraded_answers_total")
                     .inc();
-                let result = execute_exact(&d.table.read(), query)?;
+                let result = exact_scan(&self.registry, &d.table.read(), query, None)?;
                 Ok(ApproximateAnswer {
                     result,
                     bounds: Vec::new(),
@@ -420,11 +420,7 @@ impl Warehouse {
                     .inc();
                 let table = d.table.read();
                 let query = engine::sql::parse(table.schema(), sql)?;
-                let opts = engine::ExecOptions {
-                    cancel,
-                    ..Default::default()
-                };
-                let result = engine::execute_exact_opts(&table, &query, &opts)?;
+                let result = exact_scan(&self.registry, &table, &query, cancel)?;
                 Ok(Arc::new(crate::ServedAnswer {
                     answer: ApproximateAnswer {
                         result,
@@ -444,7 +440,7 @@ impl Warehouse {
     pub fn exact(&self, name: &str, query: &GroupByQuery) -> Result<QueryResult> {
         match self.serving(name)? {
             Serving::Sampled(aqua) => aqua.exact(query),
-            Serving::Degraded(d) => Ok(execute_exact(&d.table.read(), query)?),
+            Serving::Degraded(d) => exact_scan(&self.registry, &d.table.read(), query, None),
         }
     }
 

@@ -404,3 +404,91 @@ fn synopsis_maintenance_counters() {
     assert_eq!(s.counter("synopsis_refreshes_total"), 1);
     assert_eq!(s.counter("synopsis_rebuilds_total"), 2);
 }
+
+/// Exact scans are spans too: `Aqua::exact` / `exact_sql` and a degraded
+/// relation's fallback count themselves, their latency, and the rows and
+/// chunks they walked — and, on the degraded path, honor cancellation.
+#[test]
+fn exact_scans_count_on_sampled_and_degraded_relations() {
+    use aqua::{AquaError, RecoveryPolicy};
+    use congress::SnapshotStore;
+    use engine::{CancelToken, EngineError};
+
+    let rows = 40_000; // 3 chunks; the predicate is on an unclustered column
+    let chunks = relation::chunk_count(rows) as u64;
+    let sql = "SELECT region, COUNT(*) AS c FROM sales WHERE amount >= 10 GROUP BY region";
+    let exact_counters = |s: &StatsSnapshot| {
+        (
+            s.counter("aqua_exact_queries_total"),
+            s.histogram("aqua_exact_latency_us").map_or(0, |h| h.count),
+            s.counter("aqua_rows_scanned_total"),
+            s.counter("relation_chunks_scanned_total"),
+        )
+    };
+
+    let aqua = Aqua::build(
+        sales(rows as i64),
+        vec![ColumnId(0)],
+        config(RewriteChoice::Integrated),
+    )
+    .unwrap();
+    let by_query = aqua.exact(&scan_query()).unwrap();
+    assert_eq!(aqua.exact_sql(sql).unwrap(), by_query);
+    let s = aqua.stats();
+    if obs::ENABLED {
+        assert_eq!(exact_counters(&s), (2, 2, 2 * rows as u64, 2 * chunks));
+        assert!(s.counters.contains_key("relation_chunks_pruned_total"));
+        // Not an approximate answer: the query families stay empty.
+        assert_eq!(s.counter_family("aqua_queries_total"), 0);
+    } else {
+        assert_eq!(exact_counters(&s), (0, 0, 0, 0));
+    }
+
+    // A relation whose synopsis blob is gone reopens degraded; every way
+    // of asking it is an exact scan recorded in the warehouse's registry.
+    let store = MemStore::new();
+    let w = Warehouse::new();
+    let t = sales(rows as i64);
+    let grouping = t.schema().column_ids(&["region"]).unwrap();
+    w.register("sales", t, grouping, config(RewriteChoice::Integrated))
+        .unwrap();
+    w.save_all(&store).unwrap();
+    let blobs = store.list().unwrap();
+    let blob = blobs.iter().find(|k| k.contains("synopsis")).unwrap();
+    store.delete(blob).unwrap();
+    let (w, _) = Warehouse::open(&store, RecoveryPolicy::Degrade).unwrap();
+    assert_eq!(w.degraded_relations().len(), 1);
+
+    assert_eq!(w.answer("sales", &scan_query()).unwrap().result, by_query);
+    assert_eq!(w.exact("sales", &scan_query()).unwrap(), by_query);
+    let served = w.answer_sql("sales", sql).unwrap();
+    assert!(served.answer.is_degraded());
+    assert_eq!(served.answer.result, by_query);
+
+    // A token that never fires changes nothing; one that already has
+    // stops the scan before its first chunk.
+    let idle = CancelToken::new();
+    let same = w.answer_sql_cancellable("sales", sql, Some(&idle)).unwrap();
+    assert_eq!(same.answer.result, by_query);
+    let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
+    let overdue = std::time::Instant::now() - std::time::Duration::from_millis(1);
+    for fired in [
+        CancelToken::with_flag(flag),
+        CancelToken::with_deadline(overdue),
+    ] {
+        let stopped = w.answer_sql_cancellable("sales", sql, Some(&fired));
+        assert!(matches!(
+            stopped,
+            Err(AquaError::Engine(EngineError::Cancelled))
+        ));
+    }
+
+    let s = w.stats();
+    if obs::ENABLED {
+        assert_eq!(exact_counters(&s), (4, 4, 4 * rows as u64, 4 * chunks));
+        assert_eq!(s.counter("aqua_scan_cancelled_total"), 2);
+        assert_eq!(s.counter("warehouse_degraded_answers_total"), 5);
+    } else {
+        assert_eq!(exact_counters(&s), (0, 0, 0, 0));
+    }
+}

@@ -174,6 +174,16 @@ fn render_human(s: &StatsSnapshot) -> String {
         }
     }
 
+    // Exact scans of the base table (`exact`, `exact_sql`, a degraded
+    // relation's fallback); their rows and chunks are in the lines above.
+    let exact = s.counter("aqua_exact_queries_total");
+    let _ = write!(out, "exact scans: {exact}");
+    if let Some(h) = s.histogram("aqua_exact_latency_us").filter(|h| h.count > 0) {
+        let (mean, p50, p95) = (h.mean(), h.p50(), h.p95());
+        let _ = write!(out, "  mean={mean:.0}us p50<={p50}us p95<={p95}us");
+    }
+    let _ = writeln!(out);
+
     let _ = writeln!(out, "\n== query cache ==");
     let hits = s.counter("aqua_cache_hits_total");
     let misses = s.counter("aqua_cache_misses_total");
@@ -300,6 +310,8 @@ mod tests {
         assert!(out.contains("== synopsis maintenance =="), "{out}");
         // Cache counters are live regardless of the obs feature.
         assert!(out.contains("hit rate"), "{out}");
+        // The workload answers approximately only.
+        assert!(out.contains("exact scans: 0\n"), "{out}");
         if !cfg!(feature = "obs-off") {
             assert!(out.contains("answered 6"), "{out}");
             assert!(out.contains("served=\"summary\""), "{out}");
@@ -315,6 +327,33 @@ mod tests {
                 out.contains("relation_decode_avoided_total{kind=\"code-domain-predicate\"}"),
                 "{out}"
             );
+        }
+    }
+
+    #[test]
+    fn exact_scans_show_count_and_latency() {
+        let source = load(&args(DEMO)).unwrap();
+        let config = AquaConfig {
+            space: 400,
+            strategy: aqua::SamplingStrategy::Congress,
+            rewrite: aqua::RewriteChoice::Integrated,
+            confidence: 0.9,
+            seed: 0,
+            parallelism: 1,
+        };
+        let aqua = Aqua::build(source.relation, source.grouping, config).unwrap();
+        for sql in demo_workload() {
+            aqua.exact_sql(&sql).unwrap();
+        }
+        let out = render_human(&aqua.stats());
+        if cfg!(feature = "obs-off") {
+            assert!(out.contains("exact scans: 0\n"), "{out}");
+        } else {
+            assert!(out.contains("exact scans: 3  mean="), "{out}");
+            // Each scan covered the 4,000-row table; only the filtered
+            // query ran a pruning pass over its one chunk.
+            assert!(out.contains("rows scanned 12000"), "{out}");
+            assert!(out.contains("chunks scanned 1  pruned 0"), "{out}");
         }
     }
 

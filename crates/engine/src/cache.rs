@@ -73,8 +73,9 @@ pub struct ExecOptions<'a> {
     /// Memoized indexes/layouts for the relation being queried. `None`
     /// recomputes everything per query (the cold path).
     pub cache: Option<&'a QueryCache>,
-    /// Allow chunked parallel aggregation on the current rayon pool.
-    /// Only engages above [`PAR_MIN_ROWS`] rows and >1 thread.
+    /// Allow chunked parallel aggregation of sample scans on the current
+    /// rayon pool (above [`PAR_MIN_ROWS`] rows and >1 thread). Exact scans
+    /// fold their surviving chunks serially and ignore it.
     pub parallel: bool,
     /// Optional per-query trace sink. The executor records which path
     /// served the answer and how many rows it touched; recording never

@@ -36,6 +36,9 @@ use crate::error::{EngineError, Result};
 pub struct CancelToken {
     deadline: Option<Instant>,
     flag: Option<Arc<AtomicBool>>,
+    /// Test-only trip condition: polls left before the token fires.
+    #[cfg(test)]
+    fuse: Option<Arc<std::sync::atomic::AtomicUsize>>,
 }
 
 impl CancelToken {
@@ -46,18 +49,12 @@ impl CancelToken {
 
     /// A token that fires once the wall clock reaches `deadline`.
     pub fn with_deadline(deadline: Instant) -> CancelToken {
-        CancelToken {
-            deadline: Some(deadline),
-            flag: None,
-        }
+        CancelToken::new().and_deadline(deadline)
     }
 
     /// A token that fires when `flag` is set to `true` (e.g. server drain).
     pub fn with_flag(flag: Arc<AtomicBool>) -> CancelToken {
-        CancelToken {
-            deadline: None,
-            flag: Some(flag),
-        }
+        CancelToken::new().and_flag(flag)
     }
 
     /// Add (or replace) the deadline trip condition.
@@ -79,6 +76,13 @@ impl CancelToken {
 
     /// Has either trip condition fired?
     pub fn is_cancelled(&self) -> bool {
+        #[cfg(test)]
+        if let Some(polls) = &self.fuse {
+            match polls.load(Ordering::Relaxed) {
+                0 => return true,
+                left => polls.store(left - 1, Ordering::Relaxed),
+            }
+        }
         if let Some(f) = &self.flag {
             if f.load(Ordering::Relaxed) {
                 return true;
@@ -104,6 +108,18 @@ pub(crate) fn check(token: Option<&CancelToken>) -> Result<()> {
     match token {
         Some(t) => t.check(),
         None => Ok(()),
+    }
+}
+
+#[cfg(test)]
+impl CancelToken {
+    /// A token that lets `polls` polls pass and fires on every later one —
+    /// cancellation from *inside* a scan, without threads or clocks.
+    pub(crate) fn firing_after(polls: usize) -> CancelToken {
+        CancelToken {
+            fuse: Some(Arc::new(polls.into())),
+            ..CancelToken::new()
+        }
     }
 }
 

@@ -1,16 +1,21 @@
-//! Exact query execution via hash aggregation.
+//! Exact query execution via hash aggregation, one surviving chunk at a time.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use relation::kernels::{self, KernelStats};
-use relation::{chunk_count, chunk_range, Bitmap, DataType, EncodedRelation, Expr, Relation};
+use relation::{
+    chunk_count, chunk_range, Bitmap, ColumnId, DataType, DecodeScratch, EncodedRelation, Expr,
+    GroupKey, Relation, RowRangeList, Value, CHUNK_ROWS, F64,
+};
 
-use crate::aggregate::{Accumulator, Partial};
+use crate::aggregate::{Accumulator, AggregateSpec, Partial};
 use crate::cache::{ExecOptions, ServedFrom};
 use crate::cancel;
 use crate::error::Result;
-use crate::grouping::GroupIndex;
 use crate::query::GroupByQuery;
 use crate::result::QueryResult;
-use crate::rewrite::{accumulate, eval_predicate, finish_rows, masked_exprs};
+use crate::rewrite::eval_predicate;
 
 /// Execute `query` exactly over `rel` with a single hash-aggregation pass.
 ///
@@ -43,16 +48,29 @@ pub fn execute_exact(rel: &Relation, query: &GroupByQuery) -> Result<QueryResult
     execute_exact_opts(rel, query, &ExecOptions::default())
 }
 
-/// [`execute_exact`] with explicit [`ExecOptions`]. The zone-map pass
-/// runs first, so a selective predicate over a clustered column skips
-/// whole chunks in the predicate scan *and* in the group-index build; the
-/// result is bit-identical to a full scan because chunk verdicts are
-/// exact. `opts.cancel` is polled at chunk boundaries of the aggregation
-/// pass, so an exact scan over a large base table (e.g. a degraded
-/// warehouse relation) still honors per-request deadlines; a token that
-/// never fires cannot change the result. `opts.cache` is ignored — exact
-/// execution runs over the base table, whose group index is
-/// predicate-filtered and therefore not reusable across predicates.
+/// [`execute_exact`] with explicit [`ExecOptions`]: the zone-map pass,
+/// then one aggregation pass over the chunks that survived it
+/// ([`fold_chunks`]). Beyond the predicate's bitmap nothing allocated is
+/// longer than a chunk or the set of groups actually seen.
+///
+/// Bit-identical to folding *every* chunk and merging in chunk order with
+/// chunk 0 as the base — the contract [`accumulate`](crate::rewrite::accumulate)
+/// gives the sample rewrites — because chunk verdicts are exact, chunks are
+/// the same [`CHUNK_ROWS`], rows fold in row order, partials merge in chunk
+/// order, and merging an empty [`Partial`] is a bitwise no-op: a partial
+/// sum starts at `+0.0` and `+0.0 + −0.0 = +0.0`, so none is ever `−0.0`
+/// and adding the empty `+0.0` on either side returns its bits;
+/// `x.min(+∞) = +∞.min(x) = x` (`min`/`max` never hold NaN); weight and row
+/// count add zero. So a pruned chunk, a chunk without a row of some group,
+/// and a group first seen in a late chunk (its total starts empty) leave
+/// the totals as the full merge would. Group ids are scan-local; output
+/// order comes from the final key sort.
+///
+/// `opts.cancel` is polled before the scan and at every surviving chunk,
+/// so a scan of a large base table (e.g. a degraded warehouse relation)
+/// honors per-request deadlines; a token that never fires cannot change the
+/// result. `opts.cache` and `opts.parallel` are ignored: the predicate is
+/// per-query and the chunks fold serially.
 pub fn execute_exact_opts(
     rel: &Relation,
     query: &GroupByQuery,
@@ -65,122 +83,229 @@ pub fn execute_exact_opts(
         trace.record(ServedFrom::ColdScan, ranges.covered_rows() as u64);
     }
     // Decode-free scalar fold: a no-grouping query over bare columns needs
-    // no group index, no dense expression buffers, and — for fully
-    // selected chunks — no decode at all. The encoded twin is shared by
-    // clones and (when kernels evaluated the predicate) already built.
+    // no group ids, no expression buffers, and — for fully selected chunks
+    // — no decode at all. The encoded twin is shared by clones and (when
+    // kernels evaluated the predicate) already built.
     if opts.kernels && query.grouping.is_empty() {
         let enc = rel.encoded().clone();
         if scalar_fold_applies(&enc, query) {
             return scalar_fold_encoded(&enc, &mask, query, opts);
         }
     }
-    // Exact execution runs over the (potentially large) base table, so the
-    // group index stays predicate-filtered — selective queries then hash
-    // only qualifying rows — and aggregate inputs are evaluated only for
-    // the rows the selection bitmap keeps. The build walks only the ranges
-    // surviving pruning (the mask is false everywhere else).
-    let index = GroupIndex::build_filtered_ranges(rel, &query.grouping, Some(&mask), &ranges);
-    let exprs = masked_exprs(rel, query, &mask)?;
-    let accs = accumulate(
-        &index,
-        &mask,
-        &exprs,
-        None,
-        query,
-        opts.parallel,
-        opts.cancel,
-    )?;
-    finish_rows(&index, accs, query)
+    fold_chunks(Source::Dense(rel), &mask, &ranges, query, opts)
 }
 
-/// Execute `query` exactly over *encoded* chunked storage, decoding
-/// on demand: the predicate is evaluated chunk-by-chunk with zone-map
-/// skipping, only the grouping columns are materialized densely (and only
-/// because group codes need random access), and each aggregate input is
-/// decoded one chunk at a time into `scratch`-backed buffers for the rows
-/// the mask keeps. Bit-identical to decoding the whole relation and
-/// running [`execute_exact_opts`], which the equivalence tests assert.
+/// Execute `query` exactly over *encoded* chunked storage, decoding on
+/// demand: the predicate is evaluated chunk-by-chunk with zone-map
+/// skipping, and the aggregation is [`execute_exact_opts`]'s own
+/// [`fold_chunks`] with each surviving chunk's group codes and measure
+/// inputs decoded into pooled scratch — no column is materialized densely.
+/// Bit-identical to decoding the whole relation and running
+/// [`execute_exact_opts`], which the equivalence tests assert.
 pub fn execute_exact_encoded(
     enc: &EncodedRelation,
     query: &GroupByQuery,
     opts: &ExecOptions,
 ) -> Result<QueryResult> {
     query.validate_schema(enc.schema())?;
-    relation::with_scratch(|scratch| execute_exact_encoded_pooled(enc, query, opts, scratch))
-}
-
-fn execute_exact_encoded_pooled(
-    enc: &EncodedRelation,
-    query: &GroupByQuery,
-    opts: &ExecOptions,
-    scratch: &mut relation::DecodeScratch,
-) -> Result<QueryResult> {
-    let (mask, ranges, stats) = if opts.kernels {
-        let mut kstats = KernelStats::default();
-        let out = query
-            .predicate
-            .eval_encoded_kernels(enc, scratch, &mut kstats);
+    relation::with_scratch(|scratch| {
+        let (pred, mut kstats) = (&query.predicate, KernelStats::default());
+        let (mask, ranges, stats) = if opts.kernels {
+            pred.eval_encoded_kernels(enc, scratch, &mut kstats)
+        } else {
+            pred.eval_encoded(enc, scratch)
+        };
         if let Some(trace) = opts.trace {
             trace.record_kernels(&kstats);
+            trace.record_chunks(stats.chunks - stats.pruned, stats.pruned);
+            trace.record_selected(mask.count_ones() as u64);
+            trace.record(ServedFrom::ColdScan, ranges.covered_rows() as u64);
         }
-        out
-    } else {
-        query.predicate.eval_encoded(enc, scratch)
-    };
-    if let Some(trace) = opts.trace {
-        trace.record_chunks(stats.chunks - stats.pruned, stats.pruned);
-        trace.record_selected(mask.count_ones() as u64);
-        trace.record(ServedFrom::ColdScan, ranges.covered_rows() as u64);
+        if opts.kernels && scalar_fold_applies(enc, query) {
+            return scalar_fold_encoded(enc, &mask, query, opts);
+        }
+        fold_chunks(Source::Encoded(enc, scratch), &mask, &ranges, query, opts)
+    })
+}
+
+/// Where [`fold_chunks`] fetches a chunk's data — all the dense and the
+/// encoded executor (one chunk at a time decoded into pooled scratch)
+/// differ in. `rows` are ascending row ids inside `chunk`.
+enum Source<'a> {
+    Dense(&'a Relation),
+    Encoded(&'a EncodedRelation, &'a mut DecodeScratch),
+}
+
+impl Source<'_> {
+    /// Append [`relation::Column::group_code`] of `col` at each of `rows`.
+    fn codes(&mut self, col: ColumnId, chunk: usize, rows: &[u32], out: &mut Vec<u64>) {
+        match self {
+            Source::Dense(rel) => {
+                let col = rel.column(col);
+                out.extend(rows.iter().map(|&r| col.group_code(r as usize)));
+            }
+            Source::Encoded(enc, scratch) => {
+                let (col, start) = (enc.column(col), chunk * CHUNK_ROWS);
+                scratch.u64s.clear();
+                col.decode_chunk_u64(chunk, &mut scratch.u64s);
+                // A float's code is its NaN-canonical bit pattern.
+                let float = col.data_type() == DataType::Float;
+                let canonical = |b: u64| F64::new(f64::from_bits(b)).get().to_bits();
+                let raw = rows.iter().map(|&r| scratch.u64s[r as usize - start]);
+                out.extend(raw.map(|b| if float { canonical(b) } else { b }));
+            }
+        }
     }
 
-    if opts.kernels && scalar_fold_applies(enc, query) {
-        return scalar_fold_encoded(enc, &mask, query, opts);
+    /// Append `e` evaluated at each of `rows`.
+    fn measure(&mut self, e: &Expr, chunk: usize, rows: &[u32], out: &mut Vec<f64>) -> Result<()> {
+        match self {
+            Source::Dense(rel) => e.eval_rows(rel, rows, out)?,
+            Source::Encoded(enc, scratch) => e.eval_rows_encoded(enc, chunk, rows, scratch, out)?,
+        }
+        Ok(())
     }
 
-    let index = if query.grouping.is_empty() {
-        GroupIndex::build_empty_grouping(enc.row_count(), Some(&mask), &ranges)
-    } else {
-        // Materialize just the grouping columns: group-code extraction is
-        // random access, so these few columns are decoded densely while
-        // every other column stays encoded. The projected relation carries
-        // the same values the full decode would, so ids, keys, and
-        // first-occurrence rows are identical.
-        let fields: Vec<_> = query
-            .grouping
-            .iter()
-            .map(|&c| enc.schema().fields()[c.0].clone())
-            .collect();
-        let columns: Vec<_> = query
-            .grouping
-            .iter()
-            .map(|&c| enc.column(c).to_column())
-            .collect::<relation::Result<_>>()?;
-        let proj = Relation::new(relation::Schema::new(fields)?, columns)?;
-        let proj_cols: Vec<relation::ColumnId> =
-            (0..query.grouping.len()).map(relation::ColumnId).collect();
-        GroupIndex::build_filtered_ranges(&proj, &proj_cols, Some(&mask), &ranges)
-    };
+    /// The value of `col` that group code `code` stands for.
+    fn value(&self, col: ColumnId, code: u64) -> Value {
+        let (data_type, dict) = match self {
+            Source::Dense(rel) => {
+                let col = rel.column(col);
+                (col.data_type(), col.as_str().map_or(&[][..], |s| s.dict()))
+            }
+            Source::Encoded(enc, _) => (enc.column(col).data_type(), enc.column(col).dict()),
+        };
+        match data_type {
+            DataType::Int => Value::Int(code as i64),
+            DataType::Float => Value::Float(F64::new(f64::from_bits(code))),
+            DataType::Str => Value::Str(dict[code as usize].clone()),
+            DataType::Date => Value::Date(code as i64 as i32),
+        }
+    }
+}
 
-    let exprs: Vec<Option<Vec<f64>>> = query
-        .aggregates
-        .iter()
-        .map(|a| {
-            a.expr
-                .as_ref()
-                .map(|e| e.eval_masked_encoded(enc, &mask, scratch))
-                .transpose()
-        })
-        .collect::<std::result::Result<_, _>>()?;
-    let accs = accumulate(
-        &index,
-        &mask,
-        &exprs,
-        None,
-        query,
-        opts.parallel,
-        opts.cancel,
-    )?;
-    finish_rows(&index, accs, query)
+/// Multiply-fold hasher for group-code keys: each word is xored into the
+/// state and the 128-bit product with an odd constant folded back to 64
+/// bits, so high input bits (all that float codes differ in) reach the low
+/// bits a table indexes with. One SipHash probe per selected row was most of
+/// an exact scan; this one is not collision-resistant against chosen keys,
+/// so only this per-query table, dropped with the scan, uses it.
+#[derive(Default)]
+struct CodeHasher(u64);
+
+impl Hasher for CodeHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for word in bytes.chunks(8) {
+            let mut le = [0u8; 8];
+            le[..word.len()].copy_from_slice(word);
+            let product = u128::from(self.0 ^ u64::from_le_bytes(le)) * 0x9e37_79b9_7f4a_7c15;
+            self.0 = (product as u64) ^ (product >> 64) as u64;
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type CodeMap<K> = HashMap<K, u32, BuildHasherDefault<CodeHasher>>;
+
+/// The exact aggregation: one pass over the chunks of `ranges` (those that
+/// survived pruning; `mask` is false elsewhere). Per chunk: list the selected
+/// rows from the mask words, fetch the grouping columns' codes and resolve
+/// each row's group id with one probe (a fixed-width key up to the paper's
+/// |G| ≤ 4, an allocated one beyond), gather each measure at those rows
+/// only, fold them in row order into a flat `groups × aggregates` scratch of
+/// [`Partial`]s, and merge the groups the chunk touched into the running
+/// totals, reusing every buffer. Bit-identity: see [`execute_exact_opts`].
+fn fold_chunks(
+    mut src: Source,
+    mask: &Bitmap,
+    ranges: &RowRangeList,
+    query: &GroupByQuery,
+    opts: &ExecOptions,
+) -> Result<QueryResult> {
+    let (cols, na) = (&query.grouping, query.aggregates.len());
+    let mut narrow = CodeMap::<[u64; 4]>::default();
+    let mut wide = CodeMap::<Vec<u64>>::default();
+    let mut keys: Vec<GroupKey> = Vec::new();
+    // Running totals and this chunk's partials (all empty between chunks).
+    let (mut totals, mut partials) = (Vec::<Partial>::new(), Vec::<Partial>::new());
+    let (mut rows, mut codes, mut vals) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut gids, mut touched) = (Vec::new(), Vec::new());
+
+    cancel::check(opts.cancel)?;
+    let spans = ranges.ranges().iter();
+    for c in spans.flat_map(|&(lo, hi)| lo / CHUNK_ROWS..hi.div_ceil(CHUNK_ROWS)) {
+        cancel::check(opts.cancel)?;
+        let (start, end) = chunk_range(c, mask.len());
+        rows.clear();
+        rows.extend(mask.ones_range(start, end).map(|r| r as u32));
+        let m = rows.len();
+        // Column-major: column `j`'s codes are `codes[j * m..][..m]`, and
+        // aggregate `a`'s inputs `vals[a * m..][..m]`.
+        codes.clear();
+        for &col in cols {
+            src.codes(col, c, &rows, &mut codes);
+        }
+        vals.clear();
+        for spec in &query.aggregates {
+            match &spec.expr {
+                Some(expr) => src.measure(expr, c, &rows, &mut vals)?,
+                None => vals.resize(vals.len() + m, 0.0),
+            }
+        }
+
+        gids.clear();
+        for i in 0..m {
+            let code = |j: usize| codes[j * m + i];
+            let next = keys.len() as u32;
+            let gid = if cols.len() <= 4 {
+                let mut key = [0u64; 4];
+                (0..cols.len()).for_each(|j| key[j] = code(j));
+                *narrow.entry(key).or_insert(next)
+            } else {
+                let key: Vec<u64> = (0..cols.len()).map(code).collect();
+                *wide.entry(key).or_insert(next)
+            };
+            if gid == next {
+                let value = |(j, &col): (usize, &ColumnId)| src.value(col, code(j));
+                keys.push(GroupKey::new(cols.iter().enumerate().map(value).collect()));
+                totals.resize(totals.len() + na, Partial::new());
+                partials.resize(totals.len(), Partial::new());
+            }
+            gids.push(gid);
+        }
+
+        for (i, &g) in gids.iter().enumerate() {
+            let at = g as usize * na;
+            if partials[at].rows() == 0 {
+                touched.push(at);
+            }
+            for (a, p) in partials[at..at + na].iter_mut().enumerate() {
+                p.add(vals[a * m + i], 1.0);
+            }
+        }
+        for at in touched.drain(..).flat_map(|at| at..at + na) {
+            totals[at].merge(&std::mem::take(&mut partials[at]));
+        }
+    }
+    emit_rows(keys, &totals, query)
+}
+
+/// Per-group totals (flat `keys.len() × aggregates`) as a [`QueryResult`]
+/// sorted by key, without groups of no qualifying rows, HAVING applied.
+fn emit_rows(keys: Vec<GroupKey>, totals: &[Partial], query: &GroupByQuery) -> Result<QueryResult> {
+    let names = query.aggregates.iter().map(|a| a.name.clone()).collect();
+    let finish =
+        |(a, p): (&AggregateSpec, &Partial)| Accumulator::from_partial(a.func, *p).finish();
+    let rows = keys
+        .into_iter()
+        .zip(totals.chunks(query.aggregates.len()))
+        .filter(|(_, ps)| ps[0].rows() > 0)
+        .map(|(key, ps)| (key, query.aggregates.iter().zip(ps).map(finish).collect()))
+        .collect();
+    query.apply_having(QueryResult::new(names, rows))
 }
 
 /// Whether `query` can be served by the decode-free scalar fold: no
@@ -194,17 +319,6 @@ fn scalar_fold_applies(enc: &EncodedRelation, query: &GroupByQuery) -> bool {
             Some(Expr::Column(c)) => enc.column(*c).data_type() != DataType::Str,
             Some(_) => false,
         })
-}
-
-/// Selected rows inside one chunk: chunk boundaries are 64-aligned, so the
-/// count is a straight popcount over the chunk's disjoint bitmap words
-/// (tail bits beyond the bitmap length are zero by invariant).
-fn selected_in_chunk(mask: &Bitmap, start: usize, end: usize) -> usize {
-    debug_assert_eq!(start % 64, 0);
-    mask.words()[start / 64..end.div_ceil(64)]
-        .iter()
-        .map(|w| w.count_ones() as usize)
-        .sum()
 }
 
 /// The decode-free scalar (`T = ∅`) aggregation fold.
@@ -221,9 +335,8 @@ fn selected_in_chunk(mask: &Bitmap, start: usize, end: usize) -> usize {
 /// * otherwise → decode the chunk once into pooled scratch and fold the
 ///   selected rows through [`Partial::add`], the scan path's own op.
 ///
-/// Partials merge in chunk order with chunk 0 as the base, replicating
-/// [`accumulate`](crate::rewrite::accumulate)'s merge structure, so the
-/// result is bit-identical to the masked-decode scan path.
+/// Partials merge in chunk order into empty totals — bit for bit
+/// [`fold_chunks`]'s result (see [`execute_exact_opts`]).
 fn scalar_fold_encoded(
     enc: &EncodedRelation,
     mask: &Bitmap,
@@ -240,7 +353,9 @@ fn scalar_fold_encoded(
             cancel::check(opts.cancel)?;
             let (start, end) = chunk_range(c, n);
             let n_c = end - start;
-            let sel = selected_in_chunk(mask, start, end);
+            // Chunks are word-aligned and tail bits past the mask are zero.
+            let words = &mask.words()[start / 64..end.div_ceil(64)];
+            let sel: usize = words.iter().map(|w| w.count_ones() as usize).sum();
             // Which column's chunk currently sits decoded in scratch —
             // aggregates sharing a column decode it once.
             let mut decoded = None;
@@ -279,11 +394,7 @@ fn scalar_fold_encoded(
                     }
                     Some(_) => unreachable!("gated by scalar_fold_applies"),
                 };
-                if c == 0 {
-                    totals[ai] = p;
-                } else {
-                    totals[ai].merge(&p);
-                }
+                totals[ai].merge(&p);
             }
         }
         Ok(())
@@ -291,13 +402,7 @@ fn scalar_fold_encoded(
     if let Some(trace) = opts.trace {
         trace.record_kernels(&kstats);
     }
-    let accs = vec![query
-        .aggregates
-        .iter()
-        .zip(&totals)
-        .map(|(spec, p)| Accumulator::from_partial(spec.func, *p))
-        .collect()];
-    finish_rows(&GroupIndex::scalar_stub(), accs, query)
+    emit_rows(vec![GroupKey::empty()], &totals, query)
 }
 
 #[cfg(test)]
@@ -660,5 +765,244 @@ mod tests {
         // are skipped by their zone maps.
         assert_eq!(trace.chunks_pruned(), 3);
         assert_eq!(trace.chunks_scanned(), 1);
+    }
+
+    /// The grouped path this module had before the per-chunk fold, kept as
+    /// the reference: a predicate-filtered [`GroupIndex`] and masked
+    /// measure buffers over the whole relation, every chunk folded (empty
+    /// or not) and merged with chunk 0 as the base, rows emitted in the
+    /// index's key order.
+    fn whole_relation_reference(rel: &Relation, query: &GroupByQuery) -> QueryResult {
+        use crate::rewrite::{accumulate, finish_rows, select};
+        let opts = ExecOptions {
+            kernels: false,
+            ..ExecOptions::default()
+        };
+        let sel = select(rel, query, &opts).unwrap();
+        let index = crate::GroupIndex::build_filtered(rel, &query.grouping, Some(&sel.mask));
+        let accs = accumulate(&index, &sel.mask, &sel.exprs, None, query, false, None).unwrap();
+        finish_rows(&index, accs, query).unwrap()
+    }
+
+    const WIDE_ROWS: usize = 70_000; // 5 chunks, the last one short
+
+    /// Five chunks with a clustered `id`, one grouping column of every type
+    /// (the Float one holding `-0.0`, `0.0` and NaN), three more Int keys
+    /// for a 5-column grouping, and a measure with NaN and `-0.0` values.
+    /// The Str key is "late" only from row 50,000 on (chunk 3) and "gap"
+    /// only in chunks 1 and 3.
+    fn wide_rel() -> Relation {
+        let mut b = RelationBuilder::new()
+            .column("id", DataType::Int)
+            .column("s", DataType::Str)
+            .column("d", DataType::Date)
+            .column("f", DataType::Float)
+            .column("k", DataType::Int)
+            .column("k2", DataType::Int)
+            .column("k3", DataType::Int)
+            .column("v", DataType::Float);
+        for i in 0..WIDE_ROWS {
+            let chunk = i / relation::CHUNK_ROWS;
+            let s = match i % 5 {
+                0 if i >= 50_000 => "late",
+                1 if chunk == 1 || chunk == 3 => "gap",
+                2 => "two",
+                _ => "rest",
+            };
+            let f = [-0.0, 0.0, f64::NAN, 1.5][i % 4];
+            let v = match i % 13 {
+                0 => f64::NAN,
+                1 | 2 => -0.0,
+                r => r as f64 * 0.1 - (i % 7) as f64 * 1e7,
+            };
+            b.push_row(&[
+                Value::Int(i as i64),
+                Value::str(s),
+                Value::Date((i % 11) as i32 - 3),
+                Value::from(f),
+                Value::Int((i % 6) as i64 - 2),
+                Value::Int((i % 2) as i64),
+                Value::Int((i % 3) as i64),
+                Value::from(v),
+            ])
+            .unwrap();
+        }
+        b.finish()
+    }
+
+    fn wide_queries() -> Vec<GroupByQuery> {
+        use crate::query::Having;
+        use relation::predicate::CmpOp;
+        let v = Expr::col(ColumnId(7));
+        let sums = || {
+            vec![
+                AggregateSpec::sum(v.clone(), "s"),
+                AggregateSpec::avg(v.clone(), "a"),
+                AggregateSpec::count("c"),
+            ]
+        };
+        // Prunes chunk 0 (and chunk 4): "late" first appears in the last
+        // live chunk, "gap" is absent from the middle one.
+        let band = || Predicate::between(ColumnId(0), 20_000i64, 60_000i64);
+        let mut queries: Vec<GroupByQuery> = [1usize, 2, 3, 4]
+            .iter()
+            .map(|&c| GroupByQuery::new(vec![ColumnId(c)], sums()).with_predicate(band()))
+            .collect();
+        queries.extend([
+            // Every key type at once, unpruned.
+            GroupByQuery::new((1..5).map(ColumnId).collect(), sums()),
+            // Wide key: five columns, two of them Float and Str.
+            GroupByQuery::new(
+                vec![
+                    ColumnId(3),
+                    ColumnId(1),
+                    ColumnId(4),
+                    ColumnId(5),
+                    ColumnId(6),
+                ],
+                sums(),
+            )
+            .with_predicate(band()),
+            // Groups whose only measure values are `-0.0`: sums stay `+0.0`.
+            GroupByQuery::new(vec![ColumnId(1)], sums())
+                .with_predicate(Predicate::le(ColumnId(7), -0.0).and(band())),
+            // Empty grouping over an expression: not the scalar-fold shape.
+            GroupByQuery::new(
+                vec![],
+                vec![
+                    AggregateSpec::sum(v.clone().mul(Expr::lit(2.0)), "s2"),
+                    AggregateSpec::count("c"),
+                ],
+            )
+            .with_predicate(band()),
+            // Empty selection, grouped and not.
+            GroupByQuery::new(vec![ColumnId(1)], sums())
+                .with_predicate(Predicate::ge(ColumnId(0), 10 * WIDE_ROWS as i64)),
+            GroupByQuery::new(
+                vec![],
+                vec![AggregateSpec::avg(v.clone().add(v.clone()), "a")],
+            )
+            .with_predicate(Predicate::ge(ColumnId(0), 10 * WIDE_ROWS as i64)),
+            GroupByQuery::new(vec![ColumnId(2), ColumnId(4)], sums())
+                .with_predicate(band())
+                .with_having(Having::new("c", CmpOp::Gt, 600.0)),
+            GroupByQuery::new(
+                vec![ColumnId(1), ColumnId(2)],
+                vec![
+                    AggregateSpec::min(v.clone(), "mn"),
+                    AggregateSpec::max(v.clone().sub(Expr::col(ColumnId(0))), "mx"),
+                ],
+            )
+            .with_predicate(band()),
+            GroupByQuery::new(vec![ColumnId(3)], vec![AggregateSpec::count("c")])
+                .with_predicate(Predicate::between(ColumnId(0), 40_000i64, 69_000i64)),
+        ]);
+        queries
+    }
+
+    /// The per-chunk fold — dense and encoded, kernels on and off — returns
+    /// the names, keys and bits of the whole-relation reference.
+    #[test]
+    fn chunk_fold_is_bit_identical_to_the_whole_relation_reference() {
+        let r = wide_rel();
+        let enc = relation::EncodedRelation::encode(&r);
+        let mut groups = 0;
+        for (qi, q) in wide_queries().iter().enumerate() {
+            let reference = whole_relation_reference(&r, q);
+            groups += reference.group_count();
+            for kernels in [false, true] {
+                let opts = ExecOptions {
+                    kernels,
+                    ..ExecOptions::default()
+                };
+                let dense = execute_exact_opts(&r, q, &opts).unwrap();
+                let encoded = execute_exact_encoded(&enc, q, &opts).unwrap();
+                for (path, got) in [("dense", &dense), ("encoded", &encoded)] {
+                    let what = format!("query {qi}, {path}, kernels {kernels}");
+                    assert_eq!(got.aggregate_names, reference.aggregate_names, "{what}");
+                    assert_eq!(bits(got), bits(&reference), "{what}");
+                }
+            }
+        }
+        assert!(groups > 100, "the fixture lost its groups");
+        // The shapes the band is there for really occur.
+        let by_s = GroupByQuery::new(vec![ColumnId(1)], vec![AggregateSpec::count("c")]);
+        let in_chunk = |c: i64, s: &str| {
+            let lo = c * relation::CHUNK_ROWS as i64;
+            let q = by_s.clone().with_predicate(Predicate::between(
+                ColumnId(0),
+                lo.max(20_000),
+                lo + relation::CHUNK_ROWS as i64 - 1,
+            ));
+            execute_exact(&r, &q).unwrap().get(&gkey(s)).is_some()
+        };
+        assert!(!in_chunk(1, "late") && !in_chunk(2, "late") && in_chunk(3, "late"));
+        assert!(in_chunk(1, "gap") && !in_chunk(2, "gap") && in_chunk(3, "gap"));
+    }
+
+    /// Float keys group by canonical bit pattern: `-0.0` and `0.0` apart,
+    /// every NaN together — also when the codes come from an encoded chunk.
+    #[test]
+    fn float_keys_keep_signed_zero_apart_and_nan_together() {
+        let r = wide_rel();
+        let enc = relation::EncodedRelation::encode(&r);
+        let q = GroupByQuery::new(vec![ColumnId(3)], vec![AggregateSpec::count("c")]);
+        let opts = ExecOptions::default();
+        for res in [
+            execute_exact(&r, &q).unwrap(),
+            execute_exact_encoded(&enc, &q, &opts).unwrap(),
+        ] {
+            assert_eq!(res.group_count(), 4);
+            for f in [-0.0, 0.0, f64::NAN, 1.5] {
+                let key = GroupKey::new(vec![Value::from(f)]);
+                assert_eq!(res.get(&key), Some(&[WIDE_ROWS as f64 / 4.0][..]), "{f}");
+            }
+        }
+    }
+
+    /// A fired token stops the scan with `Cancelled` — before it starts,
+    /// and from inside after the first chunk — on every exact path; a token
+    /// that never fires leaves the bits unchanged.
+    #[test]
+    fn cancellation_before_and_inside_the_scan() {
+        use crate::{CancelToken, EngineError};
+        use std::sync::atomic::AtomicBool;
+        let r = wide_rel();
+        let enc = relation::EncodedRelation::encode(&r);
+        let v = Expr::col(ColumnId(7));
+        let grouped =
+            GroupByQuery::new(vec![ColumnId(1)], vec![AggregateSpec::sum(v.clone(), "s")]);
+        let scalar = GroupByQuery::new(vec![], vec![AggregateSpec::sum(v, "s")]);
+        for q in [&grouped, &scalar] {
+            // A fresh token per run: a fuse is spent by the polls it sees.
+            let run = |token: &dyn Fn() -> CancelToken| {
+                let (dense, encoded) = (token(), token());
+                let opts = |cancel| ExecOptions {
+                    cancel: Some(cancel),
+                    ..ExecOptions::default()
+                };
+                [
+                    execute_exact_opts(&r, q, &opts(&dense)),
+                    execute_exact_encoded(&enc, q, &opts(&encoded)),
+                ]
+            };
+            let fired = || CancelToken::with_flag(std::sync::Arc::new(AtomicBool::new(true)));
+            for res in run(&fired) {
+                assert_eq!(res.unwrap_err(), EngineError::Cancelled);
+            }
+            // Two polls pass (grouped: before the scan and at the first
+            // chunk; scalar: the first two chunks); the next one fires.
+            for res in run(&|| CancelToken::firing_after(2)) {
+                assert_eq!(res.unwrap_err(), EngineError::Cancelled);
+            }
+            // At most one poll per chunk plus the one before: never fires.
+            let plain = execute_exact(&r, q).unwrap();
+            for res in run(&CancelToken::new)
+                .into_iter()
+                .chain(run(&|| CancelToken::firing_after(6)))
+            {
+                assert_eq!(bits(&res.unwrap()), bits(&plain));
+            }
+        }
     }
 }

@@ -1,10 +1,11 @@
 //! The group index: dense group ids for rows under a grouping.
 //!
-//! Grouping is the single hottest operation in this workspace — the exact
-//! executor, every rewrite strategy, the congress census, and per-group
-//! reservoir construction all need "which group is row *r* in?". The
-//! [`GroupIndex`] computes, for a set of grouping columns, a dense
-//! `u32` group id per row plus the materialized [`GroupKey`] per id.
+//! Grouping is the single hottest operation in this workspace — every
+//! rewrite strategy, the congress census, and per-group reservoir
+//! construction need "which group is row *r* in?" (an exact scan resolves
+//! its own ids chunk by chunk, see `exec`). The [`GroupIndex`] computes,
+//! for a set of grouping columns, a dense `u32` group id per row plus the
+//! materialized [`GroupKey`] per id.
 //!
 //! Implementation: each grouping column is first re-encoded to a dense
 //! per-column code (string columns already are; int/float/date columns get
@@ -18,7 +19,7 @@ use std::collections::HashMap;
 
 use rayon::prelude::*;
 
-use relation::{Bitmap, ColumnId, GroupKey, Relation, RowRangeList};
+use relation::{Bitmap, ColumnId, GroupKey, Relation};
 
 /// Below this row count sharded/chunked parallel execution is pure
 /// overhead. Shared by the parallel index build and the chunked
@@ -66,73 +67,21 @@ impl GroupIndex {
     /// if `mask` is `None`). Rows excluded by the mask get group id
     /// `u32::MAX` and contribute no group.
     pub fn build_filtered(rel: &Relation, cols: &[ColumnId], mask: Option<&Bitmap>) -> GroupIndex {
-        Self::build_in_ranges(rel, cols, mask, &[(0, rel.row_count())])
-    }
-
-    /// [`Self::build_filtered`] restricted to the row ranges surviving a
-    /// zone-map pruning pass. `mask` must be false outside `ranges` (which
-    /// [`Predicate::eval_pruned`](relation::Predicate::eval_pruned)
-    /// guarantees), so skipping the excluded rows visits exactly the same
-    /// live rows in the same ascending order — the produced index is
-    /// bit-identical to the full-scan build, it just never touches pruned
-    /// chunks.
-    pub fn build_filtered_ranges(
-        rel: &Relation,
-        cols: &[ColumnId],
-        mask: Option<&Bitmap>,
-        ranges: &RowRangeList,
-    ) -> GroupIndex {
-        Self::build_in_ranges(rel, cols, mask, ranges.ranges())
-    }
-
-    /// The single-group (`T = ∅`, no-group-by) index over `n` rows — needs
-    /// only the row count, so the encoded executor can build it without a
-    /// dense relation. `mask` must be false outside `ranges`; identical to
-    /// [`Self::build_filtered`] with empty grouping columns.
-    pub fn build_empty_grouping(
-        n: usize,
-        mask: Option<&Bitmap>,
-        ranges: &RowRangeList,
-    ) -> GroupIndex {
-        Self::empty_in_ranges(n, mask, ranges.ranges())
-    }
-
-    fn empty_in_ranges(n: usize, mask: Option<&Bitmap>, ranges: &[(usize, usize)]) -> GroupIndex {
-        let live = |r: usize| mask.is_none_or(|m| m.get(r));
-        let mut group_of_row = vec![u32::MAX; n];
-        let mut first = u32::MAX;
-        for &(start, end) in ranges {
-            for (r, g) in group_of_row[start..end].iter_mut().enumerate() {
-                let r = start + r;
-                if live(r) {
-                    *g = 0;
-                    if first == u32::MAX {
-                        first = r as u32;
-                    }
-                }
-            }
-        }
-        GroupIndex {
-            cols: Vec::new(),
-            group_of_row,
-            keys: vec![GroupKey::empty()],
-            first_rows: vec![first],
-            sorted_gids: std::sync::OnceLock::new(),
-            key_to_gid: std::sync::OnceLock::new(),
-        }
-    }
-
-    fn build_in_ranges(
-        rel: &Relation,
-        cols: &[ColumnId],
-        mask: Option<&Bitmap>,
-        ranges: &[(usize, usize)],
-    ) -> GroupIndex {
         let n = rel.row_count();
         let live = |r: usize| mask.is_none_or(|m| m.get(r));
 
         if cols.is_empty() {
-            return Self::empty_in_ranges(n, mask, ranges);
+            let group_of_row: Vec<u32> =
+                (0..n).map(|r| if live(r) { 0 } else { u32::MAX }).collect();
+            let first = group_of_row.iter().position(|&g| g == 0);
+            return GroupIndex {
+                cols: Vec::new(),
+                group_of_row,
+                keys: vec![GroupKey::empty()],
+                first_rows: vec![first.map_or(u32::MAX, |r| r as u32)],
+                sorted_gids: std::sync::OnceLock::new(),
+                key_to_gid: std::sync::OnceLock::new(),
+            };
         }
 
         // Pre-size the hash maps from zone-map distinct hints when zone
@@ -150,16 +99,13 @@ impl GroupIndex {
             let col = rel.column(c);
             let mut dict: HashMap<u64, u32> = HashMap::with_capacity(col_hint(c));
             let mut codes = vec![0u32; n];
-            for &(start, end) in ranges {
-                for (r, code) in codes[start..end].iter_mut().enumerate() {
-                    let r = start + r;
-                    if !live(r) {
-                        continue;
-                    }
-                    let raw = col.group_code(r);
-                    let next = dict.len() as u32;
-                    *code = *dict.entry(raw).or_insert(next);
+            for (r, code) in codes.iter_mut().enumerate() {
+                if !live(r) {
+                    continue;
                 }
+                let raw = col.group_code(r);
+                let next = dict.len() as u32;
+                *code = *dict.entry(raw).or_insert(next);
             }
             dense_codes.push(codes);
         }
@@ -170,49 +116,39 @@ impl GroupIndex {
 
         if cols.len() <= 4 {
             let mut map: HashMap<u128, u32> = HashMap::with_capacity(group_hint);
-            for &(start, end) in ranges {
-                for r in start..end {
-                    if !live(r) {
-                        continue;
-                    }
-                    let mut packed: u128 = 0;
-                    for codes in &dense_codes {
-                        packed = (packed << 32) | codes[r] as u128;
-                    }
-                    let next = map.len() as u32;
-                    let gid = *map.entry(packed).or_insert_with(|| {
-                        keys.push(GroupKey::from_row(rel, r, cols));
-                        first_rows.push(r as u32);
-                        next
-                    });
-                    group_of_row[r] = gid;
+            for r in (0..n).filter(|&r| live(r)) {
+                let mut packed: u128 = 0;
+                for codes in &dense_codes {
+                    packed = (packed << 32) | codes[r] as u128;
                 }
+                let next = map.len() as u32;
+                let gid = *map.entry(packed).or_insert_with(|| {
+                    keys.push(GroupKey::from_row(rel, r, cols));
+                    first_rows.push(r as u32);
+                    next
+                });
+                group_of_row[r] = gid;
             }
         } else {
             let mut map: HashMap<Vec<u32>, u32> = HashMap::with_capacity(group_hint);
             let mut scratch: Vec<u32> = Vec::with_capacity(dense_codes.len());
-            for &(start, end) in ranges {
-                for r in start..end {
-                    if !live(r) {
-                        continue;
+            for r in (0..n).filter(|&r| live(r)) {
+                scratch.clear();
+                scratch.extend(dense_codes.iter().map(|codes| codes[r]));
+                // Probe by slice (`Vec<u32>` hashes identically to
+                // `[u32]`); the owned key is allocated only when the
+                // group is new.
+                let gid = match map.get(scratch.as_slice()) {
+                    Some(&g) => g,
+                    None => {
+                        let g = map.len() as u32;
+                        keys.push(GroupKey::from_row(rel, r, cols));
+                        first_rows.push(r as u32);
+                        map.insert(scratch.clone(), g);
+                        g
                     }
-                    scratch.clear();
-                    scratch.extend(dense_codes.iter().map(|codes| codes[r]));
-                    // Probe by slice (`Vec<u32>` hashes identically to
-                    // `[u32]`); the owned key is allocated only when the
-                    // group is new.
-                    let gid = match map.get(scratch.as_slice()) {
-                        Some(&g) => g,
-                        None => {
-                            let g = map.len() as u32;
-                            keys.push(GroupKey::from_row(rel, r, cols));
-                            first_rows.push(r as u32);
-                            map.insert(scratch.clone(), g);
-                            g
-                        }
-                    };
-                    group_of_row[r] = gid;
-                }
+                };
+                group_of_row[r] = gid;
             }
         }
 
@@ -233,34 +169,19 @@ impl GroupIndex {
     /// thread count: a group's id is its rank by global first-occurrence
     /// row, and merging shards in order (preserving each shard's local
     /// first-seen order) reproduces exactly that rank — the registration
-    /// order is a property of the data, not of the chunking.
+    /// order is a property of the data, not of the chunking. Falls back to
+    /// the sequential build for small inputs, a single thread, or the
+    /// empty grouping.
     pub fn par_build(rel: &Relation, cols: &[ColumnId]) -> GroupIndex {
-        Self::par_build_filtered(rel, cols, None)
-    }
-
-    /// Parallel [`Self::build_filtered`] (see [`Self::par_build`] for the
-    /// equivalence argument). Falls back to the sequential build for small
-    /// inputs, a single thread, or the empty grouping.
-    pub fn par_build_filtered(
-        rel: &Relation,
-        cols: &[ColumnId],
-        mask: Option<&Bitmap>,
-    ) -> GroupIndex {
         let n = rel.row_count();
-        // Gate on *live* work per shard, not just total rows: the shard
-        // count is capped so every shard folds at least PAR_SHARD_MIN_ROWS
-        // selected rows, falling back to the sequential build when even two
-        // shards of that size do not fit. Counting mask bits here is O(n/64)
-        // — trivial next to the build — and keeps a selective predicate
-        // over a big relation from forking threads to skip dead rows.
-        let live = mask.map_or(n, Bitmap::count_ones);
+        // Every shard holds at least PAR_SHARD_MIN_ROWS rows; sequential
+        // when even two shards of that size do not fit.
         let threads = rayon::current_num_threads()
             .max(1)
-            .min(live / PAR_SHARD_MIN_ROWS);
+            .min(n / PAR_SHARD_MIN_ROWS);
         if cols.is_empty() || threads <= 1 || n < PAR_MIN_ROWS {
-            return Self::build_filtered(rel, cols, mask);
+            return Self::build(rel, cols);
         }
-        let live = |r: usize| mask.is_none_or(|m| m.get(r));
 
         let chunk = n.div_ceil(threads);
         let ranges: Vec<(usize, usize)> = (0..threads)
@@ -287,9 +208,6 @@ impl GroupIndex {
                 let mut first_rows: Vec<usize> = Vec::new();
                 let mut local_gids = vec![u32::MAX; end - start];
                 for r in start..end {
-                    if !live(r) {
-                        continue;
-                    }
                     let code: Vec<u64> = columns.iter().map(|col| col.group_code(r)).collect();
                     let gid = match map.get(&code) {
                         Some(&g) => g,
@@ -341,9 +259,7 @@ impl GroupIndex {
         let mut group_of_row = vec![u32::MAX; n];
         for (shard, remap) in shards.iter().zip(&remaps) {
             for (i, &lg) in shard.local_gids.iter().enumerate() {
-                if lg != u32::MAX {
-                    group_of_row[shard.start + i] = remap[lg as usize];
-                }
+                group_of_row[shard.start + i] = remap[lg as usize];
             }
         }
 
@@ -352,22 +268,6 @@ impl GroupIndex {
             group_of_row,
             keys,
             first_rows,
-            sorted_gids: std::sync::OnceLock::new(),
-            key_to_gid: std::sync::OnceLock::new(),
-        }
-    }
-
-    /// A rowless single-group (`T = ∅`) stub for the decode-free scalar
-    /// fold path: `finish_rows` only needs `gids_by_key` / `key` / the
-    /// accumulators, so the O(n) `group_of_row` vector is never built.
-    /// Must not be used with any per-row API (`group_of`, `group_ids`,
-    /// `first_row`).
-    pub(crate) fn scalar_stub() -> GroupIndex {
-        GroupIndex {
-            cols: Vec::new(),
-            group_of_row: Vec::new(),
-            keys: vec![GroupKey::empty()],
-            first_rows: vec![0],
             sorted_gids: std::sync::OnceLock::new(),
             key_to_gid: std::sync::OnceLock::new(),
         }
@@ -670,24 +570,6 @@ mod tests {
     }
 
     #[test]
-    fn par_build_filtered_matches_sequential() {
-        let r = big_rel(66_000);
-        let cols = r.schema().column_ids(&["a", "b"]).unwrap();
-        let mask = Bitmap::from_fn(r.row_count(), |i| i % 3 != 0);
-        let seq = GroupIndex::build_filtered(&r, &cols, Some(&mask));
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap();
-        let par = pool.install(|| GroupIndex::par_build_filtered(&r, &cols, Some(&mask)));
-        assert_eq!(par.group_ids(), seq.group_ids());
-        assert_eq!(par.keys(), seq.keys());
-        for gid in 0..seq.group_count() as u32 {
-            assert_eq!(par.first_row(gid), seq.first_row(gid));
-        }
-    }
-
-    #[test]
     fn small_parallel_build_falls_back_to_sequential_shape() {
         // Below two shards' worth of rows the parallel entry point must
         // still produce the identical index via the sequential path.
@@ -697,31 +579,6 @@ mod tests {
         let par = GroupIndex::par_build(&r, &cols);
         assert_eq!(par.group_ids(), seq.group_ids());
         assert_eq!(par.keys(), seq.keys());
-    }
-
-    #[test]
-    fn range_restricted_build_matches_full_build() {
-        let r = big_rel(50_000);
-        let cols = r.schema().column_ids(&["a", "b"]).unwrap();
-        // Mask true only inside [5_000, 20_000) ∪ [33_000, 41_000).
-        let mask = Bitmap::from_fn(r.row_count(), |i| {
-            (5_000..20_000).contains(&i) || (33_000..41_000).contains(&i)
-        });
-        let mut ranges = RowRangeList::new();
-        ranges.push(5_000, 20_000);
-        ranges.push(33_000, 41_000);
-        let full = GroupIndex::build_filtered(&r, &cols, Some(&mask));
-        let ranged = GroupIndex::build_filtered_ranges(&r, &cols, Some(&mask), &ranges);
-        assert_eq!(ranged.group_ids(), full.group_ids());
-        assert_eq!(ranged.keys(), full.keys());
-        for gid in 0..full.group_count() as u32 {
-            assert_eq!(ranged.first_row(gid), full.first_row(gid));
-        }
-        // Empty grouping without a backing relation.
-        let e_full = GroupIndex::build_filtered(&r, &[], Some(&mask));
-        let e = GroupIndex::build_empty_grouping(r.row_count(), Some(&mask), &ranges);
-        assert_eq!(e.group_ids(), e_full.group_ids());
-        assert_eq!(e.first_row(0), e_full.first_row(0));
     }
 
     #[test]

@@ -137,33 +137,19 @@ pub(crate) fn grouping_index(
     }
 }
 
-/// Evaluate each aggregate's input expression over the rows selected by
-/// `mask` only (satellite of the fast path: unselected rows used to be
-/// evaluated and then discarded).
-pub(crate) fn masked_exprs(
-    rel: &Relation,
-    query: &GroupByQuery,
-    mask: &Bitmap,
-) -> Result<Vec<Option<Vec<f64>>>> {
-    Ok(query
-        .aggregates
-        .iter()
-        .map(|a| {
-            a.expr
-                .as_ref()
-                .map(|e| e.eval_masked(rel, mask))
-                .transpose()
-        })
-        .collect::<std::result::Result<_, _>>()?)
-}
-
 /// The rows `query` selects from `rel` and its measures over them: what
 /// every rewrite's scan folds into estimates, and what the bounds pass
 /// folds into per-cell moments. Public so a standalone bounds computation
 /// filters with the same kernel-aware code as the scan.
 pub fn select(rel: &Relation, query: &GroupByQuery, opts: &ExecOptions) -> Result<Selection> {
     let (mask, _ranges) = eval_predicate(rel, &query.predicate, opts);
-    let exprs = masked_exprs(rel, query, &mask)?;
+    // Unselected rows are never evaluated (their slots stay `0.0`).
+    let masked = |e: &Expr| e.eval_masked(rel, &mask);
+    let exprs = query
+        .aggregates
+        .iter()
+        .map(|a| a.expr.as_ref().map(masked).transpose());
+    let exprs = exprs.collect::<std::result::Result<_, _>>()?;
     Ok(Selection { mask, exprs })
 }
 

@@ -148,6 +148,47 @@ proptest! {
     }
 }
 
+/// The same comparison once across chunk boundaries, which the small
+/// property cases never reach: a seeded relation of three full chunks and a
+/// short fourth, every grouping, with and without a threshold that empties
+/// some (group, chunk) cells.
+#[test]
+fn executor_matches_reference_across_chunks() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(24);
+    let n = relation::CHUNK_ROWS * 3 + 501;
+    let rows: Vec<Row> = (0..n)
+        .map(|i| Row {
+            // `a = 3` only exists from the third chunk on.
+            a: rng.gen_range(0i64..if i < 2 * relation::CHUNK_ROWS { 3 } else { 4 }),
+            b: ["x", "y", "z"][rng.gen_range(0usize..3)],
+            v: rng.gen_range(-100.0..100.0),
+        })
+        .collect();
+    let rel = relation_of(&rows);
+    let groupings: [(Vec<ColumnId>, Vec<usize>); 4] = [
+        (vec![], vec![]),
+        (vec![ColumnId(0)], vec![0]),
+        (vec![ColumnId(1)], vec![1]),
+        (vec![ColumnId(0), ColumnId(1)], vec![0, 1]),
+    ];
+    for (cols, positions) in groupings {
+        for threshold in [None, Some(99.9)] {
+            let got = execute_exact(&rel, &full_query(cols.clone(), threshold)).unwrap();
+            let want = reference(&rows, &positions, threshold);
+            assert_eq!(got.group_count(), want.group_count());
+            for ((k1, v1), (k2, v2)) in got.rows().iter().zip(want.rows()) {
+                assert_eq!(k1, k2);
+                for (x, y) in v1.iter().zip(v2) {
+                    // Chunk merges reorder the additions of ~16K values.
+                    assert!((x - y).abs() < 1e-9 * (1.0 + y.abs()), "{x} vs {y} at {k1}");
+                }
+            }
+        }
+    }
+}
+
 /// Sanity: the AggregateFn enum round-trips through the reference columns.
 #[test]
 fn aggregate_order_matches_reference_layout() {

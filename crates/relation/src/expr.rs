@@ -51,6 +51,9 @@ impl fmt::Display for ArithOp {
     }
 }
 
+/// Appends one column's values at the rows under evaluation.
+type Gather<'a> = &'a mut dyn FnMut(ColumnId, &mut Vec<f64>);
+
 /// A numeric scalar expression evaluated per row to `f64`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Expr {
@@ -225,61 +228,61 @@ impl Expr {
         }
     }
 
-    /// [`Expr::eval_masked`] over an [`EncodedRelation`]: column chunks are
-    /// decoded on demand into `scratch`, and chunks with no selected rows
-    /// are never decoded at all. Selected slots hold values bit-identical
-    /// to the dense masked evaluation (the decode applies exactly the
-    /// `value_f64` casts); unselected slots stay `0.0`.
-    pub fn eval_masked_encoded(
-        &self,
-        enc: &EncodedRelation,
-        mask: &Bitmap,
-        scratch: &mut DecodeScratch,
-    ) -> Result<Vec<f64>> {
-        self.validate_schema(enc.schema())?;
-        debug_assert_eq!(mask.len(), enc.row_count());
-        Ok(self.eval_masked_encoded_validated(enc, mask, scratch))
+    /// Evaluate at `rows` only (ascending row ids), appending one value per
+    /// row to `out` — the compact twin of [`Self::eval_masked`] for callers
+    /// that already hold the selected rows of one chunk. Performs exactly
+    /// the per-row casts and `op.apply` calls of [`Self::eval`], so the
+    /// values are bit-identical to a full evaluation at those rows.
+    pub fn eval_rows(&self, rel: &Relation, rows: &[u32], out: &mut Vec<f64>) -> Result<()> {
+        self.validate(rel)?;
+        self.eval_gathered(rows.len(), out, &mut |id, out| {
+            let col = rel.column(id);
+            let value = |&r: &u32| col.value_f64(r as usize).expect("validated numeric");
+            out.extend(rows.iter().map(value));
+        });
+        Ok(())
     }
 
-    fn eval_masked_encoded_validated(
+    /// [`Self::eval_rows`] over an [`EncodedRelation`] for `rows` that all
+    /// lie in chunk `chunk`: each referenced column's chunk is decoded into
+    /// `scratch` (with exactly the `value_f64` casts) and gathered, so no
+    /// other chunk is touched and the values are bit-identical to the
+    /// dense evaluation.
+    pub fn eval_rows_encoded(
         &self,
         enc: &EncodedRelation,
-        mask: &Bitmap,
+        chunk: usize,
+        rows: &[u32],
         scratch: &mut DecodeScratch,
-    ) -> Vec<f64> {
-        let n = enc.row_count();
+        out: &mut Vec<f64>,
+    ) -> Result<()> {
+        self.validate_schema(enc.schema())?;
+        let start = chunk_range(chunk, enc.row_count()).0;
+        self.eval_gathered(rows.len(), out, &mut |id, out| {
+            scratch.f64s.clear();
+            enc.column(id).decode_chunk_f64(chunk, &mut scratch.f64s);
+            out.extend(rows.iter().map(|&r| scratch.f64s[r as usize - start]));
+        });
+        Ok(())
+    }
+
+    /// Append `n` values to `out`, with `gather(col, out)` appending column
+    /// `col`'s `n` row values. A binary node evaluates both operands onto
+    /// the tail of `out` and folds the right one into the left in place, so
+    /// no buffer beyond `out` is allocated.
+    fn eval_gathered(&self, n: usize, out: &mut Vec<f64>, gather: Gather) {
         match self {
-            Expr::Column(id) => {
-                let col = enc.column(*id);
-                let mut out = vec![0.0; n];
-                for c in 0..enc.chunk_count() {
-                    let (start, end) = chunk_range(c, n);
-                    if mask.ones_range(start, end).next().is_none() {
-                        continue;
-                    }
-                    scratch.f64s.clear();
-                    col.decode_chunk_f64(c, &mut scratch.f64s);
-                    let vals = &scratch.f64s;
-                    for r in mask.ones_range(start, end) {
-                        out[r] = vals[r - start];
-                    }
-                }
-                out
-            }
-            Expr::Literal(v) => {
-                let mut out = vec![0.0; n];
-                for r in mask.ones() {
-                    out[r] = *v;
-                }
-                out
-            }
+            Expr::Column(id) => gather(*id, out),
+            Expr::Literal(v) => out.resize(out.len() + n, *v),
             Expr::Binary { op, lhs, rhs } => {
-                let mut a = lhs.eval_masked_encoded_validated(enc, mask, scratch);
-                let b = rhs.eval_masked_encoded_validated(enc, mask, scratch);
-                for r in mask.ones() {
-                    a[r] = op.apply(a[r], b[r]);
+                let base = out.len();
+                lhs.eval_gathered(n, out, gather);
+                rhs.eval_gathered(n, out, gather);
+                let (a, b) = out[base..].split_at_mut(n);
+                for (x, y) in a.iter_mut().zip(b.iter()) {
+                    *x = op.apply(*x, *y);
                 }
-                a
+                out.truncate(base + n);
             }
         }
     }
@@ -432,9 +435,9 @@ mod tests {
     }
 
     #[test]
-    fn masked_encoded_eval_is_bitwise_equal_to_dense() {
+    fn eval_rows_is_bitwise_equal_to_eval_dense_and_chunk_decoded() {
         use crate::bitmap::Bitmap;
-        use crate::chunk::{DecodeScratch, EncodedRelation, CHUNK_ROWS};
+        use crate::chunk::{chunk_count, DecodeScratch, EncodedRelation, CHUNK_ROWS};
         let rows = CHUNK_ROWS + 300;
         let mut b = RelationBuilder::new()
             .column("i", DataType::Int)
@@ -458,32 +461,43 @@ mod tests {
         let mut scratch = DecodeScratch::default();
         let exprs = [
             Expr::col(ColumnId(0)),
+            Expr::lit(2.5),
             Expr::col(ColumnId(1))
                 .mul(Expr::lit(1.0).sub(Expr::col(ColumnId(0))))
                 .add(Expr::col(ColumnId(2)).div(Expr::lit(3.0))),
         ];
         let masks = [
             Bitmap::from_fn(rows, |i| i % 3 == 0),
-            // Second chunk entirely unselected: it must not be decoded, and
-            // its slots must stay 0.0.
+            // Second chunk entirely unselected.
             Bitmap::from_fn(rows, |i| i < CHUNK_ROWS && i % 2 == 1),
             Bitmap::new_false(rows),
             Bitmap::new_true(rows),
         ];
         for e in &exprs {
+            let full = e.eval(&r).unwrap();
             for mask in &masks {
-                let dense = e.eval_masked(&r, mask).unwrap();
-                let encoded = e.eval_masked_encoded(&enc, mask, &mut scratch).unwrap();
-                assert_eq!(dense.len(), encoded.len());
-                for (i, (a, b)) in dense.iter().zip(encoded.iter()).enumerate() {
-                    assert_eq!(a.to_bits(), b.to_bits(), "row {i} differs for {e}");
+                for c in 0..chunk_count(rows) {
+                    let (start, end) = chunk_range(c, rows);
+                    let sel: Vec<u32> = mask.ones_range(start, end).map(|r| r as u32).collect();
+                    // Appends after what `out` already holds.
+                    let (mut dense, mut decoded) = (vec![7.0], vec![7.0]);
+                    e.eval_rows(&r, &sel, &mut dense).unwrap();
+                    e.eval_rows_encoded(&enc, c, &sel, &mut scratch, &mut decoded)
+                        .unwrap();
+                    let want = sel.iter().map(|&r| full[r as usize].to_bits());
+                    let want: Vec<u64> = [7.0f64.to_bits()].into_iter().chain(want).collect();
+                    for got in [&dense, &decoded] {
+                        let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(got, want, "chunk {c} differs for {e}");
+                    }
                 }
             }
         }
-        // Validation carries over to the encoded path.
+        // Validation carries over to both forms.
         let bad = Expr::col(ColumnId(9));
+        assert!(bad.eval_rows(&r, &[0], &mut Vec::new()).is_err());
         assert!(bad
-            .eval_masked_encoded(&enc, &masks[0], &mut scratch)
+            .eval_rows_encoded(&enc, 0, &[0], &mut scratch, &mut Vec::new())
             .is_err());
     }
 }

@@ -7,8 +7,7 @@ use relation::chunk::{chunk_range, DecodeScratch, EncodedRelation};
 use relation::kernels::fold_chunk_encoded;
 use relation::predicate::CmpOp;
 use relation::{
-    binio, Bitmap, ColumnId, DataType, Expr, KernelStats, Predicate, Relation, RelationBuilder,
-    Value,
+    binio, ColumnId, DataType, Expr, KernelStats, Predicate, Relation, RelationBuilder, Value,
 };
 
 #[derive(Debug, Clone)]
@@ -344,17 +343,17 @@ proptest! {
         }
     }
 
-    /// `eval_masked` over encoded chunks is bitwise-equal to the dense
-    /// masked evaluation for arbitrary expressions and masks.
+    /// `eval_rows` at the selected rows — dense, and gathered from the
+    /// chunk decoded on demand — is bitwise-equal to the full `eval` there,
+    /// for arbitrary expressions and masks.
     #[test]
-    fn eval_masked_encoded_matches_dense(
+    fn eval_rows_matches_eval_dense_and_decoded(
         rows in proptest::collection::vec(row_strategy(), 1..80),
         bits in proptest::collection::vec(0u8..2, 80..81),
         scale in -3.0f64..3.0,
     ) {
         let rel = relation_of(&rows);
-        let n = rel.row_count();
-        let mask = Bitmap::from_fn(n, |r| bits[r] == 1);
+        let sel: Vec<u32> = (0..rel.row_count() as u32).filter(|&r| bits[r as usize] == 1).collect();
         let exprs = vec![
             Expr::col(ColumnId(0)),
             Expr::col(ColumnId(1)),
@@ -366,15 +365,16 @@ proptest! {
         let enc = EncodedRelation::encode(&rel);
         let mut scratch = DecodeScratch::default();
         for e in exprs {
-            let dense = e.eval_masked(&rel, &mask).unwrap();
-            let encoded = e.eval_masked_encoded(&enc, &mask, &mut scratch).unwrap();
-            prop_assert_eq!(dense.len(), encoded.len());
-            for r in 0..n {
-                prop_assert_eq!(
-                    dense[r].to_bits(),
-                    encoded[r].to_bits(),
-                    "row {} of {:?}", r, &e
-                );
+            let full = e.eval(&rel).unwrap();
+            let (mut dense, mut decoded) = (Vec::new(), Vec::new());
+            e.eval_rows(&rel, &sel, &mut dense).unwrap();
+            e.eval_rows_encoded(&enc, 0, &sel, &mut scratch, &mut decoded).unwrap();
+            prop_assert_eq!(dense.len(), sel.len());
+            prop_assert_eq!(decoded.len(), sel.len());
+            for (i, &r) in sel.iter().enumerate() {
+                let want = full[r as usize].to_bits();
+                prop_assert_eq!(dense[i].to_bits(), want, "dense row {} of {:?}", r, &e);
+                prop_assert_eq!(decoded[i].to_bits(), want, "decoded row {} of {:?}", r, &e);
             }
         }
     }
@@ -426,11 +426,20 @@ fn multi_chunk_invariants_hold() {
     assert_eq!(stats.pruned, 3);
     assert_eq!(ranges.covered_rows(), relation::CHUNK_ROWS);
 
-    // Encoded expression path.
+    // Expression at the selected rows, dense and per-chunk-decoded (the
+    // predicate keeps rows of chunk 1 only).
     let enc = EncodedRelation::encode(&rel);
     let mut scratch = DecodeScratch::default();
     let e = Expr::col(ColumnId(1)).mul(Expr::col(ColumnId(0)));
-    let d = e.eval_masked(&rel, &mask).unwrap();
-    let m = e.eval_masked_encoded(&enc, &mask, &mut scratch).unwrap();
-    assert!(d.iter().zip(&m).all(|(a, b)| a.to_bits() == b.to_bits()));
+    let full = e.eval(&rel).unwrap();
+    let sel: Vec<u32> = mask.ones().map(|r| r as u32).collect();
+    let (mut d, mut m) = (Vec::new(), Vec::new());
+    e.eval_rows(&rel, &sel, &mut d).unwrap();
+    e.eval_rows_encoded(&enc, 1, &sel, &mut scratch, &mut m)
+        .unwrap();
+    assert_eq!(d.len(), sel.len());
+    for ((&r, a), b) in sel.iter().zip(&d).zip(&m) {
+        assert_eq!(a.to_bits(), full[r as usize].to_bits());
+        assert_eq!(b.to_bits(), full[r as usize].to_bits());
+    }
 }

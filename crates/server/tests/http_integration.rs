@@ -361,11 +361,14 @@ fn load_shedding_returns_503_and_coalescing_bypasses_it() {
 
 #[test]
 fn stats_and_metrics_endpoints() {
-    let server = Server::bind(ServerConfig::default(), census_aqua()).unwrap();
+    let aqua = census_aqua();
+    let server = Server::bind(ServerConfig::default(), aqua.clone()).unwrap();
     let addr = server.local_addr();
 
     // Three good queries (two identical) and one malformed.
     let sql = "SELECT state, COUNT(*) AS c FROM census GROUP BY state";
+    // One ground-truth scan beside them, as an accuracy monitor would run.
+    aqua.exact_sql(sql).unwrap();
     assert_eq!(query_once(addr, sql).status, 200);
     assert_eq!(query_once(addr, sql).status, 200);
     assert_eq!(
@@ -435,6 +438,9 @@ fn stats_and_metrics_endpoints() {
             Some("2"),
             "bounds-pass histogram"
         );
+        // The exact scan is its own span, not an answered query.
+        assert_eq!(seen["aqua_exact_queries_total"], "1");
+        assert_eq!(seen["aqua_exact_latency_us_count"], "1");
     }
     // The always-on serving signals are present on both feature legs.
     assert_eq!(seen.get("server_shed_total").map(String::as_str), Some("0"));
