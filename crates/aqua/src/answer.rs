@@ -1,17 +1,17 @@
 //! Approximate answers with per-group error bounds (Figures 2 and 4).
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::OnceLock;
 
 use congress::bounds::{
     avg_bound_hoeffding, stratified_avg_bound, stratified_sum_bound, ErrorBound, Moments,
 };
-use engine::rewrite::{measure_key, select};
+use engine::rewrite::execute_cells;
 use engine::{
-    AggregateFn, CellLayout, ExecOptions, GroupByQuery, GroupIndex, QueryCache, QueryResult,
-    Selection, StratifiedInput, StratumSummary,
+    AggregateFn, AggregateSpec, ExecOptions, GroupByQuery, QueryCache, QueryCells, QueryResult,
+    StratifiedInput, StratumSummary,
 };
-use relation::{ColumnId, Expr, GroupKey};
+use relation::GroupKey;
 
 use crate::error::Result;
 
@@ -113,10 +113,12 @@ pub fn compute_bounds(
     compute_bounds_cached(input, query, result, confidence, None)
 }
 
-/// [`compute_bounds`] with an optional per-synopsis [`QueryCache`]: the
-/// unfiltered group index and the grouping's [`CellLayout`] are memoized
-/// there, and a predicate over the grouping columns alone is served from
-/// cached moment cells without touching a sample row.
+/// [`compute_bounds`] with an optional per-synopsis [`QueryCache`] holding
+/// the grouping's index, cell layout and — for a predicate over the
+/// grouping columns alone — its unfiltered moment cells. The query's cells
+/// come from [`execute_cells`], the fold the cached answer path runs, so
+/// these are the bounds that path returns; `result`'s keys are mapped to
+/// groups through the index.
 pub fn compute_bounds_cached(
     input: &StratifiedInput,
     query: &GroupByQuery,
@@ -124,194 +126,120 @@ pub fn compute_bounds_cached(
     confidence: f64,
     cache: Option<&QueryCache>,
 ) -> Result<Vec<GroupBounds>> {
-    compute_bounds_shared(input, query, result, confidence, cache, None)
-}
-
-/// [`compute_bounds_cached`] given the [`Selection`] the scan that
-/// produced `result` already computed (see [`ExecOptions::capture`]), so a
-/// miss filters and materialises the sample once. `None` evaluates it here
-/// through [`engine::rewrite::select`] — the same code, same bits.
-///
-/// Both sources of moments are dense per-measure tables over the
-/// grouping's [`CellLayout`]:
-///
-/// * **Cached cells** — when the predicate is determined by the grouping
-///   columns alone, every surviving result group is fully selected, so the
-///   unfiltered table (folded once per generation over every row) *is* the
-///   scan's table for those groups.
-/// * **Scanned cells** — otherwise, one fold over the selected rows. The
-///   SUM/COUNT bound wants moments of `v·sel` over *all* of a cell's rows;
-///   the unselected rows would each add `0.0` to `Σx` and `Σx²`, which
-///   cannot change their bits (a running sum that starts at `+0.0` is
-///   never `−0.0`), so those are the selected rows' sums with the layout's
-///   unfiltered row count as `n`.
-pub fn compute_bounds_shared(
-    input: &StratifiedInput,
-    query: &GroupByQuery,
-    result: &QueryResult,
-    confidence: f64,
-    cache: Option<&QueryCache>,
-    selection: Option<Selection>,
-) -> Result<Vec<GroupBounds>> {
-    let rel = &input.rows;
-    let (index, layout) = cell_layout(input, &query.grouping, cache);
-    let source = match cache {
-        Some(c) if rel.row_count() > 0 && query.predicate.references_only(&query.grouping) => {
-            Cells::Cached(c)
+    let local;
+    let cache = match cache {
+        Some(c) => c,
+        None => {
+            local = QueryCache::new();
+            &local
         }
-        _ => Cells::Scanned(match selection {
-            Some(s) => s,
-            None => select(rel, query, &ExecOptions::default())?,
-        }),
     };
-    // One table per bounded aggregate (MIN/MAX have no distribution-free
-    // bound from a sample and need none).
-    let mut tables: Vec<Option<Arc<StratumSummary>>> = Vec::with_capacity(query.aggregates.len());
-    for (ai, spec) in query.aggregates.iter().enumerate() {
-        tables.push(match (spec.func, &source) {
-            (AggregateFn::Min | AggregateFn::Max, _) => None,
-            (_, Cells::Scanned(sel)) => Some(Arc::new(StratumSummary::fold(
-                &layout,
-                sel.exprs[ai].as_deref(),
-                sel.mask.ones(),
-            ))),
-            (_, Cells::Cached(cache)) => Some(unfiltered_cells(
-                input,
-                &query.grouping,
-                spec.expr.as_ref(),
-                &layout,
-                cache,
-            )?),
-        });
-    }
-    Ok(assemble_bounds(
-        input, query, result, confidence, &index, &layout, &tables,
-    ))
-}
-
-/// The unfiltered group index of `grouping` over the sample (the *query's*
-/// grouping, not the strata grouping) and its [`CellLayout`], memoized in
-/// `cache` when there is one.
-pub(crate) fn cell_layout(
-    input: &StratifiedInput,
-    grouping: &[ColumnId],
-    cache: Option<&QueryCache>,
-) -> (Arc<GroupIndex>, Arc<CellLayout>) {
-    let index = match cache {
-        Some(c) => c.index_for(&input.rows, grouping, false),
-        None => Arc::new(GroupIndex::build(&input.rows, grouping)),
+    let slot = OnceLock::new();
+    let opts = ExecOptions {
+        cache: Some(cache),
+        capture: Some(&slot),
+        ..ExecOptions::default()
     };
-    let build = || CellLayout::build(&index, &input.stratum_of_row, input.scale_factors.len());
-    let layout = match cache {
-        Some(c) => c.cell_layout_for(grouping, build),
-        None => Arc::new(build()),
-    };
-    (index, layout)
+    let (strata, sfs) = (&input.stratum_of_row, &input.scale_factors);
+    execute_cells(&input.rows, strata, sfs, query, &opts, cache)?;
+    let cells = slot
+        .into_inner()
+        .expect("the cached path captures its cells");
+    let rows = result
+        .iter()
+        .map(|(key, _)| (key, cells.index.gid_of_key(key)));
+    Ok(assemble_bounds(input, query, confidence, &cells, rows))
 }
 
-/// The generation's memoized moment table of `measure` (`None` = COUNT)
-/// over every sample row: a dense fold over `layout`, built on a miss.
-pub(crate) fn unfiltered_cells(
-    input: &StratifiedInput,
-    grouping: &[ColumnId],
-    measure: Option<&Expr>,
-    layout: &CellLayout,
-    cache: &QueryCache,
-) -> Result<Arc<StratumSummary>> {
-    let rel = &input.rows;
-    Ok(
-        cache.stratum_summary_for(grouping, &measure_key(measure), || {
-            let values = measure.map(|e| e.eval(rel)).transpose()?;
-            Ok(StratumSummary::fold(
-                layout,
-                values.as_deref(),
-                0..rel.row_count(),
-            ))
-        })?,
-    )
-}
-
-/// Where a query's per-cell moments come from.
-enum Cells<'a> {
-    /// The generation's unfiltered tables, memoized per (grouping, measure).
-    Cached(&'a QueryCache),
-    /// A fold over the rows the query selected.
-    Scanned(Selection),
-}
-
-/// Bounds for every result group from per-aggregate moment tables over
-/// `layout`, whichever source filled them. A group's cells come sorted by
-/// stratum id, so the bound formulas fold their floating-point terms in
-/// one fixed order on every path.
-fn assemble_bounds(
+/// Bounds for `result` from the [`QueryCells`] the cached answer path read
+/// it off (see [`ExecOptions::capture`]): `cells.gids` names each result
+/// row's group, so no row is folded again. Each pairing is checked against
+/// the row's key; a row that does not match (a result other than the one
+/// the cells were read for) is looked up in the index instead.
+pub fn compute_bounds_from_cells(
     input: &StratifiedInput,
     query: &GroupByQuery,
     result: &QueryResult,
     confidence: f64,
-    index: &GroupIndex,
-    layout: &CellLayout,
-    tables: &[Option<Arc<StratumSummary>>],
+    cells: &QueryCells,
 ) -> Vec<GroupBounds> {
+    let mut gids = cells.gids.iter().copied();
+    let rows = result.iter().map(|(key, _)| {
+        let gid = gids.next().filter(|&g| cells.index.key(g) == key);
+        (key, gid.or_else(|| cells.index.gid_of_key(key)))
+    });
+    assemble_bounds(input, query, confidence, cells, rows)
+}
+
+/// Bounds for each `(key, group id)` from the query's per-aggregate moment
+/// tables. A group's cells come sorted by stratum id, so the bound formulas
+/// fold their floating-point terms in one fixed order on every path.
+///
+/// SUM and COUNT are bounded over predicate-indicator values `v·sel` of all
+/// of a cell's rows. The unselected rows would each add `0.0` to `Σx` and
+/// `Σx²`, which cannot change their bits (a running sum that starts at
+/// `+0.0` is never `−0.0`), so those are the selected rows' sums with the
+/// layout's unfiltered row count as `n`. COUNT's value is the constant `1`,
+/// whose sum and sum of squares over `k` selected rows are exactly `k`.
+fn assemble_bounds<'a>(
+    input: &StratifiedInput,
+    query: &GroupByQuery,
+    confidence: f64,
+    cells: &QueryCells,
+    rows: impl Iterator<Item = (&'a GroupKey, Option<u32>)>,
+) -> Vec<GroupBounds> {
+    let layout = &cells.layout;
     let mut parts: Vec<(Moments, f64, u64)> = Vec::new();
-    let mut out = Vec::with_capacity(result.group_count());
-    for (key, _) in result.iter() {
-        // Map result keys back to index group ids via the index's memoized
-        // reverse map (built once per index, shared by every query).
-        let Some(gid) = index.gid_of_key(key) else {
-            out.push(GroupBounds {
-                key: key.clone(),
-                bounds: vec![None; tables.len()],
-            });
-            continue;
+    let mut bound = |spec: &AggregateSpec, table: &StratumSummary, gid: u32| {
+        let table = table.cells();
+        // A cell's moments with `n` sampled tuples standing for `SF × n` of
+        // the population.
+        let part = |c: usize, n: u64| {
+            let cell = &table[c];
+            let (sum, sum_sq) = match spec.func {
+                AggregateFn::Count => (cell.count as f64, cell.count as f64),
+                _ => (cell.sum, cell.sum_sq),
+            };
+            let sf = input.scale_factors[layout.stratum_of(c) as usize];
+            let pop = (sf * n as f64).round() as u64;
+            let moments = Moments {
+                n,
+                sum,
+                sum_sq,
+                min: cell.min,
+                max: cell.max,
+            };
+            (moments, sf, pop.max(n))
         };
-        let mut bounds = Vec::with_capacity(tables.len());
-        for (spec, table) in query.aggregates.iter().zip(tables) {
-            let Some(table) = table else {
-                bounds.push(None);
-                continue;
-            };
-            let table = table.cells();
-            // A cell's moments with `n` sampled tuples standing for
-            // `SF × n` of the population.
-            let part = |c: usize, n: u64| {
-                let cell = &table[c];
-                let sf = input.scale_factors[layout.stratum_of(c) as usize];
-                let pop = (sf * n as f64).round() as u64;
-                let moments = Moments {
-                    n,
-                    sum: cell.sum,
-                    sum_sq: cell.sum_sq,
-                    min: cell.min,
-                    max: cell.max,
-                };
-                (moments, sf, pop.max(n))
-            };
-            parts.clear();
-            bounds.push(Some(if spec.func == AggregateFn::Avg {
+        parts.clear();
+        match spec.func {
+            // No distribution-free bound from a sample.
+            AggregateFn::Min | AggregateFn::Max => None,
+            AggregateFn::Avg => {
                 // Qualifying tuples only; strata with none drop out.
-                parts.extend(
-                    layout
-                        .cells_of(gid)
-                        .filter(|&c| table[c].count > 0)
-                        .map(|c| part(c, table[c].count)),
-                );
-                if parts.len() == 1 {
+                let selected = layout.cells_of(gid).filter(|&c| table[c].count > 0);
+                parts.extend(selected.map(|c| part(c, table[c].count)));
+                Some(if parts.len() == 1 {
                     avg_bound_hoeffding(&parts[0].0, confidence)
                 } else {
                     stratified_avg_bound(&parts, confidence)
-                }
-            } else {
-                // SUM/COUNT: indicator values over all of the cell's tuples.
+                })
+            }
+            AggregateFn::Sum | AggregateFn::Count => {
                 parts.extend(layout.cells_of(gid).map(|c| part(c, layout.rows_of(c))));
-                stratified_sum_bound(&parts, confidence)
-            }));
+                Some(stratified_sum_bound(&parts, confidence))
+            }
         }
-        out.push(GroupBounds {
+    };
+    rows.map(|(key, gid)| {
+        let aggregates = query.aggregates.iter().zip(&cells.tables);
+        let bounds = aggregates.map(|(spec, table)| gid.and_then(|g| bound(spec, table, g)));
+        GroupBounds {
             key: key.clone(),
-            bounds,
-        });
-    }
-    out
+            bounds: bounds.collect(),
+        }
+    })
+    .collect()
 }
 
 #[cfg(test)]
@@ -425,6 +353,27 @@ mod tests {
             w_half > w_all,
             "predicate indicator variance: {w_half} vs {w_all}"
         );
+    }
+
+    #[test]
+    fn bounds_from_cells_follow_the_keys_of_another_result() {
+        // The cells were read for both groups; a result holding only the
+        // second still gets that group's own bounds.
+        let (input, q) = fixture();
+        let plan = Integrated::build(&input).unwrap();
+        let (cache, slot) = (QueryCache::new(), OnceLock::new());
+        let opts = ExecOptions {
+            cache: Some(&cache),
+            capture: Some(&slot),
+            ..ExecOptions::default()
+        };
+        let full = plan.execute_opts(&q, &opts).unwrap();
+        let tail = QueryResult::new(full.aggregate_names.clone(), full.rows()[1..].to_vec());
+        let got = compute_bounds_from_cells(&input, &q, &tail, 0.9, slot.get().unwrap());
+        let want = compute_bounds(&input, &q, &tail, 0.9).unwrap();
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].key, want[0].key);
+        assert_eq!(got[0].bounds, want[0].bounds);
     }
 
     #[test]

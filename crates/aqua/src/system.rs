@@ -7,7 +7,7 @@ use parking_lot::{Mutex, RwLock};
 
 use congress::adaptive::{recompute_weights, DriftDetector, GroupMoments, WorkloadProfile};
 use congress::GroupCensus;
-use engine::rewrite::measure_key;
+use engine::rewrite::{cell_layout, measure_key, unfiltered_cells};
 use engine::{
     execute_exact_opts, CancelToken, EngineError, ExecOptions, ExecTrace, GroupByQuery,
     QueryResult, ServedFrom,
@@ -18,9 +18,7 @@ use relation::{ColumnId, Relation, Value};
 /// [`Aqua::stats`] (re-exported from the `obs` crate).
 pub use obs::Snapshot as StatsSnapshot;
 
-use crate::answer::{
-    cell_layout, compute_bounds_shared, unfiltered_cells, AnswerProvenance, ApproximateAnswer,
-};
+use crate::answer::{compute_bounds_from_cells, AnswerProvenance, ApproximateAnswer};
 use crate::config::AquaConfig;
 use crate::error::{AquaError, Result};
 use crate::serve_cache::ServedAnswer;
@@ -389,11 +387,16 @@ impl Aqua {
     /// Answer a query approximately from the synopsis, with per-group
     /// error bounds — the full Figure 2 → Figure 4 pipeline.
     ///
-    /// Serving runs through the vectorized fast path: the synopsis's
-    /// [`engine::QueryCache`] memoizes group indexes / stratum layouts
-    /// across queries (invalidated on insert/refresh/rebuild), and chunked
-    /// parallel aggregation engages when `config.parallelism` permits more
-    /// than one thread. Answers are bit-identical to the cold serial path.
+    /// Serving runs through the plan's cached path
+    /// ([`engine::rewrite::execute_cells`]): the synopsis's
+    /// [`engine::QueryCache`] memoizes group indexes, cell layouts and the
+    /// unfiltered moment cells across queries (invalidated on
+    /// insert/refresh/rebuild), the selected sample rows are folded once
+    /// into per-(group, stratum) moments, and the estimates and the error
+    /// bounds are both read off those cells. Answers are bit-identical at
+    /// any `config.parallelism`; the estimates sit within a few ulp of the
+    /// cold plan's (`plan.execute`), which scales each row instead of each
+    /// stratum.
     pub fn answer(&self, query: &GroupByQuery) -> Result<ApproximateAnswer> {
         self.answer_cancellable(query, None)
     }
@@ -409,15 +412,12 @@ impl Aqua {
         cancel: Option<&CancelToken>,
     ) -> Result<ApproximateAnswer> {
         let timer = obs::Timer::start();
+        // Always traced, also under `obs-off`: the trace is plain engine
+        // counters, and the tuner's selectivity observations read it.
         let trace = ExecTrace::new();
         let result = (|| {
             let inner = self.read_fresh()?;
-            self.answer_locked(
-                &inner,
-                query,
-                if obs::ENABLED { Some(&trace) } else { None },
-                cancel,
-            )
+            self.answer_locked(&inner, query, &trace, cancel)
         })();
         if obs::ENABLED {
             match &result {
@@ -464,28 +464,28 @@ impl Aqua {
     }
 
     /// The answer pipeline against an already-locked, already-fresh inner
-    /// state; `trace` (when set) receives the served-from path and rows
-    /// touched without affecting the result.
+    /// state; `trace` receives the served-from path and rows touched
+    /// without affecting the result.
     fn answer_locked(
         &self,
         inner: &Inner,
         query: &GroupByQuery,
-        trace: Option<&ExecTrace>,
+        trace: &ExecTrace,
         cancel: Option<&CancelToken>,
     ) -> Result<ApproximateAnswer> {
         let plan = inner
             .synopsis
             .plan()
             .expect("read_fresh materialized the plan");
-        let cache = inner.synopsis.query_cache();
-        // The scan leaves its selection here for the bounds pass below.
-        let scanned = OnceLock::new();
+        // The plan leaves the cells it read the estimates off here, for
+        // the bounds below.
+        let cells = OnceLock::new();
         let opts = ExecOptions {
-            cache: Some(cache),
+            cache: Some(inner.synopsis.query_cache()),
             parallel: inner.synopsis.config().effective_parallelism() != 1,
-            trace,
+            trace: Some(trace),
             cancel,
-            capture: Some(&scanned),
+            capture: Some(&cells),
             ..ExecOptions::default()
         };
         let result = plan.execute_opts(query, &opts)?;
@@ -501,14 +501,8 @@ impl Aqua {
             .expect("read_fresh materialized the input");
         let confidence = inner.synopsis.config().confidence;
         let timer = obs::Timer::start();
-        let bounds = compute_bounds_shared(
-            input,
-            query,
-            &result,
-            confidence,
-            Some(cache),
-            scanned.into_inner(),
-        )?;
+        let cells = cells.get().expect("a cached plan captures its cells");
+        let bounds = compute_bounds_from_cells(input, query, &result, confidence, cells);
         if obs::ENABLED {
             self.metrics.bounds_latency().record(timer.elapsed_us());
         }
@@ -718,12 +712,7 @@ impl Aqua {
             }
         };
         let trace = ExecTrace::new();
-        let result = self.answer_locked(
-            &inner,
-            &plan.query,
-            if obs::ENABLED { Some(&trace) } else { None },
-            cancel,
-        );
+        let result = self.answer_locked(&inner, &plan.query, &trace, cancel);
         let answer = match result {
             Ok(a) => a,
             Err(e) => {
@@ -910,10 +899,11 @@ impl Aqua {
         // path serves from (built on demand if cold).
         let hottest = profile.hottest_measure().map(|(_, m)| m.expr.clone());
         if let (Some(expr), Some(input)) = (hottest, synopsis.input()) {
-            let grouping = synopsis.grouping();
-            let cache = synopsis.query_cache();
-            let (index, layout) = cell_layout(input, grouping, Some(cache));
-            let summary = unfiltered_cells(input, grouping, expr.as_ref(), &layout, cache)?;
+            let (rel, grouping) = (&input.rows, synopsis.grouping());
+            let (strata, cache) = (input.scale_factors.len(), synopsis.query_cache());
+            let (index, layout) =
+                cell_layout(rel, &input.stratum_of_row, strata, grouping, false, cache);
+            let summary = unfiltered_cells(rel, &layout, grouping, expr.as_ref(), cache, None)?;
             for (gid, key) in index.keys().iter().enumerate() {
                 let mut m = GroupMoments::default();
                 for cell in &summary.cells()[layout.cells_of(gid as u32)] {
@@ -1148,6 +1138,31 @@ mod tests {
         assert_eq!(aqua.workload_profile().queries(), 2);
         aqua.reset_profile();
         assert!(aqua.workload_profile().is_empty());
+    }
+
+    /// A row predicate's selectivity reaches the profile on both feature
+    /// legs, through the structured and the SQL entry point.
+    #[test]
+    fn row_predicate_selectivity_is_profiled() {
+        let aqua = Aqua::build(table(2000), vec![ColumnId(0)], config()).unwrap();
+        let q = count_query().with_predicate(relation::Predicate::ge(ColumnId(1), 12.0));
+        let sql = "SELECT g, COUNT(*) AS c FROM t WHERE v >= 12 GROUP BY g";
+        let selectivity = |aqua: &Aqua| {
+            let stats = aqua.workload_profile().grouping_stats();
+            assert_eq!(stats.len(), 1);
+            (stats[0].1.selectivity_n, stats[0].1.mean_selectivity())
+        };
+        for answer in [
+            Box::new(|a: &Aqua| a.answer(&q).map(drop)) as Box<dyn Fn(&Aqua) -> Result<()>>,
+            Box::new(|a: &Aqua| a.answer_sql(sql).map(drop)),
+        ] {
+            aqua.reset_profile();
+            answer(&aqua).unwrap();
+            let (n, mean) = selectivity(&aqua);
+            assert_eq!(n, 1);
+            // v = 10 + i % 7 ≥ 12 on five of seven values.
+            assert!((0.5..0.9).contains(&mean), "{mean}");
+        }
     }
 
     #[test]

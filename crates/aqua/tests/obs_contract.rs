@@ -267,7 +267,7 @@ fn cache_counters_move_exactly_across_invalidation_triggers() {
 
     // Per-kind and per-shard breakdowns must sum to the aggregate.
     let s = aqua.stats();
-    let kind_hits: u64 = ["index", "summary", "stratum_summary", "layout", "weights"]
+    let kind_hits: u64 = ["index", "stratum_summary", "layout"]
         .iter()
         .map(|k| s.counter(&format!("aqua_cache_{k}_hits_total")))
         .sum();

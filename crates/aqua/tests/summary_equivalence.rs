@@ -13,22 +13,24 @@
 //! 3. Concurrent readers hammering `Aqua::answer` while a writer ingests
 //!    never panic, and post-ingest answers reflect the new rows.
 //! 4. The dense cell-layout bounds (cached cells, scanned cells, and the
-//!    scan's own captured selection) are *bit-identical* to the per-row
+//!    cells the cached plan captured) are *bit-identical* to the per-row
 //!    `HashMap` walk they replaced, kept below as the reference.
+//! 5. A group-only predicate served from cached cells answers — estimates
+//!    and bounds — bit for bit like the same query forced through the fold.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use aqua::answer::{compute_bounds, compute_bounds_cached, compute_bounds_shared};
+use aqua::answer::{compute_bounds, compute_bounds_cached, compute_bounds_from_cells};
 use aqua::{ApproximateAnswer, Aqua, AquaConfig, RewriteChoice, SamplingStrategy, Warehouse};
 use congress::bounds::{
     avg_bound_hoeffding, stratified_avg_bound, stratified_sum_bound, BoundKind, Moments,
 };
 use congress::MemStore;
 use engine::{
-    AggregateFn, AggregateSpec, ExecOptions, GroupByQuery, GroupIndex, Having, Integrated,
-    KeyNormalized, NestedIntegrated, Normalized, QueryCache, QueryResult, SamplePlan,
-    StratifiedInput,
+    AggregateFn, AggregateSpec, ExecOptions, ExecTrace, GroupByQuery, GroupIndex, Having,
+    Integrated, KeyNormalized, NestedIntegrated, Normalized, QueryCache, QueryResult, SamplePlan,
+    ServedFrom, StratifiedInput,
 };
 use relation::predicate::CmpOp;
 use relation::{ColumnId, DataType, Expr, GroupKey, Predicate, Relation, RelationBuilder, Value};
@@ -376,47 +378,96 @@ fn bound_bits(bounds: &[aqua::GroupBounds]) -> BoundBits {
         .collect()
 }
 
+fn plans(input: &StratifiedInput) -> Vec<Box<dyn SamplePlan>> {
+    vec![
+        Box::new(Integrated::build(input).unwrap()),
+        Box::new(NestedIntegrated::build(input).unwrap()),
+        Box::new(Normalized::build(input).unwrap()),
+        Box::new(KeyNormalized::build(input).unwrap()),
+    ]
+}
+
+/// `plan`'s cached answer to `q`: the result, the bounds from the cells it
+/// captured, and the path it was served from.
+fn cached_answer(
+    plan: &dyn SamplePlan,
+    input: &StratifiedInput,
+    q: &GroupByQuery,
+    cache: &QueryCache,
+    parallel: bool,
+) -> (QueryResult, Vec<aqua::GroupBounds>, Option<ServedFrom>) {
+    let (slot, trace) = (OnceLock::new(), ExecTrace::new());
+    let opts = ExecOptions {
+        cache: Some(cache),
+        parallel,
+        trace: Some(&trace),
+        capture: Some(&slot),
+        ..ExecOptions::default()
+    };
+    let result = plan.execute_opts(q, &opts).unwrap();
+    let cells = slot
+        .into_inner()
+        .expect("the cached path captures its cells");
+    let bounds = compute_bounds_from_cells(input, q, &result, 0.9, &cells);
+    (result, bounds, trace.served())
+}
+
 #[test]
 fn dense_bounds_bit_identical_to_hashmap_reference() {
     let input = stratified_two_columns(40_000, 6);
     assert!(relation::chunk_count(input.rows.row_count()) >= 3);
-    let plans: Vec<Box<dyn SamplePlan>> = vec![
-        Box::new(Integrated::build(&input).unwrap()),
-        Box::new(NestedIntegrated::build(&input).unwrap()),
-        Box::new(Normalized::build(&input).unwrap()),
-        Box::new(KeyNormalized::build(&input).unwrap()),
-    ];
-    for plan in &plans {
+    for plan in &plans(&input) {
         for parallel in [false, true] {
             let cache = QueryCache::new();
             for (what, q, from_cached_cells) in layout_queries() {
                 let ctx = format!("{} parallel={parallel}: {what}", plan.name());
-                let slot = OnceLock::new();
-                let result = plan
-                    .execute_opts(
-                        &q,
-                        &ExecOptions {
-                            cache: Some(&cache),
-                            parallel,
-                            capture: Some(&slot),
-                            ..ExecOptions::default()
-                        },
-                    )
-                    .unwrap();
-                let captured = slot.into_inner();
-                // A row scan hands its selection over; cached cells need none.
-                assert_eq!(captured.is_none(), from_cached_cells, "{ctx}");
+                let (result, captured, served) =
+                    cached_answer(plan.as_ref(), &input, &q, &cache, parallel);
+                let summary = served == Some(ServedFrom::Summary);
+                assert_eq!(summary, from_cached_cells, "{ctx}");
 
                 let reference = bound_bits(&reference_bounds(&input, &q, &result, 0.9));
-                let shared =
-                    compute_bounds_shared(&input, &q, &result, 0.9, Some(&cache), captured)
-                        .unwrap();
                 let own = compute_bounds_cached(&input, &q, &result, 0.9, Some(&cache)).unwrap();
                 let cold = compute_bounds(&input, &q, &result, 0.9).unwrap();
-                assert_eq!(reference, bound_bits(&shared), "{ctx}: captured selection");
+                assert_eq!(reference, bound_bits(&captured), "{ctx}: captured cells");
                 assert_eq!(reference, bound_bits(&own), "{ctx}: self-evaluated");
                 assert_eq!(reference, bound_bits(&cold), "{ctx}: no cache");
                 assert_eq!(reference.len(), result.group_count(), "{ctx}");
+            }
+        }
+    }
+}
+
+/// Result values as bit patterns.
+fn value_bits(result: &QueryResult) -> Vec<(GroupKey, Vec<u64>)> {
+    let bits = |vals: &[f64]| vals.iter().map(|v| v.to_bits()).collect();
+    result.iter().map(|(k, v)| (k.clone(), bits(v))).collect()
+}
+
+#[test]
+fn cached_cells_answer_bit_identical_to_forced_scan() {
+    let input = stratified_two_columns(40_000, 6);
+    let cases: Vec<_> = layout_queries()
+        .into_iter()
+        .filter(|(_, _, from_cached_cells)| *from_cached_cells)
+        .collect();
+    assert!(!cases.is_empty());
+    for plan in &plans(&input) {
+        for parallel in [false, true] {
+            let cache = QueryCache::new();
+            for (what, q, _) in &cases {
+                let ctx = format!("{} parallel={parallel}: {what}", plan.name());
+                // `v >= 0` holds on every row but names a measure column,
+                // so the same query has to fold the rows.
+                let all_rows = Predicate::ge(ColumnId(3), 0.0);
+                let forced = q.clone().with_predicate(q.predicate.clone().and(all_rows));
+                let (r1, b1, s1) = cached_answer(plan.as_ref(), &input, q, &cache, parallel);
+                let (r2, b2, s2) = cached_answer(plan.as_ref(), &input, &forced, &cache, parallel);
+                assert_eq!(s1, Some(ServedFrom::Summary), "{ctx}");
+                assert_eq!(s2, Some(ServedFrom::CachedScan), "{ctx}");
+                assert!(r1.group_count() > 0, "{ctx}");
+                assert_eq!(value_bits(&r1), value_bits(&r2), "{ctx}: estimates");
+                assert_eq!(bound_bits(&b1), bound_bits(&b2), "{ctx}: bounds");
             }
         }
     }

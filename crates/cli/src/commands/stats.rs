@@ -193,7 +193,7 @@ fn render_human(s: &StatsSnapshot) -> String {
         rate(hits, misses),
         s.counter("aqua_cache_invalidations_total")
     );
-    for kind in ["index", "summary", "stratum_summary", "layout", "weights"] {
+    for kind in ["index", "stratum_summary", "layout"] {
         let h = s.counter(&format!("aqua_cache_{kind}_hits_total"));
         let m = s.counter(&format!("aqua_cache_{kind}_misses_total"));
         if h + m > 0 {

@@ -114,9 +114,8 @@ impl AggregateSpec {
 
 /// Function-independent accumulation state for one group: `Σ value·weight`,
 /// `Σ weight`, the raw value range, and the folded row count. Every
-/// aggregate operator finishes from these five fields, which is what makes
-/// the state cacheable per (grouping, measure expression) rather than per
-/// query — see [`crate::cache::MeasureSummary`].
+/// aggregate operator finishes from these five fields, so one partial per
+/// (group, measure) serves SUM, COUNT, AVG, MIN and MAX alike.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Partial {
     weighted_sum: f64,

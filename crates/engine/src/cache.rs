@@ -2,30 +2,24 @@
 //!
 //! The paper's premise (§5) is that the synopsis is small and precomputed
 //! so queries are cheap — but a naive executor still rebuilds a
-//! [`GroupIndex`] over the sample and re-derives per-row ScaleFactors on
-//! *every* query. The sample only changes on insert/refresh/rebuild, so
-//! both are pure functions of synopsis state and can be memoized:
+//! [`GroupIndex`] over the sample and re-derives which (group, stratum)
+//! cell each row falls in on *every* query. The sample only changes on
+//! insert/refresh/rebuild, so both are pure functions of synopsis state
+//! and can be memoized:
 //!
 //! * **Group indexes**, keyed by the query's grouping columns `T`. The
-//!   cached index is always *unfiltered* (predicates are applied during
-//!   accumulation from the selection bitmap), so one index serves every
-//!   predicate over the same grouping.
-//! * **Measure summaries** ([`MeasureSummary`]): per-(grouping, measure)
-//!   aggregate [`Partial`]s folded once in the exact chunked scan order, so
-//!   unfiltered and group-only-predicate queries restore accumulators in
-//!   O(groups) instead of re-scanning rows — bit-identical to the scan path
-//!   because the partials *are* the scan path's output.
-//! * **Stratum summaries**: per grouping, the [`CellLayout`] naming which
-//!   (group, stratum) cells exist and which cell each sample row falls in;
-//!   per (grouping, measure), a [`StratumSummary`] of dense `count` / `Σx` /
-//!   `Σx²` / range cells over that layout, feeding the variance-based error
-//!   bounds without a row scan.
+//!   cached index is always *unfiltered* (predicates are applied by the
+//!   fold from the selection bitmap), so one index serves every predicate
+//!   over the same grouping.
+//! * **Cells**: per grouping, the [`CellLayout`] naming which (group,
+//!   stratum) cells exist and which cell each sample row falls in; per
+//!   (grouping, measure), the [`StratumSummary`] of dense `count` / `Σx` /
+//!   `Σx²` / range cells over that layout folded from every row. Estimates
+//!   and error bounds of unfiltered and group-only-predicate queries are
+//!   both read off these without a row scan.
 //! * **The stratum layout**: a stable permutation of sample rows sorted by
-//!   stratum id, with one contiguous run per stratum. Expanding per-stratum
-//!   ScaleFactors to per-row weights becomes a sequential scan over runs
-//!   instead of a hash probe per row.
-//! * **Per-row weights** derived from that layout (for the Normalized
-//!   family, whose layouts do not store a per-tuple SF column).
+//!   stratum id, with one contiguous run per stratum — the one counting
+//!   sort every grouping's [`CellLayout`] is built from.
 //!
 //! Concurrency: the maps are sharded by key hash and guarded by
 //! `parking_lot::RwLock`s, so the steady state (every entry warm) is
@@ -47,10 +41,10 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
 
-use relation::{Bitmap, ColumnId, Relation};
+use relation::{ColumnId, Relation};
 
-use crate::aggregate::Partial;
 use crate::grouping::{GroupIndex, PAR_MIN_ROWS};
+use crate::rewrite::QueryCells;
 
 /// Number of lock shards per table. Sixteen keeps the per-shard collision
 /// probability low for realistic working sets (a handful of groupings ×
@@ -65,17 +59,22 @@ fn shard_of<K: Hash + ?Sized>(key: &K) -> usize {
 
 /// Execution options threaded through
 /// [`SamplePlan::execute_opts`](crate::rewrite::SamplePlan::execute_opts):
-/// which cache to consult (if any) and whether chunked parallel
-/// aggregation may be used. Results are bit-identical for every
-/// combination of these flags.
+/// which cache to consult (if any) and whether parallel work may be used.
+/// `parallel`, `trace`, `kernels` and a `cancel` token that never fires
+/// leave results bit-identical. With a cache, every rewrite answers from
+/// per-cell moments ([`execute_cells`](crate::rewrite::execute_cells)),
+/// whose estimates scale each stratum's sum once instead of each row's
+/// value: the same groups as the cold path, values within a few ulp of it.
 #[derive(Clone, Copy)]
 pub struct ExecOptions<'a> {
-    /// Memoized indexes/layouts for the relation being queried. `None`
-    /// recomputes everything per query (the cold path).
+    /// Memoized indexes/layouts/cells for the relation being queried.
+    /// `None` recomputes everything per query (the cold path, which runs
+    /// the paper's per-rewrite plan).
     pub cache: Option<&'a QueryCache>,
-    /// Allow chunked parallel aggregation of sample scans on the current
-    /// rayon pool (above [`PAR_MIN_ROWS`] rows and >1 thread). Exact scans
-    /// fold their surviving chunks serially and ignore it.
+    /// Allow a group index missing from the cache to be built in shards on
+    /// the current rayon pool (above [`PAR_MIN_ROWS`] rows), which yields an
+    /// identical index. Every fold is serial: the cold plans' chunked
+    /// aggregation, the cached path's cell fold and exact scans.
     pub parallel: bool,
     /// Optional per-query trace sink. The executor records which path
     /// served the answer and how many rows it touched; recording never
@@ -93,12 +92,12 @@ pub struct ExecOptions<'a> {
     /// decode path by construction, so this flag only changes how the scan
     /// computes — never what it computes.
     pub kernels: bool,
-    /// Internal plumbing, not a knob: a slot the scan path moves its
-    /// [`Selection`] into once the estimates are folded, so the answer
-    /// pipeline's bounds pass folds the same rows without filtering and
-    /// materialising them again. Stays empty when no row scan ran (the
-    /// summary-served path). Never affects the computed result.
-    pub capture: Option<&'a OnceLock<Selection>>,
+    /// Internal plumbing, not a knob: a slot the cached path moves the
+    /// query's [`QueryCells`] into once the estimates are read off them, so
+    /// the answer pipeline's bounds come from the same tables without a
+    /// second fold. Stays empty on the cold path. Never affects the
+    /// computed result.
+    pub capture: Option<&'a OnceLock<QueryCells>>,
 }
 
 impl Default for ExecOptions<'_> {
@@ -114,25 +113,13 @@ impl Default for ExecOptions<'_> {
     }
 }
 
-/// What a sample scan selected: the predicate's bitmap over the sample
-/// rows and each aggregate's input expression evaluated over the selected
-/// rows (`None` for COUNT; unselected slots hold `0.0`). Estimates and
-/// error bounds both fold over exactly this.
-#[derive(Debug)]
-pub struct Selection {
-    /// Rows satisfying the query's predicate.
-    pub mask: Bitmap,
-    /// Masked measure values, aligned with the query's aggregates.
-    pub exprs: Vec<Option<Vec<f64>>>,
-}
-
 /// Which execution path produced a query's result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServedFrom {
-    /// O(groups) answer from cached measure summaries — no row scan.
+    /// O(groups) answer from the generation's cached cells — no row scan.
     Summary,
-    /// Row scan over the sample with memoized group index / layout /
-    /// weights (a cache was available).
+    /// One fold of the selected sample rows into cells over a memoized
+    /// layout (a cache was available).
     CachedScan,
     /// Row scan with everything recomputed (no cache supplied).
     ColdScan,
@@ -298,14 +285,10 @@ impl KindStats {
 pub struct CacheStatsDetail {
     /// Unfiltered group-index lookups.
     pub index: KindStats,
-    /// Measure-summary (per-group partials) lookups.
-    pub summary: KindStats,
-    /// Stratum-summary (bounds moments) and cell-layout lookups.
+    /// Stratum-summary (moment cells) and cell-layout lookups.
     pub stratum_summary: KindStats,
     /// Stratum-layout lookups (single-slot, unsharded).
     pub layout: KindStats,
-    /// Expanded per-row weight lookups (single-slot, unsharded).
-    pub weights: KindStats,
     /// Per-lock-shard totals across the sharded maps.
     pub shards: Vec<KindStats>,
     /// Times [`QueryCache::invalidate`] dropped every entry.
@@ -314,13 +297,11 @@ pub struct CacheStatsDetail {
 
 impl CacheStatsDetail {
     /// `(name, stats)` for every kind, in a stable order.
-    pub fn kinds(&self) -> [(&'static str, KindStats); 5] {
+    pub fn kinds(&self) -> [(&'static str, KindStats); KINDS] {
         [
             ("index", self.index),
-            ("summary", self.summary),
             ("stratum_summary", self.stratum_summary),
             ("layout", self.layout),
-            ("weights", self.weights),
         ]
     }
 
@@ -333,29 +314,6 @@ impl CacheStatsDetail {
             misses += k.misses;
         }
         CacheStats { hits, misses }
-    }
-}
-
-/// Cached per-group aggregate state for one (grouping, measure, weighting)
-/// triple: exactly the [`Partial`]s the chunked scan produces, one per
-/// group id of the cached unfiltered [`GroupIndex`]. Restoring an
-/// [`Accumulator`](crate::aggregate::Accumulator) from these is
-/// bit-identical to re-running the scan because they *are* the scan's
-/// output, folded once in the canonical chunk order.
-#[derive(Debug, Clone)]
-pub struct MeasureSummary {
-    partials: Vec<Partial>,
-}
-
-impl MeasureSummary {
-    /// Wrap per-group partials (indexed by group id).
-    pub fn new(partials: Vec<Partial>) -> MeasureSummary {
-        MeasureSummary { partials }
-    }
-
-    /// Per-group partials, indexed by group id.
-    pub fn partials(&self) -> &[Partial] {
-        &self.partials
     }
 }
 
@@ -432,17 +390,16 @@ pub struct CellLayout {
 }
 
 impl CellLayout {
-    /// Lay out the cells of `index` over `stratum_count` strata without
-    /// hashing. Rows are visited stratum by stratum (a counting sort) and
-    /// the first row of a group within a stratum opens a cell: one such
-    /// pass counts each group's cells, a second hands out cell ids from
-    /// per-group cursors — ascending strata within a group because the
-    /// strata are visited in ascending order.
-    pub fn build(index: &GroupIndex, stratum_of_row: &[u32], stratum_count: usize) -> CellLayout {
+    /// Lay out the cells of `index` over the strata of `by_stratum` without
+    /// hashing. Rows are visited stratum by stratum and the first row of a
+    /// group within a stratum opens a cell: one such pass counts each
+    /// group's cells, a second hands out cell ids from per-group cursors —
+    /// ascending strata within a group because the strata are visited in
+    /// ascending order.
+    pub fn build(index: &GroupIndex, by_stratum: &StratumLayout) -> CellLayout {
         let groups = index.group_count();
-        let by_stratum = StratumLayout::build(stratum_of_row, stratum_count);
         let mut gid_offsets = vec![0u32; groups + 1];
-        visit_by_stratum(&by_stratum, index, |_, g, _, opens_cell| {
+        visit_by_stratum(by_stratum, index, |_, g, _, opens_cell| {
             gid_offsets[g + 1] += u32::from(opens_cell)
         });
         for g in 0..groups {
@@ -453,8 +410,8 @@ impl CellLayout {
         let mut next_cell = gid_offsets[..groups].to_vec();
         let mut stratum_of_cell = vec![0u32; cells];
         let mut rows_of_cell = vec![0u64; cells];
-        let mut cell_of_row = vec![u32::MAX; stratum_of_row.len()];
-        visit_by_stratum(&by_stratum, index, |r, g, s, opens_cell| {
+        let mut cell_of_row = vec![u32::MAX; index.group_ids().len()];
+        visit_by_stratum(by_stratum, index, |r, g, s, opens_cell| {
             if opens_cell {
                 stratum_of_cell[next_cell[g] as usize] = s;
                 next_cell[g] += 1;
@@ -474,6 +431,12 @@ impl CellLayout {
     /// Number of (group, stratum) cells with at least one sample row.
     pub fn cell_count(&self) -> usize {
         self.stratum_of_cell.len()
+    }
+
+    /// Cell of `row` (`u32::MAX` for a row outside every group).
+    #[inline]
+    pub(crate) fn cell_of_row(&self, row: usize) -> u32 {
+        self.cell_of_row[row]
     }
 
     /// The cells of group `gid`, ascending by stratum id.
@@ -518,33 +481,14 @@ fn visit_by_stratum(
 
 /// Per-cell moments of one measure over a [`CellLayout`]: the cached
 /// table for the empty predicate when folded over every row, a query's
-/// own table when folded over the rows it selected.
+/// own table when folded over the rows it selected (see
+/// [`execute_cells`](crate::rewrite::execute_cells)).
 #[derive(Debug, Clone)]
 pub struct StratumSummary {
-    cells: Vec<StratumCell>,
+    pub(crate) cells: Vec<StratumCell>,
 }
 
 impl StratumSummary {
-    /// Fold `values[row]` of each row in `rows` into the row's cell.
-    /// `values` is the evaluated measure expression (`None` means COUNT,
-    /// which folds `1.0` per row — the bounds-path convention). `rows`
-    /// must ascend: each cell then folds its rows in row order, whichever
-    /// subset is given.
-    pub fn fold(
-        layout: &CellLayout,
-        values: Option<&[f64]>,
-        rows: impl Iterator<Item = usize>,
-    ) -> StratumSummary {
-        let mut cells = vec![StratumCell::new(); layout.cell_count()];
-        for row in rows {
-            let c = layout.cell_of_row[row];
-            if c != u32::MAX {
-                cells[c as usize].push(values.map_or(1.0, |vals| vals[row]));
-            }
-        }
-        StratumSummary { cells }
-    }
-
     /// Moment cells, indexed by the layout's cell id.
     pub fn cells(&self) -> &[StratumCell] {
         &self.cells
@@ -552,8 +496,6 @@ impl StratumSummary {
 }
 
 type IndexShard = RwLock<HashMap<Vec<ColumnId>, Arc<GroupIndex>>>;
-type SummaryKey = (Vec<ColumnId>, String, bool);
-type SummaryShard = RwLock<HashMap<SummaryKey, Arc<MeasureSummary>>>;
 type StratumKey = (Vec<ColumnId>, String);
 type StratumShard = RwLock<HashMap<StratumKey, Arc<StratumSummary>>>;
 type CellLayoutShard = RwLock<HashMap<Vec<ColumnId>, Arc<CellLayout>>>;
@@ -564,12 +506,10 @@ type CellLayoutShard = RwLock<HashMap<Vec<ColumnId>, Arc<CellLayout>>>;
 /// sharded read-mostly locking design.
 pub struct QueryCache {
     indexes: Vec<IndexShard>,
-    summaries: Vec<SummaryShard>,
     stratum_summaries: Vec<StratumShard>,
     /// Per-grouping cell layouts; counted with the stratum-summary kind.
     cell_layouts: Vec<CellLayoutShard>,
     layout: RwLock<Option<Arc<StratumLayout>>>,
-    weights: RwLock<Option<Arc<Vec<f64>>>>,
     /// Hit/miss counters per cache kind ([`Kind`] order).
     kind_hits: [AtomicU64; KINDS],
     kind_misses: [AtomicU64; KINDS],
@@ -584,23 +524,19 @@ pub struct QueryCache {
 #[derive(Clone, Copy)]
 enum Kind {
     Index = 0,
-    Summary = 1,
-    StratumSummary = 2,
-    Layout = 3,
-    Weights = 4,
+    StratumSummary = 1,
+    Layout = 2,
 }
 
-const KINDS: usize = 5;
+const KINDS: usize = 3;
 
 impl Default for QueryCache {
     fn default() -> Self {
         QueryCache {
             indexes: (0..SHARDS).map(|_| RwLock::default()).collect(),
-            summaries: (0..SHARDS).map(|_| RwLock::default()).collect(),
             stratum_summaries: (0..SHARDS).map(|_| RwLock::default()).collect(),
             cell_layouts: (0..SHARDS).map(|_| RwLock::default()).collect(),
             layout: RwLock::new(None),
-            weights: RwLock::new(None),
             kind_hits: std::array::from_fn(|_| AtomicU64::new(0)),
             kind_misses: std::array::from_fn(|_| AtomicU64::new(0)),
             shard_hits: (0..SHARDS).map(|_| AtomicU64::new(0)).collect(),
@@ -614,7 +550,7 @@ impl std::fmt::Debug for QueryCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let stats = self.stats();
         let groupings: usize = self.indexes.iter().map(|s| s.read().len()).sum();
-        let summaries: usize = self.summaries.iter().map(|s| s.read().len()).sum();
+        let summaries: usize = self.stratum_summaries.iter().map(|s| s.read().len()).sum();
         f.debug_struct("QueryCache")
             .field("cached_groupings", &groupings)
             .field("cached_summaries", &summaries)
@@ -663,29 +599,6 @@ impl QueryCache {
             GroupIndex::build(rel, cols)
         });
         Arc::clone(shard.write().entry(cols.to_vec()).or_insert(built))
-    }
-
-    /// The memoized per-group [`MeasureSummary`] for `(cols, measure,
-    /// weighted)`, building it via `build` on a miss. `weighted`
-    /// distinguishes SF-weighted partials (the answer path) from
-    /// unweighted ones (NestedIntegrated's inner pass).
-    pub fn summary_for(
-        &self,
-        cols: &[ColumnId],
-        measure: &str,
-        weighted: bool,
-        build: impl FnOnce() -> crate::error::Result<Vec<Partial>>,
-    ) -> crate::error::Result<Arc<MeasureSummary>> {
-        let key: SummaryKey = (cols.to_vec(), measure.to_string(), weighted);
-        let shard_ix = shard_of(&key);
-        let shard = &self.summaries[shard_ix];
-        if let Some(s) = shard.read().get(&key) {
-            self.hit(Kind::Summary, Some(shard_ix));
-            return Ok(Arc::clone(s));
-        }
-        self.miss(Kind::Summary, Some(shard_ix));
-        let built = Arc::new(MeasureSummary::new(build()?));
-        Ok(Arc::clone(shard.write().entry(key).or_insert(built)))
     }
 
     /// The memoized [`CellLayout`] for grouping `cols`, building it via
@@ -739,29 +652,11 @@ impl QueryCache {
         Arc::clone(guard.get_or_insert(l))
     }
 
-    /// Memoized per-row weights, building them via `build` on a miss.
-    pub fn weights_for(
-        &self,
-        build: impl FnOnce() -> crate::error::Result<Vec<f64>>,
-    ) -> crate::error::Result<Arc<Vec<f64>>> {
-        if let Some(w) = &*self.weights.read() {
-            self.hit(Kind::Weights, None);
-            return Ok(Arc::clone(w));
-        }
-        self.miss(Kind::Weights, None);
-        let w = Arc::new(build()?);
-        let mut guard = self.weights.write();
-        Ok(Arc::clone(guard.get_or_insert(w)))
-    }
-
     /// Drop every memoized value. Must be called whenever the backing
     /// sample changes (insert/refresh/rebuild/import); counters survive so
     /// long-running systems keep meaningful hit rates.
     pub fn invalidate(&self) {
         for shard in &self.indexes {
-            shard.write().clear();
-        }
-        for shard in &self.summaries {
             shard.write().clear();
         }
         for shard in &self.stratum_summaries {
@@ -771,7 +666,6 @@ impl QueryCache {
             shard.write().clear();
         }
         *self.layout.write() = None;
-        *self.weights.write() = None;
         self.invalidations.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -789,10 +683,8 @@ impl QueryCache {
         };
         CacheStatsDetail {
             index: kind(Kind::Index),
-            summary: kind(Kind::Summary),
             stratum_summary: kind(Kind::StratumSummary),
             layout: kind(Kind::Layout),
-            weights: kind(Kind::Weights),
             shards: (0..SHARDS)
                 .map(|s| KindStats {
                     hits: self.shard_hits[s].load(Ordering::Relaxed),
@@ -852,21 +744,6 @@ impl StratumLayout {
         let hi = self.run_offsets[s + 1] as usize;
         &self.perm[lo..hi]
     }
-
-    /// Expand per-stratum ScaleFactors into per-row weights by scanning
-    /// each contiguous run once — no per-row hash or stratum-id lookup.
-    /// The produced weights are exactly `scale_factors[stratum_of_row[r]]`
-    /// for every row `r`, so downstream estimates are unchanged.
-    pub fn expand(&self, scale_factors: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(scale_factors.len(), self.stratum_count());
-        let mut out = vec![0.0; self.perm.len()];
-        for (s, &sf) in scale_factors.iter().enumerate() {
-            for &row in self.rows_of(s) {
-                out[row as usize] = sf;
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -896,22 +773,13 @@ mod tests {
     }
 
     #[test]
-    fn layout_expand_equals_per_row_lookup() {
-        let strata: Vec<u32> = (0..1000).map(|i| (i * 13) % 5).collect();
-        let sfs = [8.0, 2.5, 1.0, 4.0, 16.0];
-        let layout = StratumLayout::build(&strata, 5);
-        let expanded = layout.expand(&sfs);
-        let naive: Vec<f64> = strata.iter().map(|&s| sfs[s as usize]).collect();
-        assert_eq!(expanded, naive);
-    }
-
-    #[test]
     fn layout_handles_empty_strata() {
         let strata = vec![0u32, 2, 2];
         let layout = StratumLayout::build(&strata, 4);
+        assert_eq!(layout.rows_of(0), &[0]);
         assert_eq!(layout.rows_of(1), &[] as &[u32]);
+        assert_eq!(layout.rows_of(2), &[1, 2]);
         assert_eq!(layout.rows_of(3), &[] as &[u32]);
-        assert_eq!(layout.expand(&[1.0, 9.0, 3.0, 9.0]), vec![1.0, 3.0, 3.0]);
     }
 
     #[test]
@@ -929,53 +797,52 @@ mod tests {
         assert_eq!(cache.stats().misses, 2);
     }
 
+    fn empty_table() -> StratumSummary {
+        StratumSummary { cells: Vec::new() }
+    }
+
     #[test]
-    fn summary_cache_keys_on_measure_and_weighting() {
+    fn stratum_summary_cache_keys_on_grouping_and_measure() {
         let cache = QueryCache::new();
         let cols = [ColumnId(0)];
-        let p = vec![Partial::new()];
         let a = cache
-            .summary_for(&cols, "SUM(v)", true, || Ok(p.clone()))
+            .stratum_summary_for(&cols, "SUM(v)", || Ok(empty_table()))
             .unwrap();
         let b = cache
-            .summary_for(&cols, "SUM(v)", true, || panic!("must hit"))
+            .stratum_summary_for(&cols, "SUM(v)", || panic!("must hit"))
             .unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-        // Same measure, different weighting → distinct entry.
+        // Different grouping → distinct entry.
         let c = cache
-            .summary_for(&cols, "SUM(v)", false, || Ok(p.clone()))
+            .stratum_summary_for(&[ColumnId(1)], "SUM(v)", || Ok(empty_table()))
             .unwrap();
         assert!(!Arc::ptr_eq(&a, &c));
         // Different measure → distinct entry.
         let d = cache
-            .summary_for(&cols, "COUNT(*)", true, || Ok(p.clone()))
+            .stratum_summary_for(&cols, "COUNT(*)", || Ok(empty_table()))
             .unwrap();
         assert!(!Arc::ptr_eq(&a, &d));
         // Build errors propagate without caching anything.
         assert!(cache
-            .summary_for(&cols, "BAD", true, || Err(
+            .stratum_summary_for(&cols, "BAD", || Err(
                 crate::error::EngineError::NoAggregates
             ))
             .is_err());
         assert!(cache
-            .summary_for(&cols, "BAD", true, || Ok(p.clone()))
+            .stratum_summary_for(&cols, "BAD", || Ok(empty_table()))
             .is_ok());
     }
 
     #[test]
-    fn stratum_summary_build_matches_naive_moments() {
-        let r = rel(40); // g = i % 7, v = i
+    fn cell_layout_numbers_cells_by_group_then_stratum() {
+        let r = rel(40); // g = i % 7
         let ix = GroupIndex::build(&r, &[ColumnId(0)]);
         // Stratum 3 is empty and every group spans both others: cells > strata.
         let strata: Vec<u32> = (0..40).map(|i| (i / 20) as u32 * 2).collect();
-        let values: Vec<f64> = (0..40).map(|i| i as f64).collect();
-        let layout = CellLayout::build(&ix, &strata, 4);
+        let layout = CellLayout::build(&ix, &StratumLayout::build(&strata, 4));
         assert_eq!(layout.cell_count(), 14);
-        let summary = StratumSummary::fold(&layout, Some(&values), 0..40);
-        let evens = StratumSummary::fold(&layout, Some(&values), (0..40).step_by(2));
         for gid in 0..ix.group_count() as u32 {
             let cells = layout.cells_of(gid);
-            // Strata sorted ascending, and each cell matches a naive fold.
             let ids: Vec<u32> = cells.clone().map(|c| layout.stratum_of(c)).collect();
             assert_eq!(ids, [0, 2]);
             for c in cells {
@@ -983,21 +850,9 @@ mod tests {
                     .filter(|&r2| ix.group_of(r2) == gid && strata[r2] == layout.stratum_of(c))
                     .collect();
                 assert_eq!(layout.rows_of(c), rows.len() as u64);
-                let mut want = StratumCell::new();
-                let mut want_even = StratumCell::new();
-                for &r2 in &rows {
-                    want.push(values[r2]);
-                    if r2 % 2 == 0 {
-                        want_even.push(values[r2]);
-                    }
-                }
-                assert_eq!(summary.cells()[c], want);
-                assert_eq!(evens.cells()[c], want_even);
+                assert!(rows.iter().all(|&r2| layout.cell_of_row(r2) == c as u32));
             }
         }
-        // COUNT convention: values = None folds 1.0 per row.
-        let counts = StratumSummary::fold(&layout, None, 0..40);
-        assert_eq!(counts.cells().iter().map(|c| c.sum).sum::<f64>(), 40.0);
     }
 
     #[test]
@@ -1005,17 +860,11 @@ mod tests {
         let r = rel(50);
         let cache = QueryCache::new();
         cache.index_for(&r, &[ColumnId(0)], false);
-        let _ = cache.layout_for(|| StratumLayout::build(&[0, 0, 1], 2));
-        let _ = cache.weights_for(|| Ok(vec![1.0; 3])).unwrap();
-        let _ = cache
-            .summary_for(&[ColumnId(0)], "SUM(v)", true, || Ok(vec![Partial::new()]))
-            .unwrap();
+        let by_stratum = cache.layout_for(|| StratumLayout::build(&[0; 50], 1));
         let ix = GroupIndex::build(&r, &[ColumnId(0)]);
-        let layout = cache.cell_layout_for(&[ColumnId(0)], || CellLayout::build(&ix, &[0; 50], 1));
+        let layout = cache.cell_layout_for(&[ColumnId(0)], || CellLayout::build(&ix, &by_stratum));
         let _ = cache
-            .stratum_summary_for(&[ColumnId(0)], "SUM(v)", || {
-                Ok(StratumSummary::fold(&layout, None, 0..50))
-            })
+            .stratum_summary_for(&[ColumnId(0)], "SUM(v)", || Ok(empty_table()))
             .unwrap();
         cache.invalidate();
         let before = cache.stats();
@@ -1024,25 +873,19 @@ mod tests {
         // Re-built after invalidation, not resurrected.
         let b = cache.index_for(&r, &[ColumnId(0)], false);
         assert!(Arc::ptr_eq(&a, &b));
-        // Summaries were dropped too: the rebuild closure must run.
+        // Cells were dropped too: the rebuild closures must run.
         let mut ran = false;
         let _ = cache
-            .summary_for(&[ColumnId(0)], "SUM(v)", true, || {
+            .stratum_summary_for(&[ColumnId(0)], "SUM(v)", || {
                 ran = true;
-                Ok(vec![Partial::new()])
+                Ok(empty_table())
             })
             .unwrap();
         assert!(ran);
-        let mut ran2 = false;
-        let _ = cache
-            .stratum_summary_for(&[ColumnId(0)], "SUM(v)", || {
-                ran2 = true;
-                Ok(StratumSummary::fold(&layout, None, 0..50))
-            })
-            .unwrap();
-        assert!(ran2);
-        let rebuilt = cache.cell_layout_for(&[ColumnId(0)], || CellLayout::build(&ix, &[0; 50], 1));
+        let rebuilt = cache.cell_layout_for(&[ColumnId(0)], || CellLayout::build(&ix, &by_stratum));
         assert!(!Arc::ptr_eq(&layout, &rebuilt));
+        let resorted = cache.layout_for(|| StratumLayout::build(&[0; 50], 1));
+        assert!(!Arc::ptr_eq(&by_stratum, &resorted));
         assert!(format!("{cache:?}").contains("cached_groupings"));
     }
 
@@ -1056,7 +899,7 @@ mod tests {
         let d = cache.stats_detailed();
         assert_eq!((d.index.hits, d.index.misses), (1, 1));
         assert_eq!((d.layout.hits, d.layout.misses), (0, 1));
-        assert_eq!((d.summary.hits, d.summary.misses), (0, 0));
+        assert_eq!(d.stratum_summary, KindStats::default());
         // The aggregate view is exactly the per-kind sum.
         assert_eq!(d.total(), cache.stats());
         assert_eq!(d.total(), CacheStats { hits: 1, misses: 2 });

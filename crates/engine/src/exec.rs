@@ -780,7 +780,7 @@ mod tests {
         };
         let sel = select(rel, query, &opts).unwrap();
         let index = crate::GroupIndex::build_filtered(rel, &query.grouping, Some(&sel.mask));
-        let accs = accumulate(&index, &sel.mask, &sel.exprs, None, query, false, None).unwrap();
+        let accs = accumulate(&index, &sel.mask, &sel.exprs, None, query, None).unwrap();
         finish_rows(&index, accs, query).unwrap()
     }
 

@@ -35,8 +35,8 @@ pub mod stratified;
 
 pub use aggregate::{AggregateFn, AggregateSpec, Partial};
 pub use cache::{
-    CacheStats, CacheStatsDetail, CellLayout, ExecOptions, ExecTrace, KindStats, MeasureSummary,
-    QueryCache, Selection, ServedFrom, StratumCell, StratumLayout, StratumSummary,
+    CacheStats, CacheStatsDetail, CellLayout, ExecOptions, ExecTrace, KindStats, QueryCache,
+    ServedFrom, StratumCell, StratumLayout, StratumSummary,
 };
 pub use cancel::CancelToken;
 pub use error::{EngineError, Result};
@@ -45,5 +45,7 @@ pub use grouping::GroupIndex;
 pub use plan_cache::{CachedPlan, PlanCache, PlanCacheStats};
 pub use query::{GroupByQuery, Having};
 pub use result::QueryResult;
-pub use rewrite::{Integrated, KeyNormalized, NestedIntegrated, Normalized, SamplePlan};
+pub use rewrite::{
+    Integrated, KeyNormalized, NestedIntegrated, Normalized, QueryCells, SamplePlan,
+};
 pub use stratified::StratifiedInput;

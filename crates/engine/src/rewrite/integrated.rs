@@ -20,6 +20,7 @@ pub struct Integrated {
     rel: Relation,
     sf_col: ColumnId,
     stratum_of_row: Vec<u32>,
+    scale_factors: Vec<f64>,
 }
 
 impl Integrated {
@@ -35,6 +36,7 @@ impl Integrated {
             rel,
             sf_col,
             stratum_of_row: input.stratum_of_row.clone(),
+            scale_factors: input.scale_factors.clone(),
         })
     }
 
@@ -49,9 +51,11 @@ impl SamplePlan for Integrated {
         "Integrated"
     }
 
-    fn execute_opts(&self, query: &GroupByQuery, opts: &ExecOptions) -> Result<QueryResult> {
-        // The per-row weights are already materialized as the SF column, so
-        // the only cacheable state is the group index itself.
+    fn strata(&self) -> (&[u32], &[f64]) {
+        (&self.stratum_of_row, &self.scale_factors)
+    }
+
+    fn execute_cold(&self, query: &GroupByQuery, opts: &ExecOptions) -> Result<QueryResult> {
         let weights = self
             .rel
             .column(self.sf_col)

@@ -5,7 +5,7 @@
 
 use relation::{Column, ColumnId, DataType, Field, Relation};
 
-use crate::cache::{ExecOptions, StratumLayout};
+use crate::cache::ExecOptions;
 use crate::error::{EngineError, Result};
 use crate::join::hash_join_unique_int;
 use crate::query::GroupByQuery;
@@ -24,9 +24,10 @@ pub struct KeyNormalized {
     rel: Relation,
     aux: Relation,
     gid_col: ColumnId,
-    /// Stratum id per sample row (the GID column's values); lets a cached
-    /// [`StratumLayout`] replace the per-query GID join on the warm path.
+    /// Stratum id per sample row (the GID column's values) and AuxRel's SF
+    /// column by GID: what the cached path reads in place of the GID join.
     stratum_of_row: Vec<u32>,
+    scale_factors: Vec<f64>,
 }
 
 impl KeyNormalized {
@@ -45,6 +46,7 @@ impl KeyNormalized {
             aux,
             gid_col,
             stratum_of_row: input.stratum_of_row.clone(),
+            scale_factors: input.scale_factors.clone(),
         })
     }
 
@@ -83,27 +85,14 @@ impl SamplePlan for KeyNormalized {
         "Key-normalized"
     }
 
-    fn execute_opts(&self, query: &GroupByQuery, opts: &ExecOptions) -> Result<QueryResult> {
-        // Cold path: pay the single-int GID join per query (Fig 10). Warm
-        // path: the cached stratum layout expands AuxRel's SF column to the
-        // identical per-row weights without probing a hash table.
-        match opts.cache {
-            Some(cache) => {
-                let layout = cache.layout_for(|| {
-                    StratumLayout::build(&self.stratum_of_row, self.aux.row_count())
-                });
-                let weights = cache.weights_for(|| {
-                    let sf_col = self.aux.schema().column_id("__sf")?;
-                    let sfs = self.aux.column(sf_col).as_float().expect("__sf is Float");
-                    Ok(layout.expand(sfs))
-                })?;
-                aggregate_weighted_opts(&self.rel, &weights, query, opts)
-            }
-            None => {
-                let weights = self.join_scale_factors()?;
-                aggregate_weighted_opts(&self.rel, &weights, query, opts)
-            }
-        }
+    fn strata(&self) -> (&[u32], &[f64]) {
+        (&self.stratum_of_row, &self.scale_factors)
+    }
+
+    fn execute_cold(&self, query: &GroupByQuery, opts: &ExecOptions) -> Result<QueryResult> {
+        // Pay the single-int GID join per query (Fig 10).
+        let weights = self.join_scale_factors()?;
+        aggregate_weighted_opts(&self.rel, &weights, query, opts)
     }
 
     fn sample_relation(&self) -> &Relation {

@@ -16,6 +16,12 @@
 //! cost and maintenance cost (Integrated layouts duplicate the SF into
 //! every tuple, so a group's rate change rewrites many tuples; Normalized
 //! layouts confine it to one AuxRel row).
+//!
+//! The table's costs are those of the cold plans (no [`QueryCache`]), which
+//! the paper's experiments time. With a cache every strategy is served by
+//! [`execute_cells`]: one fold of the selected rows into per-(group,
+//! stratum) moments, from which both the estimates and the error bounds
+//! are read.
 
 mod integrated;
 mod key_normalized;
@@ -29,14 +35,15 @@ pub use normalized::Normalized;
 
 use std::sync::Arc;
 
-use rayon::prelude::*;
-use relation::{Bitmap, ColumnId, Expr, Predicate, Relation};
+use relation::{chunk_count, chunk_range, Bitmap, ColumnId, Expr, Predicate, Relation};
 
-use crate::aggregate::{Accumulator, Partial};
-use crate::cache::{ExecOptions, QueryCache, Selection, ServedFrom};
+use crate::aggregate::{Accumulator, AggregateFn, AggregateSpec};
+use crate::cache::{
+    CellLayout, ExecOptions, QueryCache, ServedFrom, StratumCell, StratumLayout, StratumSummary,
+};
 use crate::cancel::{self, CancelToken};
 use crate::error::Result;
-use crate::grouping::{GroupIndex, PAR_MIN_ROWS};
+use crate::grouping::GroupIndex;
 use crate::query::GroupByQuery;
 use crate::result::QueryResult;
 
@@ -45,10 +52,29 @@ pub trait SamplePlan {
     /// Strategy name as used in the paper's tables.
     fn name(&self) -> &'static str;
 
-    /// Execute `query` against the sample with explicit execution options
-    /// (query cache, parallel aggregation). The result is bit-identical
-    /// for every option combination; options only change the cost.
-    fn execute_opts(&self, query: &GroupByQuery, opts: &ExecOptions) -> Result<QueryResult>;
+    /// Each sample row's stratum id and each stratum's ScaleFactor: what
+    /// the cached path scales its per-cell moments by.
+    fn strata(&self) -> (&[u32], &[f64]);
+
+    /// The strategy's own plan (the cold path): recomputes everything per
+    /// query, as the paper's experiments time it. `opts.cache` is ignored.
+    fn execute_cold(&self, query: &GroupByQuery, opts: &ExecOptions) -> Result<QueryResult>;
+
+    /// Execute `query` against the sample with explicit execution options.
+    /// Options change the cost, not the answer: every option combination
+    /// returns the same groups, bit-identical on each side of the cache
+    /// switch. With a cache every strategy answers from per-cell moments
+    /// ([`execute_cells`]), which scale each stratum's sum once instead of
+    /// each row's value, so they sit within a few ulp of the cold plan's.
+    fn execute_opts(&self, query: &GroupByQuery, opts: &ExecOptions) -> Result<QueryResult> {
+        match opts.cache {
+            Some(cache) => {
+                let (strata, sfs) = self.strata();
+                execute_cells(self.sample_relation(), strata, sfs, query, opts, cache)
+            }
+            None => self.execute_cold(query, opts),
+        }
+    }
 
     /// Execute `query` against the sample, producing scaled estimates.
     /// Equivalent to [`Self::execute_opts`] with default (cold, serial)
@@ -75,20 +101,9 @@ pub trait SamplePlan {
 
 /// Rows per aggregation chunk — re-exported from the storage layer so
 /// aggregation chunks coincide one-to-one with encoded storage chunks and
-/// their zone maps. Fixed (rather than derived from the thread count) so
-/// that serial and parallel execution produce *bit-identical* accumulators:
-/// both compute the same per-chunk partials and merge them in chunk order.
-/// A multiple of 64 so chunk boundaries align with bitmap words.
+/// their zone maps. A multiple of 64 so chunk boundaries align with bitmap
+/// words.
 pub(crate) use relation::CHUNK_ROWS;
-
-/// Minimum chunk count before chunked aggregation fans out to rayon.
-/// Chunk boundaries are fixed by [`CHUNK_ROWS`] for determinism, so the
-/// only free knob is whether chunks run concurrently — and with fewer
-/// than ~8 chunks (≈128Ki rows) the fork/join overhead outweighs the
-/// parallel speedup (the measured cold-parallel regression: 631.8 q/s
-/// parallel vs 688.1 serial at 50k sample rows). Below this many chunks
-/// the fold runs serially; the merged result is bit-identical either way.
-pub(crate) const PAR_MIN_CHUNKS: usize = 8;
 
 /// Evaluate `pred` over `rel` through the zone-map pruning pass: chunk
 /// verdicts first, then only the `Maybe` chunks row by row. Returns the
@@ -118,30 +133,24 @@ pub(crate) fn eval_predicate(
     (mask, ranges)
 }
 
-/// The *unfiltered* group index for `cols` over `rel`: from the query cache
-/// when one is supplied, freshly built otherwise. The parallel build is
-/// used above [`PAR_MIN_ROWS`] rows when `opts.parallel` is set; it yields
-/// an identical index at any thread count.
-pub(crate) fn grouping_index(
-    rel: &Relation,
-    cols: &[ColumnId],
-    opts: &ExecOptions,
-) -> Arc<GroupIndex> {
-    match opts.cache {
-        Some(cache) => cache.index_for(rel, cols, opts.parallel),
-        None => Arc::new(if opts.parallel && rel.row_count() >= PAR_MIN_ROWS {
-            GroupIndex::par_build(rel, cols)
-        } else {
-            GroupIndex::build(rel, cols)
-        }),
-    }
+/// What a cold sample scan selected: the predicate's bitmap over the
+/// sample rows and each aggregate's input expression evaluated over the
+/// selected rows (`None` for COUNT; unselected slots hold `0.0`).
+#[derive(Debug)]
+pub(crate) struct Selection {
+    /// Rows satisfying the query's predicate.
+    pub(crate) mask: Bitmap,
+    /// Masked measure values, aligned with the query's aggregates.
+    pub(crate) exprs: Vec<Option<Vec<f64>>>,
 }
 
 /// The rows `query` selects from `rel` and its measures over them: what
-/// every rewrite's scan folds into estimates, and what the bounds pass
-/// folds into per-cell moments. Public so a standalone bounds computation
-/// filters with the same kernel-aware code as the scan.
-pub fn select(rel: &Relation, query: &GroupByQuery, opts: &ExecOptions) -> Result<Selection> {
+/// the cold rewrites fold into per-group accumulators.
+pub(crate) fn select(
+    rel: &Relation,
+    query: &GroupByQuery,
+    opts: &ExecOptions,
+) -> Result<Selection> {
     let (mask, _ranges) = eval_predicate(rel, &query.predicate, opts);
     // Unselected rows are never evaluated (their slots stay `0.0`).
     let masked = |e: &Expr| e.eval_masked(rel, &mask);
@@ -153,29 +162,18 @@ pub fn select(rel: &Relation, query: &GroupByQuery, opts: &ExecOptions) -> Resul
     Ok(Selection { mask, exprs })
 }
 
-/// Hand a finished scan's [`Selection`] to [`ExecOptions::capture`], if
-/// the caller asked for it.
-pub(crate) fn capture(opts: &ExecOptions, selection: Selection) {
-    if let Some(slot) = opts.capture {
-        // One scan per query; a slot someone already filled keeps its value.
-        let _ = slot.set(selection);
-    }
-}
-
-/// Chunked (optionally parallel) accumulation of the masked rows of `rel`
-/// into per-group accumulators.
+/// Chunked accumulation of the masked rows of `rel` into per-group
+/// accumulators, for the cold plans.
 ///
-/// Determinism contract: the row range is cut into fixed [`CHUNK_ROWS`]
-/// chunks, each chunk folds its selected rows in row order, and partials
-/// are merged in chunk order — so the result is bit-identical whether the
-/// chunks ran on one thread or sixteen. Inputs of at most one chunk take a
-/// direct single pass (which is the same computation, minus the merges).
+/// The row range is cut into fixed [`CHUNK_ROWS`] chunks; each chunk folds
+/// its selected rows in row order into fresh partials, merged into the
+/// totals in chunk order. Serial: the cold plans run at sample sizes of a
+/// few chunks, where forking a rayon pool per query cost more than it won.
 ///
-/// Cancellation contract: `cancel` is polled before every chunk (serial:
-/// between chunks; parallel: at each chunk's start, short-circuiting the
-/// rayon collect). A token that fires makes this return
+/// Cancellation contract: `cancel` is polled before every chunk. A token
+/// that fires makes this return
 /// [`EngineError::Cancelled`](crate::error::EngineError::Cancelled) within
-/// roughly one chunk of work; a token that never fires cannot change the
+/// one chunk of work; a token that never fires cannot change the
 /// accumulated values.
 pub(crate) fn accumulate(
     index: &GroupIndex,
@@ -183,7 +181,6 @@ pub(crate) fn accumulate(
     exprs: &[Option<Vec<f64>>],
     weights: Option<&[f64]>,
     query: &GroupByQuery,
-    parallel: bool,
     cancel: Option<&CancelToken>,
 ) -> Result<Vec<Vec<Accumulator>>> {
     let n = mask.len();
@@ -212,194 +209,28 @@ pub(crate) fn accumulate(
     };
 
     cancel::check(cancel)?;
-    if n <= CHUNK_ROWS {
-        return Ok(chunk_accs(0, n));
-    }
-    let starts: Vec<usize> = (0..n).step_by(CHUNK_ROWS).collect();
-    // Fan out on the number of chunks with at least one selected row, not
-    // the raw chunk count: after zone-map pruning a selective predicate
-    // leaves a handful of live chunks in a large relation, and forking the
-    // rayon pool to scan mostly-empty chunks costs more than the scan
-    // (the measured cold-parallel-selective regression).
-    // Empty chunks still fold serially — they produce empty partials in
-    // microseconds — so the merged result is bit-identical either way.
-    let fan_out =
-        parallel && rayon::current_num_threads() > 1 && live_chunks(mask) >= PAR_MIN_CHUNKS;
-    let partials: Vec<Vec<Vec<Accumulator>>> = if fan_out {
-        starts
-            .par_iter()
-            .map(|&s| {
-                cancel::check(cancel)?;
-                Ok(chunk_accs(s, (s + CHUNK_ROWS).min(n)))
-            })
-            .collect::<Result<_>>()?
-    } else {
-        starts
-            .iter()
-            .map(|&s| {
-                cancel::check(cancel)?;
-                Ok(chunk_accs(s, (s + CHUNK_ROWS).min(n)))
-            })
-            .collect::<Result<_>>()?
-    };
-    let mut iter = partials.into_iter();
-    let mut base = iter.next().expect("at least one chunk");
-    for partial in iter {
-        for (group, partial_group) in base.iter_mut().zip(partial) {
+    let mut totals = chunk_accs(0, n.min(CHUNK_ROWS));
+    for start in (CHUNK_ROWS..n).step_by(CHUNK_ROWS) {
+        cancel::check(cancel)?;
+        let partial = chunk_accs(start, (start + CHUNK_ROWS).min(n));
+        for (group, partial_group) in totals.iter_mut().zip(partial) {
             for (acc, p) in group.iter_mut().zip(partial_group) {
                 acc.merge(&p);
             }
         }
     }
-    Ok(base)
-}
-
-/// Number of [`CHUNK_ROWS`] chunks of `mask` containing at least one set
-/// bit. Word-wise: chunk boundaries are 64-aligned, so each chunk owns a
-/// disjoint run of bitmap words.
-pub(crate) fn live_chunks(mask: &Bitmap) -> usize {
-    const WORDS_PER_CHUNK: usize = CHUNK_ROWS / 64;
-    mask.words()
-        .chunks(WORDS_PER_CHUNK)
-        .filter(|ws| ws.iter().any(|&w| w != 0))
-        .count()
+    Ok(totals)
 }
 
 /// Canonical cache key for a measure expression. `Debug` formatting is
 /// injective over [`Expr`] trees (unlike `Display`, which cannot
 /// distinguish e.g. the literal `1` from a column named `1`), and `None`
-/// — the COUNT measure — gets its own reserved spelling. Public so the
-/// bounds layer keys its stratum summaries the same way.
+/// — the COUNT measure — gets its own reserved spelling.
 pub fn measure_key(expr: Option<&Expr>) -> String {
     match expr {
         Some(e) => format!("{e:?}"),
         None => "COUNT(*)".to_string(),
     }
-}
-
-/// Fold every row of the *unfiltered* `index` into one [`Partial`] per
-/// group for a single measure — the builder for cached
-/// [`MeasureSummary`](crate::cache::MeasureSummary)s.
-///
-/// Uses exactly [`accumulate`]'s chunk structure (fixed [`CHUNK_ROWS`]
-/// boundaries, row-order fold per chunk, chunk-order merge), so an
-/// accumulator restored from these partials is bit-identical to one the
-/// scan path would have produced over the same rows.
-pub(crate) fn accumulate_partials(
-    index: &GroupIndex,
-    values: Option<&[f64]>,
-    weights: Option<&[f64]>,
-    parallel: bool,
-    cancel: Option<&CancelToken>,
-) -> Result<Vec<Partial>> {
-    let n = index.group_ids().len();
-    let chunk_ps = |start: usize, end: usize| -> Vec<Partial> {
-        let mut ps = vec![Partial::new(); index.group_count()];
-        for row in start..end {
-            let gid = index.group_of(row);
-            if gid == u32::MAX {
-                continue;
-            }
-            let w = weights.map_or(1.0, |ws| ws[row]);
-            let v = values.map_or(0.0, |vals| vals[row]);
-            ps[gid as usize].add(v, w);
-        }
-        ps
-    };
-
-    cancel::check(cancel)?;
-    if n <= CHUNK_ROWS {
-        return Ok(chunk_ps(0, n));
-    }
-    let starts: Vec<usize> = (0..n).step_by(CHUNK_ROWS).collect();
-    let fan_out = parallel && starts.len() >= PAR_MIN_CHUNKS && rayon::current_num_threads() > 1;
-    let partials: Vec<Vec<Partial>> = if fan_out {
-        starts
-            .par_iter()
-            .map(|&s| {
-                cancel::check(cancel)?;
-                Ok(chunk_ps(s, (s + CHUNK_ROWS).min(n)))
-            })
-            .collect::<Result<_>>()?
-    } else {
-        starts
-            .iter()
-            .map(|&s| {
-                cancel::check(cancel)?;
-                Ok(chunk_ps(s, (s + CHUNK_ROWS).min(n)))
-            })
-            .collect::<Result<_>>()?
-    };
-    let mut iter = partials.into_iter();
-    let mut base = iter.next().expect("at least one chunk");
-    for partial in iter {
-        for (p, q) in base.iter_mut().zip(partial) {
-            p.merge(&q);
-        }
-    }
-    Ok(base)
-}
-
-/// O(groups) accumulator assembly from cached per-group summaries.
-///
-/// Valid only when `query.predicate` references grouping columns alone
-/// (checked by the caller via `Predicate::references_only`): then the
-/// predicate is constant within each group, so a group is either fully
-/// selected — its cached partial *is* the scan result over its rows — or
-/// fully excluded, in which case a fresh empty accumulator makes
-/// [`finish_rows`] drop it exactly as the scan path would. The predicate
-/// is evaluated once per group on its representative row instead of once
-/// per sample row.
-///
-/// The summaries are keyed per (grouping, measure, weighted) in `cache`,
-/// which must be private to this (relation, weights) generation — the
-/// same ownership contract as the cached indexes and weights.
-pub(crate) fn summary_accumulators(
-    rel: &Relation,
-    index: &GroupIndex,
-    weights: Option<&[f64]>,
-    query: &GroupByQuery,
-    opts: &ExecOptions,
-    cache: &QueryCache,
-) -> Result<Vec<Vec<Accumulator>>> {
-    let selected: Option<Vec<bool>> = match &query.predicate {
-        Predicate::True => None,
-        p => Some(
-            (0..index.group_count() as u32)
-                .map(|g| p.eval_row(rel, index.first_row(g)))
-                .collect(),
-        ),
-    };
-
-    let mut accs: Vec<Vec<Accumulator>> = (0..index.group_count())
-        .map(|_| Vec::with_capacity(query.aggregates.len()))
-        .collect();
-    for spec in &query.aggregates {
-        let summary = cache.summary_for(
-            index.columns(),
-            &measure_key(spec.expr.as_ref()),
-            weights.is_some(),
-            || {
-                let values = spec.expr.as_ref().map(|e| e.eval(rel)).transpose()?;
-                accumulate_partials(
-                    index,
-                    values.as_deref(),
-                    weights,
-                    opts.parallel,
-                    opts.cancel,
-                )
-            },
-        )?;
-        for (g, group_accs) in accs.iter_mut().enumerate() {
-            let keep = selected.as_ref().is_none_or(|s| s[g]);
-            group_accs.push(if keep {
-                Accumulator::from_partial(spec.func, summary.partials()[g])
-            } else {
-                Accumulator::new(spec.func)
-            });
-        }
-    }
-    Ok(accs)
 }
 
 /// Turn per-group accumulators into a sorted [`QueryResult`], dropping
@@ -411,7 +242,7 @@ pub(crate) fn finish_rows(
 ) -> Result<QueryResult> {
     let names = query.aggregates.iter().map(|a| a.name.clone()).collect();
     // Emit rows in the index's memoized key order: identical to sorting
-    // after the fact (keys are distinct), but warm queries skip the sort.
+    // after the fact (keys are distinct), but skips the sort.
     let mut rows = Vec::with_capacity(accs.len());
     for &gid in index.gids_by_key() {
         let a = &accs[gid as usize];
@@ -425,84 +256,12 @@ pub(crate) fn finish_rows(
     query.apply_having(QueryResult::from_sorted(names, rows))
 }
 
-/// [`summary_accumulators`] fused with [`finish_rows`] for the flat
-/// rewrites: rows are emitted straight from the cached partials in key
-/// order, skipping the per-group accumulator vectors entirely. Same
-/// validity precondition (group-only predicate) and the same output as
-/// running the two stages separately.
-pub(crate) fn summary_rows(
-    rel: &Relation,
-    index: &GroupIndex,
-    weights: Option<&[f64]>,
-    query: &GroupByQuery,
-    opts: &ExecOptions,
-    cache: &QueryCache,
-) -> Result<QueryResult> {
-    let summaries: Vec<_> = query
-        .aggregates
-        .iter()
-        .map(|spec| {
-            cache.summary_for(
-                index.columns(),
-                &measure_key(spec.expr.as_ref()),
-                weights.is_some(),
-                || {
-                    let values = spec.expr.as_ref().map(|e| e.eval(rel)).transpose()?;
-                    accumulate_partials(
-                        index,
-                        values.as_deref(),
-                        weights,
-                        opts.parallel,
-                        opts.cancel,
-                    )
-                },
-            )
-        })
-        .collect::<Result<_>>()?;
-    let selected: Option<Vec<bool>> = match &query.predicate {
-        Predicate::True => None,
-        p => Some(
-            (0..index.group_count() as u32)
-                .map(|g| p.eval_row(rel, index.first_row(g)))
-                .collect(),
-        ),
-    };
-
-    let names = query.aggregates.iter().map(|a| a.name.clone()).collect();
-    let mut rows = Vec::with_capacity(index.group_count());
-    for &gid in index.gids_by_key() {
-        let g = gid as usize;
-        if selected.as_ref().is_some_and(|s| !s[g]) {
-            continue;
-        }
-        // Unfiltered partials: a group with no rows cannot exist, but keep
-        // the same rows() guard the accumulator path applies.
-        let Some(first) = summaries.first() else {
-            break;
-        };
-        if first.partials()[g].rows() == 0 {
-            continue;
-        }
-        rows.push((
-            index.key(gid).clone(),
-            query
-                .aggregates
-                .iter()
-                .zip(&summaries)
-                .map(|(spec, s)| Accumulator::from_partial(spec.func, s.partials()[g]).finish())
-                .collect(),
-        ));
-    }
-    query.apply_having(QueryResult::from_sorted(names, rows))
-}
-
-/// Shared flat aggregation: evaluate `query` over `rel` where each row
+/// Cold flat aggregation: evaluate `query` over `rel` where each row
 /// carries precomputed weight `weights[row]` (its stratum's ScaleFactor).
 ///
 /// This is the execution core of Integrated, Normalized, and Key-normalized
 /// — they differ only in how `weights` is obtained. The group index is the
-/// *unfiltered* one (cacheable across predicates); the selection bitmap is
-/// applied during accumulation instead.
+/// *unfiltered* one; the selection bitmap is applied during accumulation.
 pub(crate) fn aggregate_weighted_opts(
     rel: &Relation,
     weights: &[f64],
@@ -511,60 +270,283 @@ pub(crate) fn aggregate_weighted_opts(
 ) -> Result<QueryResult> {
     query.validate(rel)?;
     debug_assert_eq!(weights.len(), rel.row_count());
+    if let Some(trace) = opts.trace {
+        trace.record(ServedFrom::ColdScan, rel.row_count() as u64);
+    }
+    let selection = select(rel, query, opts)?;
+    let index = GroupIndex::build(rel, &query.grouping);
+    let (mask, exprs) = (&selection.mask, &selection.exprs);
+    let accs = accumulate(&index, mask, exprs, Some(weights), query, opts.cancel)?;
+    finish_rows(&index, accs, query)
+}
 
-    // O(groups) fast path: a predicate over the grouping columns alone is
-    // constant per group, so cached per-group partials answer the query
-    // without touching any sample row (see `summary_accumulators` for the
-    // bit-identity argument).
-    if let Some(cache) = opts.cache {
-        if rel.row_count() > 0 && query.predicate.references_only(&query.grouping) {
+/// One query's per-(group, stratum) moments over its grouping's
+/// [`CellLayout`]: what [`execute_cells`] read the estimates from and what
+/// the error bounds are read from. Handed to the answer pipeline through
+/// [`ExecOptions::capture`].
+#[derive(Debug)]
+pub struct QueryCells {
+    /// The grouping's unfiltered group index.
+    pub index: Arc<GroupIndex>,
+    /// The grouping's cells.
+    pub layout: Arc<CellLayout>,
+    /// Per aggregate, the moment table of its measure. Aggregates over one
+    /// measure share a table; COUNT reads the `count`s of the query's first
+    /// measure (every table folds the same rows).
+    pub tables: Vec<Arc<StratumSummary>>,
+    /// Group id of each result row, in result order.
+    pub gids: Vec<u32>,
+}
+
+/// The cached path of all four rewrites: answer `query` from per-(group,
+/// stratum) moment cells over `rel`, whose rows fall in strata
+/// `stratum_of_row` with ScaleFactors `scale_factors`, and move the
+/// [`QueryCells`] into `opts.capture` when it is set.
+///
+/// * **Cells.** A predicate over the grouping columns alone selects whole
+///   groups, so the generation's unfiltered tables
+///   ([`unfiltered_cells`]) are the query's cells for the groups it keeps
+///   and no row is touched. Any other predicate folds the rows it selects
+///   once, serially in row order, into one table per distinct measure.
+/// * **Estimates**, per group in key order over its cells in stratum
+///   order: SUM = Σ SF·Σx, COUNT = Σ SF·n, AVG their ratio, MIN/MAX over
+///   the cells — the stratified estimate of §5.1 with one multiply per
+///   (group × stratum), Fig 11's nested plan. A group is emitted when one
+///   of its cells holds a row; HAVING applies after.
+///
+/// Both sources are the same float operations in the same order (a cell
+/// folds its rows in row order either way), so cached-cell and scanned
+/// answers are bit-identical. `opts.parallel` only shards a group-index
+/// build; the fold is serial so the bounds keep their bits.
+pub fn execute_cells(
+    rel: &Relation,
+    stratum_of_row: &[u32],
+    scale_factors: &[f64],
+    query: &GroupByQuery,
+    opts: &ExecOptions,
+    cache: &QueryCache,
+) -> Result<QueryResult> {
+    query.validate(rel)?;
+    let grouping = &query.grouping;
+    let strata = scale_factors.len();
+    let (index, layout) = cell_layout(rel, stratum_of_row, strata, grouping, opts.parallel, cache);
+    let (measures, slots) = measures(query);
+
+    let mut selected: Option<Vec<bool>> = None;
+    let tables: Vec<Arc<StratumSummary>> =
+        if rel.row_count() > 0 && query.predicate.references_only(grouping) {
             if let Some(trace) = opts.trace {
                 trace.record(ServedFrom::Summary, 0);
             }
-            let index = cache.index_for(rel, &query.grouping, opts.parallel);
-            return summary_rows(rel, &index, Some(weights), query, opts, cache);
+            // Constant within a group: decided once on its first row.
+            if !matches!(query.predicate, Predicate::True) {
+                let keeps = |g| query.predicate.eval_row(rel, index.first_row(g));
+                selected = Some((0..index.group_count() as u32).map(keeps).collect());
+            }
+            let cached = |m| unfiltered_cells(rel, &layout, grouping, m, cache, opts.cancel);
+            measures.iter().map(|&m| cached(m)).collect::<Result<_>>()?
+        } else {
+            if let Some(trace) = opts.trace {
+                trace.record(ServedFrom::CachedScan, rel.row_count() as u64);
+            }
+            let (mask, _ranges) = eval_predicate(rel, &query.predicate, opts);
+            let tables = fold_cells(rel, &layout, &measures, Some(&mask), opts.cancel)?;
+            tables.into_iter().map(Arc::new).collect()
+        };
+    let tables: Vec<_> = slots.iter().map(|&m| Arc::clone(&tables[m])).collect();
+
+    let having = query.having.as_ref().map(|h| {
+        let at = query.aggregates.iter().position(|a| a.name == h.aggregate);
+        (h, at.expect("validate checked the HAVING aggregate"))
+    });
+    let groups = index.group_count();
+    let (mut rows, mut gids) = (Vec::with_capacity(groups), Vec::with_capacity(groups));
+    for &gid in index.gids_by_key() {
+        let cells = layout.cells_of(gid);
+        let sampled = |c: usize| tables[0].cells[c].count > 0;
+        if selected.as_ref().is_some_and(|s| !s[gid as usize]) || !cells.clone().any(sampled) {
+            continue;
+        }
+        let estimate = |(spec, table): (&AggregateSpec, &Arc<StratumSummary>)| {
+            let (mut sum, mut weight) = (0.0, 0.0);
+            let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+            for c in cells.clone() {
+                let (cell, sf) = (
+                    &table.cells[c],
+                    scale_factors[layout.stratum_of(c) as usize],
+                );
+                sum += sf * cell.sum;
+                weight += sf * cell.count as f64;
+                min = min.min(cell.min);
+                max = max.max(cell.max);
+            }
+            match spec.func {
+                AggregateFn::Sum => sum,
+                AggregateFn::Count => weight,
+                AggregateFn::Avg => sum / weight,
+                AggregateFn::Min => min,
+                AggregateFn::Max => max,
+            }
+        };
+        let values: Vec<f64> = query.aggregates.iter().zip(&tables).map(estimate).collect();
+        if having.is_some_and(|(h, at)| !h.keeps(values[at])) {
+            continue;
+        }
+        rows.push((index.key(gid).clone(), values));
+        gids.push(gid);
+    }
+    let names = query.aggregates.iter().map(|a| a.name.clone()).collect();
+    if let Some(slot) = opts.capture {
+        // One fold per query; a slot someone already filled keeps its value.
+        let _ = slot.set(QueryCells {
+            index,
+            layout,
+            tables,
+            gids,
+        });
+    }
+    Ok(QueryResult::from_sorted(names, rows))
+}
+
+/// The distinct measure expressions of `query` — COUNT's constant `1`
+/// (`None`) when it has no other — and each aggregate's position among
+/// them; COUNT takes the first.
+fn measures(query: &GroupByQuery) -> (Vec<Option<&Expr>>, Vec<usize>) {
+    let mut measures: Vec<Option<&Expr>> = Vec::new();
+    let mut slots = Vec::with_capacity(query.aggregates.len());
+    for spec in &query.aggregates {
+        let Some(e) = spec.expr.as_ref() else {
+            slots.push(0);
+            continue;
+        };
+        match measures.iter().position(|&m| m == Some(e)) {
+            Some(at) => slots.push(at),
+            None => {
+                slots.push(measures.len());
+                measures.push(Some(e));
+            }
         }
     }
-
-    if let Some(trace) = opts.trace {
-        let served = if opts.cache.is_some() {
-            ServedFrom::CachedScan
-        } else {
-            ServedFrom::ColdScan
-        };
-        trace.record(served, rel.row_count() as u64);
+    if measures.is_empty() {
+        measures.push(None);
     }
-    let selection = select(rel, query, opts)?;
-    let index = grouping_index(rel, &query.grouping, opts);
-    let accs = accumulate(
-        &index,
-        &selection.mask,
-        &selection.exprs,
-        Some(weights),
-        query,
-        opts.parallel,
-        opts.cancel,
-    )?;
-    capture(opts, selection);
-    finish_rows(&index, accs, query)
+    (measures, slots)
+}
+
+/// The unfiltered group index of `grouping` over a sample and its
+/// [`CellLayout`] (rows of `stratum_of_row` in `strata` strata), memoized
+/// in `cache` along with the stratum sort they are built from.
+pub fn cell_layout(
+    rel: &Relation,
+    stratum_of_row: &[u32],
+    strata: usize,
+    grouping: &[ColumnId],
+    parallel: bool,
+    cache: &QueryCache,
+) -> (Arc<GroupIndex>, Arc<CellLayout>) {
+    let index = cache.index_for(rel, grouping, parallel);
+    let layout = cache.cell_layout_for(grouping, || {
+        let by_stratum = cache.layout_for(|| StratumLayout::build(stratum_of_row, strata));
+        CellLayout::build(&index, &by_stratum)
+    });
+    (index, layout)
+}
+
+/// The generation's memoized moment table of `measure` (`None` = COUNT's
+/// constant `1`) over every row of `rel`, folded over `layout` — the cells
+/// of `grouping` — on a miss. The fold polls `cancel` at every chunk; a
+/// cancelled fold caches nothing.
+pub fn unfiltered_cells(
+    rel: &Relation,
+    layout: &CellLayout,
+    grouping: &[ColumnId],
+    measure: Option<&Expr>,
+    cache: &QueryCache,
+    cancel: Option<&CancelToken>,
+) -> Result<Arc<StratumSummary>> {
+    cache.stratum_summary_for(grouping, &measure_key(measure), || {
+        let mut tables = fold_cells(rel, layout, &[measure], None, cancel)?;
+        Ok(tables.pop().expect("one table per measure"))
+    })
+}
+
+/// Fold the rows of `rel` that `mask` selects (every row when `None`) into
+/// one moment table per measure over `layout`, one [`CHUNK_ROWS`] chunk at
+/// a time: list the chunk's rows from the mask words, gather their cells
+/// once, gather each measure at those rows ([`Expr::eval_rows`]; `None`
+/// is the constant `1`), and push each value into its cell.
+///
+/// Serial and in row order, so every cell folds its rows in row order
+/// whichever subset is selected: a table folded over whole groups' rows
+/// holds, for those groups, bit for bit the cells of the unfiltered table.
+/// Per-chunk partials merged afterwards would change those bits. `cancel`
+/// is polled at every chunk.
+fn fold_cells(
+    rel: &Relation,
+    layout: &CellLayout,
+    measures: &[Option<&Expr>],
+    mask: Option<&Bitmap>,
+    cancel: Option<&CancelToken>,
+) -> Result<Vec<StratumSummary>> {
+    let n = rel.row_count();
+    let empty = vec![StratumCell::new(); layout.cell_count()];
+    let mut tables = vec![empty; measures.len()];
+    let (mut rows, mut cells, mut vals) = (Vec::new(), Vec::new(), Vec::new());
+    for c in 0..chunk_count(n) {
+        cancel::check(cancel)?;
+        let (start, end) = chunk_range(c, n);
+        rows.clear();
+        match mask {
+            Some(mask) => rows.extend(mask.ones_range(start, end).map(|r| r as u32)),
+            None => rows.extend(start as u32..end as u32),
+        }
+        if rows.is_empty() {
+            continue;
+        }
+        cells.clear();
+        cells.extend(rows.iter().map(|&r| layout.cell_of_row(r as usize)));
+        for (measure, table) in measures.iter().zip(&mut tables) {
+            vals.clear();
+            match measure {
+                Some(e) => e.eval_rows(rel, &rows, &mut vals)?,
+                None => vals.resize(rows.len(), 1.0),
+            }
+            for (&cell, &v) in cells.iter().zip(&vals) {
+                if cell != u32::MAX {
+                    table[cell as usize].push(v);
+                }
+            }
+        }
+    }
+    Ok(tables
+        .into_iter()
+        .map(|cells| StratumSummary { cells })
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aggregate::AggregateSpec;
+    use crate::query::Having;
     use crate::stratified::test_support::{pred_v_ge, sample};
-    use relation::{ColumnId, Expr, GroupKey, Value};
+    use crate::StratifiedInput;
+    use relation::predicate::CmpOp;
+    use relation::{DataType, GroupKey, RelationBuilder, Value};
 
-    /// Construct all four plans over the shared fixture.
-    fn plans() -> Vec<Box<dyn SamplePlan>> {
-        let s = sample();
+    /// Construct all four plans over `s`.
+    fn plans_over(s: &StratifiedInput) -> Vec<Box<dyn SamplePlan>> {
         vec![
-            Box::new(Integrated::build(&s).unwrap()),
-            Box::new(NestedIntegrated::build(&s).unwrap()),
-            Box::new(Normalized::build(&s).unwrap()),
-            Box::new(KeyNormalized::build(&s).unwrap()),
+            Box::new(Integrated::build(s).unwrap()),
+            Box::new(NestedIntegrated::build(s).unwrap()),
+            Box::new(Normalized::build(s).unwrap()),
+            Box::new(KeyNormalized::build(s).unwrap()),
         ]
+    }
+
+    /// All four plans over the shared fixture.
+    fn plans() -> Vec<Box<dyn SamplePlan>> {
+        plans_over(&sample())
     }
 
     fn queries() -> Vec<GroupByQuery> {
@@ -704,5 +686,318 @@ mod tests {
         uniq.sort();
         uniq.dedup();
         assert_eq!(uniq.len(), names.len());
+    }
+
+    /// Three chunks of a sample stratified on `g` (6 strata, mixed scale
+    /// factors), with a second dimension `k` finer than the strata, a row
+    /// `id`, and a measure `v` holding NaN and −0.0. `k = 9` occurs in the
+    /// middle chunk only.
+    fn chunked_sample() -> StratifiedInput {
+        let rows = 40_000;
+        let mut b = RelationBuilder::new()
+            .column("id", DataType::Int)
+            .column("g", DataType::Int)
+            .column("k", DataType::Int)
+            .column("v", DataType::Float);
+        let mut stratum_of_row = Vec::with_capacity(rows);
+        for i in 0..rows {
+            let g = (i * 7 + i / 13) % 6;
+            let middle = (CHUNK_ROWS..2 * CHUNK_ROWS).contains(&i);
+            let k = if middle && i % 97 == 0 { 9 } else { i % 4 };
+            let v = match i % 211 {
+                0 => f64::NAN,
+                1 => -0.0,
+                r => r as f64 * 0.37 - 20.0,
+            };
+            b.push_row(&[
+                Value::Int(i as i64),
+                Value::Int(g as i64),
+                Value::Int(k as i64),
+                Value::from(v),
+            ])
+            .unwrap();
+            stratum_of_row.push(g as u32);
+        }
+        StratifiedInput {
+            rows: b.finish(),
+            stratum_of_row,
+            scale_factors: vec![1.0, 2.5, 7.0, 1.25, 3.0, 11.0],
+            strata_keys: (0..6).map(|g| GroupKey::new(vec![Value::Int(g)])).collect(),
+            grouping_columns: vec![ColumnId(1)],
+        }
+    }
+
+    const ID: ColumnId = ColumnId(0);
+    const G: ColumnId = ColumnId(1);
+    const K: ColumnId = ColumnId(2);
+
+    /// The cached path's cases: `(what, query)`.
+    fn cell_cases() -> Vec<(&'static str, GroupByQuery)> {
+        let v = || Expr::col(ColumnId(3));
+        let expr = || v().mul(Expr::lit(2.0)).sub(Expr::col(ID));
+        vec![
+            (
+                "NaN and -0.0 measures, SUM and AVG sharing one",
+                GroupByQuery::new(
+                    vec![G],
+                    vec![
+                        AggregateSpec::sum(v(), "s"),
+                        AggregateSpec::avg(v(), "a"),
+                        AggregateSpec::count("c"),
+                    ],
+                )
+                .with_predicate(Predicate::ge(ID, 100i64)),
+            ),
+            (
+                "COUNT only",
+                GroupByQuery::new(vec![G], vec![AggregateSpec::count("c")])
+                    .with_predicate(Predicate::le(ColumnId(3), 10.0)),
+            ),
+            (
+                "MIN/MAX",
+                GroupByQuery::new(
+                    vec![K],
+                    vec![AggregateSpec::min(v(), "mn"), AggregateSpec::max(v(), "mx")],
+                )
+                .with_predicate(Predicate::ge(ID, 5i64)),
+            ),
+            (
+                "expression measure, no grouping",
+                GroupByQuery::new(
+                    vec![],
+                    vec![
+                        AggregateSpec::sum(expr(), "s"),
+                        AggregateSpec::avg(expr(), "a"),
+                    ],
+                )
+                .with_predicate(Predicate::le(ID, 30_000i64)),
+            ),
+            (
+                "HAVING",
+                GroupByQuery::new(
+                    vec![G, K],
+                    vec![AggregateSpec::sum(v(), "s"), AggregateSpec::count("c")],
+                )
+                .with_predicate(Predicate::ge(ColumnId(3), -5.0))
+                .with_having(Having::new("c", CmpOp::Gt, 4_000.0)),
+            ),
+            (
+                "empty selection",
+                GroupByQuery::new(
+                    vec![G],
+                    vec![AggregateSpec::sum(v(), "s"), AggregateSpec::count("c")],
+                )
+                .with_predicate(Predicate::ge(ID, 1_000_000i64)),
+            ),
+            (
+                "grouping finer than the strata",
+                GroupByQuery::new(
+                    vec![G, K],
+                    vec![AggregateSpec::sum(v(), "s"), AggregateSpec::avg(v(), "a")],
+                )
+                .with_predicate(Predicate::le(ID, 39_000i64)),
+            ),
+            (
+                "group in a middle chunk only",
+                GroupByQuery::new(
+                    vec![K],
+                    vec![AggregateSpec::count("c"), AggregateSpec::sum(v(), "s")],
+                )
+                .with_predicate(Predicate::ge(ID, 1i64)),
+            ),
+            (
+                "group-only predicate",
+                GroupByQuery::new(
+                    vec![G, K],
+                    vec![
+                        AggregateSpec::sum(v(), "s"),
+                        AggregateSpec::count("c"),
+                        AggregateSpec::min(v(), "mn"),
+                    ],
+                )
+                .with_predicate(Predicate::le(G, 3i64).and(Predicate::ge(K, 1i64))),
+            ),
+            (
+                "no predicate",
+                GroupByQuery::new(vec![K], vec![AggregateSpec::avg(v(), "a")]),
+            ),
+        ]
+    }
+
+    fn bits(result: &QueryResult) -> Vec<(&GroupKey, Vec<u64>)> {
+        let to_bits = |values: &Vec<f64>| values.iter().map(|v| v.to_bits()).collect();
+        result.rows().iter().map(|(k, v)| (k, to_bits(v))).collect()
+    }
+
+    fn cached(cache: &QueryCache, parallel: bool) -> ExecOptions<'_> {
+        ExecOptions {
+            cache: Some(cache),
+            parallel,
+            ..ExecOptions::default()
+        }
+    }
+
+    /// Every rewrite's cached path returns the cold plan's groups with
+    /// values within 1e-12 relative (NaN where it has NaN), and the same
+    /// bits on every plan, serial or parallel, cold cache or warm.
+    #[test]
+    fn cells_answer_like_the_cold_plans() {
+        let s = chunked_sample();
+        assert_eq!(relation::chunk_count(s.rows.row_count()), 3);
+        for (what, q) in cell_cases() {
+            let mut reference: Option<QueryResult> = None;
+            for plan in plans_over(&s) {
+                for parallel in [false, true] {
+                    let ctx = format!("{what}: {} parallel={parallel}", plan.name());
+                    let cold_opts = ExecOptions {
+                        parallel,
+                        ..ExecOptions::default()
+                    };
+                    let cold = plan.execute_opts(&q, &cold_opts).unwrap();
+                    let cache = QueryCache::new();
+                    let first = plan.execute_opts(&q, &cached(&cache, parallel)).unwrap();
+                    let warm = plan.execute_opts(&q, &cached(&cache, parallel)).unwrap();
+                    assert_eq!(bits(&first), bits(&warm), "{ctx}: cold vs warm cache");
+                    let reference = reference.get_or_insert_with(|| warm.clone());
+                    assert_eq!(bits(&warm), bits(reference), "{ctx}: across plans");
+
+                    assert_eq!(warm.aggregate_names, cold.aggregate_names, "{ctx}");
+                    let keys = |r: &QueryResult| r.iter().map(|(k, _)| k.clone()).collect();
+                    let (warm_keys, cold_keys): (Vec<GroupKey>, Vec<GroupKey>) =
+                        (keys(&warm), keys(&cold));
+                    assert_eq!(warm_keys, cold_keys, "{ctx}: groups");
+                    for ((key, w), (_, c)) in warm.iter().zip(cold.iter()) {
+                        for (x, y) in w.iter().zip(c) {
+                            let close = (x - y).abs() <= 1e-12 * y.abs();
+                            assert!(
+                                x == y || close || (x.is_nan() && y.is_nan()),
+                                "{ctx}: {x} vs cold {y} at {key}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The cases hit the shapes they name.
+    #[test]
+    fn cell_cases_cover_their_shapes() {
+        let s = chunked_sample();
+        let plan = Integrated::build(&s).unwrap();
+        let cache = QueryCache::new();
+        let run = |what: &str| {
+            let (_, q) = cell_cases().into_iter().find(|(w, _)| *w == what).unwrap();
+            plan.execute_opts(&q, &cached(&cache, false)).unwrap()
+        };
+        let nan = run("NaN and -0.0 measures, SUM and AVG sharing one");
+        assert!(nan.iter().any(|(_, v)| v[0].is_nan() && v[1].is_nan()));
+        let minmax = run("MIN/MAX");
+        assert!(minmax.iter().all(|(_, v)| v[0] <= v[1]), "MIN/MAX skip NaN");
+        assert!(run("empty selection").is_empty());
+        let having = run("HAVING").group_count();
+        let finer = run("grouping finer than the strata").group_count();
+        assert!(0 < having && having < finer, "{having} of {finer}");
+        let middle = GroupKey::new(vec![Value::Int(9)]);
+        assert!(run("group in a middle chunk only").get(&middle).is_some());
+    }
+
+    /// A group-only predicate is served from the cached unfiltered cells;
+    /// the same query forced through the fold (by a conjunct true on every
+    /// row) returns the same bits.
+    #[test]
+    fn cached_cells_equal_the_fold() {
+        let s = chunked_sample();
+        for (what, q) in cell_cases() {
+            if !q.predicate.references_only(&q.grouping) {
+                continue;
+            }
+            let forced = q
+                .clone()
+                .with_predicate(q.predicate.clone().and(Predicate::ge(ID, 0i64)));
+            for plan in plans_over(&s) {
+                let cache = QueryCache::new();
+                let trace = crate::ExecTrace::new();
+                let opts = ExecOptions {
+                    trace: Some(&trace),
+                    ..cached(&cache, false)
+                };
+                let summary = plan.execute_opts(&q, &opts).unwrap();
+                assert_eq!(trace.served(), Some(ServedFrom::Summary), "{what}");
+                let scanned = plan.execute_opts(&forced, &opts).unwrap();
+                assert_eq!(trace.served(), Some(ServedFrom::CachedScan), "{what}");
+                assert_eq!(bits(&summary), bits(&scanned), "{what}: {}", plan.name());
+            }
+        }
+    }
+
+    /// `fold_cells` per cell equals a naive push of the cell's rows in row
+    /// order, over every row and over a subset; COUNT's measure is `1`.
+    #[test]
+    fn fold_cells_matches_naive_moments() {
+        let mut b = RelationBuilder::new()
+            .column("g", DataType::Int)
+            .column("v", DataType::Float);
+        for i in 0..40 {
+            b.push_row(&[Value::Int(i % 7), Value::from(i as f64)])
+                .unwrap();
+        }
+        let r = b.finish();
+        let ix = GroupIndex::build(&r, &[ColumnId(0)]);
+        let strata: Vec<u32> = (0..40).map(|i| (i / 20) as u32 * 2).collect();
+        let layout = CellLayout::build(&ix, &StratumLayout::build(&strata, 4));
+        let v = Expr::col(ColumnId(1));
+        let evens = Bitmap::from_fn(40, |row| row % 2 == 0);
+        let all = fold_cells(&r, &layout, &[Some(&v), None], None, None).unwrap();
+        let even = fold_cells(&r, &layout, &[Some(&v)], Some(&evens), None).unwrap();
+        for c in 0..layout.cell_count() {
+            let rows = (0..40).filter(|&row| layout.cell_of_row(row) == c as u32);
+            let (mut want, mut want_even) = (StratumCell::new(), StratumCell::new());
+            for row in rows {
+                want.push(row as f64);
+                if row % 2 == 0 {
+                    want_even.push(row as f64);
+                }
+            }
+            assert_eq!(all[0].cells()[c], want);
+            assert_eq!(even[0].cells()[c], want_even);
+            assert_eq!(all[1].cells()[c].sum, want.count as f64);
+        }
+    }
+
+    /// The fold polls the token once per chunk: a fired token stops it
+    /// before the first chunk or inside it, and a token that lets every
+    /// poll pass leaves the bits unchanged. A group-only predicate on a
+    /// cold cache is stopped inside the unfiltered fold, which then leaves
+    /// nothing cached for the next query to read.
+    #[test]
+    fn cancellation_inside_the_cell_fold() {
+        use crate::{CancelToken, EngineError};
+        let s = chunked_sample();
+        let cases = cell_cases();
+        let group_only = cases.iter().find(|(w, _)| *w == "group-only predicate");
+        for (what, q) in [&cases[0], group_only.unwrap()] {
+            for plan in plans_over(&s) {
+                let ctx = format!("{what}: {}", plan.name());
+                let plain = plan
+                    .execute_opts(q, &cached(&QueryCache::new(), false))
+                    .unwrap();
+                // One cache across the runs below, cold at the first.
+                let cache = QueryCache::new();
+                let run = |token: CancelToken| {
+                    let opts = ExecOptions {
+                        cancel: Some(&token),
+                        ..cached(&cache, false)
+                    };
+                    plan.execute_opts(q, &opts)
+                };
+                for polls in [0, 1, 2] {
+                    let err = run(CancelToken::firing_after(polls)).unwrap_err();
+                    assert_eq!(err, EngineError::Cancelled, "{ctx}");
+                }
+                let done = run(CancelToken::firing_after(3)).unwrap();
+                assert_eq!(bits(&done), bits(&plain), "{ctx}");
+            }
+        }
     }
 }

@@ -12,9 +12,7 @@ use crate::error::Result;
 use crate::grouping::GroupIndex;
 use crate::query::GroupByQuery;
 use crate::result::QueryResult;
-use crate::rewrite::{
-    accumulate, capture, grouping_index, select, summary_accumulators, SamplePlan,
-};
+use crate::rewrite::{accumulate, select, SamplePlan};
 use crate::stratified::StratifiedInput;
 
 /// The Nested-integrated physical layout (identical storage to
@@ -24,6 +22,7 @@ pub struct NestedIntegrated {
     rel: Relation,
     sf_col: ColumnId,
     stratum_of_row: Vec<u32>,
+    scale_factors: Vec<f64>,
 }
 
 /// Outer-level accumulator combining inner per-SF partial aggregates.
@@ -84,6 +83,7 @@ impl NestedIntegrated {
             rel,
             sf_col,
             stratum_of_row: input.stratum_of_row.clone(),
+            scale_factors: input.scale_factors.clone(),
         })
     }
 }
@@ -93,53 +93,26 @@ impl SamplePlan for NestedIntegrated {
         "Nested-integrated"
     }
 
-    fn execute_opts(&self, query: &GroupByQuery, opts: &ExecOptions) -> Result<QueryResult> {
-        query.validate(&self.rel)?;
-        let rel = &self.rel;
+    fn strata(&self) -> (&[u32], &[f64]) {
+        (&self.stratum_of_row, &self.scale_factors)
+    }
 
-        // Inner grouping: (query grouping columns, SF). The unfiltered
-        // inner index depends only on the grouping, so the cache can serve
-        // it to every predicate over the same grouping.
+    fn execute_cold(&self, query: &GroupByQuery, opts: &ExecOptions) -> Result<QueryResult> {
+        let rel = &self.rel;
+        query.validate(rel)?;
+        if let Some(trace) = opts.trace {
+            trace.record(ServedFrom::ColdScan, rel.row_count() as u64);
+        }
+
+        // Inner grouping: (query grouping columns, SF).
         let mut inner_cols = query.grouping.clone();
         inner_cols.push(self.sf_col);
-
-        // O(groups) fast path: a predicate over the grouping columns is
-        // also constant within each *inner* group (the inner grouping
-        // refines the query grouping), so cached unweighted partials
-        // replace pass 1 entirely.
-        if let Some(cache) = opts.cache {
-            if rel.row_count() > 0 && query.predicate.references_only(&query.grouping) {
-                if let Some(trace) = opts.trace {
-                    trace.record(ServedFrom::Summary, 0);
-                }
-                let inner = cache.index_for(rel, &inner_cols, opts.parallel);
-                let inner_accs = summary_accumulators(rel, &inner, None, query, opts, cache)?;
-                return self.fold_outer(&inner, inner_accs, query);
-            }
-        }
-
-        if let Some(trace) = opts.trace {
-            let served = if opts.cache.is_some() {
-                ServedFrom::CachedScan
-            } else {
-                ServedFrom::ColdScan
-            };
-            trace.record(served, rel.row_count() as u64);
-        }
         let selection = select(rel, query, opts)?;
-        let inner = grouping_index(rel, &inner_cols, opts);
+        let inner = GroupIndex::build(rel, &inner_cols);
 
         // Pass 1: raw (unscaled) aggregation per inner group.
-        let inner_accs = accumulate(
-            &inner,
-            &selection.mask,
-            &selection.exprs,
-            None,
-            query,
-            opts.parallel,
-            opts.cancel,
-        )?;
-        capture(opts, selection);
+        let (mask, exprs) = (&selection.mask, &selection.exprs);
+        let inner_accs = accumulate(&inner, mask, exprs, None, query, opts.cancel)?;
         self.fold_outer(&inner, inner_accs, query)
     }
 

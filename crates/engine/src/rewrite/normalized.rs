@@ -5,7 +5,7 @@
 
 use relation::{Column, ColumnId, DataType, Field, Relation, RelationBuilder, Value};
 
-use crate::cache::{ExecOptions, StratumLayout};
+use crate::cache::ExecOptions;
 use crate::error::{EngineError, Result};
 use crate::join::hash_join_unique;
 use crate::query::GroupByQuery;
@@ -22,9 +22,10 @@ pub struct Normalized {
     probe_cols: Vec<ColumnId>,
     /// Matching key columns within `aux` (build side).
     build_cols: Vec<ColumnId>,
-    /// Stratum id per sample row — AuxRel's row order matches stratum ids,
-    /// so this lets a cached [`StratumLayout`] replace the per-query join.
+    /// Stratum id per sample row and AuxRel's SF column in stratum order:
+    /// what the cached path reads in place of the per-query join.
     stratum_of_row: Vec<u32>,
+    scale_factors: Vec<f64>,
 }
 
 impl Normalized {
@@ -54,6 +55,7 @@ impl Normalized {
             probe_cols: input.grouping_columns.clone(),
             build_cols,
             stratum_of_row: input.stratum_of_row.clone(),
+            scale_factors: input.scale_factors.clone(),
         })
     }
 
@@ -85,29 +87,15 @@ impl SamplePlan for Normalized {
         "Normalized"
     }
 
-    fn execute_opts(&self, query: &GroupByQuery, opts: &ExecOptions) -> Result<QueryResult> {
-        // Cold path: the join is part of the rewritten query (Fig 9), so it
-        // is paid on every execution — that cost is exactly what Expt 3/4
-        // measure. Warm path: the join's output depends only on synopsis
-        // state, so the cached stratum layout expands AuxRel's SF column to
-        // the same per-row weights (identical f64s) with one run scan.
-        match opts.cache {
-            Some(cache) => {
-                let layout = cache.layout_for(|| {
-                    StratumLayout::build(&self.stratum_of_row, self.aux.row_count())
-                });
-                let weights = cache.weights_for(|| {
-                    let sf_col = self.aux.schema().column_id("__sf")?;
-                    let sfs = self.aux.column(sf_col).as_float().expect("__sf is Float");
-                    Ok(layout.expand(sfs))
-                })?;
-                aggregate_weighted_opts(&self.rel, &weights, query, opts)
-            }
-            None => {
-                let weights = self.join_scale_factors()?;
-                aggregate_weighted_opts(&self.rel, &weights, query, opts)
-            }
-        }
+    fn strata(&self) -> (&[u32], &[f64]) {
+        (&self.stratum_of_row, &self.scale_factors)
+    }
+
+    fn execute_cold(&self, query: &GroupByQuery, opts: &ExecOptions) -> Result<QueryResult> {
+        // The join is part of the rewritten query (Fig 9), so it is paid on
+        // every execution — that cost is exactly what Expt 3/4 measure.
+        let weights = self.join_scale_factors()?;
+        aggregate_weighted_opts(&self.rel, &weights, query, opts)
     }
 
     fn sample_relation(&self) -> &Relation {

@@ -1,15 +1,32 @@
-//! Fast-path equivalence: every rewrite strategy must produce *bit-identical*
-//! [`QueryResult`]s across {serial, parallel} × {cold, warm cache}.
+//! Fast-path equivalence: every rewrite strategy must produce
+//! *bit-identical* cached [`QueryResult`]s whether the group index was
+//! built serially or in shards, and the same groups with values within
+//! 1e-12 relative across {cold, warm cache} — the cached path scales each
+//! stratum's sum once where the cold plans scale each row.
 //!
-//! The fixture is deliberately larger than both the parallel-aggregation
+//! The fixture is deliberately larger than both the sharded index build's
 //! threshold (`PAR_MIN_ROWS`) and the chunk size (`CHUNK_ROWS` = 16·1024),
-//! so the parallel legs genuinely fan out and the chunk-merge path is
-//! exercised rather than short-circuited.
+//! so the parallel leg genuinely shards and the cold plans' chunk merges
+//! are exercised rather than short-circuited.
 
 use engine::{
     AggregateSpec, ExecOptions, GroupByQuery, Having, Integrated, KeyNormalized, NestedIntegrated,
-    Normalized, QueryCache, SamplePlan, StratifiedInput,
+    Normalized, QueryCache, QueryResult, SamplePlan, StratifiedInput,
 };
+
+/// Same aggregate names and group keys; each value equal, within 1e-12
+/// relative, or NaN on both sides.
+fn assert_close(cold: &QueryResult, warm: &QueryResult, plan: &str) {
+    assert_eq!(cold.aggregate_names, warm.aggregate_names, "{plan}");
+    let keys = |r: &QueryResult| r.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>();
+    assert_eq!(keys(cold), keys(warm), "{plan}: cold vs warm groups");
+    for ((key, c), (_, w)) in cold.iter().zip(warm.iter()) {
+        for (x, y) in c.iter().zip(w) {
+            let close = x == y || (x - y).abs() <= 1e-12 * x.abs() || (x.is_nan() && y.is_nan());
+            assert!(close, "{plan}: cold {x} vs warm {y} at {key}");
+        }
+    }
+}
 use relation::predicate::CmpOp;
 use relation::{ColumnId, DataType, Expr, GroupKey, Predicate, RelationBuilder, Value};
 
@@ -131,69 +148,45 @@ fn strategies_bit_identical_across_modes_and_cache_states() {
     for plan in plans(&s) {
         let cache = QueryCache::new();
         for (qi, q) in queries().into_iter().enumerate() {
-            let cold_serial = plan.execute_opts(&q, &ExecOptions::default()).unwrap();
-            let cold_parallel = plan
-                .execute_opts(
-                    &q,
-                    &ExecOptions {
-                        cache: None,
-                        parallel: true,
-                        trace: None,
-                        cancel: None,
-                        ..ExecOptions::default()
-                    },
-                )
-                .unwrap();
-            // First cached execution populates the cache (cold-with-cache),
-            // second hits it (warm).
-            let warm_serial = plan
-                .execute_opts(
-                    &q,
-                    &ExecOptions {
-                        cache: Some(&cache),
-                        parallel: false,
-                        trace: None,
-                        cancel: None,
-                        ..ExecOptions::default()
-                    },
-                )
-                .unwrap();
-            let warm_parallel = plan
-                .execute_opts(
-                    &q,
-                    &ExecOptions {
-                        cache: Some(&cache),
-                        parallel: true,
-                        trace: None,
-                        cancel: None,
-                        ..ExecOptions::default()
-                    },
-                )
+            let cold = plan.execute_opts(&q, &ExecOptions::default()).unwrap();
+            // The parallel run fills the shared cache (an index for a new
+            // grouping is built in shards) and the serial run reads it
+            // (warm); `built_serially` builds everything in a fresh cache.
+            let cached = |cache, parallel| ExecOptions {
+                cache: Some(cache),
+                parallel,
+                ..ExecOptions::default()
+            };
+            let warm_parallel = plan.execute_opts(&q, &cached(&cache, true)).unwrap();
+            let warm_serial = plan.execute_opts(&q, &cached(&cache, false)).unwrap();
+            let serial_cache = QueryCache::new();
+            let built_serially = plan
+                .execute_opts(&q, &cached(&serial_cache, false))
                 .unwrap();
             // Query 6 selects no groups on purpose (predicate matches no
             // stratum); every other fixture query must produce rows.
             if qi == 6 {
-                assert!(cold_serial.is_empty(), "{}: expected empty", plan.name());
+                assert!(cold.is_empty(), "{}: expected empty", plan.name());
             } else {
                 assert!(
-                    !cold_serial.is_empty(),
+                    !cold.is_empty(),
                     "{}: fixture query {qi} empty",
                     plan.name()
                 );
             }
             assert_eq!(
-                cold_serial,
-                cold_parallel,
-                "{}: serial vs parallel",
-                plan.name()
-            );
-            assert_eq!(cold_serial, warm_serial, "{}: cold vs warm", plan.name());
-            assert_eq!(
-                cold_serial,
+                warm_serial,
                 warm_parallel,
-                "{}: cold vs warm parallel",
+                "{}: warm vs cold-with-cache",
                 plan.name()
             );
+            assert_eq!(
+                built_serially,
+                warm_parallel,
+                "{}: serial vs sharded index build",
+                plan.name()
+            );
+            assert_close(&cold, &warm_serial, plan.name());
         }
         let stats = cache.stats();
         assert!(
