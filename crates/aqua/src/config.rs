@@ -37,7 +37,7 @@ impl SamplingStrategy {
         ]
     }
 
-    /// Stable lowercase token used by the CLI and the warehouse manifest.
+    /// Stable lowercase token used by the CLI.
     pub fn token(self) -> &'static str {
         match self {
             SamplingStrategy::House => "house",
@@ -95,7 +95,7 @@ impl RewriteChoice {
         ]
     }
 
-    /// Stable lowercase token used by the CLI and the warehouse manifest.
+    /// Stable lowercase token used by the CLI.
     pub fn token(self) -> &'static str {
         match self {
             RewriteChoice::Integrated => "integrated",
@@ -163,53 +163,6 @@ impl AquaConfig {
         } else {
             self.parallelism
         }
-    }
-
-    /// Render the configuration as the single-line `k=v;...` form stored
-    /// in the warehouse manifest. Round-trips exactly through
-    /// [`Self::from_manifest_line`] (floats via bit pattern).
-    pub fn to_manifest_line(&self) -> String {
-        format!(
-            "space={};strategy={};rewrite={};confidence_bits={};seed={};parallelism={}",
-            self.space,
-            self.strategy.token(),
-            self.rewrite.token(),
-            self.confidence.to_bits(),
-            self.seed,
-            self.parallelism
-        )
-    }
-
-    /// Parse a [`Self::to_manifest_line`] rendering.
-    pub fn from_manifest_line(line: &str) -> crate::Result<AquaConfig> {
-        let bad = |what: &str| crate::AquaError::InvalidConfig(format!("manifest config: {what}"));
-        let mut config = AquaConfig::default();
-        let mut seen = 0;
-        for part in line.split(';') {
-            let (k, v) = part
-                .split_once('=')
-                .ok_or_else(|| bad(&format!("malformed pair `{part}`")))?;
-            match k {
-                "space" => config.space = v.parse().map_err(|_| bad("bad space"))?,
-                "strategy" => config.strategy = SamplingStrategy::from_token(v)?,
-                "rewrite" => config.rewrite = RewriteChoice::from_token(v)?,
-                "confidence_bits" => {
-                    config.confidence =
-                        f64::from_bits(v.parse().map_err(|_| bad("bad confidence"))?)
-                }
-                "seed" => config.seed = v.parse().map_err(|_| bad("bad seed"))?,
-                "parallelism" => {
-                    config.parallelism = v.parse().map_err(|_| bad("bad parallelism"))?
-                }
-                other => return Err(bad(&format!("unknown key `{other}`"))),
-            }
-            seen += 1;
-        }
-        if seen != 6 {
-            return Err(bad("missing keys"));
-        }
-        config.validate()?;
-        Ok(config)
     }
 
     /// Validate the configuration.
@@ -283,23 +236,5 @@ mod tests {
         }
         assert!(SamplingStrategy::from_token("zzz").is_err());
         assert!(RewriteChoice::from_token("zzz").is_err());
-    }
-
-    #[test]
-    fn manifest_line_round_trips_exactly() {
-        let c = AquaConfig {
-            space: 123,
-            strategy: SamplingStrategy::Senate,
-            rewrite: RewriteChoice::KeyNormalized,
-            confidence: 0.95,
-            seed: 0xDEAD_BEEF,
-            parallelism: 7,
-        };
-        let line = c.to_manifest_line();
-        assert_eq!(AquaConfig::from_manifest_line(&line).unwrap(), c);
-        // Corrupt lines are rejected, not misparsed.
-        assert!(AquaConfig::from_manifest_line("").is_err());
-        assert!(AquaConfig::from_manifest_line("space=1").is_err());
-        assert!(AquaConfig::from_manifest_line(&line.replace("seed", "sled")).is_err());
     }
 }

@@ -1,35 +1,24 @@
-//! The warehouse manifest: a small, checksummed text file that is the
-//! single commit point for [`crate::Warehouse::save_all`].
+//! The warehouse manifest: the single commit point for
+//! [`crate::Warehouse::save_all`].
 //!
 //! The manifest lists, per relation, the store keys of the base-table
 //! encoding, the synopsis snapshot, and the pending-insert write-ahead
-//! log, together with the expected length and CRC32C of each blob and the
-//! full synopsis configuration. Because the manifest itself is written
-//! with an atomic `put`, a crash during a save leaves the previous
+//! log, together with the expected length and header checksum of each blob
+//! and the full synopsis configuration. Because the manifest itself is
+//! written with an atomic `put`, a crash during a save leaves the previous
 //! manifest (and its generation's files, which are only deleted *after*
 //! the new manifest lands) fully intact: recovery always sees a complete
 //! generation, old or new.
 //!
-//! Format (line-oriented text, `\n`-terminated, trailing checksum line):
-//!
-//! ```text
-//! aqua-warehouse v1
-//! generation=3
-//! begin-relation
-//! name=<percent-escaped relation name>
-//! dir=<store key prefix>
-//! grouping=0,2
-//! config=space=...;strategy=...;...
-//! table=<key>|<len>|<crc32c hex>
-//! snapshot=<key>|<len>|<crc32c hex>        (or `snapshot=-` if degraded)
-//! wal=<key>
-//! end-relation
-//! checksum=<crc32c hex of every preceding byte>
-//! ```
+//! It is stored like every other blob, as one [`relation::binio`]
+//! container (magic `AQWM`): section 0 holds the generation, then one
+//! section per relation with its name, store key prefix, grouping column
+//! indices, [`AquaConfig`] fields, and its [`FileRef`]s.
 
-use congress::crc32c;
+use relation::binio::{open_container, ContainerWriter, Reader, Writer};
+use relation::RelationError;
 
-use crate::config::AquaConfig;
+use crate::config::{AquaConfig, RewriteChoice, SamplingStrategy};
 use crate::error::{AquaError, Result};
 
 /// Store key of the warehouse manifest.
@@ -38,7 +27,9 @@ pub const MANIFEST_KEY: &str = "MANIFEST";
 /// Store key prefix corrupt blobs are renamed under.
 pub const QUARANTINE_PREFIX: &str = "quarantine";
 
-const HEADER: &str = "aqua-warehouse v1";
+const MAGIC: u32 = u32::from_be_bytes(*b"AQWM");
+const SECTION_GENERATION: u8 = 0;
+const SECTION_RELATION: u8 = 1;
 
 /// A reference to one immutable blob in the store, with its expected size
 /// and checksum.
@@ -48,7 +39,8 @@ pub struct FileRef {
     pub key: String,
     /// Expected length in bytes.
     pub len: u64,
-    /// Expected CRC32C of the full contents.
+    /// Expected [`relation::binio::header_checksum`] of the blob. It covers every
+    /// section CRC, so it pins the whole contents.
     pub crc: u32,
 }
 
@@ -82,164 +74,117 @@ pub struct Manifest {
     pub entries: Vec<ManifestEntry>,
 }
 
-fn corrupt(m: impl Into<String>) -> AquaError {
-    AquaError::Storage(format!("corrupt manifest: {}", m.into()))
+fn corrupt(m: impl Into<String>) -> RelationError {
+    RelationError::CorruptEncoding(m.into())
 }
 
-/// Percent-escape a relation name so it survives the line-oriented format
-/// (`%`, control characters, and anything non-ASCII-printable).
-fn escape_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len());
-    for b in name.bytes() {
-        if (b' '..=b'~').contains(&b) && b != b'%' {
-            out.push(b as char);
-        } else {
-            out.push_str(&format!("%{b:02x}"));
-        }
-    }
-    out
+fn put_file(w: &mut Writer, f: &FileRef) {
+    w.str(&f.key);
+    w.u64(f.len);
+    w.u32(f.crc);
 }
 
-fn unescape_name(escaped: &str) -> Result<String> {
-    let mut bytes = Vec::with_capacity(escaped.len());
-    let mut it = escaped.bytes();
-    while let Some(b) = it.next() {
-        if b == b'%' {
-            let hi = it.next().ok_or_else(|| corrupt("truncated name escape"))?;
-            let lo = it.next().ok_or_else(|| corrupt("truncated name escape"))?;
-            let hex = [hi, lo];
-            let hex = std::str::from_utf8(&hex).map_err(|_| corrupt("bad name escape"))?;
-            bytes.push(u8::from_str_radix(hex, 16).map_err(|_| corrupt("bad name escape"))?);
-        } else {
-            bytes.push(b);
-        }
-    }
-    String::from_utf8(bytes).map_err(|_| corrupt("name is not UTF-8"))
-}
-
-fn encode_fileref(f: &FileRef) -> String {
-    format!("{}|{}|{:08x}", f.key, f.len, f.crc)
-}
-
-fn parse_fileref(s: &str) -> Result<FileRef> {
-    let mut parts = s.rsplitn(3, '|');
-    let crc = parts.next().ok_or_else(|| corrupt("bad file ref"))?;
-    let len = parts.next().ok_or_else(|| corrupt("bad file ref"))?;
-    let key = parts.next().ok_or_else(|| corrupt("bad file ref"))?;
+fn read_file(r: &mut Reader<'_>) -> relation::Result<FileRef> {
     Ok(FileRef {
-        key: key.to_string(),
-        len: len.parse().map_err(|_| corrupt("bad file length"))?,
-        crc: u32::from_str_radix(crc, 16).map_err(|_| corrupt("bad file crc"))?,
+        key: r.str()?.to_string(),
+        len: r.u64()?,
+        crc: r.u32()?,
     })
 }
 
+/// The enum behind a stored tag: its declaration index, which is its
+/// position in `all()`.
+fn from_tag<T: Copy>(all: &[T], tag: u8, what: &str) -> relation::Result<T> {
+    all.get(tag as usize)
+        .copied()
+        .ok_or_else(|| corrupt(format!("unknown {what} tag {tag}")))
+}
+
+fn read_entry(payload: &[u8]) -> relation::Result<ManifestEntry> {
+    let mut r = Reader::new(payload);
+    // Fields are read in the order they are listed, which is write order.
+    let entry = ManifestEntry {
+        name: r.str()?.to_string(),
+        dir: r.str()?.to_string(),
+        grouping: {
+            let n = r.count(4)?;
+            r.vec(n, 4, |r| Ok(r.u32()? as usize))?
+        },
+        config: AquaConfig {
+            space: r.u64()? as usize,
+            strategy: from_tag(&SamplingStrategy::all(), r.u8()?, "strategy")?,
+            rewrite: from_tag(&RewriteChoice::all(), r.u8()?, "rewrite")?,
+            confidence: r.f64()?,
+            seed: r.u64()?,
+            parallelism: r.u64()? as usize,
+        },
+        table: read_file(&mut r)?,
+        snapshot: match r.u8()? {
+            0 => None,
+            _ => Some(read_file(&mut r)?),
+        },
+        wal: r.str()?.to_string(),
+    };
+    r.finish()?;
+    entry
+        .config
+        .validate()
+        .map_err(|e| corrupt(e.to_string()))?;
+    Ok(entry)
+}
+
 impl Manifest {
-    /// Render the manifest, ending with its own checksum line.
-    pub fn encode(&self) -> String {
-        let mut body = String::new();
-        body.push_str(HEADER);
-        body.push('\n');
-        body.push_str(&format!("generation={}\n", self.generation));
+    /// Serialize the manifest as one checksummed container.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut c = ContainerWriter::new(MAGIC, 1 + self.entries.len(), 256);
+        c.section(SECTION_GENERATION).u64(self.generation);
         for e in &self.entries {
-            body.push_str("begin-relation\n");
-            body.push_str(&format!("name={}\n", escape_name(&e.name)));
-            body.push_str(&format!("dir={}\n", e.dir));
-            let grouping: Vec<String> = e.grouping.iter().map(|g| g.to_string()).collect();
-            body.push_str(&format!("grouping={}\n", grouping.join(",")));
-            body.push_str(&format!("config={}\n", e.config.to_manifest_line()));
-            body.push_str(&format!("table={}\n", encode_fileref(&e.table)));
+            let w = c.section(SECTION_RELATION);
+            w.str(&e.name);
+            w.str(&e.dir);
+            w.u32(e.grouping.len() as u32);
+            e.grouping.iter().for_each(|&g| w.u32(g as u32));
+            w.u64(e.config.space as u64);
+            w.u8(e.config.strategy as u8);
+            w.u8(e.config.rewrite as u8);
+            w.f64(e.config.confidence);
+            w.u64(e.config.seed);
+            w.u64(e.config.parallelism as u64);
+            put_file(w, &e.table);
             match &e.snapshot {
-                Some(s) => body.push_str(&format!("snapshot={}\n", encode_fileref(s))),
-                None => body.push_str("snapshot=-\n"),
+                Some(s) => {
+                    w.u8(1);
+                    put_file(w, s);
+                }
+                None => w.u8(0),
             }
-            body.push_str(&format!("wal={}\n", e.wal));
-            body.push_str("end-relation\n");
+            w.str(&e.wal);
         }
-        let crc = crc32c(body.as_bytes());
-        body.push_str(&format!("checksum={crc:08x}\n"));
-        body
+        c.finish()
     }
 
-    /// Parse and checksum-verify a manifest. Any deviation — bad UTF-8,
-    /// checksum mismatch, unknown or missing fields — is an error, never a
-    /// partial result.
+    /// Parse and checksum-verify a manifest. Any deviation is an
+    /// `AquaError::Storage("corrupt manifest: …")`, never a partial result.
     pub fn parse(bytes: &[u8]) -> Result<Manifest> {
-        let text = std::str::from_utf8(bytes).map_err(|_| corrupt("not UTF-8"))?;
-        let idx = text
-            .rfind("checksum=")
-            .ok_or_else(|| corrupt("missing checksum line"))?;
-        if idx != 0 && text.as_bytes()[idx - 1] != b'\n' {
-            return Err(corrupt("misplaced checksum line"));
-        }
-        let (body, tail) = text.split_at(idx);
-        let hex = tail
-            .strip_prefix("checksum=")
-            .and_then(|s| s.strip_suffix('\n'))
-            .ok_or_else(|| corrupt("malformed checksum line"))?;
-        let expect = u32::from_str_radix(hex, 16).map_err(|_| corrupt("bad checksum value"))?;
-        let actual = crc32c(body.as_bytes());
-        if actual != expect {
-            return Err(corrupt(format!(
-                "checksum mismatch: stored {expect:08x}, computed {actual:08x}"
-            )));
-        }
+        Self::read(bytes)
+            .map_err(|e| AquaError::Storage(format!("corrupt manifest: {}", e.reason())))
+    }
 
-        let mut lines = body.lines();
-        if lines.next() != Some(HEADER) {
-            return Err(corrupt("bad header"));
-        }
-        let gen_line = lines.next().ok_or_else(|| corrupt("missing generation"))?;
-        let generation = gen_line
-            .strip_prefix("generation=")
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| corrupt("bad generation line"))?;
-
-        let mut entries = Vec::new();
-        while let Some(line) = lines.next() {
-            if line != "begin-relation" {
-                return Err(corrupt(format!("expected begin-relation, got `{line}`")));
-            }
-            let mut field = |prefix: &str| -> Result<String> {
-                let line = lines
-                    .next()
-                    .ok_or_else(|| corrupt("truncated relation block"))?;
-                line.strip_prefix(prefix)
-                    .map(str::to_string)
-                    .ok_or_else(|| corrupt(format!("expected `{prefix}...`, got `{line}`")))
-            };
-            let name = unescape_name(&field("name=")?)?;
-            let dir = field("dir=")?;
-            let grouping_raw = field("grouping=")?;
-            let grouping = if grouping_raw.is_empty() {
-                Vec::new()
-            } else {
-                grouping_raw
-                    .split(',')
-                    .map(|g| g.parse().map_err(|_| corrupt("bad grouping index")))
-                    .collect::<Result<Vec<usize>>>()?
-            };
-            let config = AquaConfig::from_manifest_line(&field("config=")?)?;
-            let table = parse_fileref(&field("table=")?)?;
-            let snapshot_raw = field("snapshot=")?;
-            let snapshot = if snapshot_raw == "-" {
-                None
-            } else {
-                Some(parse_fileref(&snapshot_raw)?)
-            };
-            let wal = field("wal=")?;
-            if lines.next() != Some("end-relation") {
-                return Err(corrupt("missing end-relation"));
-            }
-            entries.push(ManifestEntry {
-                name,
-                dir,
-                grouping,
-                config,
-                table,
-                snapshot,
-                wal,
-            });
-        }
+    fn read(bytes: &[u8]) -> relation::Result<Manifest> {
+        let sections = open_container(bytes, MAGIC)?;
+        let [(SECTION_GENERATION, generation), ref relations @ ..] = sections[..] else {
+            return Err(corrupt("missing generation section"));
+        };
+        let mut r = Reader::new(generation);
+        let generation = r.u64()?;
+        r.finish()?;
+        let entries = relations
+            .iter()
+            .map(|&(kind, payload)| match kind {
+                SECTION_RELATION => read_entry(payload),
+                k => Err(corrupt(format!("unexpected section kind {k}"))),
+            })
+            .collect::<relation::Result<_>>()?;
         Ok(Manifest {
             generation,
             entries,
@@ -295,15 +240,32 @@ mod tests {
     #[test]
     fn round_trips_exactly() {
         let m = sample();
-        let text = m.encode();
-        assert_eq!(Manifest::parse(text.as_bytes()).unwrap(), m);
+        assert_eq!(Manifest::parse(&m.encode()).unwrap(), m);
+    }
+
+    #[test]
+    fn every_config_round_trips_exactly() {
+        for strategy in SamplingStrategy::all() {
+            for rewrite in RewriteChoice::all() {
+                let mut m = sample();
+                m.entries[0].config = AquaConfig {
+                    space: 123,
+                    strategy,
+                    rewrite,
+                    confidence: 0.95,
+                    seed: 0xDEAD_BEEF,
+                    parallelism: 7,
+                };
+                assert_eq!(Manifest::parse(&m.encode()).unwrap(), m);
+            }
+        }
     }
 
     #[test]
     fn any_single_bit_flip_is_detected() {
-        let text = sample().encode().into_bytes();
-        for i in 0..text.len() {
-            let mut bad = text.clone();
+        let bytes = sample().encode();
+        for i in 0..bytes.len() {
+            let mut bad = bytes.clone();
             bad[i] ^= 1;
             assert!(
                 Manifest::parse(&bad).is_err(),
@@ -314,19 +276,28 @@ mod tests {
 
     #[test]
     fn truncation_at_every_offset_is_detected() {
-        let text = sample().encode().into_bytes();
-        for i in 0..text.len() {
-            assert!(
-                Manifest::parse(&text[..i]).is_err(),
-                "truncation to {i} bytes went undetected"
-            );
+        let bytes = sample().encode();
+        for i in 0..bytes.len() {
+            let err = Manifest::parse(&bytes[..i]).unwrap_err().to_string();
+            assert!(err.contains("corrupt manifest"), "{err}");
         }
     }
 
     #[test]
-    fn name_escaping_survives_hostile_names() {
-        for name in ["a\nb", "x%20y", "naïve", "", "end-relation"] {
-            assert_eq!(unescape_name(&escape_name(name)).unwrap(), name);
-        }
+    fn invalid_config_is_rejected() {
+        let mut m = sample();
+        m.entries[1].config.confidence = 1.5;
+        let err = Manifest::parse(&m.encode()).unwrap_err().to_string();
+        assert!(
+            err.contains("corrupt manifest") && err.contains("confidence"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn text_manifest_is_rejected() {
+        let text = b"aqua-warehouse v1\ngeneration=1\nchecksum=00000000\n";
+        let err = Manifest::parse(text).unwrap_err().to_string();
+        assert!(err.contains("corrupt manifest: bad magic"), "{err}");
     }
 }

@@ -13,7 +13,8 @@
 //! leaves a complete generation on disk — old or new, never a mix.
 //!
 //! [`Warehouse::open`] verifies every blob against the manifest's length
-//! and CRC32C before trusting it. A corrupt or missing synopsis is
+//! and header checksum before trusting it, and its decoder verifies each
+//! section's CRC32C. A corrupt or missing synopsis is
 //! *quarantined* (renamed under `quarantine/`) and the relation is either
 //! rebuilt from its (intact) base table or served in **degraded mode** —
 //! exact scans, surfaced through
@@ -33,10 +34,11 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use congress::{crc32c, SnapshotStore};
+use congress::{snapshot, SnapshotStore};
 use engine::join::foreign_key_join;
 use engine::{GroupByQuery, QueryResult};
-use relation::{binio, ColumnId, Relation, Schema, Value};
+use relation::binio;
+use relation::{ColumnId, Relation, Schema, Value};
 
 use crate::answer::{AnswerProvenance, ApproximateAnswer};
 use crate::config::AquaConfig;
@@ -192,7 +194,7 @@ fn store_dir(name: &str) -> String {
             }
         })
         .collect();
-    format!("rel-{safe}-{:08x}", crc32c(name.as_bytes()))
+    format!("rel-{safe}-{:08x}", binio::crc32c(name.as_bytes()))
 }
 
 fn table_key(dir: &str, generation: u64) -> String {
@@ -205,8 +207,10 @@ fn wal_key(dir: &str, generation: u64) -> String {
     format!("{dir}/wal.g{generation}.log")
 }
 
-/// Fetch a blob and verify it against its manifest reference. Returns the
-/// bytes or a human-readable reason for rejection.
+/// Fetch a blob and check its length and claimed header checksum against
+/// its manifest reference; the blob's decoder (or `open_container`)
+/// then verifies the bytes against that checksum. Returns the bytes or a
+/// human-readable reason for rejection.
 fn load_checked(store: &dyn SnapshotStore, fref: &FileRef) -> std::result::Result<Vec<u8>, String> {
     let bytes = store.get(&fref.key).map_err(|e| e.to_string())?;
     if bytes.len() as u64 != fref.len {
@@ -217,14 +221,27 @@ fn load_checked(store: &dyn SnapshotStore, fref: &FileRef) -> std::result::Resul
             fref.len
         ));
     }
-    let crc = crc32c(&bytes);
-    if crc != fref.crc {
-        return Err(format!(
-            "`{}`: checksum {crc:08x} does not match manifest ({:08x})",
-            fref.key, fref.crc
-        ));
+    match binio::header_checksum(&bytes) {
+        Some(crc) if crc == fref.crc => Ok(bytes),
+        crc => Err(format!(
+            "`{}`: checksum {:08x} does not match manifest ({:08x})",
+            fref.key,
+            crc.unwrap_or_default(),
+            fref.crc
+        )),
     }
-    Ok(bytes)
+}
+
+/// Fetch and parse the manifest.
+fn load_manifest(store: &dyn SnapshotStore) -> Result<Manifest> {
+    let bytes = store.get(MANIFEST_KEY).map_err(|e| {
+        if e.is_not_found() {
+            AquaError::Storage("no warehouse manifest in this store".into())
+        } else {
+            AquaError::from(e)
+        }
+    })?;
+    Manifest::parse(&bytes)
 }
 
 /// Move a (possibly missing) blob under `quarantine/`, best-effort.
@@ -236,35 +253,20 @@ fn quarantine(store: &dyn SnapshotStore, key: &str) -> Option<String> {
     }
 }
 
-/// Upper bound on a single WAL record's payload; anything larger is
-/// treated as a torn/corrupt tail rather than allocated.
-const MAX_WAL_RECORD: usize = 1 << 24;
-
-/// Scan a WAL blob: decode intact `len|payload|crc32c` frames into rows,
+/// Scan a WAL blob: decode its intact [`binio::frames`] into rows,
 /// stopping at the first torn or corrupt frame. Returns the rows, the
 /// record count, and the byte offset where valid data ends.
 fn scan_wal(schema: &Schema, buf: &[u8]) -> (Vec<Vec<Value>>, usize, usize) {
-    let mut rows = Vec::new();
-    let mut records = 0;
-    let mut off = 0usize;
-    while off + 4 <= buf.len() {
-        let len = u32::from_be_bytes(buf[off..off + 4].try_into().unwrap()) as usize;
-        if len > MAX_WAL_RECORD || off + 4 + len + 4 > buf.len() {
+    let (mut rows, mut records, mut end) = (Vec::new(), 0, 0);
+    for (payload, frame_end) in binio::frames(buf) {
+        let Ok(batch) = binio::decode_rows(schema, payload) else {
             break;
-        }
-        let payload = &buf[off + 4..off + 4 + len];
-        let stored = u32::from_be_bytes(buf[off + 4 + len..off + 8 + len].try_into().unwrap());
-        if crc32c(payload) != stored {
-            break;
-        }
-        match binio::decode_rows(schema, payload) {
-            Ok(batch) => rows.extend(batch),
-            Err(_) => break,
-        }
-        off += 8 + len;
+        };
+        rows.extend(batch);
         records += 1;
+        end = frame_end;
     }
-    (rows, records, off)
+    (rows, records, end)
 }
 
 impl Warehouse {
@@ -482,11 +484,7 @@ impl Warehouse {
             Serving::Sampled(aqua) => aqua.table_snapshot().schema().clone(),
             Serving::Degraded(d) => d.table.read().schema().clone(),
         };
-        let payload = binio::encode_rows(&schema, rows)?;
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&crc32c(&payload).to_be_bytes());
+        let frame = binio::frame(&binio::encode_rows(&schema, rows)?);
         let key = wal_key(&entry.dir, self.generation.load(Ordering::SeqCst));
         store.append(&key, &frame)?;
         self.registry.counter("warehouse_wal_appends_total").inc();
@@ -598,6 +596,16 @@ impl Warehouse {
         let mut entries = Vec::with_capacity(names.len());
         let mut files_written = 0usize;
         let mut bytes_written = 0u64;
+        let mut put = |key: String, bytes: &[u8]| -> Result<FileRef> {
+            store.put(&key, bytes)?;
+            files_written += 1;
+            bytes_written += bytes.len() as u64;
+            Ok(FileRef {
+                key,
+                len: bytes.len() as u64,
+                crc: binio::header_checksum(bytes).expect("encoders write containers"),
+            })
+        };
         for name in names {
             let entry = &map[name];
             let (table, grouping, config, snapshot_bytes) = match &entry.serving {
@@ -614,28 +622,9 @@ impl Warehouse {
                     (d.table.read().clone(), d.grouping.clone(), d.config, None)
                 }
             };
-            let table_bytes = binio::encode(&table);
-            let tkey = table_key(&entry.dir, generation);
-            store.put(&tkey, &table_bytes)?;
-            files_written += 1;
-            bytes_written += table_bytes.len() as u64;
-            let table_ref = FileRef {
-                key: tkey,
-                len: table_bytes.len() as u64,
-                crc: crc32c(&table_bytes),
-            };
+            let table = put(table_key(&entry.dir, generation), &binio::encode(&table))?;
             let snapshot = match snapshot_bytes {
-                Some(snap) => {
-                    let skey = snapshot_key(&entry.dir, generation);
-                    store.put(&skey, &snap)?;
-                    files_written += 1;
-                    bytes_written += snap.len() as u64;
-                    Some(FileRef {
-                        key: skey,
-                        len: snap.len() as u64,
-                        crc: crc32c(&snap),
-                    })
-                }
+                Some(snap) => Some(put(snapshot_key(&entry.dir, generation), &snap)?),
                 None => None,
             };
             entries.push(ManifestEntry {
@@ -643,7 +632,7 @@ impl Warehouse {
                 dir: entry.dir.clone(),
                 grouping: grouping.iter().map(|c| c.0).collect(),
                 config,
-                table: table_ref,
+                table,
                 snapshot,
                 wal: wal_key(&entry.dir, generation),
             });
@@ -653,10 +642,7 @@ impl Warehouse {
             generation,
             entries,
         };
-        let text = manifest.encode();
-        store.put(MANIFEST_KEY, text.as_bytes())?; // commit point
-        files_written += 1;
-        bytes_written += text.len() as u64;
+        put(MANIFEST_KEY.to_string(), &manifest.encode())?; // commit point
         self.generation.store(generation, Ordering::SeqCst);
 
         // Best-effort cleanup of the superseded generation. Failures are
@@ -693,14 +679,7 @@ impl Warehouse {
         store: &dyn SnapshotStore,
         policy: RecoveryPolicy,
     ) -> Result<(Warehouse, OpenReport)> {
-        let manifest_bytes = store.get(MANIFEST_KEY).map_err(|e| {
-            if e.is_not_found() {
-                AquaError::Storage("no warehouse manifest in this store".into())
-            } else {
-                AquaError::from(e)
-            }
-        })?;
-        let manifest = Manifest::parse(&manifest_bytes)?;
+        let manifest = load_manifest(store)?;
         let registry = Arc::new(obs::Registry::new());
         registry.counter("warehouse_opens_total").inc();
 
@@ -873,17 +852,10 @@ impl Warehouse {
     }
 
     /// Read-only integrity check of a saved warehouse: manifest checksum,
-    /// every blob's length and CRC32C, and WAL frame integrity. Modifies
+    /// every blob's length and checksums, and WAL frame integrity. Modifies
     /// nothing — corrupt blobs are reported, not quarantined.
     pub fn verify(store: &dyn SnapshotStore) -> Result<VerifyReport> {
-        let manifest_bytes = store.get(MANIFEST_KEY).map_err(|e| {
-            if e.is_not_found() {
-                AquaError::Storage("no warehouse manifest in this store".into())
-            } else {
-                AquaError::from(e)
-            }
-        })?;
-        let manifest = Manifest::parse(&manifest_bytes)?;
+        let manifest = load_manifest(store)?;
         let mut ok = true;
         let mut lines = vec![format!(
             "manifest: generation {}, {} relation(s), checksum ok",
@@ -891,46 +863,33 @@ impl Warehouse {
             manifest.entries.len()
         )];
         for entry in &manifest.entries {
-            let mut check = |label: &str, fref: &FileRef| match load_checked(store, fref) {
-                Ok(bytes) => lines.push(format!(
-                    "{}: {label} ok ({} bytes, crc {:08x})",
-                    entry.name,
-                    bytes.len(),
-                    fref.crc
-                )),
-                Err(reason) => {
-                    ok = false;
-                    lines.push(format!("{}: {label} CORRUPT — {reason}", entry.name));
+            let mut check = |label: &str, fref: &FileRef, magic| {
+                let verified = load_checked(store, fref).and_then(|bytes| {
+                    binio::open_container(&bytes, magic)
+                        .map(|_| bytes.len())
+                        .map_err(|e| format!("`{}`: {e}", fref.key))
+                });
+                match verified {
+                    Ok(len) => lines.push(format!(
+                        "{}: {label} ok ({len} bytes, crc {:08x})",
+                        entry.name, fref.crc
+                    )),
+                    Err(reason) => {
+                        ok = false;
+                        lines.push(format!("{}: {label} CORRUPT — {reason}", entry.name));
+                    }
                 }
             };
-            check("table", &entry.table);
+            check("table", &entry.table, binio::RELATION_MAGIC);
             match &entry.snapshot {
-                Some(fref) => check("synopsis", fref),
+                Some(fref) => check("synopsis", fref, snapshot::MAGIC),
                 None => lines.push(format!("{}: no synopsis (saved degraded)", entry.name)),
             }
             match store.get(&entry.wal) {
                 Ok(buf) => {
                     // Frame scan only; decoding rows needs the table, which
-                    // may itself be corrupt. An empty schema decodes nothing,
-                    // so count frames directly.
-                    let mut off = 0usize;
-                    let mut frames = 0usize;
-                    while off + 4 <= buf.len() {
-                        let len =
-                            u32::from_be_bytes(buf[off..off + 4].try_into().unwrap()) as usize;
-                        if len > MAX_WAL_RECORD || off + 4 + len + 4 > buf.len() {
-                            break;
-                        }
-                        let payload = &buf[off + 4..off + 4 + len];
-                        let stored = u32::from_be_bytes(
-                            buf[off + 4 + len..off + 8 + len].try_into().unwrap(),
-                        );
-                        if crc32c(payload) != stored {
-                            break;
-                        }
-                        off += 8 + len;
-                        frames += 1;
-                    }
+                    // may itself be corrupt.
+                    let (frames, off) = binio::frames(&buf).fold((0, 0), |(n, _), f| (n + 1, f.1));
                     if off == buf.len() {
                         lines.push(format!(
                             "{}: wal ok ({frames} record(s), {} bytes)",

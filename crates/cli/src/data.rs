@@ -75,15 +75,13 @@ fn resolve_grouping(
     }
 }
 
-/// Parse the `--strategy` flag (tokens shared with the warehouse
-/// manifest via [`aqua::SamplingStrategy::from_token`]).
+/// Parse the `--strategy` flag ([`aqua::SamplingStrategy::from_token`]).
 pub fn strategy(args: &Args) -> Result<aqua::SamplingStrategy> {
     aqua::SamplingStrategy::from_token(args.get("strategy").unwrap_or("congress"))
         .map_err(|e| format!("--strategy: {e}"))
 }
 
-/// Parse the `--rewrite` flag (tokens shared with the warehouse manifest
-/// via [`aqua::RewriteChoice::from_token`]).
+/// Parse the `--rewrite` flag ([`aqua::RewriteChoice::from_token`]).
 pub fn rewrite(args: &Args) -> Result<aqua::RewriteChoice> {
     aqua::RewriteChoice::from_token(args.get("rewrite").unwrap_or("nested"))
         .map_err(|e| format!("--rewrite: {e}"))

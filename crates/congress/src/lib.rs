@@ -46,8 +46,8 @@
 //!   deriving one RNG stream per finest group so the constructed sample is
 //!   bit-for-bit identical at any thread count.
 //! * **Durable persistence** — a checksummed snapshot encoding
-//!   ([`snapshot`], format v2: CRC32C per section plus a whole-file
-//!   footer), CRC32C itself ([`checksum`]), and the storage contract the
+//!   ([`snapshot`]: the [`relation::binio`] section container base tables
+//!   use too), and the storage contract the
 //!   warehouse recovers through ([`store`]): atomic filesystem writes
 //!   ([`store::FsStore`]) and deterministic fault injection
 //!   ([`store::FaultyStore`]) so every crash and corruption scenario is
@@ -58,7 +58,6 @@ pub mod alloc;
 pub mod bounds;
 pub mod build;
 pub mod census;
-pub mod checksum;
 pub mod cube;
 pub mod error;
 pub mod lattice;
@@ -71,7 +70,6 @@ pub mod store;
 pub use adaptive::{DriftDetector, DriftReport, WorkloadProfile};
 pub use alloc::{Allocation, AllocationStrategy, BasicCongress, Congress, House, Senate};
 pub use census::GroupCensus;
-pub use checksum::{crc32c, Crc32c};
 pub use cube::CountCube;
 pub use error::{CongressError, Result};
 pub use metrics::{compare_results, mac_error, GroupByErrorReport};

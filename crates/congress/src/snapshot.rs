@@ -2,371 +2,105 @@
 //!
 //! Aqua stores its synopses durably ("stored as regular relations in the
 //! DBMS", §2) so they survive restarts and can be shipped between the
-//! warehouse and the middleware. This module provides an equivalent for
-//! this workspace: a versioned, length-prefixed binary encoding of a
-//! [`CongressionalSample`] built on [`bytes`]. The encoding stores row
-//! *indices* (not tuples), so a snapshot is small — the base relation is
-//! re-joined at load time by [`CongressionalSample::to_stratified_input`].
+//! warehouse and the middleware. Here a snapshot is stored the way a base
+//! table is: one [`relation::binio`] container (magic `CGRS`), with a
+//! per-section CRC32C and a header checksum over the directory. The
+//! encoding stores row *indices* (not tuples), so a snapshot is small —
+//! the base relation is re-joined at load time by
+//! [`CongressionalSample::to_stratified_input`].
 //!
-//! # Format v2 (current)
-//!
-//! ```text
-//! u32 magic "CGRS" | u16 version=2 | u16 section count
-//! per section: u8 kind | u32 payload len | payload | u32 crc32c(payload)
-//! u32 footer = crc32c(every byte above)
-//! ```
-//!
-//! Section 0 (`meta`) carries the strategy name, grouping columns, and
-//! stratum count; section 1 (`strata`) carries the per-stratum keys,
-//! population sizes, and sampled row ids. Every section is individually
-//! checksummed so corruption is pinpointed, and the footer covers the
-//! whole encoding so *any* bit flip — including in the headers and the
-//! section CRCs themselves — is detected before a byte is interpreted.
-//!
-//! v1 snapshots (no checksums) produced by earlier releases still decode;
-//! [`encode`] always writes v2. Decoding is defensive throughout: a
-//! hostile or torn buffer produces a [`CongressError::CorruptSnapshot`],
+//! Section 0 (`meta`) carries the strategy name and grouping columns;
+//! section 1 (`strata`) the stratum count, then per stratum its key,
+//! population size and sampled row ids. Decoding is defensive throughout:
+//! a hostile or torn buffer produces a [`CongressError::CorruptSnapshot`],
 //! never a panic or an unbounded allocation.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
-use relation::{ColumnId, GroupKey, Value};
+use relation::binio::{open_container, ContainerWriter, Reader};
+use relation::{ColumnId, GroupKey, RelationError};
 
-use crate::checksum::crc32c;
 use crate::error::{CongressError, Result};
 use crate::sample::CongressionalSample;
 
-/// Format magic: `b"CGRS"`.
-const MAGIC: u32 = 0x4347_5253;
-/// Current format version.
-const VERSION: u16 = 2;
-/// Oldest version this build still reads.
-const MIN_VERSION: u16 = 1;
+/// Magic of a snapshot blob: `b"CGRS"`.
+pub const MAGIC: u32 = u32::from_be_bytes(*b"CGRS");
 
-/// Section kinds (v2).
 const SECTION_META: u8 = 0;
 const SECTION_STRATA: u8 = 1;
-
-/// Value type tags.
-const TAG_INT: u8 = 0;
-const TAG_FLOAT: u8 = 1;
-const TAG_STR: u8 = 2;
-const TAG_DATE: u8 = 3;
-
-/// Hard cap on one string value inside a snapshot. Group-key strings are
-/// short (dimension values); a length field beyond this is corruption, and
-/// rejecting it *before* the bounds check keeps a hostile length from ever
-/// reaching an allocation.
-pub const MAX_STR_LEN: usize = 1 << 20;
 
 /// Smallest possible encoded stratum: key arity (2) + group size (8) +
 /// row count (4), with zero key values and zero rows.
 const MIN_STRATUM_BYTES: usize = 14;
 
-fn corrupt(what: impl Into<String>) -> CongressError {
-    CongressError::CorruptSnapshot(what.into())
+fn corrupt(e: RelationError) -> CongressError {
+    CongressError::CorruptSnapshot(e.reason())
 }
 
-fn put_value(buf: &mut BytesMut, v: &Value) {
-    match v {
-        Value::Int(x) => {
-            buf.put_u8(TAG_INT);
-            buf.put_i64(*x);
-        }
-        Value::Float(x) => {
-            buf.put_u8(TAG_FLOAT);
-            buf.put_f64(x.get());
-        }
-        Value::Str(s) => {
-            buf.put_u8(TAG_STR);
-            let b = s.as_bytes();
-            buf.put_u32(b.len() as u32);
-            buf.put_slice(b);
-        }
-        Value::Date(d) => {
-            buf.put_u8(TAG_DATE);
-            buf.put_i32(*d);
-        }
+/// Serialize a sample to its binary snapshot form.
+pub fn encode(sample: &CongressionalSample) -> Bytes {
+    let mut c = ContainerWriter::new(MAGIC, 2, sample.total_sampled() * 8 + 64);
+    let w = c.section(SECTION_META);
+    w.str(sample.strategy_name());
+    w.u16(sample.grouping_columns().len() as u16);
+    for col in sample.grouping_columns() {
+        w.u32(col.index() as u32);
     }
-}
-
-fn get_value(buf: &mut Bytes) -> Result<Value> {
-    if buf.remaining() < 1 {
-        return Err(corrupt("truncated value tag"));
-    }
-    match buf.get_u8() {
-        TAG_INT => {
-            if buf.remaining() < 8 {
-                return Err(corrupt("truncated int"));
-            }
-            Ok(Value::Int(buf.get_i64()))
-        }
-        TAG_FLOAT => {
-            if buf.remaining() < 8 {
-                return Err(corrupt("truncated float"));
-            }
-            Ok(Value::from(buf.get_f64()))
-        }
-        TAG_STR => {
-            if buf.remaining() < 4 {
-                return Err(corrupt("truncated string length"));
-            }
-            let len = buf.get_u32() as usize;
-            // Cap the declared length before any allocation or copy: a
-            // flipped length field must fail loudly, not reserve memory.
-            if len > MAX_STR_LEN {
-                return Err(corrupt(format!(
-                    "string length {len} exceeds maximum {MAX_STR_LEN}"
-                )));
-            }
-            if buf.remaining() < len {
-                return Err(corrupt("truncated string body"));
-            }
-            let bytes = buf.copy_to_bytes(len);
-            let s = std::str::from_utf8(&bytes).map_err(|_| corrupt("invalid utf-8"))?;
-            Ok(Value::str(s))
-        }
-        TAG_DATE => {
-            if buf.remaining() < 4 {
-                return Err(corrupt("truncated date"));
-            }
-            Ok(Value::Date(buf.get_i32()))
-        }
-        t => Err(corrupt(format!("unknown value tag {t}"))),
-    }
-}
-
-fn encode_meta(sample: &CongressionalSample) -> BytesMut {
-    let mut buf = BytesMut::with_capacity(64);
-    let name = sample.strategy_name().as_bytes();
-    buf.put_u16(name.len() as u16);
-    buf.put_slice(name);
-    buf.put_u16(sample.grouping_columns().len() as u16);
-    for c in sample.grouping_columns() {
-        buf.put_u32(c.index() as u32);
-    }
-    buf.put_u32(sample.stratum_count() as u32);
-    buf
-}
-
-fn encode_strata(sample: &CongressionalSample) -> BytesMut {
-    let mut buf = BytesMut::with_capacity(sample.total_sampled() * 8 + 64);
+    let w = c.section(SECTION_STRATA);
+    w.u32(sample.stratum_count() as u32);
     for g in 0..sample.stratum_count() {
         let key = &sample.strata_keys()[g];
-        buf.put_u16(key.len() as u16);
-        for v in key.values() {
-            put_value(&mut buf, v);
-        }
-        buf.put_u64(sample.group_sizes()[g]);
+        w.u16(key.len() as u16);
+        key.values().iter().for_each(|v| w.value(v));
+        w.u64(sample.group_sizes()[g]);
         let rows = &sample.sampled_rows()[g];
-        buf.put_u32(rows.len() as u32);
-        for &r in rows {
-            buf.put_u64(r as u64);
-        }
+        w.u32(rows.len() as u32);
+        rows.iter().for_each(|&r| w.u64(r as u64));
     }
-    buf
+    Bytes::from(c.finish())
 }
 
-/// Serialize a sample to its binary snapshot form (format v2, with
-/// per-section CRC32C checksums and a whole-file footer checksum).
-pub fn encode(sample: &CongressionalSample) -> Bytes {
-    let meta = encode_meta(sample);
-    let strata = encode_strata(sample);
-    let mut buf = BytesMut::with_capacity(meta.len() + strata.len() + 32);
-    buf.put_u32(MAGIC);
-    buf.put_u16(VERSION);
-    buf.put_u16(2); // section count
-    for (kind, payload) in [(SECTION_META, &meta), (SECTION_STRATA, &strata)] {
-        buf.put_u8(kind);
-        buf.put_u32(payload.len() as u32);
-        buf.put_slice(payload);
-        buf.put_u32(crc32c(payload));
-    }
-    let footer = crc32c(&buf);
-    buf.put_u32(footer);
-    buf.freeze()
+/// Parse the meta payload: (strategy name, grouping columns).
+fn decode_meta(payload: &[u8]) -> relation::Result<(String, Vec<ColumnId>)> {
+    let mut r = Reader::new(payload);
+    let name = r.str()?.to_string();
+    let ncols = r.u16()? as usize;
+    let cols = r.vec(ncols, 4, |r| Ok(ColumnId(r.u32()? as usize)))?;
+    r.finish()?;
+    Ok((name, cols))
 }
 
-/// Parse the meta payload: (strategy name, grouping columns, stratum count).
-fn decode_meta(buf: &mut Bytes) -> Result<(String, Vec<ColumnId>, usize)> {
-    if buf.remaining() < 2 {
-        return Err(corrupt("truncated strategy name"));
-    }
-    let name_len = buf.get_u16() as usize;
-    if buf.remaining() < name_len {
-        return Err(corrupt("truncated strategy name body"));
-    }
-    let name_bytes = buf.copy_to_bytes(name_len);
-    let name = std::str::from_utf8(&name_bytes)
-        .map_err(|_| corrupt("strategy name not utf-8"))?
-        .to_string();
-
-    if buf.remaining() < 2 {
-        return Err(corrupt("truncated grouping column count"));
-    }
-    let ncols = buf.get_u16() as usize;
-    if buf.remaining() < ncols * 4 {
-        return Err(corrupt("truncated grouping columns"));
-    }
-    let mut cols = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
-        cols.push(ColumnId(buf.get_u32() as usize));
-    }
-
-    if buf.remaining() < 4 {
-        return Err(corrupt("truncated stratum count"));
-    }
-    let strata = buf.get_u32() as usize;
-    Ok((name, cols, strata))
-}
-
-/// Parse `strata` strata from the buffer: (keys, sizes, rows).
+/// Parse the strata payload: (keys, sizes, rows).
 #[allow(clippy::type_complexity)]
-fn decode_strata(
-    buf: &mut Bytes,
-    strata: usize,
-) -> Result<(Vec<GroupKey>, Vec<u64>, Vec<Vec<usize>>)> {
-    // Sanity-check the declared count against the bytes actually present
-    // before reserving capacity: a hostile count must not drive an
-    // allocation.
-    if buf.remaining() < strata.saturating_mul(MIN_STRATUM_BYTES) {
-        return Err(corrupt(format!(
-            "stratum count {strata} exceeds what the buffer can hold"
-        )));
-    }
+fn decode_strata(payload: &[u8]) -> relation::Result<(Vec<GroupKey>, Vec<u64>, Vec<Vec<usize>>)> {
+    let mut r = Reader::new(payload);
+    let strata = r.count(MIN_STRATUM_BYTES)?;
     let mut keys = Vec::with_capacity(strata);
     let mut sizes = Vec::with_capacity(strata);
     let mut rows = Vec::with_capacity(strata);
     for _ in 0..strata {
-        if buf.remaining() < 2 {
-            return Err(corrupt("truncated key arity"));
-        }
-        let arity = buf.get_u16() as usize;
-        if buf.remaining() < arity {
-            return Err(corrupt("truncated key values"));
-        }
-        let mut vals = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            vals.push(get_value(buf)?);
-        }
-        keys.push(GroupKey::new(vals));
-        if buf.remaining() < 12 {
-            return Err(corrupt("truncated stratum header"));
-        }
-        sizes.push(buf.get_u64());
-        let n = buf.get_u32() as usize;
-        if buf.remaining() < n * 8 {
-            return Err(corrupt("truncated row list"));
-        }
-        let mut rs = Vec::with_capacity(n);
-        for _ in 0..n {
-            rs.push(buf.get_u64() as usize);
-        }
-        rows.push(rs);
+        // A value is at least a tag plus four bytes.
+        let arity = r.u16()? as usize;
+        keys.push(GroupKey::new(r.vec(arity, 5, Reader::value)?));
+        sizes.push(r.u64()?);
+        let n = r.u32()? as usize;
+        rows.push(r.vec(n, 8, |r| Ok(r.u64()? as usize))?);
     }
+    r.finish()?;
     Ok((keys, sizes, rows))
 }
 
-/// Decode the v1 body (everything after magic + version): the unchecked
-/// legacy layout, kept for snapshots written before checksums existed.
-fn decode_v1(mut buf: Bytes) -> Result<CongressionalSample> {
-    let (name, cols, strata) = decode_meta(&mut buf)?;
-    let (keys, sizes, rows) = decode_strata(&mut buf, strata)?;
-    if buf.has_remaining() {
-        return Err(corrupt("trailing bytes"));
-    }
-    CongressionalSample::from_parts(cols, keys, sizes, rows, name)
-}
-
-/// Extract and checksum-verify the v2 sections, returning (meta, strata)
-/// payloads. `full` is the complete snapshot (for the footer); `buf` is
-/// positioned just past magic + version.
-fn decode_v2_sections(full: &Bytes, mut buf: Bytes) -> Result<(Bytes, Bytes)> {
-    // Verify the whole-file footer before interpreting anything else: the
-    // last 4 bytes must be the CRC32C of every byte before them.
-    if full.len() < 12 {
-        return Err(corrupt("v2 snapshot too short for footer"));
-    }
-    let body = &full[..full.len() - 4];
-    let stored_footer = u32::from_be_bytes(full[full.len() - 4..].try_into().expect("4 bytes"));
-    if crc32c(body) != stored_footer {
-        return Err(corrupt("footer checksum mismatch"));
-    }
-
-    if buf.remaining() < 2 {
-        return Err(corrupt("truncated section count"));
-    }
-    let sections = buf.get_u16();
-    if sections != 2 {
-        return Err(corrupt(format!("expected 2 sections, found {sections}")));
-    }
-    let mut meta = None;
-    let mut strata = None;
-    for expected_kind in [SECTION_META, SECTION_STRATA] {
-        if buf.remaining() < 5 {
-            return Err(corrupt("truncated section header"));
-        }
-        let kind = buf.get_u8();
-        if kind != expected_kind {
-            return Err(corrupt(format!(
-                "section kind {kind} where {expected_kind} expected"
-            )));
-        }
-        let len = buf.get_u32() as usize;
-        // The payload plus its own CRC and the footer must fit in what
-        // remains; checked before the slice so a hostile length fails
-        // cleanly.
-        if buf.remaining() < len + 4 {
-            return Err(corrupt("section length exceeds buffer"));
-        }
-        let payload = buf.copy_to_bytes(len);
-        let stored = buf.get_u32();
-        if crc32c(&payload) != stored {
-            return Err(corrupt(format!(
-                "section {expected_kind} checksum mismatch"
-            )));
-        }
-        match kind {
-            SECTION_META => meta = Some(payload),
-            _ => strata = Some(payload),
-        }
-    }
-    if buf.remaining() != 4 {
-        return Err(corrupt("trailing bytes before footer"));
-    }
-    Ok((meta.expect("meta parsed"), strata.expect("strata parsed")))
-}
-
-/// Deserialize a snapshot produced by [`encode`] (v2) or by the v1
-/// encoder of earlier releases.
+/// Deserialize a snapshot produced by [`encode`].
 pub fn decode(buf: Bytes) -> Result<CongressionalSample> {
-    let full = buf.clone();
-    let mut buf = buf;
-    if buf.remaining() < 6 {
-        return Err(corrupt("header too short"));
-    }
-    if buf.get_u32() != MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    let version = buf.get_u16();
-    match version {
-        1 => decode_v1(buf),
-        2 => {
-            let (mut meta, mut strata_buf) = decode_v2_sections(&full, buf)?;
-            let (name, cols, strata) = decode_meta(&mut meta)?;
-            if meta.has_remaining() {
-                return Err(corrupt("trailing bytes in meta section"));
-            }
-            let (keys, sizes, rows) = decode_strata(&mut strata_buf, strata)?;
-            if strata_buf.has_remaining() {
-                return Err(corrupt("trailing bytes in strata section"));
-            }
-            CongressionalSample::from_parts(cols, keys, sizes, rows, name)
-        }
-        v => Err(CongressError::InvalidSpec(format!(
-            "unsupported snapshot version {v} (this build reads {MIN_VERSION}..={VERSION})"
-        ))),
-    }
+    let sections = open_container(&buf, MAGIC).map_err(corrupt)?;
+    let [(SECTION_META, meta), (SECTION_STRATA, strata)] = sections[..] else {
+        return Err(CongressError::CorruptSnapshot(
+            "expected exactly a meta and a strata section".into(),
+        ));
+    };
+    let (name, cols) = decode_meta(meta).map_err(corrupt)?;
+    let (keys, sizes, rows) = decode_strata(strata).map_err(corrupt)?;
+    CongressionalSample::from_parts(cols, keys, sizes, rows, name)
 }
 
 #[cfg(test)]
@@ -376,6 +110,7 @@ mod tests {
     use crate::census::test_support::{figure5_census, figure5_relation};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use relation::binio::Writer;
 
     fn sample() -> CongressionalSample {
         let rel = figure5_relation(10);
@@ -418,23 +153,20 @@ mod tests {
     }
 
     #[test]
-    fn rejects_bad_magic_and_version() {
+    fn rejects_bad_magic_and_old_versions() {
         let s = sample();
         let mut raw = encode(&s).to_vec();
         raw[0] ^= 0xFF;
-        assert!(decode(Bytes::from(raw.clone())).is_err());
-        let mut raw = encode(&s).to_vec();
-        raw[5] = 99; // version
         assert!(decode(Bytes::from(raw)).is_err());
-    }
-
-    #[test]
-    fn rejects_truncation_anywhere() {
-        let s = sample();
-        let full = encode(&s);
-        for cut in [0, 3, 6, 10, full.len() / 2, full.len() - 1] {
-            let truncated = full.slice(0..cut);
-            assert!(decode(truncated).is_err(), "cut at {cut} must fail");
+        // The pre-container layouts: `CGRS` v1 (unchecked) and v2.
+        for version in [1u8, 2] {
+            let mut raw = encode(&s).to_vec();
+            raw[5] = version;
+            let err = decode(Bytes::from(raw)).unwrap_err();
+            assert!(
+                matches!(&err, CongressError::CorruptSnapshot(m) if m.contains("unsupported version")),
+                "{err:?}"
+            );
         }
     }
 
@@ -461,67 +193,22 @@ mod tests {
     }
 
     #[test]
-    fn hostile_string_length_rejected_before_allocation() {
-        // Hand-build a strata payload whose first value claims a string
-        // of u32::MAX bytes. The decoder must reject the length outright
-        // (CorruptSnapshot), not attempt a 4 GiB reservation.
-        let mut payload = BytesMut::new();
-        payload.put_u16(1); // key arity
-        payload.put_u8(TAG_STR);
-        payload.put_u32(u32::MAX); // hostile length
-        payload.put_u64(0); // would-be group size
-        payload.put_u32(0); // would-be row count
-        let mut strata_buf = payload.freeze();
-        let err = decode_strata(&mut strata_buf, 1).unwrap_err();
-        match err {
-            CongressError::CorruptSnapshot(msg) => {
-                assert!(msg.contains("exceeds maximum"), "{msg}");
-            }
-            other => panic!("expected CorruptSnapshot, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn hostile_stratum_count_rejected_before_allocation() {
-        let mut buf = Bytes::from_static(&[0u8; 16]);
-        let err = decode_strata(&mut buf, u32::MAX as usize).unwrap_err();
+        let mut w = Writer::default();
+        w.u32(u32::MAX);
+        w.bytes(&[0u8; 16]);
+        let err = corrupt(decode_strata(&w.into_vec()).unwrap_err());
         assert!(matches!(err, CongressError::CorruptSnapshot(_)), "{err:?}");
     }
 
     #[test]
-    fn v1_snapshot_still_decodes() {
-        // Fixture written by the v1 encoder (pre-checksum format), checked
-        // in under tests/fixtures. Same draw parameters as `sample()`.
-        let raw = std::fs::read(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/tests/fixtures/snapshot_v1.bin"
-        ))
-        .expect("v1 fixture present");
-        assert_eq!(&raw[4..6], &1u16.to_be_bytes(), "fixture must be v1");
-        let decoded = decode(Bytes::from(raw)).unwrap();
-        let expected = sample();
-        assert_eq!(decoded.strategy_name(), expected.strategy_name());
-        assert_eq!(decoded.strata_keys(), expected.strata_keys());
-        assert_eq!(decoded.group_sizes(), expected.group_sizes());
-        assert_eq!(decoded.sampled_rows(), expected.sampled_rows());
-    }
-
-    #[test]
-    fn all_value_types_round_trip() {
-        let mut buf = BytesMut::new();
-        let vals = [
-            Value::Int(-42),
-            Value::from(1.5),
-            Value::str("héllo"),
-            Value::Date(12345),
-        ];
-        for v in &vals {
-            put_value(&mut buf, v);
-        }
-        let mut bytes = buf.freeze();
-        for v in &vals {
-            assert_eq!(&get_value(&mut bytes).unwrap(), v);
-        }
-        assert!(!bytes.has_remaining());
+    fn hostile_row_count_rejected_before_allocation() {
+        let mut w = Writer::default();
+        w.u32(1); // one stratum
+        w.u16(0); // empty key
+        w.u64(10); // group size
+        w.u32(u32::MAX); // hostile row count
+        let err = decode_strata(&w.into_vec()).unwrap_err();
+        assert!(err.to_string().contains("exceeds"), "{err}");
     }
 }

@@ -50,12 +50,12 @@ pub fn execute_exact(rel: &Relation, query: &GroupByQuery) -> Result<QueryResult
 
 /// [`execute_exact`] with explicit [`ExecOptions`]: the zone-map pass,
 /// then one aggregation pass over the chunks that survived it
-/// ([`fold_chunks`]). Beyond the predicate's bitmap nothing allocated is
+/// (`fold_chunks`). Beyond the predicate's bitmap nothing allocated is
 /// longer than a chunk or the set of groups actually seen.
 ///
 /// Bit-identical to folding *every* chunk and merging in chunk order with
-/// chunk 0 as the base — the contract [`accumulate`](crate::rewrite::accumulate)
-/// gives the sample rewrites — because chunk verdicts are exact, chunks are
+/// chunk 0 as the base — the contract `rewrite::accumulate` gives the
+/// sample rewrites — because chunk verdicts are exact, chunks are
 /// the same [`CHUNK_ROWS`], rows fold in row order, partials merge in chunk
 /// order, and merging an empty [`Partial`] is a bitwise no-op: a partial
 /// sum starts at `+0.0` and `+0.0 + −0.0 = +0.0`, so none is ever `−0.0`
@@ -98,7 +98,7 @@ pub fn execute_exact_opts(
 /// Execute `query` exactly over *encoded* chunked storage, decoding on
 /// demand: the predicate is evaluated chunk-by-chunk with zone-map
 /// skipping, and the aggregation is [`execute_exact_opts`]'s own
-/// [`fold_chunks`] with each surviving chunk's group codes and measure
+/// `fold_chunks` with each surviving chunk's group codes and measure
 /// inputs decoded into pooled scratch — no column is materialized densely.
 /// Bit-identical to decoding the whole relation and running
 /// [`execute_exact_opts`], which the equivalence tests assert.

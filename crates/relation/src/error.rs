@@ -56,6 +56,17 @@ pub enum RelationError {
     CorruptEncoding(String),
 }
 
+impl RelationError {
+    /// The error's message without the "corrupt relation encoding" prefix,
+    /// for decoders of other blob kinds that name the blob themselves.
+    pub fn reason(self) -> String {
+        match self {
+            RelationError::CorruptEncoding(m) => m,
+            e => e.to_string(),
+        }
+    }
+}
+
 impl fmt::Display for RelationError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
