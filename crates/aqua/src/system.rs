@@ -142,8 +142,7 @@ impl QueryMetrics {
                 .add(pruned);
         }
         // Decode-free kernel counters, same lazy-on-first-hit registration:
-        // the families only appear once a kernel has actually fired, so a
-        // kernels-off deployment scrapes identically to older builds.
+        // the families only appear once a kernel has actually fired.
         let (pred, fold_sum, fold_minmax) = kernels;
         for ((kind, cell), hits) in self
             .decode_avoided

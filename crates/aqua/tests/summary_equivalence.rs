@@ -57,8 +57,7 @@ fn stratified(rows: usize, strata: usize) -> StratifiedInput {
         stratum_of_row.push(g as u32);
     }
     StratifiedInput {
-        // CI's encoded-vs-dense leg: no-op unless CONGRESS_CHUNKED_STORAGE=1.
-        rows: relation::chunk::maybe_chunked_storage(b.finish()),
+        rows: b.finish(),
         stratum_of_row,
         scale_factors: (0..strata).map(|s| 1.0 + (s % 7) as f64 * 0.75).collect(),
         strata_keys: (0..strata)
@@ -281,7 +280,7 @@ fn stratified_two_columns(rows: usize, strata_g: usize) -> StratifiedInput {
     }
     let strata = strata_g * 5;
     StratifiedInput {
-        rows: relation::chunk::maybe_chunked_storage(b.finish()),
+        rows: b.finish(),
         stratum_of_row,
         scale_factors: (0..strata).map(|s| 1.0 + (s % 7) as f64 * 0.75).collect(),
         strata_keys: (0..strata)

@@ -60,8 +60,8 @@ fn shard_of<K: Hash + ?Sized>(key: &K) -> usize {
 /// Execution options threaded through
 /// [`SamplePlan::execute_opts`](crate::rewrite::SamplePlan::execute_opts):
 /// which cache to consult (if any) and whether parallel work may be used.
-/// `parallel`, `trace`, `kernels` and a `cancel` token that never fires
-/// leave results bit-identical. With a cache, every rewrite answers from
+/// `parallel`, `trace` and a `cancel` token that never fires leave results
+/// bit-identical. With a cache, every rewrite answers from
 /// per-cell moments ([`execute_cells`](crate::rewrite::execute_cells)),
 /// whose estimates scale each stratum's sum once instead of each row's
 /// value: the same groups as the cold path, values within a few ulp of it.
@@ -86,11 +86,10 @@ pub struct ExecOptions<'a> {
     /// [`EngineError::Cancelled`](crate::error::EngineError::Cancelled).
     /// A token that never fires cannot change the computed result.
     pub cancel: Option<&'a crate::cancel::CancelToken>,
-    /// Use the decode-free scan kernels (see [`relation::kernels`]) for
-    /// predicate evaluation and scalar aggregate folds. Defaults to the
-    /// `CONGRESS_SCAN_KERNELS` env gate. Kernels are bit-identical to the
-    /// decode path by construction, so this flag only changes how the scan
-    /// computes — never what it computes.
+    /// Read by nothing in the workspace: every scan runs the decode-free
+    /// kernels (see [`relation::kernels`]). Defaults to `true`; kept only
+    /// because the benchmark's traced replay still reads it, and goes once
+    /// that replay is replaced by in-crate spans (ROADMAP item 8).
     pub kernels: bool,
     /// Internal plumbing, not a knob: a slot the cached path moves the
     /// query's [`QueryCells`] into once the estimates are read off them, so
@@ -107,7 +106,7 @@ impl Default for ExecOptions<'_> {
             parallel: false,
             trace: None,
             cancel: None,
-            kernels: relation::scan_kernels_enabled(),
+            kernels: true,
             capture: None,
         }
     }

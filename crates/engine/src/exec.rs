@@ -5,8 +5,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use relation::kernels::{self, KernelStats};
 use relation::{
-    chunk_count, chunk_range, Bitmap, ColumnId, DataType, DecodeScratch, EncodedRelation, Expr,
-    GroupKey, Relation, RowRangeList, Value, CHUNK_ROWS, F64,
+    chunk_count, chunk_range, Bitmap, Column, ColumnId, DataType, Expr, GroupKey, Relation, Value,
+    F64,
 };
 
 use crate::aggregate::{Accumulator, AggregateSpec, Partial};
@@ -48,27 +48,29 @@ pub fn execute_exact(rel: &Relation, query: &GroupByQuery) -> Result<QueryResult
     execute_exact_opts(rel, query, &ExecOptions::default())
 }
 
-/// [`execute_exact`] with explicit [`ExecOptions`]: the zone-map pass,
-/// then one aggregation pass over the chunks that survived it
-/// (`fold_chunks`). Beyond the predicate's bitmap nothing allocated is
-/// longer than a chunk or the set of groups actually seen.
+/// [`execute_exact`] with explicit [`ExecOptions`]: the zone-map pass with
+/// code-domain kernels over the relation's encoded twin, then one
+/// aggregation pass over the chunks holding a selected row (`fold_chunks`),
+/// or the decode-free scalar fold (`scalar_fold_encoded`) where it applies.
+/// Beyond the predicate's bitmap nothing allocated is longer than a chunk
+/// or the set of groups actually seen.
 ///
 /// Bit-identical to folding *every* chunk and merging in chunk order with
 /// chunk 0 as the base — the contract `rewrite::accumulate` gives the
-/// sample rewrites — because chunk verdicts are exact, chunks are
-/// the same [`CHUNK_ROWS`], rows fold in row order, partials merge in chunk
-/// order, and merging an empty [`Partial`] is a bitwise no-op: a partial
-/// sum starts at `+0.0` and `+0.0 + −0.0 = +0.0`, so none is ever `−0.0`
-/// and adding the empty `+0.0` on either side returns its bits;
+/// sample rewrites — because chunk verdicts are exact, chunks are the same
+/// [`relation::CHUNK_ROWS`], rows fold in row order, partials merge in
+/// chunk order, and merging an empty [`Partial`] is a bitwise no-op: a
+/// partial sum starts at `+0.0` and `+0.0 + −0.0 = +0.0`, so none is ever
+/// `−0.0` and adding the empty `+0.0` on either side returns its bits;
 /// `x.min(+∞) = +∞.min(x) = x` (`min`/`max` never hold NaN); weight and row
 /// count add zero. So a pruned chunk, a chunk without a row of some group,
 /// and a group first seen in a late chunk (its total starts empty) leave
 /// the totals as the full merge would. Group ids are scan-local; output
 /// order comes from the final key sort.
 ///
-/// `opts.cancel` is polled before the scan and at every surviving chunk,
-/// so a scan of a large base table (e.g. a degraded warehouse relation)
-/// honors per-request deadlines; a token that never fires cannot change the
+/// `opts.cancel` is polled before the scan and at every chunk folded, so a
+/// scan of a large base table (e.g. a degraded warehouse relation) honors
+/// per-request deadlines; a token that never fires cannot change the
 /// result. `opts.cache` and `opts.parallel` are ignored: the predicate is
 /// per-query and the chunks fold serially.
 pub fn execute_exact_opts(
@@ -78,109 +80,26 @@ pub fn execute_exact_opts(
 ) -> Result<QueryResult> {
     query.validate(rel)?;
 
-    let (mask, ranges) = eval_predicate(rel, &query.predicate, opts);
+    let (mask, stats) = eval_predicate(rel, &query.predicate, opts);
     if let Some(trace) = opts.trace {
-        trace.record(ServedFrom::ColdScan, ranges.covered_rows() as u64);
+        trace.record(ServedFrom::ColdScan, stats.kept_rows);
     }
     // Decode-free scalar fold: a no-grouping query over bare columns needs
     // no group ids, no expression buffers, and — for fully selected chunks
-    // — no decode at all. The encoded twin is shared by clones and (when
-    // kernels evaluated the predicate) already built.
-    if opts.kernels && query.grouping.is_empty() {
-        let enc = rel.encoded().clone();
-        if scalar_fold_applies(&enc, query) {
-            return scalar_fold_encoded(&enc, &mask, query, opts);
-        }
+    // — no decode at all.
+    if scalar_fold_applies(rel, query) {
+        return scalar_fold_encoded(rel, &mask, query, opts);
     }
-    fold_chunks(Source::Dense(rel), &mask, &ranges, query, opts)
+    fold_chunks(rel, &mask, query, opts)
 }
 
-/// Execute `query` exactly over *encoded* chunked storage, decoding on
-/// demand: the predicate is evaluated chunk-by-chunk with zone-map
-/// skipping, and the aggregation is [`execute_exact_opts`]'s own
-/// `fold_chunks` with each surviving chunk's group codes and measure
-/// inputs decoded into pooled scratch — no column is materialized densely.
-/// Bit-identical to decoding the whole relation and running
-/// [`execute_exact_opts`], which the equivalence tests assert.
-pub fn execute_exact_encoded(
-    enc: &EncodedRelation,
-    query: &GroupByQuery,
-    opts: &ExecOptions,
-) -> Result<QueryResult> {
-    query.validate_schema(enc.schema())?;
-    relation::with_scratch(|scratch| {
-        let (pred, mut kstats) = (&query.predicate, KernelStats::default());
-        let (mask, ranges, stats) = if opts.kernels {
-            pred.eval_encoded_kernels(enc, scratch, &mut kstats)
-        } else {
-            pred.eval_encoded(enc, scratch)
-        };
-        if let Some(trace) = opts.trace {
-            trace.record_kernels(&kstats);
-            trace.record_chunks(stats.chunks - stats.pruned, stats.pruned);
-            trace.record_selected(mask.count_ones() as u64);
-            trace.record(ServedFrom::ColdScan, ranges.covered_rows() as u64);
-        }
-        if opts.kernels && scalar_fold_applies(enc, query) {
-            return scalar_fold_encoded(enc, &mask, query, opts);
-        }
-        fold_chunks(Source::Encoded(enc, scratch), &mask, &ranges, query, opts)
-    })
-}
-
-/// Where [`fold_chunks`] fetches a chunk's data — all the dense and the
-/// encoded executor (one chunk at a time decoded into pooled scratch)
-/// differ in. `rows` are ascending row ids inside `chunk`.
-enum Source<'a> {
-    Dense(&'a Relation),
-    Encoded(&'a EncodedRelation, &'a mut DecodeScratch),
-}
-
-impl Source<'_> {
-    /// Append [`relation::Column::group_code`] of `col` at each of `rows`.
-    fn codes(&mut self, col: ColumnId, chunk: usize, rows: &[u32], out: &mut Vec<u64>) {
-        match self {
-            Source::Dense(rel) => {
-                let col = rel.column(col);
-                out.extend(rows.iter().map(|&r| col.group_code(r as usize)));
-            }
-            Source::Encoded(enc, scratch) => {
-                let (col, start) = (enc.column(col), chunk * CHUNK_ROWS);
-                scratch.u64s.clear();
-                col.decode_chunk_u64(chunk, &mut scratch.u64s);
-                // A float's code is its NaN-canonical bit pattern.
-                let float = col.data_type() == DataType::Float;
-                let canonical = |b: u64| F64::new(f64::from_bits(b)).get().to_bits();
-                let raw = rows.iter().map(|&r| scratch.u64s[r as usize - start]);
-                out.extend(raw.map(|b| if float { canonical(b) } else { b }));
-            }
-        }
-    }
-
-    /// Append `e` evaluated at each of `rows`.
-    fn measure(&mut self, e: &Expr, chunk: usize, rows: &[u32], out: &mut Vec<f64>) -> Result<()> {
-        match self {
-            Source::Dense(rel) => e.eval_rows(rel, rows, out)?,
-            Source::Encoded(enc, scratch) => e.eval_rows_encoded(enc, chunk, rows, scratch, out)?,
-        }
-        Ok(())
-    }
-
-    /// The value of `col` that group code `code` stands for.
-    fn value(&self, col: ColumnId, code: u64) -> Value {
-        let (data_type, dict) = match self {
-            Source::Dense(rel) => {
-                let col = rel.column(col);
-                (col.data_type(), col.as_str().map_or(&[][..], |s| s.dict()))
-            }
-            Source::Encoded(enc, _) => (enc.column(col).data_type(), enc.column(col).dict()),
-        };
-        match data_type {
-            DataType::Int => Value::Int(code as i64),
-            DataType::Float => Value::Float(F64::new(f64::from_bits(code))),
-            DataType::Str => Value::Str(dict[code as usize].clone()),
-            DataType::Date => Value::Date(code as i64 as i32),
-        }
+/// The value of `col` that [`Column::group_code`] `code` stands for.
+fn key_value(col: &Column, code: u64) -> Value {
+    match col {
+        Column::Int(_) => Value::Int(code as i64),
+        Column::Float(_) => Value::Float(F64::new(f64::from_bits(code))),
+        Column::Str(s) => Value::Str(s.dict()[code as usize].clone()),
+        Column::Date(_) => Value::Date(code as i64 as i32),
     }
 }
 
@@ -210,18 +129,17 @@ impl Hasher for CodeHasher {
 
 type CodeMap<K> = HashMap<K, u32, BuildHasherDefault<CodeHasher>>;
 
-/// The exact aggregation: one pass over the chunks of `ranges` (those that
-/// survived pruning; `mask` is false elsewhere). Per chunk: list the selected
-/// rows from the mask words, fetch the grouping columns' codes and resolve
-/// each row's group id with one probe (a fixed-width key up to the paper's
-/// |G| ≤ 4, an allocated one beyond), gather each measure at those rows
-/// only, fold them in row order into a flat `groups × aggregates` scratch of
+/// The exact aggregation: one pass over the chunks holding a row `mask`
+/// selects, skipping the rest. Per chunk: list the selected rows from the
+/// mask words, fetch the grouping columns' codes and resolve each row's
+/// group id with one probe (a fixed-width key up to the paper's |G| ≤ 4,
+/// an allocated one beyond), gather each measure at those rows only, fold
+/// them in row order into a flat `groups × aggregates` scratch of
 /// [`Partial`]s, and merge the groups the chunk touched into the running
 /// totals, reusing every buffer. Bit-identity: see [`execute_exact_opts`].
 fn fold_chunks(
-    mut src: Source,
+    rel: &Relation,
     mask: &Bitmap,
-    ranges: &RowRangeList,
     query: &GroupByQuery,
     opts: &ExecOptions,
 ) -> Result<QueryResult> {
@@ -235,23 +153,25 @@ fn fold_chunks(
     let (mut gids, mut touched) = (Vec::new(), Vec::new());
 
     cancel::check(opts.cancel)?;
-    let spans = ranges.ranges().iter();
-    for c in spans.flat_map(|&(lo, hi)| lo / CHUNK_ROWS..hi.div_ceil(CHUNK_ROWS)) {
-        cancel::check(opts.cancel)?;
+    for c in 0..chunk_count(mask.len()) {
         let (start, end) = chunk_range(c, mask.len());
         rows.clear();
         rows.extend(mask.ones_range(start, end).map(|r| r as u32));
+        if rows.is_empty() {
+            continue;
+        }
+        cancel::check(opts.cancel)?;
         let m = rows.len();
         // Column-major: column `j`'s codes are `codes[j * m..][..m]`, and
         // aggregate `a`'s inputs `vals[a * m..][..m]`.
         codes.clear();
         for &col in cols {
-            src.codes(col, c, &rows, &mut codes);
+            rel.column(col).group_codes_at(&rows, &mut codes);
         }
         vals.clear();
         for spec in &query.aggregates {
             match &spec.expr {
-                Some(expr) => src.measure(expr, c, &rows, &mut vals)?,
+                Some(expr) => expr.eval_rows(rel, &rows, &mut vals)?,
                 None => vals.resize(vals.len() + m, 0.0),
             }
         }
@@ -269,7 +189,7 @@ fn fold_chunks(
                 *wide.entry(key).or_insert(next)
             };
             if gid == next {
-                let value = |(j, &col): (usize, &ColumnId)| src.value(col, code(j));
+                let value = |(j, &col): (usize, &ColumnId)| key_value(rel.column(col), code(j));
                 keys.push(GroupKey::new(cols.iter().enumerate().map(value).collect()));
                 totals.resize(totals.len() + na, Partial::new());
                 partials.resize(totals.len(), Partial::new());
@@ -312,16 +232,17 @@ fn emit_rows(keys: Vec<GroupKey>, totals: &[Partial], query: &GroupByQuery) -> R
 /// grouping, and every aggregate input is COUNT or a bare non-string
 /// column — the shapes whose per-chunk partials need no expression
 /// evaluation and (for fully selected chunks) no decode.
-fn scalar_fold_applies(enc: &EncodedRelation, query: &GroupByQuery) -> bool {
+fn scalar_fold_applies(rel: &Relation, query: &GroupByQuery) -> bool {
     query.grouping.is_empty()
         && query.aggregates.iter().all(|a| match &a.expr {
             None => true,
-            Some(Expr::Column(c)) => enc.column(*c).data_type() != DataType::Str,
+            Some(Expr::Column(c)) => rel.column(*c).data_type() != DataType::Str,
             Some(_) => false,
         })
 }
 
-/// The decode-free scalar (`T = ∅`) aggregation fold.
+/// The decode-free scalar (`T = ∅`) aggregation fold over the relation's
+/// encoded twin and zone maps.
 ///
 /// Per chunk, per aggregate, the cheapest exact [`Partial`] is chosen:
 ///
@@ -338,14 +259,14 @@ fn scalar_fold_applies(enc: &EncodedRelation, query: &GroupByQuery) -> bool {
 /// Partials merge in chunk order into empty totals — bit for bit
 /// [`fold_chunks`]'s result (see [`execute_exact_opts`]).
 fn scalar_fold_encoded(
-    enc: &EncodedRelation,
+    rel: &Relation,
     mask: &Bitmap,
     query: &GroupByQuery,
     opts: &ExecOptions,
 ) -> Result<QueryResult> {
-    let n = enc.row_count();
+    let n = rel.row_count();
     let nchunks = chunk_count(n);
-    let zm = enc.zone_maps().clone();
+    let (enc, zm) = (rel.encoded(), rel.zone_maps());
     let mut kstats = KernelStats::default();
     let mut totals: Vec<Partial> = vec![Partial::new(); query.aggregates.len()];
     relation::with_scratch(|scratch| -> Result<()> {
@@ -548,9 +469,6 @@ mod tests {
         let r = rel();
         let q = GroupByQuery::new(vec![], vec![]);
         assert!(execute_exact(&r, &q).is_err());
-        let enc = relation::EncodedRelation::encode(&r);
-        let opts = crate::ExecOptions::default();
-        assert!(execute_exact_encoded(&enc, &GroupByQuery::new(vec![], vec![]), &opts).is_err());
     }
 
     /// Multi-chunk relation with a clustered id column so pruning actually
@@ -655,16 +573,14 @@ mod tests {
 
     /// The three-chunk exact path is pinned against truth: the executor
     /// returns the groups of the row-at-a-time reference with values
-    /// within 1e-9 relative (chunk merges reorder the additions).
-    /// `execute_exact_opts` and `execute_exact_encoded` must also be
-    /// bit-identical to the plain dense executor and record the same trace
-    /// counters — decode-on-demand changes cost, never bits or counts.
+    /// within 1e-9 relative (chunk merges reorder the additions). Its
+    /// zone-map pruning and kernels over the encoded twin are bit-identical
+    /// to the unpruned decode-path reference, traced or not.
     #[test]
     fn pruned_and_encoded_exact_execution_are_bit_identical() {
         use crate::ExecTrace;
         let rows = 40_000; // 3 chunks at CHUNK_ROWS = 16Ki
         let r = chunked_rel(rows);
-        let enc = relation::EncodedRelation::encode(&r);
         for q in chunked_queries(rows) {
             let baseline = execute_exact(&r, &q).unwrap();
             let reference = row_at_a_time(&r, &q);
@@ -678,31 +594,52 @@ mod tests {
                     );
                 }
             }
-            let (dense_trace, enc_trace) = (ExecTrace::new(), ExecTrace::new());
-            let pruned = execute_exact_opts(&r, &q, &traced(&dense_trace)).unwrap();
-            let encoded = execute_exact_encoded(&enc, &q, &traced(&enc_trace)).unwrap();
-            for other in [&pruned, &encoded] {
+            let trace = ExecTrace::new();
+            let pruned = execute_exact_opts(&r, &q, &traced(&trace)).unwrap();
+            let unpruned = whole_relation_reference(&r, &q);
+            for other in [&pruned, &unpruned] {
                 assert_eq!(other.aggregate_names, baseline.aggregate_names);
                 assert_eq!(bits(other), bits(&baseline));
             }
             let selected = (0..rows).filter(|&row| q.predicate.eval_row(&r, row));
-            assert_eq!(dense_trace.rows_selected(), selected.count() as u64);
-            assert_eq!(enc_trace.rows_scanned(), dense_trace.rows_scanned());
-            assert_eq!(enc_trace.rows_selected(), dense_trace.rows_selected());
-            assert_eq!(enc_trace.chunks_scanned(), dense_trace.chunks_scanned());
-            assert_eq!(enc_trace.chunks_pruned(), dense_trace.chunks_pruned());
+            assert_eq!(trace.rows_selected(), selected.count() as u64);
         }
     }
 
-    /// Kernels on vs off must be bit-identical on both the dense and the
-    /// encoded executor, and the trace must show the kernels actually
-    /// fired (predicate chunks and, for the scalar queries, fold chunks).
+    /// A traced exact scan reports as scanned exactly the rows of the
+    /// chunks that hold a selected row (decided row by row), so skipping
+    /// chunks without one cannot move the scanned-rows counter.
+    #[test]
+    fn rows_scanned_counts_the_chunks_holding_a_selected_row() {
+        use crate::ExecTrace;
+        let rows = 40_000;
+        for (r, queries) in [
+            (chunked_rel(rows), chunked_queries(rows)),
+            (wide_rel(), wide_queries()),
+        ] {
+            let n = r.row_count();
+            for q in &queries {
+                let trace = ExecTrace::new();
+                execute_exact_opts(&r, q, &traced(&trace)).unwrap();
+                let kept: usize = (0..relation::chunk_count(n))
+                    .map(|c| chunk_range(c, n))
+                    .filter(|&(start, end)| (start..end).any(|row| q.predicate.eval_row(&r, row)))
+                    .map(|(start, end)| end - start)
+                    .sum();
+                assert_eq!(trace.rows_scanned(), kept as u64, "{}", q.predicate);
+            }
+        }
+    }
+
+    /// The scalar kernel fold over the encoded twin is bit-identical to the
+    /// decode-path reference, and the trace shows the kernels actually
+    /// fired (predicate chunks and, for the bare-column scalar queries,
+    /// fold chunks).
     #[test]
     fn kernel_execution_is_bit_identical_to_decode() {
-        use crate::{ExecOptions, ExecTrace};
+        use crate::ExecTrace;
         let rows = 40_000;
         let r = chunked_rel(rows);
-        let enc = relation::EncodedRelation::encode(&r);
         let mut scalar_queries = chunked_queries(rows);
         // Bare-column scalar aggregates: the decode-free fold path proper.
         scalar_queries.push(GroupByQuery::new(
@@ -728,22 +665,11 @@ mod tests {
         let mut kernel_pred = 0;
         let mut kernel_folds = 0;
         for q in &scalar_queries {
-            let off = ExecOptions {
-                kernels: false,
-                ..ExecOptions::default()
-            };
-            let baseline = execute_exact_opts(&r, q, &off).unwrap();
+            let reference = whole_relation_reference(&r, q);
             let trace = ExecTrace::new();
-            let on = ExecOptions {
-                kernels: true,
-                ..traced(&trace)
-            };
-            let dense_kernels = execute_exact_opts(&r, q, &on).unwrap();
-            let enc_off = execute_exact_encoded(&enc, q, &off).unwrap();
-            let enc_on = execute_exact_encoded(&enc, q, &on).unwrap();
-            for other in [&dense_kernels, &enc_off, &enc_on] {
-                assert_eq!(bits(other), bits(&baseline));
-            }
+            let kernels = execute_exact_opts(&r, q, &traced(&trace)).unwrap();
+            assert_eq!(kernels.aggregate_names, reference.aggregate_names);
+            assert_eq!(bits(&kernels), bits(&reference));
             kernel_pred += trace.kernel_pred_chunks();
             kernel_folds += trace.kernel_fold_sum() + trace.kernel_fold_minmax();
         }
@@ -768,19 +694,21 @@ mod tests {
     }
 
     /// The grouped path this module had before the per-chunk fold, kept as
-    /// the reference: a predicate-filtered [`GroupIndex`] and masked
+    /// the reference: the unpruned decode-path mask ([`Predicate::eval`]),
+    /// a predicate-filtered [`GroupIndex`](crate::GroupIndex) and masked
     /// measure buffers over the whole relation, every chunk folded (empty
     /// or not) and merged with chunk 0 as the base, rows emitted in the
     /// index's key order.
     fn whole_relation_reference(rel: &Relation, query: &GroupByQuery) -> QueryResult {
-        use crate::rewrite::{accumulate, finish_rows, select};
-        let opts = ExecOptions {
-            kernels: false,
-            ..ExecOptions::default()
-        };
-        let sel = select(rel, query, &opts).unwrap();
-        let index = crate::GroupIndex::build_filtered(rel, &query.grouping, Some(&sel.mask));
-        let accs = accumulate(&index, &sel.mask, &sel.exprs, None, query, None).unwrap();
+        use crate::rewrite::{accumulate, finish_rows};
+        let mask = query.predicate.eval(rel);
+        let exprs: Vec<_> = query
+            .aggregates
+            .iter()
+            .map(|a| a.expr.as_ref().map(|e| e.eval_masked(rel, &mask).unwrap()))
+            .collect();
+        let index = crate::GroupIndex::build_filtered(rel, &query.grouping, Some(&mask));
+        let accs = accumulate(&index, &mask, &exprs, None, query, None).unwrap();
         finish_rows(&index, accs, query).unwrap()
     }
 
@@ -900,29 +828,18 @@ mod tests {
         queries
     }
 
-    /// The per-chunk fold — dense and encoded, kernels on and off — returns
-    /// the names, keys and bits of the whole-relation reference.
+    /// The per-chunk fold returns the names, keys and bits of the
+    /// whole-relation reference.
     #[test]
     fn chunk_fold_is_bit_identical_to_the_whole_relation_reference() {
         let r = wide_rel();
-        let enc = relation::EncodedRelation::encode(&r);
         let mut groups = 0;
         for (qi, q) in wide_queries().iter().enumerate() {
             let reference = whole_relation_reference(&r, q);
             groups += reference.group_count();
-            for kernels in [false, true] {
-                let opts = ExecOptions {
-                    kernels,
-                    ..ExecOptions::default()
-                };
-                let dense = execute_exact_opts(&r, q, &opts).unwrap();
-                let encoded = execute_exact_encoded(&enc, q, &opts).unwrap();
-                for (path, got) in [("dense", &dense), ("encoded", &encoded)] {
-                    let what = format!("query {qi}, {path}, kernels {kernels}");
-                    assert_eq!(got.aggregate_names, reference.aggregate_names, "{what}");
-                    assert_eq!(bits(got), bits(&reference), "{what}");
-                }
-            }
+            let got = execute_exact(&r, q).unwrap();
+            assert_eq!(got.aggregate_names, reference.aggregate_names, "query {qi}");
+            assert_eq!(bits(&got), bits(&reference), "query {qi}");
         }
         assert!(groups > 100, "the fixture lost its groups");
         // The shapes the band is there for really occur.
@@ -941,67 +858,50 @@ mod tests {
     }
 
     /// Float keys group by canonical bit pattern: `-0.0` and `0.0` apart,
-    /// every NaN together — also when the codes come from an encoded chunk.
+    /// every NaN together.
     #[test]
     fn float_keys_keep_signed_zero_apart_and_nan_together() {
         let r = wide_rel();
-        let enc = relation::EncodedRelation::encode(&r);
         let q = GroupByQuery::new(vec![ColumnId(3)], vec![AggregateSpec::count("c")]);
-        let opts = ExecOptions::default();
-        for res in [
-            execute_exact(&r, &q).unwrap(),
-            execute_exact_encoded(&enc, &q, &opts).unwrap(),
-        ] {
-            assert_eq!(res.group_count(), 4);
-            for f in [-0.0, 0.0, f64::NAN, 1.5] {
-                let key = GroupKey::new(vec![Value::from(f)]);
-                assert_eq!(res.get(&key), Some(&[WIDE_ROWS as f64 / 4.0][..]), "{f}");
-            }
+        let res = execute_exact(&r, &q).unwrap();
+        assert_eq!(res.group_count(), 4);
+        for f in [-0.0, 0.0, f64::NAN, 1.5] {
+            let key = GroupKey::new(vec![Value::from(f)]);
+            assert_eq!(res.get(&key), Some(&[WIDE_ROWS as f64 / 4.0][..]), "{f}");
         }
     }
 
     /// A fired token stops the scan with `Cancelled` — before it starts,
-    /// and from inside after the first chunk — on every exact path; a token
+    /// and from inside after the first chunk — grouped and scalar; a token
     /// that never fires leaves the bits unchanged.
     #[test]
     fn cancellation_before_and_inside_the_scan() {
         use crate::{CancelToken, EngineError};
         use std::sync::atomic::AtomicBool;
         let r = wide_rel();
-        let enc = relation::EncodedRelation::encode(&r);
         let v = Expr::col(ColumnId(7));
         let grouped =
             GroupByQuery::new(vec![ColumnId(1)], vec![AggregateSpec::sum(v.clone(), "s")]);
         let scalar = GroupByQuery::new(vec![], vec![AggregateSpec::sum(v, "s")]);
         for q in [&grouped, &scalar] {
             // A fresh token per run: a fuse is spent by the polls it sees.
-            let run = |token: &dyn Fn() -> CancelToken| {
-                let (dense, encoded) = (token(), token());
-                let opts = |cancel| ExecOptions {
-                    cancel: Some(cancel),
+            let run = |token: CancelToken| {
+                let opts = ExecOptions {
+                    cancel: Some(&token),
                     ..ExecOptions::default()
                 };
-                [
-                    execute_exact_opts(&r, q, &opts(&dense)),
-                    execute_exact_encoded(&enc, q, &opts(&encoded)),
-                ]
+                execute_exact_opts(&r, q, &opts)
             };
-            let fired = || CancelToken::with_flag(std::sync::Arc::new(AtomicBool::new(true)));
-            for res in run(&fired) {
-                assert_eq!(res.unwrap_err(), EngineError::Cancelled);
-            }
+            let fired = CancelToken::with_flag(std::sync::Arc::new(AtomicBool::new(true)));
+            assert_eq!(run(fired).unwrap_err(), EngineError::Cancelled);
             // Two polls pass (grouped: before the scan and at the first
             // chunk; scalar: the first two chunks); the next one fires.
-            for res in run(&|| CancelToken::firing_after(2)) {
-                assert_eq!(res.unwrap_err(), EngineError::Cancelled);
-            }
+            let res = run(CancelToken::firing_after(2));
+            assert_eq!(res.unwrap_err(), EngineError::Cancelled);
             // At most one poll per chunk plus the one before: never fires.
             let plain = execute_exact(&r, q).unwrap();
-            for res in run(&CancelToken::new)
-                .into_iter()
-                .chain(run(&|| CancelToken::firing_after(6)))
-            {
-                assert_eq!(bits(&res.unwrap()), bits(&plain));
+            for token in [CancelToken::new(), CancelToken::firing_after(6)] {
+                assert_eq!(bits(&run(token).unwrap()), bits(&plain));
             }
         }
     }

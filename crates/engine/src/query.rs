@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use relation::predicate::CmpOp;
-use relation::{ColumnId, Predicate, Relation, Schema};
+use relation::{ColumnId, Predicate, Relation};
 
 use crate::aggregate::AggregateSpec;
 use crate::error::{EngineError, Result};
@@ -114,18 +114,11 @@ impl GroupByQuery {
 
     /// Validate the query against a relation's schema.
     pub fn validate(&self, rel: &Relation) -> Result<()> {
-        self.validate_schema(rel.schema())
-    }
-
-    /// Validate the query against a bare schema — used by the encoded
-    /// executor, which answers straight from chunked storage without a
-    /// dense [`Relation`] in hand. Identical checks to [`Self::validate`].
-    pub fn validate_schema(&self, schema: &Schema) -> Result<()> {
         if self.aggregates.is_empty() {
             return Err(EngineError::NoAggregates);
         }
         for &c in &self.grouping {
-            schema.field(c)?;
+            rel.schema().field(c)?;
         }
         for a in &self.aggregates {
             match (&a.expr, a.func.needs_expr()) {
@@ -139,11 +132,11 @@ impl GroupByQuery {
                         "COUNT(*) takes no expression",
                     ))
                 }
-                (Some(e), true) => e.validate_schema(schema)?,
+                (Some(e), true) => e.validate(rel)?,
                 (None, false) => {}
             }
         }
-        self.predicate.validate_schema(schema)?;
+        self.predicate.validate(rel)?;
         if let Some(h) = &self.having {
             if !self.aggregates.iter().any(|a| a.name == h.aggregate) {
                 return Err(EngineError::MalformedAggregate(

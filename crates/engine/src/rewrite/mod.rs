@@ -35,7 +35,7 @@ pub use normalized::Normalized;
 
 use std::sync::Arc;
 
-use relation::{chunk_count, chunk_range, Bitmap, ColumnId, Expr, Predicate, Relation};
+use relation::{chunk_count, chunk_range, Bitmap, ColumnId, Expr, Predicate, PruneStats, Relation};
 
 use crate::aggregate::{Accumulator, AggregateFn, AggregateSpec};
 use crate::cache::{
@@ -106,31 +106,26 @@ pub trait SamplePlan {
 pub(crate) use relation::CHUNK_ROWS;
 
 /// Evaluate `pred` over `rel` through the zone-map pruning pass: chunk
-/// verdicts first, then only the `Maybe` chunks row by row. Returns the
-/// selection bitmap plus the row ranges that survived pruning; the bitmap
-/// is bit-identical to `pred.eval(rel)` because chunk verdicts are exact
-/// under the engine's `total_cmp` comparison semantics. Chunk counters are
-/// recorded into the trace when one is present.
+/// verdicts first, then only the `Maybe` chunks, in the code domain of the
+/// relation's encoded twin where a kernel applies. Returns the selection
+/// bitmap and the pass's [`PruneStats`]; the bitmap is bit-identical to
+/// `pred.eval(rel)` because chunk verdicts are exact under the engine's
+/// `total_cmp` comparison semantics and the kernels are exact inverses of
+/// it. Chunk and kernel counters are recorded into the trace when one is
+/// present.
 pub(crate) fn eval_predicate(
     rel: &Relation,
     pred: &Predicate,
     opts: &ExecOptions,
-) -> (Bitmap, relation::RowRangeList) {
-    let (mask, ranges, stats) = if opts.kernels {
-        let mut kstats = relation::KernelStats::default();
-        let out = pred.eval_pruned_kernels(rel, &mut kstats);
-        if let Some(trace) = opts.trace {
-            trace.record_kernels(&kstats);
-        }
-        out
-    } else {
-        pred.eval_pruned(rel)
-    };
+) -> (Bitmap, PruneStats) {
+    let mut kstats = relation::KernelStats::default();
+    let (mask, stats) = pred.eval_pruned_kernels(rel, &mut kstats);
     if let Some(trace) = opts.trace {
+        trace.record_kernels(&kstats);
         trace.record_chunks(stats.chunks - stats.pruned, stats.pruned);
         trace.record_selected(mask.count_ones() as u64);
     }
-    (mask, ranges)
+    (mask, stats)
 }
 
 /// What a cold sample scan selected: the predicate's bitmap over the
@@ -151,7 +146,7 @@ pub(crate) fn select(
     query: &GroupByQuery,
     opts: &ExecOptions,
 ) -> Result<Selection> {
-    let (mask, _ranges) = eval_predicate(rel, &query.predicate, opts);
+    let (mask, _) = eval_predicate(rel, &query.predicate, opts);
     // Unselected rows are never evaluated (their slots stay `0.0`).
     let masked = |e: &Expr| e.eval_masked(rel, &mask);
     let exprs = query
@@ -349,7 +344,7 @@ pub fn execute_cells(
             if let Some(trace) = opts.trace {
                 trace.record(ServedFrom::CachedScan, rel.row_count() as u64);
             }
-            let (mask, _ranges) = eval_predicate(rel, &query.predicate, opts);
+            let (mask, _) = eval_predicate(rel, &query.predicate, opts);
             let tables = fold_cells(rel, &layout, &measures, Some(&mask), opts.cancel)?;
             tables.into_iter().map(Arc::new).collect()
         };

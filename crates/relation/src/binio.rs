@@ -25,8 +25,10 @@
 //!
 //! A relation is a schema section plus one section per column holding its
 //! dictionary (strings) and per-chunk encodings — the representation
-//! [`EncodedRelation`] holds in memory. Zone maps are *not* persisted;
-//! they are rebuilt lazily so a hostile blob can never poison pruning.
+//! [`EncodedRelation`] holds in memory, so [`encode`] writes the relation's
+//! encoded twin as it sits and [`decode`] keeps the chunks it read as the
+//! decoded relation's twin. Zone maps are *not* persisted; they are rebuilt
+//! lazily from the values so a hostile blob can never poison pruning.
 //! The write-ahead log stores row batches ([`encode_rows`]) in [`frame`]s.
 
 use std::sync::Arc;
@@ -374,10 +376,11 @@ pub fn header_checksum(buf: &[u8]) -> Option<u32> {
     Some(u32::from_be_bytes(buf.get(at..at + 4)?.try_into().ok()?))
 }
 
-/// Serialize a relation. Equivalent to [`encode_encoded`] over
-/// [`EncodedRelation::encode`].
+/// Serialize a relation: [`encode_encoded`] over its encoded twin
+/// ([`Relation::encoded`]), which is built only if no scan or decode has
+/// built it yet.
 pub fn encode(rel: &Relation) -> Vec<u8> {
-    encode_encoded(&EncodedRelation::encode(rel))
+    encode_encoded(rel.encoded())
 }
 
 /// Serialize chunked storage: the schema section, then per column its
@@ -431,9 +434,14 @@ fn put_packed(w: &mut Writer, p: &PackedInts) {
     p.words().iter().for_each(|&x| w.u64(x));
 }
 
-/// Deserialize a relation written by [`encode`].
+/// Deserialize a relation written by [`encode`], seeding its encoded twin
+/// with the chunks just read so neither a kernel scan nor a later
+/// [`encode`] encodes it again.
 pub fn decode(buf: &[u8]) -> Result<Relation> {
-    decode_encoded(buf)?.to_relation()
+    let enc = decode_encoded(buf)?;
+    let rel = enc.to_relation()?;
+    rel.set_encoded(Arc::new(enc));
+    Ok(rel)
 }
 
 /// Deserialize straight into chunked storage, without a dense copy.
@@ -791,6 +799,23 @@ mod tests {
         for row in 0..rel.row_count() {
             assert_eq!(back.row(row).unwrap(), rel.row(row).unwrap());
         }
+    }
+
+    /// A decoded relation's twin is the chunks it was read from: encoding
+    /// it again returns the blob byte for byte.
+    #[test]
+    fn decode_then_encode_returns_the_same_bytes() {
+        let rel = sample();
+        let bytes = encode(&rel);
+        let back = decode(&bytes).unwrap();
+        assert_eq!(
+            back.encoded().columns(),
+            decode_encoded(&bytes).unwrap().columns()
+        );
+        assert_eq!(encode(&back), bytes);
+        let empty = RelationBuilder::new().column("a", DataType::Int).finish();
+        let bytes = encode(&empty);
+        assert_eq!(encode(&decode(&bytes).unwrap()), bytes);
     }
 
     #[test]

@@ -12,16 +12,17 @@
 //! * `Str` chunks: dictionary codes bit-packed to the chunk's observed code
 //!   width; the dictionary itself stays column-wide.
 //!
-//! Every chunk carries a [`ChunkStats`] zone map (min/max/distinct hint)
-//! computed with the *same* `as f64` + `total_cmp` folds the predicate
-//! kernels use, so chunk verdicts are exact — a pruned chunk provably
-//! contains no matching row, and an all-match chunk needs no row-level work.
+//! Every chunk has a [`ChunkStats`] zone map (min/max/distinct hint), built
+//! once per relation ([`Relation::zone_maps`]) with the *same* `as f64` +
+//! `total_cmp` folds the predicate kernels use, so chunk verdicts are exact
+//! — a pruned chunk provably contains no matching row, and an all-match
+//! chunk needs no row-level work.
 //!
 //! Decoding is chunk-at-a-time into a reusable [`DecodeScratch`] buffer so
 //! the hot fold loops stay branch-free and auto-vectorization friendly.
 
 use std::collections::HashSet;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::column::{Column, StrColumn};
 use crate::datatype::DataType;
@@ -391,28 +392,28 @@ impl EncodedColumn {
                     "encoded chunk variant does not match column type".into(),
                 ));
             }
-            if dtype == DataType::Date {
-                // Date chunks must decode back into i32 range.
-                match chunk {
-                    EncodedChunk::For { base, deltas } => {
-                        for j in 0..deltas.len() {
-                            let v = base.wrapping_add(deltas.get(j) as i64);
-                            if i32::try_from(v).is_err() {
-                                return Err(RelationError::CorruptEncoding(
-                                    "date value out of i32 range".into(),
-                                ));
-                            }
-                        }
-                    }
-                    EncodedChunk::PlainInt(vals) => {
-                        if vals.iter().any(|&v| i32::try_from(v).is_err()) {
-                            return Err(RelationError::CorruptEncoding(
-                                "date value out of i32 range".into(),
-                            ));
-                        }
-                    }
-                    _ => unreachable!(),
+            // Every value must decode into its type's range: dates into
+            // i32, and a FOR `base + delta` without wrapping, because the
+            // code-domain kernels compare deltas and a wrapped value would
+            // answer there differently than decoded.
+            let (lo, hi) = match dtype {
+                DataType::Date => (i32::MIN as i128, i32::MAX as i128),
+                _ => (i64::MIN as i128, i64::MAX as i128),
+            };
+            let in_range = match (dtype, chunk) {
+                (_, EncodedChunk::For { base, deltas }) => {
+                    let max = (0..deltas.len()).map(|j| deltas.get(j)).max();
+                    lo <= *base as i128 && *base as i128 + max.unwrap_or(0) as i128 <= hi
                 }
+                (DataType::Date, EncodedChunk::PlainInt(vals)) => {
+                    vals.iter().all(|&v| i32::try_from(v).is_ok())
+                }
+                _ => true,
+            };
+            if !in_range {
+                return Err(RelationError::CorruptEncoding(
+                    "encoded value out of its column type's range".into(),
+                ));
             }
             if let EncodedChunk::Codes(codes) = chunk {
                 let dict_len = dict.len() as u64;
@@ -757,41 +758,6 @@ impl ZoneMaps {
         ZoneMaps { rows, per_column }
     }
 
-    /// Build zone maps from an encoded relation by chunk-decoding. The folds
-    /// are identical to [`ZoneMaps::build`], so stats from either path are
-    /// equal for round-tripped data. Decoding runs through the per-thread
-    /// scratch pool ([`crate::kernels::with_scratch`]) so repeated builds
-    /// allocate no per-call buffers.
-    pub fn build_encoded(enc: &EncodedRelation) -> ZoneMaps {
-        let rows = enc.row_count();
-        let nchunks = chunk_count(rows);
-        let per_column = crate::kernels::with_scratch(|scratch| {
-            enc.columns
-                .iter()
-                .map(|col| {
-                    (0..nchunks)
-                        .map(|c| match col.data_type() {
-                            DataType::Str => {
-                                scratch.u64s.clear();
-                                col.decode_chunk_u64(c, &mut scratch.u64s);
-                                ChunkStats::str_from_codes(
-                                    scratch.u64s.iter().map(|&v| v as u32),
-                                    col.dict(),
-                                )
-                            }
-                            _ => {
-                                scratch.f64s.clear();
-                                col.decode_chunk_f64(c, &mut scratch.f64s);
-                                ChunkStats::numeric_from_f64s(scratch.f64s.iter().copied())
-                            }
-                        })
-                        .collect()
-                })
-                .collect()
-        });
-        ZoneMaps { rows, per_column }
-    }
-
     /// Row count of the mapped relation.
     pub fn rows(&self) -> usize {
         self.rows
@@ -823,7 +789,7 @@ impl ZoneMaps {
 }
 
 // ---------------------------------------------------------------------------
-// Pruning verdicts, row ranges, statistics
+// Pruning verdicts and statistics
 // ---------------------------------------------------------------------------
 
 /// Tri-state outcome of evaluating a predicate against one chunk's stats.
@@ -869,74 +835,6 @@ impl ChunkVerdict {
     }
 }
 
-/// Sorted, coalesced list of half-open row ranges that survived pruning.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RowRangeList {
-    ranges: Vec<(usize, usize)>,
-}
-
-impl RowRangeList {
-    /// Empty list.
-    pub fn new() -> RowRangeList {
-        RowRangeList::default()
-    }
-
-    /// The full-table range list (no pruning).
-    pub fn full(rows: usize) -> RowRangeList {
-        let mut r = RowRangeList::new();
-        if rows > 0 {
-            r.ranges.push((0, rows));
-        }
-        r
-    }
-
-    /// Append `[start, end)`; coalesces with the previous range when
-    /// adjacent. Ranges must be pushed in ascending order.
-    pub fn push(&mut self, start: usize, end: usize) {
-        if start >= end {
-            return;
-        }
-        if let Some(last) = self.ranges.last_mut() {
-            debug_assert!(start >= last.1);
-            if last.1 == start {
-                last.1 = end;
-                return;
-            }
-        }
-        self.ranges.push((start, end));
-    }
-
-    /// The coalesced ranges in ascending order.
-    pub fn ranges(&self) -> &[(usize, usize)] {
-        &self.ranges
-    }
-
-    /// Whether there are no values.
-    pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
-    }
-
-    /// Total rows covered.
-    pub fn covered_rows(&self) -> usize {
-        self.ranges.iter().map(|&(s, e)| e - s).sum()
-    }
-
-    /// Whether `row` falls inside any range.
-    pub fn contains(&self, row: usize) -> bool {
-        self.ranges
-            .binary_search_by(|&(s, e)| {
-                if row < s {
-                    std::cmp::Ordering::Greater
-                } else if row >= e {
-                    std::cmp::Ordering::Less
-                } else {
-                    std::cmp::Ordering::Equal
-                }
-            })
-            .is_ok()
-    }
-}
-
 /// Counters from one pruning pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneStats {
@@ -947,6 +845,9 @@ pub struct PruneStats {
     /// Chunks satisfied entirely (verdict [`ChunkVerdict::AllMatch`]) — no
     /// row-level evaluation was needed, the mask was filled wholesale.
     pub full: u64,
+    /// Rows of the chunks holding at least one selected row: what a
+    /// consumer folding only those chunks scans.
+    pub kept_rows: u64,
 }
 
 impl PruneStats {
@@ -970,61 +871,39 @@ pub struct DecodeScratch {
     pub u64s: Vec<u64>,
 }
 
-/// Pass a relation through the chunked encoder and back when the
-/// `CONGRESS_CHUNKED_STORAGE` environment variable is set to `1`;
-/// otherwise return it unchanged. Test fixtures call this on their base
-/// relations so CI's encoded-vs-dense leg can force entire equivalence
-/// suites through chunked storage without touching each test. The
-/// roundtrip is exact (see the chunk property tests), so enabling it must
-/// never change any asserted result.
-pub fn maybe_chunked_storage(rel: Relation) -> Relation {
-    if std::env::var_os("CONGRESS_CHUNKED_STORAGE").is_some_and(|v| v == "1") {
-        EncodedRelation::encode(&rel)
-            .to_relation()
-            .expect("chunked storage roundtrip is exact")
-    } else {
-        rel
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Encoded relations
 // ---------------------------------------------------------------------------
 
-/// A relation stored as chunked encoded columns.
+/// A relation stored as chunked encoded columns: the twin the code-domain
+/// kernels scan ([`Relation::encoded`]) and the shape the relation codec
+/// writes. Its zone maps are the dense relation's ([`Relation::zone_maps`]).
 #[derive(Debug, Clone)]
 pub struct EncodedRelation {
     schema: Schema,
     columns: Vec<EncodedColumn>,
     rows: usize,
-    zone_maps: OnceLock<Arc<ZoneMaps>>,
 }
 
 impl EncodedRelation {
-    /// Encode a dense relation chunk by chunk. If the dense relation has
-    /// already computed zone maps they are shared, not recomputed.
+    /// Encode a dense relation chunk by chunk.
     pub fn encode(rel: &Relation) -> EncodedRelation {
         let columns = rel
             .columns()
             .iter()
             .map(EncodedColumn::from_column)
             .collect();
-        let enc = EncodedRelation {
+        EncodedRelation {
             schema: rel.schema().clone(),
             columns,
             rows: rel.row_count(),
-            zone_maps: OnceLock::new(),
-        };
-        if let Some(zm) = rel.zone_maps_if_built() {
-            let _ = enc.zone_maps.set(zm);
         }
-        enc
     }
 
     /// Rebuild from parts (snapshot decode). Column count, types, and
-    /// lengths are validated against the schema. Zone maps are *never*
-    /// accepted from outside — they are rebuilt on demand so a hostile
-    /// snapshot cannot poison pruning soundness.
+    /// lengths are validated against the schema. Zone maps are not part of
+    /// the encoding: the decoded relation builds its own from the values,
+    /// so a hostile snapshot cannot poison pruning soundness.
     pub fn from_parts(
         schema: Schema,
         columns: Vec<EncodedColumn>,
@@ -1052,7 +931,6 @@ impl EncodedRelation {
             schema,
             columns,
             rows,
-            zone_maps: OnceLock::new(),
         })
     }
 
@@ -1081,21 +959,11 @@ impl EncodedRelation {
         &self.columns
     }
 
-    /// Zone maps, built lazily on first use and shared thereafter.
-    pub fn zone_maps(&self) -> &Arc<ZoneMaps> {
-        self.zone_maps
-            .get_or_init(|| Arc::new(ZoneMaps::build_encoded(self)))
-    }
-
     /// Decode back into a dense relation. Exact inverse of
-    /// [`EncodedRelation::encode`]; already-built zone maps carry over.
+    /// [`EncodedRelation::encode`].
     pub fn to_relation(&self) -> Result<Relation> {
         let columns: Result<Vec<Column>> = self.columns.iter().map(|c| c.to_column()).collect();
-        let rel = Relation::new(self.schema.clone(), columns?)?;
-        if let Some(zm) = self.zone_maps.get() {
-            rel.set_zone_maps(zm.clone());
-        }
-        Ok(rel)
+        Relation::new(self.schema.clone(), columns?)
     }
 
     /// Total encoded heap footprint in bytes.
@@ -1228,11 +1096,12 @@ mod tests {
 
     #[test]
     fn zone_maps_dense_and_encoded_agree() {
+        // The maps of a relation decoded from its chunked encoding equal
+        // the original's.
         let rel = sample_rel(CHUNK_ROWS + 123);
         let dense = ZoneMaps::build(&rel);
-        let enc = EncodedRelation::encode(&rel);
-        let encoded = ZoneMaps::build_encoded(&enc);
-        assert_eq!(dense, encoded);
+        let decoded = EncodedRelation::encode(&rel).to_relation().unwrap();
+        assert_eq!(&dense, decoded.zone_maps().as_ref());
         // Int column chunk 0: rows 0..CHUNK_ROWS, v = r*3 - 500.
         match dense.stats(ColumnId(1), 0) {
             ChunkStats::Numeric { min, max, .. } => {
@@ -1288,29 +1157,12 @@ mod tests {
     }
 
     #[test]
-    fn row_range_list_coalesces_and_queries() {
-        let mut r = RowRangeList::new();
-        r.push(0, 10);
-        r.push(10, 20); // adjacent: coalesce
-        r.push(40, 50);
-        r.push(50, 50); // empty: ignored
-        assert_eq!(r.ranges(), &[(0, 20), (40, 50)]);
-        assert_eq!(r.covered_rows(), 30);
-        assert!(r.contains(0));
-        assert!(r.contains(19));
-        assert!(!r.contains(20));
-        assert!(r.contains(45));
-        assert!(!r.contains(50));
-        assert_eq!(RowRangeList::full(7).ranges(), &[(0, 7)]);
-        assert!(RowRangeList::full(0).is_empty());
-    }
-
-    #[test]
     fn prune_stats_frac() {
         let s = PruneStats {
             chunks: 8,
             pruned: 6,
             full: 1,
+            kept_rows: 2 * CHUNK_ROWS as u64,
         };
         assert!((s.pruned_frac() - 0.75).abs() < 1e-12);
         assert_eq!(PruneStats::default().pruned_frac(), 0.0);
@@ -1346,7 +1198,7 @@ mod tests {
             vec![EncodedChunk::Codes(PackedInts::pack(&[0, 5]))],
         );
         assert!(bad.is_err());
-        // Date out of i32 range.
+        // Date out of i32 range, plain and frame-of-reference.
         let bad = EncodedColumn::from_parts(
             DataType::Date,
             1,
@@ -1354,5 +1206,18 @@ mod tests {
             vec![EncodedChunk::PlainInt(vec![i64::MAX])],
         );
         assert!(bad.is_err());
+        let for_chunk = |base: i64, deltas: &[u64]| EncodedChunk::For {
+            base,
+            deltas: PackedInts::pack(deltas),
+        };
+        let date = |chunk| EncodedColumn::from_parts(DataType::Date, 2, Vec::new(), vec![chunk]);
+        assert!(date(for_chunk(i32::MAX as i64 - 1, &[0, 2])).is_err());
+        assert!(date(for_chunk(i32::MAX as i64 - 2, &[0, 2])).is_ok());
+        // An int base + delta that wraps past i64::MAX.
+        let int = |chunk| EncodedColumn::from_parts(DataType::Int, 2, Vec::new(), vec![chunk]);
+        assert!(int(for_chunk(i64::MAX - 1, &[0, 2])).is_err());
+        // The encoder's own chunk at the top of the range round-trips.
+        let top = encode_int_chunk(&[i64::MAX - 5, i64::MAX]);
+        assert!(int(top).is_ok());
     }
 }

@@ -321,6 +321,32 @@ impl Column {
             Column::Date(v) => v[row] as i64 as u64,
         }
     }
+
+    /// Append [`Column::group_code`] at each of `rows`. One type dispatch
+    /// per call, so the per-row loop is a plain gather — what the exact
+    /// executor's per-chunk fold runs per grouping column.
+    pub fn group_codes_at(&self, rows: &[u32], out: &mut Vec<u64>) {
+        let at = rows.iter().map(|&r| r as usize);
+        match self {
+            Column::Int(v) => out.extend(at.map(|r| v[r] as u64)),
+            Column::Float(v) => out.extend(at.map(|r| F64::new(v[r]).get().to_bits())),
+            Column::Str(v) => out.extend(at.map(|r| v.code(r) as u64)),
+            Column::Date(v) => out.extend(at.map(|r| v[r] as i64 as u64)),
+        }
+    }
+
+    /// Append [`Column::value_f64`] at each of `rows`, with one type
+    /// dispatch per call; `None` (nothing appended) for a string column.
+    pub fn values_f64_at(&self, rows: &[u32], out: &mut Vec<f64>) -> Option<()> {
+        let at = rows.iter().map(|&r| r as usize);
+        match self {
+            Column::Int(v) => out.extend(at.map(|r| v[r] as f64)),
+            Column::Float(v) => out.extend(at.map(|r| v[r])),
+            Column::Date(v) => out.extend(at.map(|r| v[r] as f64)),
+            Column::Str(_) => return None,
+        }
+        Some(())
+    }
 }
 
 #[cfg(test)]
@@ -399,6 +425,35 @@ mod tests {
         c.push(Value::from(1.5)).unwrap();
         assert_eq!(c.group_code(0), c.group_code(2));
         assert_ne!(c.group_code(0), c.group_code(1));
+    }
+
+    /// The row-list gathers equal the per-row accessors bit for bit, on
+    /// every type (NaN payloads and signed zeros included).
+    #[test]
+    fn gathers_at_rows_match_the_per_row_accessors() {
+        let nan = f64::from_bits(0x7ff8_0000_0000_0001);
+        let columns = [
+            Column::Int(vec![-3, 0, i64::MAX, i64::MIN, 7]),
+            Column::Float(vec![-0.0, 0.0, nan, f64::NAN, 2.5]),
+            Column::Date(vec![-1, 0, i32::MAX, i32::MIN, 9]),
+            Column::Str(
+                StrColumn::from_parts(vec!["a".into(), "b".into()], vec![1, 0, 1, 1, 0]).unwrap(),
+            ),
+        ];
+        let rows = [4u32, 0, 2, 2, 3];
+        for c in &columns {
+            let mut codes = vec![42];
+            c.group_codes_at(&rows, &mut codes);
+            let want: Vec<u64> = rows.iter().map(|&r| c.group_code(r as usize)).collect();
+            assert_eq!(codes[1..], want[..], "{:?}", c.data_type());
+            let mut values = vec![1.0];
+            let got = c.values_f64_at(&rows, &mut values);
+            assert_eq!(got.is_some(), c.data_type() != DataType::Str);
+            let want = rows.iter().filter_map(|&r| c.value_f64(r as usize));
+            let want: Vec<u64> = want.map(f64::to_bits).collect();
+            let got: Vec<u64> = values[1..].iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "{:?}", c.data_type());
+        }
     }
 
     #[test]

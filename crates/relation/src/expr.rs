@@ -11,10 +11,9 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::bitmap::Bitmap;
-use crate::chunk::{chunk_range, DecodeScratch, EncodedRelation};
 use crate::error::{RelationError, Result};
 use crate::relation::Relation;
-use crate::schema::{ColumnId, Schema};
+use crate::schema::ColumnId;
 
 /// Binary arithmetic operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -50,9 +49,6 @@ impl fmt::Display for ArithOp {
         })
     }
 }
-
-/// Appends one column's values at the rows under evaluation.
-type Gather<'a> = &'a mut dyn FnMut(ColumnId, &mut Vec<f64>);
 
 /// A numeric scalar expression evaluated per row to `f64`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -203,15 +199,9 @@ impl Expr {
 
     /// Check that every referenced column exists and is numeric.
     pub fn validate(&self, rel: &Relation) -> Result<()> {
-        self.validate_schema(rel.schema())
-    }
-
-    /// [`Expr::validate`] against a bare schema (the check is schema-only;
-    /// the encoded execution path has no dense relation to hand).
-    pub fn validate_schema(&self, schema: &Schema) -> Result<()> {
         match self {
             Expr::Column(id) => {
-                let field = schema.field(*id)?;
+                let field = rel.schema().field(*id)?;
                 if !field.data_type.is_numeric() {
                     return Err(RelationError::InvalidOperandType {
                         context: "arithmetic expression",
@@ -222,8 +212,8 @@ impl Expr {
             }
             Expr::Literal(_) => Ok(()),
             Expr::Binary { lhs, rhs, .. } => {
-                lhs.validate_schema(schema)?;
-                rhs.validate_schema(schema)
+                lhs.validate(rel)?;
+                rhs.validate(rel)
             }
         }
     }
@@ -235,49 +225,25 @@ impl Expr {
     /// values are bit-identical to a full evaluation at those rows.
     pub fn eval_rows(&self, rel: &Relation, rows: &[u32], out: &mut Vec<f64>) -> Result<()> {
         self.validate(rel)?;
-        self.eval_gathered(rows.len(), out, &mut |id, out| {
-            let col = rel.column(id);
-            let value = |&r: &u32| col.value_f64(r as usize).expect("validated numeric");
-            out.extend(rows.iter().map(value));
-        });
+        self.eval_rows_validated(rel, rows, out);
         Ok(())
     }
 
-    /// [`Self::eval_rows`] over an [`EncodedRelation`] for `rows` that all
-    /// lie in chunk `chunk`: each referenced column's chunk is decoded into
-    /// `scratch` (with exactly the `value_f64` casts) and gathered, so no
-    /// other chunk is touched and the values are bit-identical to the
-    /// dense evaluation.
-    pub fn eval_rows_encoded(
-        &self,
-        enc: &EncodedRelation,
-        chunk: usize,
-        rows: &[u32],
-        scratch: &mut DecodeScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<()> {
-        self.validate_schema(enc.schema())?;
-        let start = chunk_range(chunk, enc.row_count()).0;
-        self.eval_gathered(rows.len(), out, &mut |id, out| {
-            scratch.f64s.clear();
-            enc.column(id).decode_chunk_f64(chunk, &mut scratch.f64s);
-            out.extend(rows.iter().map(|&r| scratch.f64s[r as usize - start]));
-        });
-        Ok(())
-    }
-
-    /// Append `n` values to `out`, with `gather(col, out)` appending column
-    /// `col`'s `n` row values. A binary node evaluates both operands onto
-    /// the tail of `out` and folds the right one into the left in place, so
-    /// no buffer beyond `out` is allocated.
-    fn eval_gathered(&self, n: usize, out: &mut Vec<f64>, gather: Gather) {
+    /// [`Self::eval_rows`] after validation. A binary node evaluates both
+    /// operands onto the tail of `out` and folds the right one into the
+    /// left in place, so no buffer beyond `out` is allocated.
+    fn eval_rows_validated(&self, rel: &Relation, rows: &[u32], out: &mut Vec<f64>) {
+        let n = rows.len();
         match self {
-            Expr::Column(id) => gather(*id, out),
+            Expr::Column(id) => rel
+                .column(*id)
+                .values_f64_at(rows, out)
+                .expect("validated numeric"),
             Expr::Literal(v) => out.resize(out.len() + n, *v),
             Expr::Binary { op, lhs, rhs } => {
                 let base = out.len();
-                lhs.eval_gathered(n, out, gather);
-                rhs.eval_gathered(n, out, gather);
+                lhs.eval_rows_validated(rel, rows, out);
+                rhs.eval_rows_validated(rel, rows, out);
                 let (a, b) = out[base..].split_at_mut(n);
                 for (x, y) in a.iter_mut().zip(b.iter()) {
                     *x = op.apply(*x, *y);
@@ -434,10 +400,13 @@ mod tests {
         assert_eq!(e.to_string(), "(#0 * 2)");
     }
 
+    /// `eval_rows` equals `eval` at the selected rows, and so do the
+    /// encoded twin's decoded chunks (`decode_chunk_f64`, what the scalar
+    /// fold reads) for every bare column.
     #[test]
     fn eval_rows_is_bitwise_equal_to_eval_dense_and_chunk_decoded() {
         use crate::bitmap::Bitmap;
-        use crate::chunk::{chunk_count, DecodeScratch, EncodedRelation, CHUNK_ROWS};
+        use crate::chunk::{chunk_count, chunk_range, CHUNK_ROWS};
         let rows = CHUNK_ROWS + 300;
         let mut b = RelationBuilder::new()
             .column("i", DataType::Int)
@@ -457,10 +426,10 @@ mod tests {
             .unwrap();
         }
         let r = b.finish();
-        let enc = EncodedRelation::encode(&r);
-        let mut scratch = DecodeScratch::default();
         let exprs = [
             Expr::col(ColumnId(0)),
+            Expr::col(ColumnId(1)),
+            Expr::col(ColumnId(2)),
             Expr::lit(2.5),
             Expr::col(ColumnId(1))
                 .mul(Expr::lit(1.0).sub(Expr::col(ColumnId(0))))
@@ -473,31 +442,30 @@ mod tests {
             Bitmap::new_false(rows),
             Bitmap::new_true(rows),
         ];
+        let bits = |vals: &[f64]| vals.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
         for e in &exprs {
             let full = e.eval(&r).unwrap();
             for mask in &masks {
                 for c in 0..chunk_count(rows) {
                     let (start, end) = chunk_range(c, rows);
                     let sel: Vec<u32> = mask.ones_range(start, end).map(|r| r as u32).collect();
+                    let want: Vec<f64> = sel.iter().map(|&r| full[r as usize]).collect();
                     // Appends after what `out` already holds.
-                    let (mut dense, mut decoded) = (vec![7.0], vec![7.0]);
+                    let mut dense = vec![7.0];
                     e.eval_rows(&r, &sel, &mut dense).unwrap();
-                    e.eval_rows_encoded(&enc, c, &sel, &mut scratch, &mut decoded)
-                        .unwrap();
-                    let want = sel.iter().map(|&r| full[r as usize].to_bits());
-                    let want: Vec<u64> = [7.0f64.to_bits()].into_iter().chain(want).collect();
-                    for got in [&dense, &decoded] {
-                        let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
-                        assert_eq!(got, want, "chunk {c} differs for {e}");
+                    assert_eq!(bits(&dense[1..]), bits(&want), "chunk {c} differs for {e}");
+                    assert_eq!(dense[0], 7.0);
+                    if let Expr::Column(id) = e {
+                        let mut decoded = Vec::new();
+                        r.encoded().column(*id).decode_chunk_f64(c, &mut decoded);
+                        let decoded: Vec<f64> =
+                            sel.iter().map(|&r| decoded[r as usize - start]).collect();
+                        assert_eq!(bits(&decoded), bits(&want), "decoded chunk {c} of {e}");
                     }
                 }
             }
         }
-        // Validation carries over to both forms.
         let bad = Expr::col(ColumnId(9));
         assert!(bad.eval_rows(&r, &[0], &mut Vec::new()).is_err());
-        assert!(bad
-            .eval_rows_encoded(&enc, 0, &[0], &mut scratch, &mut Vec::new())
-            .is_err());
     }
 }

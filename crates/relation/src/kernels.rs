@@ -25,7 +25,6 @@
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::sync::OnceLock;
 
 use crate::bitmap::Bitmap;
 use crate::chunk::{ChunkStats, DecodeScratch, EncodedChunk, EncodedColumn, PackedInts};
@@ -34,19 +33,8 @@ use crate::predicate::CmpOp;
 use crate::value::Value;
 
 // ---------------------------------------------------------------------------
-// Configuration and counters
+// Counters
 // ---------------------------------------------------------------------------
-
-/// Whether decode-free scan kernels are enabled for this process.
-///
-/// Controlled by the `CONGRESS_SCAN_KERNELS` environment variable: kernels
-/// are **on by default** and disabled only when the variable is set to `0`.
-/// The value is read once and cached, matching how the equivalence CI legs
-/// force the kernels on and off for whole test-suite runs.
-pub fn scan_kernels_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var_os("CONGRESS_SCAN_KERNELS").is_none_or(|v| v != "0"))
-}
 
 /// Counters for decode-free kernel activity during one scan.
 ///
@@ -651,7 +639,7 @@ pub fn fold_chunk_encoded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunk::{chunk_range, encode_int_chunk, EncodedRelation, ZoneMaps, CHUNK_ROWS};
+    use crate::chunk::{chunk_range, encode_int_chunk, EncodedRelation, CHUNK_ROWS};
     use crate::datatype::DataType;
     use crate::relation::{Relation, RelationBuilder};
     use crate::schema::ColumnId;
@@ -909,7 +897,7 @@ mod tests {
         }
         let rel: Relation = b.finish();
         let enc = EncodedRelation::encode(&rel);
-        let zm = ZoneMaps::build_encoded(&enc);
+        let zm = rel.zone_maps();
         for cid in [ColumnId(0), ColumnId(1)] {
             let col = enc.column(cid);
             for chunk in 0..enc.chunk_count() {

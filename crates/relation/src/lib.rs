@@ -49,7 +49,7 @@ pub mod value;
 pub use bitmap::Bitmap;
 pub use chunk::{
     chunk_count, chunk_range, ChunkStats, ChunkVerdict, DecodeScratch, EncodedColumn,
-    EncodedRelation, PruneStats, RowRangeList, ZoneMaps, CHUNK_ROWS,
+    EncodedRelation, PruneStats, ZoneMaps, CHUNK_ROWS,
 };
 pub use column::Column;
 pub use csv::{parse_csv, read_csv, CsvOptions};
@@ -58,7 +58,7 @@ pub use dates::{civil_from_days, days_from_civil, parse_date};
 pub use error::{RelationError, Result};
 pub use expr::Expr;
 pub use group_key::GroupKey;
-pub use kernels::{scan_kernels_enabled, with_scratch, ChunkFold, KernelStats};
+pub use kernels::{with_scratch, ChunkFold, KernelStats};
 pub use predicate::Predicate;
 pub use relation::{Relation, RelationBuilder};
 pub use schema::{ColumnId, Field, Schema};

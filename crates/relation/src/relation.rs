@@ -30,9 +30,9 @@ pub struct Relation {
     #[serde(skip)]
     zone_maps: OnceLock<Arc<ZoneMaps>>,
     /// Lazily-built encoded twin for the decode-free scan kernels (see
-    /// [`crate::kernels`]). Built on first kernel-path scan; cloning a
-    /// relation shares the encoding. Never serialized — like the zone maps
-    /// it is rebuilt from the dense columns on demand.
+    /// [`crate::kernels`]). Built on first kernel-path scan, or seeded by
+    /// [`crate::binio::decode`] with the chunks it read; cloning a relation
+    /// shares the encoding. Never serde-serialized.
     #[serde(skip)]
     encoded: OnceLock<Arc<EncodedRelation>>,
 }
@@ -129,12 +129,6 @@ impl Relation {
         self.zone_maps.get().cloned()
     }
 
-    /// Seed the zone maps from an already-computed set (decode paths that
-    /// provably derive from the same data). No-op if already built.
-    pub(crate) fn set_zone_maps(&self, zm: Arc<ZoneMaps>) {
-        let _ = self.zone_maps.set(zm);
-    }
-
     /// The encoded twin of this relation, built on first use and shared by
     /// clones. The decode-free kernels (see [`crate::kernels`]) scan this
     /// representation directly; the dense columns remain the source of
@@ -142,6 +136,14 @@ impl Relation {
     pub fn encoded(&self) -> &Arc<EncodedRelation> {
         self.encoded
             .get_or_init(|| Arc::new(EncodedRelation::encode(self)))
+    }
+
+    /// Seed the encoded twin with chunks this relation was decoded from,
+    /// so the first kernel scan does not encode it again. No-op if already
+    /// built.
+    pub(crate) fn set_encoded(&self, enc: Arc<EncodedRelation>) {
+        debug_assert_eq!(enc.row_count(), self.rows);
+        let _ = self.encoded.set(enc);
     }
 
     /// The value at (`row`, `col`).

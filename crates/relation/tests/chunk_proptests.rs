@@ -1,9 +1,9 @@
 //! Property tests over chunked encoded storage: encode/decode roundtrip
 //! identity, zone-map pruning soundness, and bitwise equivalence of the
-//! encoded expression path with the dense one.
+//! code-domain kernels and encoded folds with decode-then-evaluate.
 
 use proptest::prelude::*;
-use relation::chunk::{chunk_range, DecodeScratch, EncodedRelation};
+use relation::chunk::{chunk_range, EncodedRelation};
 use relation::kernels::fold_chunk_encoded;
 use relation::predicate::CmpOp;
 use relation::{
@@ -237,9 +237,8 @@ proptest! {
     }
 
     /// Zone-map pruning is sound and exact: the pruned mask is bit-identical
-    /// to the unpruned evaluation, every surviving bit lies inside a covered
-    /// range, and a pruned (uncovered) chunk provably contains no matching
-    /// row.
+    /// to the unpruned evaluation and to row-at-a-time evaluation, and the
+    /// kept rows are exactly those of the chunks holding a matching row.
     #[test]
     fn zone_map_pruning_is_sound(
         rows in proptest::collection::vec(row_strategy(), 1..80),
@@ -247,38 +246,27 @@ proptest! {
     ) {
         let rel = relation_of(&rows);
         let dense = pred.eval(&rel);
-        let (mask, ranges, stats) = pred.eval_pruned(&rel);
+        let (mask, stats) = pred.eval_pruned(&rel);
         prop_assert_eq!(mask.to_bools(), dense.to_bools(), "pruned mask diverges for {}", &pred);
-        for r in 0..rel.row_count() {
-            if mask.get(r) {
-                prop_assert!(ranges.contains(r), "surviving row {} outside covered ranges", r);
-            }
-        }
-        // Chunks outside every covered range were pruned (or empty of
-        // matches): scalar evaluation must find nothing there.
         let nchunks = relation::chunk_count(rel.row_count());
         prop_assert_eq!(stats.chunks, nchunks as u64);
+        let mut kept = 0;
         for c in 0..nchunks {
             let (start, end) = chunk_range(c, rel.row_count());
-            if !ranges.contains(start) {
-                for r in start..end {
-                    prop_assert!(!pred.eval_row(&rel, r), "pruned chunk {} holds matching row {}", c, r);
-                }
+            let matching = (start..end).filter(|&r| pred.eval_row(&rel, r)).count();
+            prop_assert_eq!(matching, mask.ones_range(start, end).count(), "chunk {}", c);
+            if matching > 0 {
+                kept += end - start;
             }
         }
-        // The encoded path agrees bit-for-bit too.
-        let enc = EncodedRelation::encode(&rel);
-        let mut scratch = DecodeScratch::default();
-        let (emask, _, _) = pred.eval_encoded(&enc, &mut scratch);
-        prop_assert_eq!(emask.to_bools(), dense.to_bools(), "encoded mask diverges for {}", &pred);
+        prop_assert_eq!(stats.kept_rows, kept as u64, "kept rows for {}", &pred);
     }
 
     /// The code-domain kernel path is bitwise-equal to decode-then-compare
-    /// for arbitrary (encoding, constant, op) triples: the mask, covered
-    /// ranges, and prune stats all match the decode path exactly, on both
-    /// the dense-relation and encoded-relation entry points. The literal
-    /// strategies deliberately include overflow and out-of-domain edges
-    /// where the transform must saturate or fall back to decode.
+    /// for arbitrary (encoding, constant, op) triples: the mask and prune
+    /// stats match the decode path exactly. The literal strategies
+    /// deliberately include overflow and out-of-domain edges where the
+    /// transform must saturate or fall back to decode.
     #[test]
     fn code_domain_kernels_match_decode(
         rows in proptest::collection::vec(row_strategy(), 1..80),
@@ -286,21 +274,12 @@ proptest! {
     ) {
         let rel = relation_of(&rows);
         let dense = pred.eval(&rel);
-        let (dmask, dranges, dstats) = pred.eval_pruned(&rel);
+        let (dmask, dstats) = pred.eval_pruned(&rel);
         let mut kstats = KernelStats::default();
-        let (kmask, kranges, kprune) = pred.eval_pruned_kernels(&rel, &mut kstats);
+        let (kmask, kprune) = pred.eval_pruned_kernels(&rel, &mut kstats);
         prop_assert_eq!(kmask.to_bools(), dense.to_bools(), "kernel mask diverges for {}", &pred);
         prop_assert_eq!(dmask.to_bools(), kmask.to_bools());
-        prop_assert_eq!(&kranges, &dranges, "kernel ranges diverge for {}", &pred);
         prop_assert_eq!(kprune, dstats, "kernel prune stats diverge for {}", &pred);
-
-        let enc = EncodedRelation::encode(&rel);
-        let mut scratch = DecodeScratch::default();
-        let mut ekstats = KernelStats::default();
-        let (emask, eranges, eprune) = pred.eval_encoded_kernels(&enc, &mut scratch, &mut ekstats);
-        prop_assert_eq!(emask.to_bools(), dense.to_bools(), "encoded kernel mask diverges for {}", &pred);
-        prop_assert_eq!(&eranges, &dranges);
-        prop_assert_eq!(eprune, dstats);
     }
 
     /// The encoded aggregate fold agrees bit-for-bit with the sequential
@@ -313,7 +292,7 @@ proptest! {
     ) {
         let rel = relation_of(&rows);
         let enc = EncodedRelation::encode(&rel);
-        let zm = enc.zone_maps();
+        let zm = rel.zone_maps();
         for c in [0usize, 3] { // the Int and Date columns
             let col = ColumnId(c);
             for chunk in 0..relation::chunk_count(rel.row_count()) {
@@ -343,9 +322,9 @@ proptest! {
         }
     }
 
-    /// `eval_rows` at the selected rows — dense, and gathered from the
-    /// chunk decoded on demand — is bitwise-equal to the full `eval` there,
-    /// for arbitrary expressions and masks.
+    /// `eval_rows` at the selected rows is bitwise-equal to the full `eval`
+    /// there, for arbitrary expressions and masks, and so is each bare
+    /// column gathered from its decoded chunk (what the scalar fold reads).
     #[test]
     fn eval_rows_matches_eval_dense_and_decoded(
         rows in proptest::collection::vec(row_strategy(), 1..80),
@@ -363,18 +342,21 @@ proptest! {
             Expr::col(ColumnId(1)).sub(Expr::col(ColumnId(3))).mul(Expr::col(ColumnId(0))),
         ];
         let enc = EncodedRelation::encode(&rel);
-        let mut scratch = DecodeScratch::default();
         for e in exprs {
             let full = e.eval(&rel).unwrap();
-            let (mut dense, mut decoded) = (Vec::new(), Vec::new());
+            let mut dense = Vec::new();
             e.eval_rows(&rel, &sel, &mut dense).unwrap();
-            e.eval_rows_encoded(&enc, 0, &sel, &mut scratch, &mut decoded).unwrap();
             prop_assert_eq!(dense.len(), sel.len());
-            prop_assert_eq!(decoded.len(), sel.len());
+            let mut chunk = Vec::new();
+            if let Expr::Column(id) = &e {
+                enc.column(*id).decode_chunk_f64(0, &mut chunk);
+            }
             for (i, &r) in sel.iter().enumerate() {
                 let want = full[r as usize].to_bits();
                 prop_assert_eq!(dense[i].to_bits(), want, "dense row {} of {:?}", r, &e);
-                prop_assert_eq!(decoded[i].to_bits(), want, "decoded row {} of {:?}", r, &e);
+                if !chunk.is_empty() {
+                    prop_assert_eq!(chunk[r as usize].to_bits(), want, "decoded row {} of {:?}", r, &e);
+                }
             }
         }
     }
@@ -420,26 +402,21 @@ fn multi_chunk_invariants_hold() {
     // Pruning: ids of chunk 1 only — chunks 0, 2, 3 must be skipped.
     let pred = Predicate::between(ColumnId(0), 1_000_000i64, 1_000_999);
     let dense = pred.eval(&rel);
-    let (mask, ranges, stats) = pred.eval_pruned(&rel);
+    let (mask, stats) = pred.eval_pruned(&rel);
     assert_eq!(mask.to_bools(), dense.to_bools());
     assert_eq!(stats.chunks, 4);
     assert_eq!(stats.pruned, 3);
-    assert_eq!(ranges.covered_rows(), relation::CHUNK_ROWS);
+    assert_eq!(stats.kept_rows as usize, relation::CHUNK_ROWS);
 
-    // Expression at the selected rows, dense and per-chunk-decoded (the
-    // predicate keeps rows of chunk 1 only).
-    let enc = EncodedRelation::encode(&rel);
-    let mut scratch = DecodeScratch::default();
+    // Expression at the selected rows (the predicate keeps rows of chunk 1
+    // only).
     let e = Expr::col(ColumnId(1)).mul(Expr::col(ColumnId(0)));
     let full = e.eval(&rel).unwrap();
     let sel: Vec<u32> = mask.ones().map(|r| r as u32).collect();
-    let (mut d, mut m) = (Vec::new(), Vec::new());
+    let mut d = Vec::new();
     e.eval_rows(&rel, &sel, &mut d).unwrap();
-    e.eval_rows_encoded(&enc, 1, &sel, &mut scratch, &mut m)
-        .unwrap();
     assert_eq!(d.len(), sel.len());
-    for ((&r, a), b) in sel.iter().zip(&d).zip(&m) {
+    for (&r, a) in sel.iter().zip(&d) {
         assert_eq!(a.to_bits(), full[r as usize].to_bits());
-        assert_eq!(b.to_bits(), full[r as usize].to_bits());
     }
 }

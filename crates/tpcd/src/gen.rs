@@ -133,8 +133,6 @@ impl TpcdDataset {
             ],
         )
         .expect("generated columns match the lineitem schema");
-        // CI's encoded-vs-dense leg: a no-op unless CONGRESS_CHUNKED_STORAGE=1.
-        let relation = relation::chunk::maybe_chunked_storage(relation);
 
         TpcdDataset {
             relation,
