@@ -27,11 +27,13 @@ pub struct GroupBounds {
 }
 
 /// How an answer was produced, so callers can tell a genuine synopsis
-/// estimate from a degraded-mode exact scan.
+/// estimate from an exact scan, asked for or degraded-mode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AnswerProvenance {
     /// The normal path: estimated from the congressional synopsis.
     Sampled,
+    /// An exact scan of the base relation, as requested.
+    Exact,
     /// Degraded mode: the synopsis was unavailable (e.g. quarantined after
     /// corruption) and the answer is an exact scan of the base relation.
     ExactFallback {
@@ -94,7 +96,10 @@ impl fmt::Display for ApproximateAnswer {
 }
 
 /// Compute per-group, per-aggregate error bounds for `query` over a
-/// stratified sample.
+/// stratified sample, from [`execute_cells`] (the answer path's fold) over
+/// `cache`, if given. The answer path reads them off the cells its estimate
+/// folded ([`compute_bounds_from_cells`]); this entry point stays for the
+/// benchmark's traced replay (ROADMAP item 6).
 ///
 /// For each output group `h` and contributing stratum `i`, the bound
 /// machinery needs the moments of the aggregate input over the sampled
@@ -104,21 +109,6 @@ impl fmt::Display for ApproximateAnswer {
 /// (so tuples failing the WHERE clause contribute zeros, exactly like the
 /// rewritten SQL); AVG uses the stratified mean bound over qualifying
 /// tuples, falling back to Hoeffding when only one stratum contributes.
-pub fn compute_bounds(
-    input: &StratifiedInput,
-    query: &GroupByQuery,
-    result: &QueryResult,
-    confidence: f64,
-) -> Result<Vec<GroupBounds>> {
-    compute_bounds_cached(input, query, result, confidence, None)
-}
-
-/// [`compute_bounds`] with an optional per-synopsis [`QueryCache`] holding
-/// the grouping's index, cell layout and — for a predicate over the
-/// grouping columns alone — its unfiltered moment cells. The query's cells
-/// come from [`execute_cells`], the fold the cached answer path runs, so
-/// these are the bounds that path returns; `result`'s keys are mapped to
-/// groups through the index.
 pub fn compute_bounds_cached(
     input: &StratifiedInput,
     query: &GroupByQuery,
@@ -284,12 +274,16 @@ mod tests {
         (input, q)
     }
 
+    fn bounds(input: &StratifiedInput, q: &GroupByQuery, r: &QueryResult) -> Vec<GroupBounds> {
+        compute_bounds_cached(input, q, r, 0.9, None).unwrap()
+    }
+
     #[test]
     fn bounds_cover_every_group_and_aggregate() {
         let (input, q) = fixture();
         let plan = Integrated::build(&input).unwrap();
         let result = plan.execute(&q).unwrap();
-        let bounds = compute_bounds(&input, &q, &result, 0.9).unwrap();
+        let bounds = bounds(&input, &q, &result);
         assert_eq!(bounds.len(), result.group_count());
         for gb in &bounds {
             assert_eq!(gb.bounds.len(), 3);
@@ -310,7 +304,7 @@ mod tests {
         let q = GroupByQuery::new(vec![ColumnId(0)], vec![AggregateSpec::count("c")]);
         let plan = Integrated::build(&input).unwrap();
         let result = plan.execute(&q).unwrap();
-        let bounds = compute_bounds(&input, &q, &result, 0.9).unwrap();
+        let bounds = bounds(&input, &q, &result);
         for gb in &bounds {
             assert_eq!(gb.bounds[0].unwrap().half_width, 0.0);
         }
@@ -325,7 +319,7 @@ mod tests {
         );
         let plan = Integrated::build(&input).unwrap();
         let result = plan.execute(&q).unwrap();
-        let bounds = compute_bounds(&input, &q, &result, 0.9).unwrap();
+        let bounds = bounds(&input, &q, &result);
         assert!(bounds.iter().all(|gb| gb.bounds[0].is_none()));
     }
 
@@ -340,8 +334,8 @@ mod tests {
             .with_predicate(Predicate::ge(ColumnId(1), 6.0));
         let r_all = plan.execute(&q_all).unwrap();
         let r_half = plan.execute(&q_half).unwrap();
-        let b_all = compute_bounds(&input, &q_all, &r_all, 0.9).unwrap();
-        let b_half = compute_bounds(&input, &q_half, &r_half, 0.9).unwrap();
+        let b_all = bounds(&input, &q_all, &r_all);
+        let b_half = bounds(&input, &q_half, &r_half);
         let key = GroupKey::new(vec![Value::str("big")]);
         let w_all = b_all.iter().find(|g| g.key == key).unwrap().bounds[0]
             .unwrap()
@@ -370,7 +364,7 @@ mod tests {
         let full = plan.execute_opts(&q, &opts).unwrap();
         let tail = QueryResult::new(full.aggregate_names.clone(), full.rows()[1..].to_vec());
         let got = compute_bounds_from_cells(&input, &q, &tail, 0.9, slot.get().unwrap());
-        let want = compute_bounds(&input, &q, &tail, 0.9).unwrap();
+        let want = bounds(&input, &q, &tail);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].key, want[0].key);
         assert_eq!(got[0].bounds, want[0].bounds);
@@ -381,7 +375,7 @@ mod tests {
         let (input, q) = fixture();
         let plan = Integrated::build(&input).unwrap();
         let result = plan.execute(&q).unwrap();
-        let bounds = compute_bounds(&input, &q, &result, 0.9).unwrap();
+        let bounds = bounds(&input, &q, &result);
         let ans = ApproximateAnswer {
             result,
             bounds,

@@ -59,7 +59,7 @@ pub use error::{AquaError, Result};
 pub use manifest::{Manifest, ManifestEntry};
 pub use serve_cache::{AnswerCache, AnswerCacheStats, ServedAnswer};
 pub use synopsis::Synopsis;
-pub use system::{Aqua, StatsSnapshot, TuneOptions, TuneReport};
+pub use system::{Aqua, Query, Request, StatsSnapshot, TuneOptions, TuneReport};
 pub use warehouse::{
     OpenReport, RecoveryPolicy, RelationReport, RelationStatus, SaveReport, VerifyReport, Warehouse,
 };

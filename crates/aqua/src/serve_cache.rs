@@ -1,8 +1,8 @@
 //! The answer cache: normalized SQL text → complete served answer.
 //!
 //! The serving bottleneck is not answer *cost* but per-query overhead:
-//! even with the plan cache skipping parse + rewrite-render, every
-//! `answer_sql` call still pays the plan execution and the per-group
+//! even with the plan cache skipping parse + rewrite-render, every SQL
+//! request to [`Aqua::run`](crate::Aqua::run) still pays the plan execution and the per-group
 //! bounds assembly. Dashboard workloads replay a small set of query
 //! strings against a synopsis that only changes on ingest, so the whole
 //! [`ApproximateAnswer`] is memoizable. Entries are shared `Arc`s — a
@@ -39,8 +39,9 @@ fn shard_of(key: &str) -> usize {
 pub struct ServedAnswer {
     /// The approximate answer with per-group bounds.
     pub answer: ApproximateAnswer,
-    /// Rewritten SQL (Figures 8–11) for the active rewrite strategy;
-    /// empty for degraded-mode exact answers, which bypass the rewrite.
+    /// Rewritten SQL (Figures 8–11) for the active rewrite strategy, on
+    /// answers to approximate SQL requests; empty for parsed queries and
+    /// exact answers (asked for or degraded-mode).
     pub rewritten: String,
 }
 

@@ -63,15 +63,6 @@ impl Maintainer {
         })
     }
 
-    fn sample_len(&self) -> usize {
-        match self {
-            Maintainer::House(m) => m.sample_len(),
-            Maintainer::Senate(m) => m.sample_len(),
-            Maintainer::Basic(m) => m.sample_len(),
-            Maintainer::Congress(m) => m.sample_len(),
-        }
-    }
-
     /// Tuples evicted by Eq-8 rebalances (full Congress only).
     fn evictions(&self) -> u64 {
         match self {
@@ -110,9 +101,8 @@ pub struct Synopsis {
     /// Normalized SQL → complete served answer for the current synopsis
     /// generation. Invalidated on the same schedule as `cache`.
     answer_cache: AnswerCache,
-    /// Per-synopsis metric registry: maintenance counters and build-phase
-    /// timings live here; the owning [`Aqua`](crate::Aqua) records its
-    /// query spans into the same registry.
+    /// Maintenance counters and build-phase timings: the owning
+    /// [`Aqua`](crate::Aqua)'s registry, or one of its own.
     registry: Arc<obs::Registry>,
 }
 
@@ -130,6 +120,15 @@ impl std::fmt::Debug for Synopsis {
 impl Synopsis {
     /// Create an empty synopsis; feed it the relation via [`Self::ingest`].
     pub fn new(config: AquaConfig, grouping: Vec<ColumnId>) -> Result<Synopsis> {
+        Synopsis::new_in(config, grouping, Arc::new(obs::Registry::new()))
+    }
+
+    /// [`Self::new`], recording into `registry` (its owning system's).
+    pub(crate) fn new_in(
+        config: AquaConfig,
+        grouping: Vec<ColumnId>,
+        registry: Arc<obs::Registry>,
+    ) -> Result<Synopsis> {
         config.validate()?;
         Ok(Synopsis {
             maintainer: Maintainer::new(config.strategy, config.space, grouping.len()),
@@ -144,7 +143,7 @@ impl Synopsis {
             cache: QueryCache::new(),
             plan_cache: PlanCache::new(),
             answer_cache: AnswerCache::new(),
-            registry: Arc::new(obs::Registry::new()),
+            registry,
         })
     }
 
@@ -166,26 +165,9 @@ impl Synopsis {
     /// the full stored table), so insertions keep extending the id space.
     pub fn ingest(&mut self, rel: &Relation, first_row: usize) -> Result<()> {
         let evictions_before = self.maintainer.evictions();
-        match &mut self.maintainer {
-            // Theorem 6.1 delta samples: stream the batch into a private
-            // delta maintainer, then merge it into the history in one
-            // O(sample) step — the batch never re-touches old reservoirs
-            // row by row.
-            Maintainer::Basic(m) => {
-                let mut delta = BasicCongressMaintainer::new(self.config.space);
-                for r in 0..rel.row_count() {
-                    let key = GroupKey::from_row(rel, r, &self.grouping);
-                    delta.insert(first_row + r, &key, &mut self.rng);
-                }
-                m.absorb(delta, &mut self.rng);
-                self.registry.counter("synopsis_delta_merges_total").inc();
-            }
-            _ => {
-                for r in 0..rel.row_count() {
-                    let key = GroupKey::from_row(rel, r, &self.grouping);
-                    self.maintainer.insert(first_row + r, &key, &mut self.rng);
-                }
-            }
+        self.stream(rel, first_row);
+        if matches!(self.maintainer, Maintainer::Basic(_)) {
+            self.registry.counter("synopsis_delta_merges_total").inc();
         }
         let evicted = self.maintainer.evictions() - evictions_before;
         if evicted > 0 {
@@ -202,32 +184,66 @@ impl Synopsis {
         Ok(())
     }
 
+    /// The maintainer half of [`Self::ingest`]: every row of `rel`, as row
+    /// `first_row + r` of the stored table, into the sampler state.
+    fn stream(&mut self, rel: &Relation, first_row: usize) {
+        let key = |r| GroupKey::from_row(rel, r, &self.grouping);
+        match &mut self.maintainer {
+            // Theorem 6.1 delta samples: stream the batch into a private
+            // delta maintainer, then merge it into the history in one
+            // O(sample) step — the batch never re-touches old reservoirs
+            // row by row.
+            Maintainer::Basic(m) => {
+                let mut delta = BasicCongressMaintainer::new(self.config.space);
+                for r in 0..rel.row_count() {
+                    delta.insert(first_row + r, &key(r), &mut self.rng);
+                }
+                m.absorb(delta, &mut self.rng);
+            }
+            m => {
+                for r in 0..rel.row_count() {
+                    m.insert(first_row + r, &key(r), &mut self.rng);
+                }
+            }
+        }
+    }
+
+    /// `sample` over `table` as the plan's stratified input: House is
+    /// scaled as a plain uniform sample (Figure 2's 100×), the others
+    /// post-stratified.
+    fn input_of(&self, sample: &CongressionalSample, table: &Relation) -> Result<StratifiedInput> {
+        Ok(match self.config.strategy {
+            SamplingStrategy::House => sample.to_stratified_input_uniform(table)?,
+            _ => sample.to_stratified_input(table)?,
+        })
+    }
+
+    /// Answer from `sample` (backed by `input`) from now on.
+    fn install(&mut self, sample: CongressionalSample, input: StratifiedInput) -> Result<()> {
+        self.plan = Some(Self::build_plan(self.config.rewrite, &input)?);
+        self.sample_rows = input.rows.row_count();
+        self.input = Some(input);
+        self.sample = Some(sample);
+        self.stale = false;
+        self.registry
+            .gauge("synopsis_sample_rows")
+            .set(self.sample_rows as i64);
+        Ok(())
+    }
+
     /// Rebuild the physical plan from the maintainer's current sample.
     /// `table` must be the full stored relation (all ingested segments).
     pub fn refresh(&mut self, table: &Relation) -> Result<()> {
         let timer = obs::Timer::start();
         let mut sample = self.maintainer.snapshot(&mut self.rng)?;
         sample.set_grouping_columns(self.grouping.clone());
-        let input = match self.config.strategy {
-            // House is scaled as a plain uniform sample (Figure 2's 100×),
-            // not post-stratified.
-            SamplingStrategy::House => sample.to_stratified_input_uniform(table)?,
-            _ => sample.to_stratified_input(table)?,
-        };
-        let plan = Self::build_plan(self.config.rewrite, &input)?;
-        self.sample_rows = input.rows.row_count();
-        self.plan = Some(plan);
-        self.input = Some(input);
-        self.sample = Some(sample);
-        self.stale = false;
+        let input = self.input_of(&sample, table)?;
+        self.install(sample, input)?;
         self.invalidate_caches();
         self.registry.counter("synopsis_refreshes_total").inc();
         self.registry
             .histogram("synopsis_refresh_us")
             .record(timer.elapsed_us());
-        self.registry
-            .gauge("synopsis_sample_rows")
-            .set(self.sample_rows as i64);
         Ok(())
     }
 
@@ -294,21 +310,13 @@ impl Synopsis {
                 strategy.name(),
                 &spec,
             )?;
-            let input = match self.config.strategy {
-                SamplingStrategy::House => sample.to_stratified_input_uniform(table)?,
-                _ => sample.to_stratified_input(table)?,
-            };
+            let input = self.input_of(&sample, table)?;
             registry
                 .histogram("synopsis_build_draw_us")
                 .record(timer.elapsed_us());
             Ok((sample, input))
         })?;
-        let plan = Self::build_plan(self.config.rewrite, &input)?;
-        self.sample_rows = input.rows.row_count();
-        self.plan = Some(plan);
-        self.input = Some(input);
-        self.sample = Some(sample);
-        self.stale = false;
+        self.install(sample, input)?;
         self.invalidate_caches();
         self.registry.counter("synopsis_rebuilds_total").inc();
         if strategy_override.is_some() {
@@ -319,9 +327,6 @@ impl Synopsis {
         self.registry
             .histogram("synopsis_rebuild_us")
             .record(total.elapsed_us());
-        self.registry
-            .gauge("synopsis_sample_rows")
-            .set(self.sample_rows as i64);
         Ok(())
     }
 
@@ -360,12 +365,9 @@ impl Synopsis {
     }
 
     /// The memoized query-serving cache for the current plan generation:
-    /// group indexes, per-group measure summaries and per-(group, stratum)
-    /// moment cells (the O(groups) answer path), stratum layout, and
-    /// per-row weights. Every mutation of the backing sample — [`Self::
-    /// ingest`], [`Self::refresh`], [`Self::rebuild_bulk`] — invalidates
-    /// the whole cache, so summary-served answers can never outlive the
-    /// sample generation they were folded from.
+    /// group indexes, the stratum sort, cell layouts and moment cells.
+    /// Every mutation of the backing sample invalidates the whole cache, so
+    /// no answer outlives the sample generation it was folded from.
     pub fn query_cache(&self) -> &QueryCache {
         &self.cache
     }
@@ -382,9 +384,8 @@ impl Synopsis {
         &self.answer_cache
     }
 
-    /// The metric registry shared by this synopsis and its owning system:
-    /// maintenance counters (`synopsis_*`) accumulate here alongside the
-    /// query-span metrics recorded by [`Aqua`](crate::Aqua).
+    /// The metric registry the maintenance counters (`synopsis_*`)
+    /// accumulate in — the owning [`Aqua`](crate::Aqua)'s, if any.
     pub fn registry(&self) -> &Arc<obs::Registry> {
         &self.registry
     }
@@ -392,11 +393,6 @@ impl Synopsis {
     /// Sampled tuples in the materialized synopsis.
     pub fn sample_rows(&self) -> usize {
         self.sample_rows
-    }
-
-    /// Tuples currently tracked by the maintainer (pre-materialization).
-    pub fn live_sample_len(&self) -> usize {
-        self.maintainer.sample_len()
     }
 
     /// The configuration in force.
@@ -443,41 +439,23 @@ impl Synopsis {
         Ok(congress::snapshot::encode(sample))
     }
 
-    /// Rebuild a synopsis from an exported snapshot. The result answers
-    /// queries but is *static*: the maintainer state cannot be recovered
-    /// from a snapshot, so subsequent `ingest` calls start a fresh sample.
-    pub fn import(
+    /// Rebuild a synopsis from a snapshot exported over `table`. It answers
+    /// from the snapshot's sample, and `table` is streamed through a fresh
+    /// maintainer without marking it stale, so the first later insert
+    /// refreshes to a sample of the whole table, not of the new rows alone.
+    pub(crate) fn import(
         config: AquaConfig,
         table: &Relation,
         snapshot: bytes::Bytes,
+        registry: Arc<obs::Registry>,
     ) -> Result<Synopsis> {
-        config.validate()?;
         let sample = congress::snapshot::decode(snapshot)?;
         let grouping = sample.grouping_columns().to_vec();
-        let input = match config.strategy {
-            SamplingStrategy::House => sample.to_stratified_input_uniform(table)?,
-            _ => sample.to_stratified_input(table)?,
-        };
-        let plan = Self::build_plan(config.rewrite, &input)?;
-        let syn = Synopsis {
-            maintainer: Maintainer::new(config.strategy, config.space, grouping.len()),
-            rng: StdRng::seed_from_u64(config.seed),
-            config,
-            grouping,
-            sample_rows: input.rows.row_count(),
-            plan: Some(plan),
-            input: Some(input),
-            sample: Some(sample),
-            stale: false,
-            cache: QueryCache::new(),
-            plan_cache: PlanCache::new(),
-            answer_cache: AnswerCache::new(),
-            registry: Arc::new(obs::Registry::new()),
-        };
+        let mut syn = Synopsis::new_in(config, grouping, registry)?;
+        let input = syn.input_of(&sample, table)?;
+        syn.install(sample, input)?;
+        syn.stream(table, 0);
         syn.registry.counter("synopsis_imports_total").inc();
-        syn.registry
-            .gauge("synopsis_sample_rows")
-            .set(syn.sample_rows as i64);
         Ok(syn)
     }
 }
@@ -496,6 +474,10 @@ mod tests {
             b.push_row(&[Value::str(g), Value::from(i as f64)]).unwrap();
         }
         b.finish()
+    }
+
+    fn registry() -> Arc<obs::Registry> {
+        Arc::new(obs::Registry::new())
     }
 
     fn config(strategy: SamplingStrategy) -> AquaConfig {
@@ -567,7 +549,8 @@ mod tests {
         let snapshot = s.export(&t).unwrap();
         assert!(!snapshot.is_empty());
 
-        let restored = Synopsis::import(config(SamplingStrategy::Congress), &t, snapshot).unwrap();
+        let restored =
+            Synopsis::import(config(SamplingStrategy::Congress), &t, snapshot, registry()).unwrap();
         assert!(!restored.is_stale());
         let q = GroupByQuery::new(vec![ColumnId(0)], vec![AggregateSpec::count("c")]);
         let a = s.plan().unwrap().execute(&q).unwrap();
@@ -608,7 +591,8 @@ mod tests {
         s.ingest(&t, 0).unwrap();
         s.rebuild_bulk(&t).unwrap();
         let snapshot = s.export(&t).unwrap();
-        let restored = Synopsis::import(config(SamplingStrategy::Senate), &t, snapshot).unwrap();
+        let restored =
+            Synopsis::import(config(SamplingStrategy::Senate), &t, snapshot, registry()).unwrap();
         assert_eq!(restored.sample_rows(), s.sample_rows());
     }
 
@@ -619,6 +603,7 @@ mod tests {
             config(SamplingStrategy::Congress),
             &t,
             bytes::Bytes::from_static(b"not a snapshot"),
+            registry(),
         );
         assert!(r.is_err());
     }

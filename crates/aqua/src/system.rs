@@ -3,13 +3,14 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 
 use congress::adaptive::{recompute_weights, DriftDetector, GroupMoments, WorkloadProfile};
 use congress::GroupCensus;
 use engine::rewrite::{cell_layout, measure_key, unfiltered_cells};
+use engine::sql::render::RewriteKind;
 use engine::{
-    execute_exact_opts, CancelToken, EngineError, ExecOptions, ExecTrace, GroupByQuery,
+    execute_exact_opts, CachedPlan, CancelToken, EngineError, ExecOptions, ExecTrace, GroupByQuery,
     QueryResult, ServedFrom,
 };
 use relation::{ColumnId, Relation, Value};
@@ -19,7 +20,7 @@ use relation::{ColumnId, Relation, Value};
 pub use obs::Snapshot as StatsSnapshot;
 
 use crate::answer::{compute_bounds_from_cells, AnswerProvenance, ApproximateAnswer};
-use crate::config::AquaConfig;
+use crate::config::{AquaConfig, RewriteChoice};
 use crate::error::{AquaError, Result};
 use crate::serve_cache::ServedAnswer;
 use crate::synopsis::Synopsis;
@@ -47,16 +48,17 @@ struct QueryMetrics {
     served: [(&'static str, OnceLock<obs::Counter>); 5],
     errors: OnceLock<obs::Counter>,
     latency: OnceLock<obs::Histogram>,
+    /// `aqua_bounds_latency_us`: the error-bounds pass of each answer
+    /// computed from the synopsis (answer-cache hits never reach it).
     bounds_latency: OnceLock<obs::Histogram>,
     rows_scanned: OnceLock<obs::Counter>,
     chunks_scanned: OnceLock<obs::Counter>,
     chunks_pruned: OnceLock<obs::Counter>,
-    /// `relation_decode_avoided_total{kind=...}`: chunks the decode-free
-    /// kernels handled without materializing values, by kernel kind.
-    decode_avoided: [(&'static str, OnceLock<obs::Counter>); 3],
-    /// `relation_encoded_fold_total{kind=...}`: fully-selected chunks whose
-    /// aggregates were folded straight from the encoded representation.
-    encoded_fold: [(&'static str, OnceLock<obs::Counter>); 2],
+    /// Decode-free kernel counters by (family, kind):
+    /// `relation_decode_avoided_total` counts chunks the kernels handled
+    /// without materializing values, `relation_encoded_fold_total`
+    /// fully-selected chunks folded straight from the encoded form.
+    kernels: [(&'static str, &'static str, OnceLock<obs::Counter>); 5],
     sql_queries: OnceLock<obs::Counter>,
     sql_parse_errors: OnceLock<obs::Counter>,
     scan_cancelled: OnceLock<obs::Counter>,
@@ -65,30 +67,26 @@ struct QueryMetrics {
 impl QueryMetrics {
     fn new(registry: Arc<obs::Registry>, rewrite: &'static str) -> QueryMetrics {
         let [a, b, c] = ServedFrom::all().map(|s| s.label());
+        let (decode, fold) = (
+            "relation_decode_avoided_total",
+            "relation_encoded_fold_total",
+        );
         QueryMetrics {
             registry,
             rewrite,
-            served: [
-                (a, OnceLock::new()),
-                (b, OnceLock::new()),
-                (c, OnceLock::new()),
-                ("unknown", OnceLock::new()),
-                (SERVED_ANSWER_CACHE, OnceLock::new()),
-            ],
+            served: [a, b, c, "unknown", SERVED_ANSWER_CACHE].map(|l| (l, OnceLock::new())),
             errors: OnceLock::new(),
             latency: OnceLock::new(),
             bounds_latency: OnceLock::new(),
             rows_scanned: OnceLock::new(),
             chunks_scanned: OnceLock::new(),
             chunks_pruned: OnceLock::new(),
-            decode_avoided: [
-                ("code-domain-predicate", OnceLock::new()),
-                ("encoded-sum", OnceLock::new()),
-                ("zonemap-minmax", OnceLock::new()),
-            ],
-            encoded_fold: [
-                ("encoded-sum", OnceLock::new()),
-                ("zonemap-minmax", OnceLock::new()),
+            kernels: [
+                (decode, "code-domain-predicate", OnceLock::new()),
+                (decode, "encoded-sum", OnceLock::new()),
+                (decode, "zonemap-minmax", OnceLock::new()),
+                (fold, "encoded-sum", OnceLock::new()),
+                (fold, "zonemap-minmax", OnceLock::new()),
             ],
             sql_queries: OnceLock::new(),
             sql_parse_errors: OnceLock::new(),
@@ -97,15 +95,8 @@ impl QueryMetrics {
     }
 
     /// Record one successful query span: per-(rewrite, served) count,
-    /// end-to-end latency, rows touched.
-    fn record_query(
-        &self,
-        served: &str,
-        elapsed_us: u64,
-        rows_scanned: u64,
-        chunks: (u64, u64),
-        kernels: (u64, u64, u64),
-    ) {
+    /// end-to-end latency, and the rows, chunks and kernels `trace` saw.
+    fn record_query(&self, served: &str, elapsed_us: u64, trace: &ExecTrace) {
         let (label, cell) = self
             .served
             .iter()
@@ -128,11 +119,11 @@ impl QueryMetrics {
             .record(elapsed_us);
         self.rows_scanned
             .get_or_init(|| self.registry.counter("aqua_rows_scanned_total"))
-            .add(rows_scanned);
+            .add(trace.rows_scanned());
         // Zone-map pruning counters, registered lazily like the served-path
         // families: summary-served queries touch no chunk, so the families
         // appear only once a scan path has actually run a pruning pass.
-        let (scanned, pruned) = chunks;
+        let (scanned, pruned) = (trace.chunks_scanned(), trace.chunks_pruned());
         if scanned + pruned > 0 {
             self.chunks_scanned
                 .get_or_init(|| self.registry.counter("relation_chunks_scanned_total"))
@@ -143,46 +134,26 @@ impl QueryMetrics {
         }
         // Decode-free kernel counters, same lazy-on-first-hit registration:
         // the families only appear once a kernel has actually fired.
-        let (pred, fold_sum, fold_minmax) = kernels;
-        for ((kind, cell), hits) in self
-            .decode_avoided
-            .iter()
-            .zip([pred, fold_sum, fold_minmax])
-        {
+        let (sum, minmax) = (trace.kernel_fold_sum(), trace.kernel_fold_minmax());
+        let hits = [trace.kernel_pred_chunks(), sum, minmax, sum, minmax];
+        for ((family, kind, cell), hits) in self.kernels.iter().zip(hits) {
             if hits > 0 {
-                cell.get_or_init(|| {
-                    self.registry.counter(&obs::label(
-                        "relation_decode_avoided_total",
-                        &[("kind", kind)],
-                    ))
-                })
-                .add(hits);
+                let counter = || {
+                    self.registry
+                        .counter(&obs::label(family, &[("kind", kind)]))
+                };
+                cell.get_or_init(counter).add(hits);
             }
         }
-        for ((kind, cell), hits) in self.encoded_fold.iter().zip([fold_sum, fold_minmax]) {
-            if hits > 0 {
-                cell.get_or_init(|| {
-                    self.registry.counter(&obs::label(
-                        "relation_encoded_fold_total",
-                        &[("kind", kind)],
-                    ))
-                })
-                .add(hits);
-            }
-        }
-    }
-
-    fn record_error(&self) {
-        self.errors
-            .get_or_init(|| self.registry.counter("aqua_query_errors_total"))
-            .inc();
     }
 
     /// Record an error span; a cooperative cancellation additionally
     /// increments `aqua_scan_cancelled_total` so deadline enforcement is
     /// observable separately from genuine failures.
     fn record_result_error(&self, e: &AquaError) {
-        self.record_error();
+        self.errors
+            .get_or_init(|| self.registry.counter("aqua_query_errors_total"))
+            .inc();
         if matches!(e, AquaError::Engine(EngineError::Cancelled)) {
             self.scan_cancelled
                 .get_or_init(|| self.registry.counter("aqua_scan_cancelled_total"))
@@ -190,62 +161,21 @@ impl QueryMetrics {
         }
     }
 
-    /// `aqua_bounds_latency_us`: the error-bounds pass of each answer
-    /// computed from the synopsis (answer-cache hits never reach it).
-    fn bounds_latency(&self) -> &obs::Histogram {
-        self.bounds_latency
-            .get_or_init(|| self.registry.histogram("aqua_bounds_latency_us"))
-    }
-
-    fn sql_queries(&self) -> &obs::Counter {
-        self.sql_queries
-            .get_or_init(|| self.registry.counter("aqua_sql_queries_total"))
-    }
-
-    fn sql_parse_errors(&self) -> &obs::Counter {
-        self.sql_parse_errors
-            .get_or_init(|| self.registry.counter("aqua_sql_parse_errors_total"))
-    }
-}
-
-/// Scan `table` exactly and record the scan in `registry`: what
-/// [`Aqua::exact`], [`Aqua::exact_sql`] and a warehouse's degraded
-/// relations (which have no [`Aqua`] of their own) answer with.
-/// `aqua_exact_queries_total` and the `aqua_exact_latency_us` histogram
-/// move once per finished scan; its rows and zone-map chunk walk land in
-/// the counters the sample scans feed (`aqua_rows_scanned_total`,
-/// `relation_chunks_{scanned,pruned}_total`). A scan that `cancel` stops
-/// counts in `aqua_scan_cancelled_total` instead. No-ops under `obs-off`.
-pub(crate) fn exact_scan(
-    registry: &obs::Registry,
-    table: &Relation,
-    query: &GroupByQuery,
-    cancel: Option<&CancelToken>,
-) -> Result<QueryResult> {
-    let timer = obs::Timer::start();
-    let trace = ExecTrace::new();
-    let opts = ExecOptions {
-        trace: obs::ENABLED.then_some(&trace),
-        cancel,
-        ..ExecOptions::default()
-    };
-    let result = execute_exact_opts(table, query, &opts);
-    if obs::ENABLED {
-        match &result {
-            Ok(_) => {
-                let add = |name: &str, by: u64| registry.counter(name).add(by);
-                add("aqua_exact_queries_total", 1);
-                add("aqua_rows_scanned_total", trace.rows_scanned());
-                add("relation_chunks_scanned_total", trace.chunks_scanned());
-                add("relation_chunks_pruned_total", trace.chunks_pruned());
-                let latency = registry.histogram("aqua_exact_latency_us");
-                latency.record(timer.elapsed_us());
-            }
-            Err(EngineError::Cancelled) => registry.counter("aqua_scan_cancelled_total").inc(),
-            Err(_) => {}
+    fn sql_query(&self) {
+        if obs::ENABLED {
+            self.sql_queries
+                .get_or_init(|| self.registry.counter("aqua_sql_queries_total"))
+                .inc();
         }
     }
-    Ok(result?)
+
+    fn parse_error(&self) {
+        if obs::ENABLED {
+            self.sql_parse_errors
+                .get_or_init(|| self.registry.counter("aqua_sql_parse_errors_total"))
+                .inc();
+        }
+    }
 }
 
 /// Runtime knobs for the closed-loop tuner ([`Aqua::tune`]).
@@ -293,16 +223,60 @@ pub struct TuneReport {
     pub threshold: f64,
 }
 
+/// What [`Aqua::run`] is asked.
+#[derive(Debug, Clone, Copy)]
+pub enum Query<'a> {
+    /// SQL text, parsed against the stored table's schema.
+    Sql(&'a str),
+    /// An already parsed query.
+    Parsed(&'a GroupByQuery),
+}
+
+/// One query for [`Aqua::run`]. Start from [`Request::sql`] or
+/// [`Request::query`] and set the rest by struct update, e.g.
+/// `Request { exact: true, ..Request::sql(text) }`.
+#[derive(Debug, Clone, Copy)]
+pub struct Request<'a> {
+    /// The query.
+    pub query: Query<'a>,
+    /// Scan the stored table instead of estimating from the synopsis.
+    pub exact: bool,
+    /// Cooperative cancellation, polled at the scans' chunk boundaries.
+    pub cancel: Option<&'a CancelToken>,
+}
+
+impl<'a> Request<'a> {
+    /// An approximate request for SQL text, with no cancel token.
+    pub fn sql(sql: &'a str) -> Request<'a> {
+        Request {
+            query: Query::Sql(sql),
+            exact: false,
+            cancel: None,
+        }
+    }
+
+    /// An approximate request for a parsed query, with no cancel token.
+    pub fn query(query: &'a GroupByQuery) -> Request<'a> {
+        Request {
+            query: Query::Parsed(query),
+            ..Request::sql("")
+        }
+    }
+}
+
 /// The approximate query answering system of §2, over a single stored
 /// relation (the paper reduces multi-table warehouses to this case via
 /// join synopses).
 ///
 /// Thread-safe: queries take a read lock; insertions and refreshes take a
 /// write lock. The synopsis refreshes lazily — after a batch of warehouse
-/// insertions, the next query pays one plan rebuild.
+/// insertions, the next query pays one plan rebuild. A system may also
+/// have no synopsis (a warehouse relation whose snapshot was lost): it
+/// then answers every query with an exact scan until [`Aqua::rebuild`].
 pub struct Aqua {
     inner: RwLock<Inner>,
-    /// Cached metric handles — outside the lock, so span recording never
+    /// The system's metric registry (its synopsis records into it too) and
+    /// cached handles into it — outside the lock, so span recording never
     /// takes it.
     metrics: QueryMetrics,
     /// Observed-workload accumulator feeding [`Aqua::tune`]. Its own lock,
@@ -318,7 +292,46 @@ struct Inner {
     /// The stored warehouse table, grown by [`Aqua::insert_batch`].
     table: Relation,
     grouping: Vec<ColumnId>,
-    synopsis: Synopsis,
+    config: AquaConfig,
+    /// The synopsis, or why there is none.
+    synopsis: std::result::Result<Synopsis, String>,
+}
+
+impl Inner {
+    /// The table and the synopsis, or an error naming why there is none.
+    fn sampled(&mut self) -> Result<(&Relation, &mut Synopsis)> {
+        match &mut self.synopsis {
+            Ok(synopsis) => Ok((&self.table, synopsis)),
+            Err(reason) => Err(AquaError::Storage(format!("no synopsis: {reason}"))),
+        }
+    }
+
+    fn is_stale(&self) -> bool {
+        self.synopsis.as_ref().is_ok_and(Synopsis::is_stale)
+    }
+}
+
+/// A synopsis of `table` as [`Aqua::build`] makes one, recording into
+/// `registry`: the bulk parallel pipeline draws the sample, and the table
+/// is also streamed through the incremental maintainer.
+fn sample(
+    table: &Relation,
+    grouping: &[ColumnId],
+    config: AquaConfig,
+    registry: &Arc<obs::Registry>,
+) -> Result<Synopsis> {
+    for &c in grouping {
+        table.schema().field(c)?;
+    }
+    if table.is_empty() {
+        return Err(AquaError::InvalidConfig(
+            "cannot build a synopsis over an empty relation".into(),
+        ));
+    }
+    let mut synopsis = Synopsis::new_in(config, grouping.to_vec(), Arc::clone(registry))?;
+    synopsis.ingest(table, 0)?;
+    synopsis.rebuild_bulk(table)?;
+    Ok(synopsis)
 }
 
 impl Aqua {
@@ -330,31 +343,65 @@ impl Aqua {
     /// maintainer so later [`Self::insert_batch`] calls keep the synopsis
     /// maintainable in one pass.
     pub fn build(table: Relation, grouping: Vec<ColumnId>, config: AquaConfig) -> Result<Aqua> {
-        config.validate()?;
-        for &c in &grouping {
-            table.schema().field(c)?;
-        }
-        if table.is_empty() {
-            return Err(AquaError::InvalidConfig(
-                "cannot build a synopsis over an empty relation".into(),
-            ));
-        }
-        let rewrite = config.rewrite.name();
-        let mut synopsis = Synopsis::new(config, grouping.clone())?;
-        synopsis.ingest(&table, 0)?;
-        synopsis.rebuild_bulk(&table)?;
-        let metrics = QueryMetrics::new(Arc::clone(synopsis.registry()), rewrite);
-        Ok(Aqua {
+        let registry = Arc::new(obs::Registry::new());
+        let synopsis = Ok(sample(&table, &grouping, config, &registry)?);
+        Ok(Aqua::assemble(table, grouping, config, synopsis, registry))
+    }
+
+    /// Rebuild a system from a stored table plus a snapshot exported from
+    /// it ([`Self::export_synopsis`]). The restored synopsis answers from
+    /// the snapshot's sample at once; the table is also streamed through the
+    /// maintainer, as [`Self::build`] does, so later insertions maintain a
+    /// sample of the whole table.
+    pub fn build_from_snapshot(
+        table: Relation,
+        config: AquaConfig,
+        snapshot: bytes::Bytes,
+    ) -> Result<Aqua> {
+        let registry = Arc::new(obs::Registry::new());
+        let synopsis = Synopsis::import(config, &table, snapshot, Arc::clone(&registry))?;
+        let grouping = synopsis.grouping().to_vec();
+        Ok(Aqua::assemble(
+            table,
+            grouping,
+            config,
+            Ok(synopsis),
+            registry,
+        ))
+    }
+
+    /// A system over `table` without a synopsis, for `reason`: every query
+    /// is an exact scan (approximate requests are flagged
+    /// [`AnswerProvenance::ExactFallback`]), inserts only grow the table,
+    /// and [`Self::rebuild`] restores sampled service.
+    pub(crate) fn degraded(
+        table: Relation,
+        grouping: Vec<ColumnId>,
+        config: AquaConfig,
+        reason: String,
+    ) -> Aqua {
+        Aqua::assemble(table, grouping, config, Err(reason), Arc::default())
+    }
+
+    fn assemble(
+        table: Relation,
+        grouping: Vec<ColumnId>,
+        config: AquaConfig,
+        synopsis: std::result::Result<Synopsis, String>,
+        registry: Arc<obs::Registry>,
+    ) -> Aqua {
+        Aqua {
             inner: RwLock::new(Inner {
                 table,
                 grouping,
+                config,
                 synopsis,
             }),
-            metrics,
+            metrics: QueryMetrics::new(registry, config.rewrite.name()),
             profile: Mutex::new(WorkloadProfile::new()),
             tune_opts: Mutex::new(TuneOptions::default()),
             queries_since_tune: AtomicU64::new(0),
-        })
+        }
     }
 
     /// The declared grouping columns.
@@ -364,11 +411,11 @@ impl Aqua {
 
     /// The active configuration (needed to persist and rebuild the system).
     pub fn config(&self) -> AquaConfig {
-        *self.inner.read().synopsis.config()
+        self.inner.read().config
     }
 
-    /// A snapshot of the stored table (cheap: columns are copied, but
-    /// string dictionaries are shared `Arc`s under the hood).
+    /// A snapshot of the stored table (cheap: the columns and their string
+    /// dictionaries are shared `Arc`s).
     pub fn table_snapshot(&self) -> Relation {
         self.inner.read().table.clone()
     }
@@ -378,110 +425,195 @@ impl Aqua {
         self.inner.read().table.row_count()
     }
 
-    /// Sampled tuples in the active synopsis.
+    /// Sampled tuples in the active synopsis (0 without one).
     pub fn synopsis_rows(&self) -> usize {
-        self.inner.read().synopsis.sample_rows()
+        let inner = self.inner.read();
+        inner.synopsis.as_ref().map_or(0, Synopsis::sample_rows)
     }
 
-    /// Answer a query approximately from the synopsis, with per-group
-    /// error bounds — the full Figure 2 → Figure 4 pipeline.
+    /// Why the system has no synopsis, if it has none.
+    pub(crate) fn degraded_reason(&self) -> Option<String> {
+        self.inner.read().synopsis.as_ref().err().cloned()
+    }
+
+    /// Answer one request: every query enters here.
     ///
-    /// Serving runs through the plan's cached path
-    /// ([`engine::rewrite::execute_cells`]): the synopsis's
-    /// [`engine::QueryCache`] memoizes group indexes, cell layouts and the
-    /// unfiltered moment cells across queries (invalidated on
-    /// insert/refresh/rebuild), the selected sample rows are folded once
-    /// into per-(group, stratum) moments, and the estimates and the error
-    /// bounds are both read off those cells. Answers are bit-identical at
-    /// any `config.parallelism`; the estimates sit within a few ulp of the
-    /// cold plan's (`plan.execute`), which scales each row instead of each
-    /// stratum.
-    pub fn answer(&self, query: &GroupByQuery) -> Result<ApproximateAnswer> {
-        self.answer_cancellable(query, None)
-    }
-
-    /// [`Self::answer`] with a cooperative [`CancelToken`] polled by the
-    /// engine's chunked aggregation loops. A fired token aborts the scan
-    /// within one chunk, returns
-    /// `AquaError::Engine(EngineError::Cancelled)`, and increments
-    /// `aqua_scan_cancelled_total`.
-    pub fn answer_cancellable(
-        &self,
-        query: &GroupByQuery,
-        cancel: Option<&CancelToken>,
-    ) -> Result<ApproximateAnswer> {
+    /// * **Approximate** — the Figure 2 → Figure 4 pipeline. SQL text is
+    ///   normalized ([`engine::sql::normalize`]) into the key of the answer
+    ///   and plan caches, and parsed on a miss; a parsed query skips the
+    ///   answer cache. A miss folds the selected sample rows once into
+    ///   per-(group, stratum) moments ([`engine::rewrite::execute_cells`])
+    ///   and reads the estimates and the error bounds off them. The read
+    ///   lock is held from lookup to insert, so every answer comes from one
+    ///   synopsis generation.
+    /// * **Exact** — a scan of the stored table: no bounds, confidence 1.0,
+    ///   [`AnswerProvenance::Exact`]. Without a synopsis, approximate
+    ///   requests are answered so too, as [`AnswerProvenance::ExactFallback`].
+    ///
+    /// A fired `cancel` token stops either scan within one chunk with
+    /// `AquaError::Engine(EngineError::Cancelled)`; answer-cache hits return
+    /// regardless, and a cancelled answer is never cached.
+    pub fn run(&self, request: &Request<'_>) -> Result<Arc<ServedAnswer>> {
         let timer = obs::Timer::start();
-        // Always traced, also under `obs-off`: the trace is plain engine
-        // counters, and the tuner's selectivity observations read it.
-        let trace = ExecTrace::new();
-        let result = (|| {
-            let inner = self.read_fresh()?;
-            self.answer_locked(&inner, query, &trace, cancel)
-        })();
-        if obs::ENABLED {
-            match &result {
-                Ok(_) => {
-                    let served = trace.served().map_or("unknown", |s| s.label());
-                    self.metrics.record_query(
-                        served,
-                        timer.elapsed_us(),
-                        trace.rows_scanned(),
-                        (trace.chunks_scanned(), trace.chunks_pruned()),
-                        (
-                            trace.kernel_pred_chunks(),
-                            trace.kernel_fold_sum(),
-                            trace.kernel_fold_minmax(),
-                        ),
-                    );
+        let inner = self.read_fresh(!request.exact)?;
+        match &inner.synopsis {
+            Ok(synopsis) if !request.exact => {
+                let served = self.estimate(&inner.table, synopsis, request, &timer);
+                drop(inner);
+                if served.is_ok() {
+                    // The read guard is gone, so an auto-tune (write lock)
+                    // is safe.
+                    self.maybe_auto_tune();
                 }
-                Err(e) => self.metrics.record_result_error(e),
+                served
+            }
+            missing => {
+                let fallback = missing.as_ref().err().filter(|_| !request.exact);
+                self.scan(&inner.table, request, fallback)
             }
         }
-        if result.is_ok() {
-            // The read guard dropped with the closure above, so profile
-            // recording and a potential auto-tune (write lock) are safe.
-            self.record_profile(query, Some(&trace));
-            self.maybe_auto_tune();
-        }
-        result
     }
 
-    /// Take the read lock with a *fresh* synopsis: probe staleness under
-    /// the read lock, refreshing (write lock) and retrying as needed. The
-    /// returned guard pins the generation — while held, no writer can
-    /// ingest, refresh, or invalidate, so anything computed from it may be
+    /// [`Self::run`] on a parsed query, approximately. A name of its own
+    /// because the benchmark's traced replay calls it (ROADMAP item 6).
+    pub fn answer(&self, query: &GroupByQuery) -> Result<ApproximateAnswer> {
+        Ok(Arc::unwrap_or_clone(self.run(&Request::query(query))?).answer)
+    }
+
+    /// [`Self::run`] on SQL text, approximately: the serving path. A name of
+    /// its own because the benchmark calls it (ROADMAP item 6).
+    pub fn answer_sql_shared(&self, sql: &str) -> Result<Arc<ServedAnswer>> {
+        self.run(&Request::sql(sql))
+    }
+
+    /// [`Self::run`] on SQL text, exactly: the warehouse-side ground truth.
+    /// A name of its own because the benchmark calls it (ROADMAP item 6).
+    pub fn exact_sql(&self, sql: &str) -> Result<QueryResult> {
+        let request = Request {
+            exact: true,
+            ..Request::sql(sql)
+        };
+        Ok(Arc::unwrap_or_clone(self.run(&request)?).answer.result)
+    }
+
+    /// Take the read lock — with a *fresh* synopsis if `fresh`, refreshing
+    /// under the write lock as needed (an exact scan reads the table alone).
+    /// The guard pins the generation — while held, no writer can ingest,
+    /// refresh, or invalidate, so anything computed from it may be
     /// published to the generation-scoped caches before release.
-    fn read_fresh(&self) -> Result<parking_lot::RwLockReadGuard<'_, Inner>> {
+    fn read_fresh(&self, fresh: bool) -> Result<RwLockReadGuard<'_, Inner>> {
         loop {
             let inner = self.inner.read();
-            if !inner.synopsis.is_stale() {
+            if !fresh || !inner.is_stale() {
                 return Ok(inner);
             }
             drop(inner);
-            self.refresh_if_stale()?;
+            // Re-checked under the write lock: of many readers racing past a
+            // stale probe only the first refreshes (and invalidates caches).
+            let mut inner = self.inner.write();
+            if inner.is_stale() {
+                let (table, synopsis) = inner.sampled()?;
+                synopsis.refresh(table)?;
+            }
         }
     }
 
-    /// The answer pipeline against an already-locked, already-fresh inner
-    /// state; `trace` receives the served-from path and rows touched
-    /// without affecting the result.
+    /// The approximate arm of [`Self::run`], under the read lock of a fresh
+    /// synopsis.
+    fn estimate(
+        &self,
+        table: &Relation,
+        synopsis: &Synopsis,
+        request: &Request<'_>,
+        timer: &obs::Timer,
+    ) -> Result<Arc<ServedAnswer>> {
+        // Always traced, also under `obs-off`: the trace is plain engine
+        // counters, and the tuner's selectivity observations read it.
+        let trace = ExecTrace::new();
+        let plan;
+        let (key, query, rewritten) = match request.query {
+            Query::Parsed(query) => (None, query, String::new()),
+            Query::Sql(sql) => {
+                self.metrics.sql_query();
+                let key =
+                    engine::sql::normalize(sql).inspect_err(|_| self.metrics.parse_error())?;
+                if let Some(served) = synopsis.answer_cache().get(&key) {
+                    // Hits are workload signal too: the plan cache still has
+                    // the parsed query (both caches share a generation).
+                    let plan = synopsis.plan_cache().get(&key);
+                    let query = plan.as_ref().map(|p| &p.query);
+                    self.answered(SERVED_ANSWER_CACHE, timer, &trace, query);
+                    return Ok(served);
+                }
+                plan = self.plan(table, synopsis, &key)?;
+                (Some(key), &plan.query, plan.rewritten.clone())
+            }
+        };
+        let result = self.answer_locked(synopsis, query, &trace, request.cancel);
+        if let (Err(e), true) = (&result, obs::ENABLED) {
+            self.metrics.record_result_error(e);
+        }
+        let answer = result?;
+        let served = trace.served().map_or("unknown", |s| s.label());
+        self.answered(served, timer, &trace, Some(query));
+        let served = Arc::new(ServedAnswer { answer, rewritten });
+        Ok(match key {
+            Some(key) => synopsis.answer_cache().insert(key, served),
+            None => served,
+        })
+    }
+
+    /// The plan of normalized SQL `key` from the plan cache, parsed and
+    /// rendered into it on a miss.
+    fn plan(&self, table: &Relation, synopsis: &Synopsis, key: &str) -> Result<Arc<CachedPlan>> {
+        if let Some(plan) = synopsis.plan_cache().get(key) {
+            return Ok(plan);
+        }
+        let schema = table.schema();
+        let query = engine::sql::parse(schema, key).inspect_err(|_| self.metrics.parse_error())?;
+        let kind = match synopsis.config().rewrite {
+            RewriteChoice::Integrated => RewriteKind::Integrated,
+            RewriteChoice::NestedIntegrated => RewriteKind::NestedIntegrated,
+            RewriteChoice::Normalized => RewriteKind::Normalized,
+            RewriteChoice::KeyNormalized => RewriteKind::KeyNormalized,
+        };
+        let rewritten = engine::sql::render_rewritten(&query, schema, kind, "samp_rel", "aux_rel")?;
+        let plan = CachedPlan { query, rewritten };
+        Ok(synopsis.plan_cache().insert(key.to_string(), plan))
+    }
+
+    /// Record one answered approximate query: its span and, given its
+    /// parse, its grouping, measures and selectivity in the workload profile.
+    fn answered(
+        &self,
+        served: &str,
+        timer: &obs::Timer,
+        trace: &ExecTrace,
+        query: Option<&GroupByQuery>,
+    ) {
+        if obs::ENABLED {
+            self.metrics.record_query(served, timer.elapsed_us(), trace);
+        }
+        if let Some(query) = query {
+            self.record_profile(query, trace);
+        }
+    }
+
+    /// The estimate and its bounds from a fresh synopsis; `trace` receives
+    /// the served-from path and rows touched without affecting the result.
     fn answer_locked(
         &self,
-        inner: &Inner,
+        synopsis: &Synopsis,
         query: &GroupByQuery,
         trace: &ExecTrace,
         cancel: Option<&CancelToken>,
     ) -> Result<ApproximateAnswer> {
-        let plan = inner
-            .synopsis
-            .plan()
-            .expect("read_fresh materialized the plan");
+        let plan = synopsis.plan().expect("read_fresh materialized the plan");
         // The plan leaves the cells it read the estimates off here, for
         // the bounds below.
         let cells = OnceLock::new();
         let opts = ExecOptions {
-            cache: Some(inner.synopsis.query_cache()),
-            parallel: inner.synopsis.config().effective_parallelism() != 1,
+            cache: Some(synopsis.query_cache()),
             trace: Some(trace),
             cancel,
             capture: Some(&cells),
@@ -494,16 +626,15 @@ impl Aqua {
         if let Some(c) = cancel {
             c.check()?;
         }
-        let input = inner
-            .synopsis
-            .input()
-            .expect("read_fresh materialized the input");
-        let confidence = inner.synopsis.config().confidence;
+        let input = synopsis.input().expect("read_fresh materialized the input");
+        let confidence = synopsis.config().confidence;
         let timer = obs::Timer::start();
         let cells = cells.get().expect("a cached plan captures its cells");
         let bounds = compute_bounds_from_cells(input, query, &result, confidence, cells);
         if obs::ENABLED {
-            self.metrics.bounds_latency().record(timer.elapsed_us());
+            let histogram = || self.metrics.registry.histogram("aqua_bounds_latency_us");
+            let bounds_latency = self.metrics.bounds_latency.get_or_init(histogram);
+            bounds_latency.record(timer.elapsed_us());
         }
         Ok(ApproximateAnswer {
             result,
@@ -513,54 +644,128 @@ impl Aqua {
         })
     }
 
-    /// Point-in-time metrics snapshot: query spans and maintenance
-    /// counters from the synopsis registry, plus the query cache's
-    /// per-kind / per-shard hit-miss breakdown and current table/sample
-    /// size gauges. Under the `obs-off` feature the registry counters are
-    /// all zero but the cache counters (pre-existing, always on) remain.
+    /// The exact arm of [`Self::run`]: scan the stored table. `fallback` is
+    /// why a system without a synopsis answers an approximate request so
+    /// (counted in `warehouse_degraded_answers_total`). A finished scan
+    /// moves `aqua_exact_queries_total`, `aqua_exact_latency_us` and the
+    /// counters the sample scans feed (`aqua_rows_scanned_total`,
+    /// `relation_chunks_{scanned,pruned}_total`); one `cancel` stops moves
+    /// `aqua_scan_cancelled_total` instead.
+    fn scan(
+        &self,
+        table: &Relation,
+        request: &Request<'_>,
+        fallback: Option<&String>,
+    ) -> Result<Arc<ServedAnswer>> {
+        let registry = &self.metrics.registry;
+        if fallback.is_some() {
+            registry.counter("warehouse_degraded_answers_total").inc();
+        }
+        let parsed;
+        let query = match request.query {
+            Query::Sql(sql) => {
+                parsed = engine::sql::parse(table.schema(), sql)?;
+                &parsed
+            }
+            Query::Parsed(query) => query,
+        };
+        let timer = obs::Timer::start();
+        let trace = ExecTrace::new();
+        let opts = ExecOptions {
+            trace: obs::ENABLED.then_some(&trace),
+            cancel: request.cancel,
+            ..ExecOptions::default()
+        };
+        let result = execute_exact_opts(table, query, &opts);
+        if obs::ENABLED {
+            match &result {
+                Ok(_) => {
+                    let add = |name: &str, by: u64| registry.counter(name).add(by);
+                    add("aqua_exact_queries_total", 1);
+                    add("aqua_rows_scanned_total", trace.rows_scanned());
+                    add("relation_chunks_scanned_total", trace.chunks_scanned());
+                    add("relation_chunks_pruned_total", trace.chunks_pruned());
+                    let latency = registry.histogram("aqua_exact_latency_us");
+                    latency.record(timer.elapsed_us());
+                }
+                Err(EngineError::Cancelled) => registry.counter("aqua_scan_cancelled_total").inc(),
+                Err(_) => {}
+            }
+        }
+        let provenance = match fallback {
+            Some(reason) => AnswerProvenance::ExactFallback {
+                reason: reason.clone(),
+            },
+            None => AnswerProvenance::Exact,
+        };
+        let answer = ApproximateAnswer {
+            result: result?,
+            bounds: Vec::new(),
+            confidence: 1.0,
+            provenance,
+        };
+        Ok(Arc::new(ServedAnswer {
+            answer,
+            rewritten: String::new(),
+        }))
+    }
+
+    /// Point-in-time metrics snapshot: the system's registry, the serving
+    /// caches' counters (with a synopsis) and table/sample size gauges.
+    /// Under `obs-off` the registry counters are all zero but the cache
+    /// counters (pre-existing, always on) remain.
     pub fn stats(&self) -> StatsSnapshot {
         let inner = self.inner.read();
-        let mut snap = inner.synopsis.registry().snapshot();
-        let detail = inner.synopsis.query_cache().stats_detailed();
-        for (name, k) in detail.kinds() {
-            snap.set_counter(&format!("aqua_cache_{name}_hits_total"), k.hits);
-            snap.set_counter(&format!("aqua_cache_{name}_misses_total"), k.misses);
-        }
-        for (i, s) in detail.shards.iter().enumerate() {
-            let shard = i.to_string();
-            snap.set_counter(
-                &obs::label("aqua_cache_shard_hits_total", &[("shard", &shard)]),
-                s.hits,
+        let mut snap = self.metrics.registry.snapshot();
+        if let Ok(synopsis) = &inner.synopsis {
+            let detail = synopsis.query_cache().stats_detailed();
+            for (name, k) in detail.kinds() {
+                snap.set_counter(&format!("aqua_cache_{name}_hits_total"), k.hits);
+                snap.set_counter(&format!("aqua_cache_{name}_misses_total"), k.misses);
+            }
+            for (i, s) in detail.shards.iter().enumerate() {
+                let shard = i.to_string();
+                let label = |name| obs::label(name, &[("shard", &shard)]);
+                snap.set_counter(&label("aqua_cache_shard_hits_total"), s.hits);
+                snap.set_counter(&label("aqua_cache_shard_misses_total"), s.misses);
+            }
+            snap.set_counter("aqua_cache_invalidations_total", detail.invalidations);
+            let total = detail.total();
+            snap.set_counter("aqua_cache_hits_total", total.hits);
+            snap.set_counter("aqua_cache_misses_total", total.misses);
+            let (p, a) = (
+                synopsis.plan_cache().stats(),
+                synopsis.answer_cache().stats(),
             );
-            snap.set_counter(
-                &obs::label("aqua_cache_shard_misses_total", &[("shard", &shard)]),
-                s.misses,
-            );
+            for (kind, hits, misses, invalidations, entries, rate) in [
+                (
+                    "plan",
+                    p.hits,
+                    p.misses,
+                    p.invalidations,
+                    p.entries,
+                    p.hit_rate(),
+                ),
+                (
+                    "answer",
+                    a.hits,
+                    a.misses,
+                    a.invalidations,
+                    a.entries,
+                    a.hit_rate(),
+                ),
+            ] {
+                let name = |what| format!("aqua_{kind}_cache_{what}");
+                snap.set_counter(&name("hits_total"), hits);
+                snap.set_counter(&name("misses_total"), misses);
+                snap.set_counter(&name("invalidations_total"), invalidations);
+                snap.set_gauge(&name("entries"), entries as i64);
+                snap.set_gauge(&name("hit_rate_permille"), (rate * 1000.0).round() as i64);
+            }
         }
-        snap.set_counter("aqua_cache_invalidations_total", detail.invalidations);
-        let total = detail.total();
-        snap.set_counter("aqua_cache_hits_total", total.hits);
-        snap.set_counter("aqua_cache_misses_total", total.misses);
-        let plan = inner.synopsis.plan_cache().stats();
-        snap.set_counter("aqua_plan_cache_hits_total", plan.hits);
-        snap.set_counter("aqua_plan_cache_misses_total", plan.misses);
-        snap.set_counter("aqua_plan_cache_invalidations_total", plan.invalidations);
-        snap.set_gauge("aqua_plan_cache_entries", plan.entries as i64);
-        snap.set_gauge(
-            "aqua_plan_cache_hit_rate_permille",
-            (plan.hit_rate() * 1000.0).round() as i64,
-        );
-        let ans = inner.synopsis.answer_cache().stats();
-        snap.set_counter("aqua_answer_cache_hits_total", ans.hits);
-        snap.set_counter("aqua_answer_cache_misses_total", ans.misses);
-        snap.set_counter("aqua_answer_cache_invalidations_total", ans.invalidations);
-        snap.set_gauge("aqua_answer_cache_entries", ans.entries as i64);
-        snap.set_gauge(
-            "aqua_answer_cache_hit_rate_permille",
-            (ans.hit_rate() * 1000.0).round() as i64,
-        );
+        let sample_rows = inner.synopsis.as_ref().map_or(0, Synopsis::sample_rows);
         snap.set_gauge("aqua_table_rows", inner.table.row_count() as i64);
-        snap.set_gauge("aqua_synopsis_rows", inner.synopsis.sample_rows() as i64);
+        snap.set_gauge("aqua_synopsis_rows", sample_rows as i64);
         drop(inner);
         let profile = self.profile.lock();
         snap.set_gauge("aqua_profile_queries", profile.queries() as i64);
@@ -568,258 +773,96 @@ impl Aqua {
         snap
     }
 
-    /// Execute the query exactly against the stored table (what the
-    /// warehouse itself would return, used for accuracy comparisons).
-    pub fn exact(&self, query: &GroupByQuery) -> Result<QueryResult> {
-        let inner = self.inner.read();
-        exact_scan(inner.synopsis.registry(), &inner.table, query, None)
-    }
-
-    /// Insert new tuples into the warehouse. The synopsis maintainer sees
-    /// each tuple once; the stored table grows; the physical plan is
-    /// rebuilt lazily on the next query.
+    /// Insert new tuples into the warehouse. The stored table grows; with a
+    /// synopsis, its maintainer sees each tuple once and the physical plan
+    /// is rebuilt lazily on the next query.
     pub fn insert_batch(&self, rows: &[Vec<Value>]) -> Result<()> {
         if rows.is_empty() {
             return Ok(());
         }
         let mut inner = self.inner.write();
+        let inner = &mut *inner;
         let mut builder = relation::RelationBuilder::from_schema(inner.table.schema());
         for row in rows {
             builder.push_row(row)?;
         }
         let batch = builder.finish();
-        let first = inner.table.row_count();
-        inner.synopsis.ingest(&batch, first)?;
+        if let Ok(synopsis) = &mut inner.synopsis {
+            synopsis.ingest(&batch, inner.table.row_count())?;
+        }
         inner.table = Relation::concat(&[&inner.table, &batch])?;
         Ok(())
     }
 
-    /// The Figure 2 pipeline in one call: parse SQL against the stored
-    /// table's schema, answer it approximately, and return the answer
-    /// along with the rewritten-SQL text the configured strategy would
-    /// send to a back-end DBMS (Figures 8–11).
-    ///
-    /// This is the clone-per-call convenience wrapper around
-    /// [`Self::answer_sql_shared`]; servers should call the shared form
-    /// and keep the `Arc`.
-    pub fn answer_sql(&self, sql: &str) -> Result<(ApproximateAnswer, String)> {
-        let served = self.answer_sql_shared(sql)?;
-        Ok((served.answer.clone(), served.rewritten.clone()))
-    }
-
-    /// The serving fast path: answer SQL through the plan cache and the
-    /// answer cache, returning a shared [`ServedAnswer`].
-    ///
-    /// The SQL text is first normalized (case / whitespace / literal
-    /// formatting folded — see [`engine::sql::normalize`]) and the
-    /// normalized text is both the cache key *and* what gets parsed on a
-    /// miss, so equivalent spellings share one plan and one answer.
-    /// Repeat queries cost one hash probe + `Arc` bump; plans survive
-    /// answer-cache invalidation only until the next ingest (both caches
-    /// are generation-scoped, cleared under the write lock).
-    pub fn answer_sql_shared(&self, sql: &str) -> Result<Arc<ServedAnswer>> {
-        self.answer_sql_shared_cancellable(sql, None)
-    }
-
-    /// [`Self::answer_sql_shared`] with a cooperative [`CancelToken`].
-    ///
-    /// Answer-cache hits return immediately regardless of the token (the
-    /// work is already done); on a miss the token rides through
-    /// [`ExecOptions`] into the chunked aggregation loops, so a scan whose
-    /// deadline fires aborts within one chunk and surfaces
-    /// `AquaError::Engine(EngineError::Cancelled)`. Cancelled queries are
-    /// never inserted into the answer cache.
-    pub fn answer_sql_shared_cancellable(
-        &self,
-        sql: &str,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Arc<ServedAnswer>> {
-        let timer = obs::Timer::start();
-        if obs::ENABLED {
-            self.metrics.sql_queries().inc();
-        }
-        let key = match engine::sql::normalize(sql) {
-            Ok(k) => k,
-            Err(e) => {
-                if obs::ENABLED {
-                    self.metrics.sql_parse_errors().inc();
-                }
-                return Err(e.into());
-            }
-        };
-        // Hold the read lock across lookup, compute, AND insert: the guard
-        // pins the synopsis generation, so a cached entry always matches
-        // what recomputing now would return, and an insert can never land
-        // after the invalidation of the generation it was computed in.
-        let inner = self.read_fresh()?;
-        if let Some(served) = inner.synopsis.answer_cache().get(&key) {
-            if obs::ENABLED {
-                self.metrics.record_query(
-                    SERVED_ANSWER_CACHE,
-                    timer.elapsed_us(),
-                    0,
-                    (0, 0),
-                    (0, 0, 0),
-                );
-            }
-            // Cache hits are workload signal too; the plan cache still has
-            // the parsed query (both caches share a generation), so the
-            // profile sees the grouping without re-parsing. No trace here —
-            // nothing was scanned — so no selectivity observation.
-            if let Some(plan) = inner.synopsis.plan_cache().get(&key) {
-                self.record_profile(&plan.query, None);
-            }
-            drop(inner);
-            self.maybe_auto_tune();
-            return Ok(served);
-        }
-        let plan_cache = inner.synopsis.plan_cache();
-        let plan = match plan_cache.get(&key) {
-            Some(p) => p,
-            None => {
-                let query = match engine::sql::parse(inner.table.schema(), &key) {
-                    Ok(q) => q,
-                    Err(e) => {
-                        if obs::ENABLED {
-                            self.metrics.sql_parse_errors().inc();
-                        }
-                        return Err(e.into());
-                    }
-                };
-                let kind = match inner.synopsis.config().rewrite {
-                    crate::RewriteChoice::Integrated => {
-                        engine::sql::render::RewriteKind::Integrated
-                    }
-                    crate::RewriteChoice::NestedIntegrated => {
-                        engine::sql::render::RewriteKind::NestedIntegrated
-                    }
-                    crate::RewriteChoice::Normalized => {
-                        engine::sql::render::RewriteKind::Normalized
-                    }
-                    crate::RewriteChoice::KeyNormalized => {
-                        engine::sql::render::RewriteKind::KeyNormalized
-                    }
-                };
-                let rewritten = engine::sql::render_rewritten(
-                    &query,
-                    inner.table.schema(),
-                    kind,
-                    "samp_rel",
-                    "aux_rel",
-                )?;
-                plan_cache.insert(key.clone(), engine::CachedPlan { query, rewritten })
-            }
-        };
-        let trace = ExecTrace::new();
-        let result = self.answer_locked(&inner, &plan.query, &trace, cancel);
-        let answer = match result {
-            Ok(a) => a,
-            Err(e) => {
-                if obs::ENABLED {
-                    self.metrics.record_result_error(&e);
-                }
-                return Err(e);
-            }
-        };
-        if obs::ENABLED {
-            let served = trace.served().map_or("unknown", |s| s.label());
-            self.metrics.record_query(
-                served,
-                timer.elapsed_us(),
-                trace.rows_scanned(),
-                (trace.chunks_scanned(), trace.chunks_pruned()),
-                (
-                    trace.kernel_pred_chunks(),
-                    trace.kernel_fold_sum(),
-                    trace.kernel_fold_minmax(),
-                ),
-            );
-        }
-        self.record_profile(&plan.query, Some(&trace));
-        let served = Arc::new(ServedAnswer {
-            answer,
-            rewritten: plan.rewritten.clone(),
-        });
-        let served = inner.synopsis.answer_cache().insert(key, served);
-        drop(inner);
-        self.maybe_auto_tune();
-        Ok(served)
-    }
-
-    /// Parse SQL against the stored table's schema and execute it exactly
-    /// — the warehouse-side ground truth for [`Self::answer_sql`].
-    pub fn exact_sql(&self, sql: &str) -> Result<QueryResult> {
-        let inner = self.inner.read();
-        let query = engine::sql::parse(inner.table.schema(), sql)?;
-        exact_scan(inner.synopsis.registry(), &inner.table, &query, None)
-    }
-
     /// Export the synopsis as a compact binary snapshot (durable storage,
-    /// shipping to another node, etc.).
+    /// shipping to another node, etc.); without one, an error naming why.
+    /// Returns `Bytes` because the benchmark calls it (ROADMAP item 7).
     pub fn export_synopsis(&self) -> Result<bytes::Bytes> {
         let mut inner = self.inner.write();
-        let Inner {
-            table, synopsis, ..
-        } = &mut *inner;
+        let (table, synopsis) = inner.sampled()?;
         synopsis.export(table)
     }
 
-    /// Rebuild a system from a stored table plus an exported snapshot.
-    /// The restored synopsis answers queries immediately; subsequent
-    /// insertions start a fresh maintainer (snapshots carry the sample,
-    /// not the sampler state).
-    pub fn build_from_snapshot(
-        table: Relation,
-        config: AquaConfig,
-        snapshot: bytes::Bytes,
-    ) -> Result<Aqua> {
-        let rewrite = config.rewrite.name();
-        let synopsis = Synopsis::import(config, &table, snapshot)?;
-        let grouping = synopsis.grouping().to_vec();
-        let metrics = QueryMetrics::new(Arc::clone(synopsis.registry()), rewrite);
-        Ok(Aqua {
-            inner: RwLock::new(Inner {
-                table,
-                grouping,
-                synopsis,
-            }),
-            metrics,
-            profile: Mutex::new(WorkloadProfile::new()),
-            tune_opts: Mutex::new(TuneOptions::default()),
-            queries_since_tune: AtomicU64::new(0),
-        })
+    /// What [`Warehouse::save_all`](crate::Warehouse::save_all) stores of
+    /// this system — table, grouping, configuration and the synopsis
+    /// snapshot (`None` without a synopsis) — read under one lock, so no
+    /// insert can land between the snapshot and the table.
+    pub(crate) fn saved(
+        &self,
+    ) -> Result<(Relation, Vec<ColumnId>, AquaConfig, Option<bytes::Bytes>)> {
+        let mut inner = self.inner.write();
+        let Inner {
+            table,
+            grouping,
+            config,
+            synopsis,
+        } = &mut *inner;
+        let snapshot = match synopsis {
+            Ok(synopsis) => Some(synopsis.export(table)?),
+            Err(_) => None,
+        };
+        Ok((table.clone(), grouping.clone(), *config, snapshot))
     }
 
     /// Force a bulk *parallel* reconstruction of the synopsis from the
     /// stored table, on `config.parallelism` threads. Queries block for
     /// the duration (writer lock) and then see the new synopsis whole —
     /// never a partially rebuilt one. The maintainer keeps its stream
-    /// state for future incremental refreshes.
+    /// state for future incremental refreshes. A system without a synopsis
+    /// gets one built as [`Self::build`] builds it, and sampled service.
     pub fn rebuild(&self) -> Result<()> {
         let mut inner = self.inner.write();
-        let Inner {
-            table, synopsis, ..
-        } = &mut *inner;
-        synopsis.rebuild_bulk(table)
+        let inner = &mut *inner;
+        match &mut inner.synopsis {
+            Ok(synopsis) => synopsis.rebuild_bulk(&inner.table),
+            Err(_) => {
+                let registry = &self.metrics.registry;
+                inner.synopsis = Ok(sample(
+                    &inner.table,
+                    &inner.grouping,
+                    inner.config,
+                    registry,
+                )?);
+                Ok(())
+            }
+        }
     }
 
     /// Force a synopsis refresh now (normally lazy).
     pub fn refresh(&self) -> Result<()> {
         let mut inner = self.inner.write();
-        let Inner {
-            table, synopsis, ..
-        } = &mut *inner;
+        let (table, synopsis) = inner.sampled()?;
         synopsis.refresh(table)
     }
 
     /// Fold one answered query into the workload profile: its grouping,
     /// its predicate's observed selectivity (selected/scanned rows from the
     /// trace, when a scan actually ran), and its measure expressions.
-    fn record_profile(&self, query: &GroupByQuery, trace: Option<&ExecTrace>) {
-        let selectivity = trace.and_then(|t| match t.rows_scanned() {
+    fn record_profile(&self, query: &GroupByQuery, trace: &ExecTrace) {
+        let selectivity = match trace.rows_scanned() {
             0 => None,
-            scanned => Some((t.rows_selected() as f64 / scanned as f64).min(1.0)),
-        });
+            scanned => Some((trace.rows_selected() as f64 / scanned as f64).min(1.0)),
+        };
         let mut profile = self.profile.lock();
         profile.record_query(&query.grouping, selectivity);
         for spec in &query.aggregates {
@@ -887,9 +930,7 @@ impl Aqua {
         let opts = *self.tune_opts.lock();
         let mut profile = self.profile.lock().clone();
         let mut inner = self.inner.write();
-        let Inner {
-            table, synopsis, ..
-        } = &mut *inner;
+        let (table, synopsis) = inner.sampled()?;
         if synopsis.is_stale() {
             synopsis.refresh(table)?;
         }
@@ -900,8 +941,7 @@ impl Aqua {
         if let (Some(expr), Some(input)) = (hottest, synopsis.input()) {
             let (rel, grouping) = (&input.rows, synopsis.grouping());
             let (strata, cache) = (input.scale_factors.len(), synopsis.query_cache());
-            let (index, layout) =
-                cell_layout(rel, &input.stratum_of_row, strata, grouping, false, cache);
+            let (index, layout) = cell_layout(rel, &input.stratum_of_row, strata, grouping, cache);
             let summary = unfiltered_cells(rel, &layout, grouping, expr.as_ref(), cache, None)?;
             for (gid, key) in index.keys().iter().enumerate() {
                 let mut m = GroupMoments::default();
@@ -937,26 +977,6 @@ impl Aqua {
             reallocated,
             threshold: opts.drift_threshold,
         })
-    }
-
-    /// Refresh the synopsis if stale, with double-checked locking: the
-    /// staleness probe under the read lock is cheap and concurrent, and
-    /// the re-check under the write lock ensures that when many clients
-    /// race past a stale probe, only the first refreshes (a refresh
-    /// invalidates the query cache, so redundant refreshes would throw
-    /// away a freshly warmed cache for nothing).
-    fn refresh_if_stale(&self) -> Result<()> {
-        if !self.inner.read().synopsis.is_stale() {
-            return Ok(());
-        }
-        let mut inner = self.inner.write();
-        if inner.synopsis.is_stale() {
-            let Inner {
-                table, synopsis, ..
-            } = &mut *inner;
-            synopsis.refresh(table)?;
-        }
-        Ok(())
     }
 }
 
@@ -997,6 +1017,14 @@ mod tests {
         GroupByQuery::new(vec![ColumnId(0)], vec![AggregateSpec::count("c")])
     }
 
+    fn exact(aqua: &Aqua, q: &GroupByQuery) -> Arc<ServedAnswer> {
+        let request = Request {
+            exact: true,
+            ..Request::query(q)
+        };
+        aqua.run(&request).unwrap()
+    }
+
     #[test]
     fn build_and_answer() {
         let aqua = Aqua::build(table(2000), vec![ColumnId(0)], config()).unwrap();
@@ -1021,8 +1049,8 @@ mod tests {
             vec![AggregateSpec::avg(Expr::col(ColumnId(1)), "a")],
         );
         let approx = aqua.answer(&q).unwrap();
-        let exact = aqua.exact(&q).unwrap();
-        for (key, vals) in exact.iter() {
+        let exact = exact(&aqua, &q);
+        for (key, vals) in exact.answer.result.iter() {
             let est = approx.result.get(key).unwrap()[0];
             // AVG of values in [10, 16]: estimate must land in-range and
             // close (bounded variables, decent sample).
@@ -1040,6 +1068,11 @@ mod tests {
             .collect();
         aqua.insert_batch(&rows).unwrap();
         assert_eq!(aqua.table_rows(), before + 50);
+        // An exact scan sees the new rows but leaves the synopsis stale.
+        let refreshes = |a: &Aqua| a.stats().counter("synopsis_refreshes_total");
+        let before_scan = refreshes(&aqua);
+        assert_eq!(exact(&aqua, &count_query()).answer.result.group_count(), 3);
+        assert_eq!(refreshes(&aqua), before_scan);
         // Next answer reflects the new group without an explicit refresh.
         let ans = aqua.answer(&count_query()).unwrap();
         let ng = ans
@@ -1067,17 +1100,19 @@ mod tests {
     #[test]
     fn answer_sql_runs_figure2_pipeline() {
         let aqua = Aqua::build(table(3000), vec![ColumnId(0)], config()).unwrap();
-        let (answer, rewritten) = aqua
-            .answer_sql("SELECT g, COUNT(*) AS c FROM t GROUP BY g HAVING c > 100")
+        let served = aqua
+            .answer_sql_shared("SELECT g, COUNT(*) AS c FROM t GROUP BY g HAVING c > 100")
             .unwrap();
-        assert_eq!(answer.result.group_count(), 2); // both groups exceed 100
-                                                    // Rewritten SQL reflects the configured Nested-integrated plan.
+        assert_eq!(served.answer.result.group_count(), 2); // both groups exceed 100
+        assert_eq!(served.answer.provenance, AnswerProvenance::Sampled);
+        // Rewritten SQL reflects the configured Nested-integrated plan.
+        let rewritten = &served.rewritten;
         assert!(rewritten.contains("samp_rel"), "{rewritten}");
         assert!(rewritten.contains("SF"), "{rewritten}");
         // Bad SQL propagates a parse error.
-        assert!(aqua.answer_sql("SELEKT oops").is_err());
+        assert!(aqua.answer_sql_shared("SELEKT oops").is_err());
         assert!(aqua
-            .answer_sql("SELECT COUNT(*) FROM t WHERE nope = 1")
+            .answer_sql_shared("SELECT COUNT(*) FROM t WHERE nope = 1")
             .is_err());
     }
 
@@ -1132,8 +1167,8 @@ mod tests {
     fn sql_answer_cache_hits_count_toward_profile() {
         let aqua = Aqua::build(table(1000), vec![ColumnId(0)], config()).unwrap();
         let sql = "SELECT g, COUNT(*) AS c FROM t GROUP BY g";
-        aqua.answer_sql(sql).unwrap();
-        aqua.answer_sql(sql).unwrap(); // served from the answer cache
+        aqua.answer_sql_shared(sql).unwrap();
+        aqua.answer_sql_shared(sql).unwrap(); // served from the answer cache
         assert_eq!(aqua.workload_profile().queries(), 2);
         aqua.reset_profile();
         assert!(aqua.workload_profile().is_empty());
@@ -1153,7 +1188,7 @@ mod tests {
         };
         for answer in [
             Box::new(|a: &Aqua| a.answer(&q).map(drop)) as Box<dyn Fn(&Aqua) -> Result<()>>,
-            Box::new(|a: &Aqua| a.answer_sql(sql).map(drop)),
+            Box::new(|a: &Aqua| a.answer_sql_shared(sql).map(drop)),
         ] {
             aqua.reset_profile();
             answer(&aqua).unwrap();
@@ -1170,6 +1205,55 @@ mod tests {
         let aqua = Aqua::build(t.clone(), vec![ColumnId(0)], config()).unwrap();
         let q = count_query();
         let direct = engine::execute_exact(&t, &q).unwrap();
-        assert_eq!(aqua.exact(&q).unwrap(), direct);
+        let served = exact(&aqua, &q);
+        assert_eq!(served.answer.result, direct);
+        assert_eq!(served.answer.provenance, AnswerProvenance::Exact);
+        assert!(served.answer.bounds.is_empty() && served.rewritten.is_empty());
+        assert_eq!(served.answer.confidence, 1.0);
+    }
+
+    /// A system without a synopsis scans for every request, only grows its
+    /// table on insert, refuses what needs a synopsis with the reason, and
+    /// regains sampled service on `rebuild`.
+    #[test]
+    fn degraded_system_scans_until_rebuilt() {
+        let reason = "snapshot lost in a test";
+        let aqua = Aqua::degraded(table(2000), vec![ColumnId(0)], config(), reason.into());
+        assert_eq!(aqua.synopsis_rows(), 0);
+        assert_eq!(aqua.degraded_reason().as_deref(), Some(reason));
+        let fallback = AnswerProvenance::ExactFallback {
+            reason: reason.into(),
+        };
+        let q = count_query();
+        let direct = engine::execute_exact(&aqua.table_snapshot(), &q).unwrap();
+        let approximate = aqua.run(&Request::query(&q)).unwrap();
+        assert_eq!(approximate.answer.provenance, fallback);
+        assert_eq!(approximate.answer.result, direct);
+        let sql = aqua.run(&Request::sql("SELECT g, COUNT(*) AS c FROM t GROUP BY g"));
+        assert_eq!(sql.unwrap().answer.provenance, fallback);
+        assert_eq!(exact(&aqua, &q).answer.provenance, AnswerProvenance::Exact);
+
+        let refused = [
+            aqua.tune().map(drop),
+            aqua.refresh(),
+            aqua.export_synopsis().map(drop),
+        ];
+        for err in refused {
+            assert!(err.unwrap_err().to_string().contains(reason));
+        }
+
+        let rows: Vec<Vec<Value>> = (0..30)
+            .map(|i| vec![Value::str("new_group"), Value::from(i as f64)])
+            .collect();
+        aqua.insert_batch(&rows).unwrap();
+        assert_eq!(aqua.table_rows(), 2030);
+        assert_eq!(aqua.synopsis_rows(), 0);
+
+        aqua.rebuild().unwrap();
+        assert!(aqua.synopsis_rows() > 0);
+        assert_eq!(aqua.degraded_reason(), None);
+        let ans = aqua.answer(&q).unwrap();
+        assert_eq!(ans.provenance, AnswerProvenance::Sampled);
+        assert_eq!(ans.result.group_count(), 3);
     }
 }

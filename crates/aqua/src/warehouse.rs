@@ -14,12 +14,12 @@
 //!
 //! [`Warehouse::open`] verifies every blob against the manifest's length
 //! and header checksum before trusting it, and its decoder verifies each
-//! section's CRC32C. A corrupt or missing synopsis is
-//! *quarantined* (renamed under `quarantine/`) and the relation is either
-//! rebuilt from its (intact) base table or served in **degraded mode** —
-//! exact scans, surfaced through
+//! section's CRC32C. A corrupt synopsis is *quarantined* (renamed under
+//! `quarantine/`); a relation without a usable synopsis comes back as an
+//! [`Aqua`] with none — exact scans, surfaced through
 //! [`AnswerProvenance::ExactFallback`](crate::answer::AnswerProvenance) —
-//! depending on the [`RecoveryPolicy`]. A corrupt base table makes the
+//! which, under [`RecoveryPolicy::Rebuild`], then rebuilds one from its
+//! (intact) base table. A corrupt base table makes the
 //! relation unrecoverable from this store; it is quarantined and reported,
 //! and the rest of the warehouse still opens.
 //!
@@ -36,15 +36,13 @@ use parking_lot::RwLock;
 
 use congress::{snapshot, SnapshotStore};
 use engine::join::foreign_key_join;
-use engine::{GroupByQuery, QueryResult};
 use relation::binio;
 use relation::{ColumnId, Relation, Schema, Value};
 
-use crate::answer::{AnswerProvenance, ApproximateAnswer};
 use crate::config::AquaConfig;
 use crate::error::{AquaError, Result};
 use crate::manifest::{FileRef, Manifest, ManifestEntry, MANIFEST_KEY, QUARANTINE_PREFIX};
-use crate::system::{exact_scan, Aqua};
+use crate::system::Aqua;
 
 /// What [`Warehouse::open`] does with a relation whose synopsis is
 /// missing or fails verification (the base table being intact).
@@ -53,8 +51,9 @@ pub enum RecoveryPolicy {
     /// Rebuild the synopsis from the base table (slow open, full service).
     Rebuild,
     /// Serve the relation in degraded mode — exact scans of the base
-    /// table, flagged via [`AnswerProvenance::ExactFallback`] — until an
-    /// explicit [`Warehouse::repair`].
+    /// table, flagged via
+    /// [`AnswerProvenance::ExactFallback`](crate::AnswerProvenance) —
+    /// until an explicit [`Warehouse::repair`].
     Degrade,
 }
 
@@ -147,21 +146,9 @@ pub struct VerifyReport {
     pub lines: Vec<String>,
 }
 
-/// A relation being served without a synopsis: exact scans only.
-struct Degraded {
-    table: RwLock<Relation>,
-    grouping: Vec<ColumnId>,
-    config: AquaConfig,
-    reason: String,
-}
-
-enum Serving {
-    Sampled(Arc<Aqua>),
-    Degraded(Arc<Degraded>),
-}
-
 struct Entry {
-    serving: Serving,
+    /// A relation without a synopsis is an [`Aqua`] without one.
+    aqua: Arc<Aqua>,
     /// Store key prefix for this relation's blobs.
     dir: String,
 }
@@ -301,13 +288,8 @@ impl Warehouse {
             return Err(taken(&name));
         }
         let dir = store_dir(&name);
-        map.insert(
-            name,
-            Entry {
-                serving: Serving::Sampled(Arc::new(system)),
-                dir,
-            },
-        );
+        let aqua = Arc::new(system);
+        map.insert(name, Entry { aqua, dir });
         Ok(())
     }
 
@@ -335,137 +317,32 @@ impl Warehouse {
         AquaError::InvalidConfig(format!("unknown relation `{name}`"))
     }
 
-    /// The system serving `name`. Errors for unknown relations and for
-    /// relations currently in degraded mode (which have no synopsis to
-    /// hand out — use [`Self::answer`]/[`Self::exact`], or
-    /// [`Self::repair`] the warehouse).
+    /// The system serving `name` — a degraded relation's has no synopsis
+    /// and answers with exact scans ([`Self::degraded_relations`] says why).
+    /// Errors for unknown relations.
     pub fn system(&self, name: &str) -> Result<Arc<Aqua>> {
-        match self.relations.read().get(name) {
-            Some(Entry {
-                serving: Serving::Sampled(aqua),
-                ..
-            }) => Ok(Arc::clone(aqua)),
-            Some(Entry {
-                serving: Serving::Degraded(d),
-                ..
-            }) => Err(AquaError::Storage(format!(
-                "relation `{name}` is degraded ({}); exact scans only",
-                d.reason
-            ))),
-            None => Err(Self::unknown(name)),
-        }
+        let map = self.relations.read();
+        let entry = map.get(name).ok_or_else(|| Self::unknown(name))?;
+        Ok(Arc::clone(&entry.aqua))
     }
 
     /// Relations currently served in degraded mode, as `(name, reason)`.
     pub fn degraded_relations(&self) -> Vec<(String, String)> {
-        let mut out: Vec<(String, String)> = self
-            .relations
-            .read()
-            .iter()
-            .filter_map(|(name, e)| match &e.serving {
-                Serving::Degraded(d) => Some((name.clone(), d.reason.clone())),
-                Serving::Sampled(_) => None,
-            })
-            .collect();
+        let map = self.relations.read();
+        let degraded =
+            |(name, e): (&String, &Entry)| Some((name.clone(), e.aqua.degraded_reason()?));
+        let mut out: Vec<_> = map.iter().filter_map(degraded).collect();
         out.sort();
         out
-    }
-
-    /// Answer approximately against the named relation. A degraded
-    /// relation answers with an exact scan, flagged in the returned
-    /// answer's [`provenance`](ApproximateAnswer::provenance).
-    pub fn answer(&self, name: &str, query: &GroupByQuery) -> Result<ApproximateAnswer> {
-        let serving = self.serving(name)?;
-        match serving {
-            Serving::Sampled(aqua) => aqua.answer(query),
-            Serving::Degraded(d) => {
-                self.registry
-                    .counter("warehouse_degraded_answers_total")
-                    .inc();
-                let result = exact_scan(&self.registry, &d.table.read(), query, None)?;
-                Ok(ApproximateAnswer {
-                    result,
-                    bounds: Vec::new(),
-                    confidence: 1.0,
-                    provenance: AnswerProvenance::ExactFallback {
-                        reason: d.reason.clone(),
-                    },
-                })
-            }
-        }
-    }
-
-    /// Answer SQL against the named relation through the serving fast
-    /// path ([`Aqua::answer_sql_shared`]: plan cache + answer cache). A
-    /// degraded relation parses and scans exactly, with an empty
-    /// `rewritten` (there is no synopsis to rewrite against).
-    pub fn answer_sql(&self, name: &str, sql: &str) -> Result<Arc<crate::ServedAnswer>> {
-        self.answer_sql_cancellable(name, sql, None)
-    }
-
-    /// [`Self::answer_sql`] with a cooperative [`engine::CancelToken`]:
-    /// sampled relations thread it through
-    /// [`Aqua::answer_sql_shared_cancellable`]; degraded relations poll it
-    /// at chunk boundaries of the exact scan (which runs over the full
-    /// base table, so deadlines matter *more* there).
-    pub fn answer_sql_cancellable(
-        &self,
-        name: &str,
-        sql: &str,
-        cancel: Option<&engine::CancelToken>,
-    ) -> Result<Arc<crate::ServedAnswer>> {
-        match self.serving(name)? {
-            Serving::Sampled(aqua) => aqua.answer_sql_shared_cancellable(sql, cancel),
-            Serving::Degraded(d) => {
-                self.registry
-                    .counter("warehouse_degraded_answers_total")
-                    .inc();
-                let table = d.table.read();
-                let query = engine::sql::parse(table.schema(), sql)?;
-                let result = exact_scan(&self.registry, &table, &query, cancel)?;
-                Ok(Arc::new(crate::ServedAnswer {
-                    answer: ApproximateAnswer {
-                        result,
-                        bounds: Vec::new(),
-                        confidence: 1.0,
-                        provenance: AnswerProvenance::ExactFallback {
-                            reason: d.reason.clone(),
-                        },
-                    },
-                    rewritten: String::new(),
-                }))
-            }
-        }
-    }
-
-    /// Exact answer against the named relation's stored table.
-    pub fn exact(&self, name: &str, query: &GroupByQuery) -> Result<QueryResult> {
-        match self.serving(name)? {
-            Serving::Sampled(aqua) => aqua.exact(query),
-            Serving::Degraded(d) => exact_scan(&self.registry, &d.table.read(), query, None),
-        }
-    }
-
-    /// Insert tuples into the named relation (synopsis maintained
-    /// incrementally for sampled relations; degraded relations grow their
-    /// base table). Not durable — see [`Self::insert_logged`]. Routing
-    /// through [`Aqua::insert_batch`] also invalidates the relation's
-    /// query cache (indexes and aggregate summaries), so subsequent
-    /// answers are served from post-insert state.
-    pub fn insert(&self, name: &str, rows: &[Vec<Value>]) -> Result<()> {
-        match self.serving(name)? {
-            Serving::Sampled(aqua) => aqua.insert_batch(rows),
-            Serving::Degraded(d) => Self::append_degraded(&d, rows),
-        }
     }
 
     /// Insert tuples *durably*: the batch is appended to the relation's
     /// write-ahead log (length + CRC32C framed) before being applied in
     /// memory, so a crash before the next [`Self::save_all`] loses
-    /// nothing — [`Self::open`] replays the log. The in-memory apply goes
-    /// through the same ingest path as [`Self::insert`], so WAL inserts
-    /// invalidate cached indexes/summaries exactly like plain ones; a
-    /// replay on `open` starts from a fresh (empty) cache anyway.
+    /// nothing — [`Self::open`] replays the log. The in-memory apply is
+    /// [`Aqua::insert_batch`], so WAL inserts invalidate cached
+    /// indexes/summaries exactly like plain ones; a replay on `open` starts
+    /// from a fresh (empty) cache anyway.
     pub fn insert_logged(
         &self,
         store: &dyn SnapshotStore,
@@ -480,49 +357,15 @@ impl Warehouse {
         // batch from both the saved table and the surviving WAL.
         let map = self.relations.read();
         let entry = map.get(name).ok_or_else(|| Self::unknown(name))?;
-        let schema = match &entry.serving {
-            Serving::Sampled(aqua) => aqua.table_snapshot().schema().clone(),
-            Serving::Degraded(d) => d.table.read().schema().clone(),
-        };
-        let frame = binio::frame(&binio::encode_rows(&schema, rows)?);
+        let table = entry.aqua.table_snapshot();
+        let frame = binio::frame(&binio::encode_rows(table.schema(), rows)?);
         let key = wal_key(&entry.dir, self.generation.load(Ordering::SeqCst));
         store.append(&key, &frame)?;
         self.registry.counter("warehouse_wal_appends_total").inc();
         self.registry
             .counter("warehouse_wal_appended_bytes_total")
             .add(frame.len() as u64);
-        match &entry.serving {
-            Serving::Sampled(aqua) => aqua.insert_batch(rows),
-            Serving::Degraded(d) => Self::append_degraded(d, rows),
-        }
-    }
-
-    fn append_degraded(d: &Degraded, rows: &[Vec<Value>]) -> Result<()> {
-        if rows.is_empty() {
-            return Ok(());
-        }
-        let mut table = d.table.write();
-        let mut builder = relation::RelationBuilder::from_schema(table.schema());
-        for row in rows {
-            builder.push_row(row)?;
-        }
-        let batch = builder.finish();
-        *table = Relation::concat(&[&*table, &batch])?;
-        Ok(())
-    }
-
-    fn serving(&self, name: &str) -> Result<Serving> {
-        match self.relations.read().get(name) {
-            Some(Entry {
-                serving: Serving::Sampled(a),
-                ..
-            }) => Ok(Serving::Sampled(Arc::clone(a))),
-            Some(Entry {
-                serving: Serving::Degraded(d),
-                ..
-            }) => Ok(Serving::Degraded(Arc::clone(d))),
-            None => Err(Self::unknown(name)),
-        }
+        entry.aqua.insert_batch(rows)
     }
 
     /// Registered relation names, sorted.
@@ -535,14 +378,8 @@ impl Warehouse {
     /// Total sampled tuples across every synopsis — what counts against
     /// the administrator's space budget. Degraded relations contribute 0.
     pub fn total_synopsis_rows(&self) -> usize {
-        self.relations
-            .read()
-            .values()
-            .map(|e| match &e.serving {
-                Serving::Sampled(a) => a.synopsis_rows(),
-                Serving::Degraded(_) => 0,
-            })
-            .sum()
+        let map = self.relations.read();
+        map.values().map(|e| e.aqua.synopsis_rows()).sum()
     }
 
     /// Split a total tuple budget across relations proportionally to their
@@ -608,25 +445,11 @@ impl Warehouse {
         };
         for name in names {
             let entry = &map[name];
-            let (table, grouping, config, snapshot_bytes) = match &entry.serving {
-                Serving::Sampled(aqua) => {
-                    let snap = aqua.export_synopsis()?;
-                    (
-                        aqua.table_snapshot(),
-                        aqua.grouping_columns(),
-                        aqua.config(),
-                        Some(snap),
-                    )
-                }
-                Serving::Degraded(d) => {
-                    (d.table.read().clone(), d.grouping.clone(), d.config, None)
-                }
-            };
+            let (table, grouping, config, snapshot_bytes) = entry.aqua.saved()?;
             let table = put(table_key(&entry.dir, generation), &binio::encode(&table))?;
-            let snapshot = match snapshot_bytes {
-                Some(snap) => Some(put(snapshot_key(&entry.dir, generation), &snap)?),
-                None => None,
-            };
+            let snapshot = snapshot_bytes
+                .map(|snap| put(snapshot_key(&entry.dir, generation), &snap))
+                .transpose()?;
             entries.push(ManifestEntry {
                 name: name.clone(),
                 dir: entry.dir.clone(),
@@ -711,102 +534,47 @@ impl Warehouse {
                     continue;
                 }
             };
-            let schema = table.schema().clone();
             let grouping: Vec<ColumnId> = entry.grouping.iter().map(|&i| ColumnId(i)).collect();
 
-            let degrade = |table: Relation, reason: String| {
-                Serving::Degraded(Arc::new(Degraded {
-                    table: RwLock::new(table),
-                    grouping: grouping.clone(),
-                    config: entry.config,
-                    reason,
-                }))
+            // Import the snapshot; without a usable one the relation is
+            // served by scans, and `Rebuild` then draws it a new synopsis.
+            let loaded = match &entry.snapshot {
+                Some(fref) => load_checked(store, fref)
+                    .and_then(|bytes| {
+                        let snapshot = bytes::Bytes::from(bytes);
+                        Aqua::build_from_snapshot(table.clone(), entry.config, snapshot)
+                            .map_err(|e| e.to_string())
+                    })
+                    .map_err(|e| (format!("synopsis {e}"), quarantine(store, &fref.key))),
+                None => Err(("saved without a synopsis".to_string(), None)),
             };
-            let serving = match &entry.snapshot {
-                Some(fref) => {
-                    let loaded = load_checked(store, fref).and_then(|bytes| {
-                        Aqua::build_from_snapshot(
-                            table.clone(),
-                            entry.config,
-                            bytes::Bytes::from(bytes),
-                        )
-                        .map_err(|e| e.to_string())
-                    });
-                    match loaded {
-                        Ok(aqua) => Serving::Sampled(Arc::new(aqua)),
-                        Err(reason) => {
-                            let quarantined = quarantine(store, &fref.key);
-                            match policy {
-                                RecoveryPolicy::Rebuild => {
-                                    match Aqua::build(table.clone(), grouping.clone(), entry.config)
-                                    {
-                                        Ok(aqua) => {
-                                            report.status = RelationStatus::Rebuilt { quarantined };
-                                            Serving::Sampled(Arc::new(aqua))
-                                        }
-                                        Err(e) => {
-                                            let reason =
-                                                format!("synopsis {reason}; rebuild failed: {e}");
-                                            report.status = RelationStatus::Degraded {
-                                                reason: reason.clone(),
-                                            };
-                                            degrade(table, reason)
-                                        }
-                                    }
-                                }
-                                RecoveryPolicy::Degrade => {
-                                    let reason = format!("synopsis {reason}");
-                                    report.status = RelationStatus::Degraded {
-                                        reason: reason.clone(),
-                                    };
-                                    degrade(table, reason)
-                                }
-                            }
-                        }
-                    }
+            let aqua = match loaded {
+                Ok(aqua) => aqua,
+                Err((reason, quarantined)) => {
+                    let aqua = Aqua::degraded(table, grouping, entry.config, reason.clone());
+                    report.status = match policy {
+                        RecoveryPolicy::Rebuild => match aqua.rebuild() {
+                            Ok(()) => RelationStatus::Rebuilt { quarantined },
+                            Err(e) => RelationStatus::Degraded {
+                                reason: format!("{reason}; rebuild failed: {e}"),
+                            },
+                        },
+                        RecoveryPolicy::Degrade => RelationStatus::Degraded { reason },
+                    };
+                    aqua
                 }
-                // Saved while degraded: no snapshot ever existed.
-                None => match policy {
-                    RecoveryPolicy::Rebuild => {
-                        match Aqua::build(table.clone(), grouping.clone(), entry.config) {
-                            Ok(aqua) => {
-                                report.status = RelationStatus::Rebuilt { quarantined: None };
-                                Serving::Sampled(Arc::new(aqua))
-                            }
-                            Err(e) => {
-                                let reason = format!("saved degraded; rebuild failed: {e}");
-                                report.status = RelationStatus::Degraded {
-                                    reason: reason.clone(),
-                                };
-                                degrade(table, reason)
-                            }
-                        }
-                    }
-                    RecoveryPolicy::Degrade => {
-                        let reason = "saved without a synopsis".to_string();
-                        report.status = RelationStatus::Degraded {
-                            reason: reason.clone(),
-                        };
-                        degrade(table, reason)
-                    }
-                },
             };
 
             // Replay the write-ahead log, truncating any torn tail.
             match store.get(&entry.wal) {
                 Ok(buf) => {
-                    let (rows, records, valid_end) = scan_wal(&schema, &buf);
+                    let (rows, records, valid_end) = scan_wal(aqua.table_snapshot().schema(), &buf);
                     report.wal_records_replayed = records;
                     report.wal_bytes_dropped = buf.len() - valid_end;
                     if report.wal_bytes_dropped > 0 {
                         store.put(&entry.wal, &buf[..valid_end])?;
                     }
-                    if !rows.is_empty() {
-                        match &serving {
-                            Serving::Sampled(aqua) => aqua.insert_batch(&rows)?,
-                            Serving::Degraded(d) => Self::append_degraded(d, &rows)?,
-                        }
-                    }
+                    aqua.insert_batch(&rows)?;
                 }
                 Err(e) if e.is_not_found() => {}
                 Err(e) => return Err(e.into()),
@@ -828,13 +596,8 @@ impl Warehouse {
                     .add(report.wal_bytes_dropped as u64);
             }
             reports.push(report);
-            map.insert(
-                entry.name.clone(),
-                Entry {
-                    serving,
-                    dir: entry.dir.clone(),
-                },
-            );
+            let (aqua, dir) = (Arc::new(aqua), entry.dir.clone());
+            map.insert(entry.name.clone(), Entry { aqua, dir });
         }
 
         let warehouse = Warehouse {
@@ -920,19 +683,16 @@ impl Warehouse {
     }
 
     /// Point-in-time metrics snapshot: the warehouse's own durability
-    /// counters (`warehouse_*`) merged with every sampled relation's
-    /// [`Aqua::stats`] (query spans, cache counters, maintenance timings
-    /// — summed across relations). Degraded relations contribute only the
-    /// warehouse-level counters.
+    /// counters (`warehouse_*`) merged with every relation's
+    /// [`Aqua::stats`] (query spans, exact scans, cache counters,
+    /// maintenance timings — summed across relations).
     pub fn stats(&self) -> crate::system::StatsSnapshot {
         let mut snap = self.registry.snapshot();
         snap.set_gauge("warehouse_generation", self.generation() as i64);
         let map = self.relations.read();
         snap.set_gauge("warehouse_relations", map.len() as i64);
         for entry in map.values() {
-            if let Serving::Sampled(aqua) = &entry.serving {
-                snap.merge(&aqua.stats());
-            }
+            snap.merge(&entry.aqua.stats());
         }
         snap
     }
@@ -960,8 +720,9 @@ impl Warehouse {
 mod tests {
     use super::*;
     use crate::config::SamplingStrategy;
+    use crate::system::Request;
     use congress::MemStore;
-    use engine::AggregateSpec;
+    use engine::{AggregateSpec, GroupByQuery, QueryResult};
     use relation::{DataType, Expr, RelationBuilder};
 
     fn sales(n: i64) -> Relation {
@@ -994,6 +755,15 @@ mod tests {
         b.finish()
     }
 
+    fn exact(w: &Warehouse, name: &str, q: &GroupByQuery) -> QueryResult {
+        let request = Request {
+            exact: true,
+            ..Request::query(q)
+        };
+        let served = w.system(name).unwrap().run(&request).unwrap();
+        served.answer.result.clone()
+    }
+
     fn config() -> AquaConfig {
         AquaConfig {
             space: 200,
@@ -1012,15 +782,12 @@ mod tests {
         assert_eq!(w.relation_names(), vec!["sales"]);
 
         let q = GroupByQuery::new(vec![ColumnId(0)], vec![AggregateSpec::count("c")]);
-        let ans = w.answer("sales", &q).unwrap();
+        let ans = w.system("sales").unwrap().answer(&q).unwrap();
         assert_eq!(ans.result.group_count(), 2);
         assert!(!ans.is_degraded());
-        w.insert(
-            "sales",
-            &[vec![Value::str("north"), Value::from(1.0), Value::Int(0)]],
-        )
-        .unwrap();
-        let ans = w.answer("sales", &q).unwrap();
+        let north = vec![Value::str("north"), Value::from(1.0), Value::Int(0)];
+        w.system("sales").unwrap().insert_batch(&[north]).unwrap();
+        let ans = w.system("sales").unwrap().answer(&q).unwrap();
         assert_eq!(ans.result.group_count(), 3);
         assert!(w.total_synopsis_rows() > 0);
         assert!(w.degraded_relations().is_empty());
@@ -1034,8 +801,6 @@ mod tests {
         w.register("sales", t.clone(), g.clone(), config()).unwrap();
         assert!(w.register("sales", t, g, config()).is_err());
         assert!(w.system("nope").is_err());
-        let q = GroupByQuery::new(vec![], vec![AggregateSpec::count("c")]);
-        assert!(w.answer("nope", &q).is_err());
     }
 
     #[test]
@@ -1105,19 +870,16 @@ mod tests {
         let grouping = t.schema().column_ids(&["region"]).unwrap();
         w.register("sales", t, grouping, config()).unwrap();
         let q = GroupByQuery::new(vec![ColumnId(0)], vec![AggregateSpec::count("c")]);
-        let before = w.answer("sales", &q).unwrap();
+        let before = w.system("sales").unwrap().answer(&q).unwrap();
         let save = w.save_all(&store).unwrap();
         assert_eq!(save.generation, 1);
 
         let (w2, report) = Warehouse::open(&store, RecoveryPolicy::Rebuild).unwrap();
         assert!(report.fully_healthy(), "{report:?}");
-        let after = w2.answer("sales", &q).unwrap();
+        let after = w2.system("sales").unwrap().answer(&q).unwrap();
         assert!(!after.is_degraded());
         assert_eq!(before.result, after.result);
-        assert_eq!(
-            w2.exact("sales", &q).unwrap(),
-            w.exact("sales", &q).unwrap()
-        );
+        assert_eq!(exact(&w2, "sales", &q), exact(&w, "sales", &q));
     }
 
     #[test]
@@ -1142,7 +904,7 @@ mod tests {
         assert_eq!(report.relations[0].wal_records_replayed, 1);
         assert_eq!(report.relations[0].wal_bytes_dropped, 0);
         let q = GroupByQuery::new(vec![ColumnId(0)], vec![AggregateSpec::count("c")]);
-        let exact = w2.exact("sales", &q).unwrap();
+        let exact = exact(&w2, "sales", &q);
         let north = exact
             .get(&relation::GroupKey::new(vec![Value::str("north")]))
             .expect("replayed rows present");

@@ -13,7 +13,7 @@
 //!
 //! Everything is seeded, so every assertion is deterministic.
 
-use aqua::{ApproximateAnswer, Aqua, AquaConfig, RewriteChoice, SamplingStrategy};
+use aqua::{ApproximateAnswer, Aqua, AquaConfig, Request, RewriteChoice, SamplingStrategy};
 use engine::{AggregateSpec, GroupByQuery};
 use relation::{ColumnId, DataType, Expr, Predicate, Relation, RelationBuilder, Value};
 
@@ -73,12 +73,21 @@ fn hot_query(lo: i64, band: i64) -> GroupByQuery {
     )
 }
 
+/// `q` answered exactly from `aqua`'s stored table.
+fn exact(aqua: &Aqua, q: &GroupByQuery) -> engine::QueryResult {
+    let request = Request {
+        exact: true,
+        ..Request::query(q)
+    };
+    aqua.run(&request).unwrap().answer.result.clone()
+}
+
 /// Mean relative error (percent, missing groups charged 100) of the hot
 /// workload answered by `aqua`.
 fn hot_error(aqua: &Aqua, queries: &[GroupByQuery]) -> f64 {
     let mut total = 0.0;
     for q in queries {
-        let exact = aqua.exact(q).unwrap();
+        let exact = exact(aqua, q);
         let approx = aqua.answer(q).unwrap();
         total += congress::compare_results(&exact, &approx.result, 0, 100.0).l1();
     }
@@ -242,7 +251,7 @@ fn maintained_answers_match_rebuild_confidence_bounds() {
                 );
 
                 for q in [&query, &fine] {
-                    let exact = aqua.exact(q).unwrap();
+                    let exact = exact(&aqua, q);
                     let maintained = aqua.answer(q).unwrap();
                     assert_eq!(
                         maintained.result.group_count(),

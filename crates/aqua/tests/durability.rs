@@ -2,8 +2,8 @@
 //! persistence subsystem, driven by deterministic fault injection.
 
 use aqua::{
-    AnswerProvenance, AquaConfig, Manifest, RecoveryPolicy, RelationStatus, SamplingStrategy,
-    Warehouse,
+    AnswerProvenance, ApproximateAnswer, AquaConfig, Manifest, RecoveryPolicy, RelationStatus,
+    Request, SamplingStrategy, Warehouse,
 };
 use congress::{snapshot, CongressError, Fault, FaultyStore, MemStore, SnapshotStore};
 use engine::{AggregateSpec, GroupByQuery};
@@ -50,6 +50,11 @@ fn count_query() -> GroupByQuery {
     GroupByQuery::new(vec![ColumnId(0)], vec![AggregateSpec::count("c")])
 }
 
+/// The count query against relation `name`, approximately.
+fn answer(w: &Warehouse, name: &str) -> aqua::Result<ApproximateAnswer> {
+    w.system(name)?.answer(&count_query())
+}
+
 /// Build a two-relation warehouse, save it to `store` (generation 1), and
 /// durably log one extra insert so a WAL exists.
 fn seeded_warehouse(store: &MemStore) -> (Warehouse, f64) {
@@ -67,17 +72,18 @@ fn seeded_warehouse(store: &MemStore) -> (Warehouse, f64) {
         &[vec![Value::str("east"), Value::from(1.0)]],
     )
     .unwrap();
-    let exact = w.exact("sales", &count_query()).unwrap();
-    let total: f64 = exact.iter().map(|(_, v)| v[0]).sum();
+    let total = exact_total(&w, "sales");
     (w, total)
 }
 
 fn exact_total(w: &Warehouse, name: &str) -> f64 {
-    w.exact(name, &count_query())
-        .unwrap()
-        .iter()
-        .map(|(_, v)| v[0])
-        .sum()
+    let count = count_query();
+    let request = Request {
+        exact: true,
+        ..Request::query(&count)
+    };
+    let served = w.system(name).unwrap().run(&request).unwrap();
+    served.answer.result.iter().map(|(_, v)| v[0]).sum()
 }
 
 fn copy_store(src: &MemStore) -> MemStore {
@@ -133,7 +139,7 @@ fn kill_the_writer_at_every_op() {
             expected_rows,
             "crash at op {fail_at} lost rows"
         );
-        let ans = recovered.answer("sales", &count_query()).unwrap();
+        let ans = answer(&recovered, "sales").unwrap();
         assert!(!ans.is_degraded(), "crash at op {fail_at}");
     }
     let _ = expected_rows;
@@ -177,7 +183,7 @@ fn bit_flip_in_snapshot_quarantines_and_recovers() {
         assert!(!store.exists(&snap_key).unwrap(), "flip at byte {off}");
         assert!(store.exists(&format!("quarantine/{snap_key}")).unwrap());
         // Degraded answers are exact and say so.
-        let ans = w2.answer("sales", &count_query()).unwrap();
+        let ans = answer(&w2, "sales").unwrap();
         assert!(
             matches!(ans.provenance, AnswerProvenance::ExactFallback { .. }),
             "flip at byte {off}"
@@ -186,7 +192,7 @@ fn bit_flip_in_snapshot_quarantines_and_recovers() {
         assert_eq!(total, expected_rows, "flip at byte {off}");
         assert_eq!(w2.degraded_relations().len(), 1);
         // The healthy relation is unaffected.
-        assert!(!w2.answer("returns", &count_query()).unwrap().is_degraded());
+        assert!(!answer(&w2, "returns").unwrap().is_degraded());
     }
 
     // Same corruption under Rebuild: full service restored from the table.
@@ -202,7 +208,7 @@ fn bit_flip_in_snapshot_quarantines_and_recovers() {
             quarantined: Some(_)
         }
     ));
-    let ans = w2.answer("sales", &count_query()).unwrap();
+    let ans = answer(&w2, "sales").unwrap();
     assert!(!ans.is_degraded());
     assert!(w2.system("sales").is_ok());
 }
@@ -232,8 +238,8 @@ fn corrupt_table_is_lost_but_warehouse_opens() {
         .unwrap();
     assert!(matches!(lost.status, RelationStatus::Lost { .. }));
     assert!(store.exists(&format!("quarantine/{table_key}")).unwrap());
-    assert!(w2.answer("returns", &count_query()).is_err());
-    assert!(w2.answer("sales", &count_query()).is_ok());
+    assert!(answer(&w2, "returns").is_err());
+    assert!(answer(&w2, "sales").is_ok());
 }
 
 /// A torn manifest write (non-atomic store) is detected — open refuses
@@ -329,7 +335,7 @@ fn repair_restores_full_service() {
     assert_eq!(save_report.generation, 2);
     let verify = Warehouse::verify(&store).unwrap();
     assert!(verify.ok, "{:?}", verify.lines);
-    let ans = w2.answer("sales", &count_query()).unwrap();
+    let ans = answer(&w2, "sales").unwrap();
     assert!(!ans.is_degraded());
     assert_eq!(exact_total(&w2, "sales"), expected_rows);
 }
@@ -349,9 +355,9 @@ fn degraded_mode_still_serves_and_grows() {
 
     let (w2, _) = Warehouse::open(&store, RecoveryPolicy::Degrade).unwrap();
     assert_eq!(w2.degraded_relations().len(), 1);
-    w2.insert("sales", &[vec![Value::str("north"), Value::from(9.0)]])
-        .unwrap();
-    let ans = w2.answer("sales", &count_query()).unwrap();
+    let north = vec![Value::str("north"), Value::from(9.0)];
+    w2.system("sales").unwrap().insert_batch(&[north]).unwrap();
+    let ans = answer(&w2, "sales").unwrap();
     assert!(ans.is_degraded());
     assert!(ans.to_string().contains("degraded"));
     let north = ans
@@ -369,8 +375,53 @@ fn degraded_mode_still_serves_and_grows() {
         .relations
         .iter()
         .any(|r| r.status == RelationStatus::Rebuilt { quarantined: None }));
-    assert!(!w3.answer("sales", &count_query()).unwrap().is_degraded());
+    assert!(!answer(&w3, "sales").unwrap().is_degraded());
     assert_eq!(exact_total(&w3, "sales"), expected_rows + 1.0);
+}
+
+/// A reopened synopsis keeps maintaining a sample of the whole table. One
+/// row of a new group arrives after a save, either inserted after `open`
+/// or logged before it and replayed by it; every group of the answer
+/// before the insert is still answered after it, and the estimated row
+/// count stays within 10% of the exact one.
+#[test]
+fn reopened_synopsis_maintains_the_whole_table() {
+    for strategy in SamplingStrategy::all() {
+        for replayed in [false, true] {
+            let ctx = format!("{} replayed={replayed}", strategy.name());
+            let store = MemStore::new();
+            let w = Warehouse::new();
+            let t = sales(4_000);
+            let grouping = t.schema().column_ids(&["region"]).unwrap();
+            let config = AquaConfig {
+                strategy,
+                ..config()
+            };
+            w.register("sales", t, grouping, config).unwrap();
+            w.save_all(&store).unwrap();
+            let before = answer(&w, "sales").unwrap();
+            let north = [vec![Value::str("north"), Value::from(3.0)]];
+            if replayed {
+                w.insert_logged(&store, "sales", &north).unwrap();
+            }
+            let (w2, report) = Warehouse::open(&store, RecoveryPolicy::Rebuild).unwrap();
+            assert_eq!(report.relations[0].status, RelationStatus::Healthy, "{ctx}");
+            if !replayed {
+                w2.system("sales").unwrap().insert_batch(&north).unwrap();
+            }
+            let after = answer(&w2, "sales").unwrap();
+            for (key, _) in before.result.iter() {
+                assert!(after.result.get(key).is_some(), "{ctx}: {key} vanished");
+            }
+            let estimated: f64 = after.result.iter().map(|(_, v)| v[0]).sum();
+            let exact = exact_total(&w2, "sales");
+            assert_eq!(exact, 4_001.0, "{ctx}");
+            assert!(
+                (estimated - exact).abs() <= 0.1 * exact,
+                "{ctx}: estimated {estimated} rows of {exact}"
+            );
+        }
+    }
 }
 
 /// Every blob kind `save_all` writes is guarded by its own decoder: a

@@ -18,7 +18,7 @@
 //! assertions are gated on [`obs::ENABLED`]. The query-cache counters
 //! predate the observability layer and stay live on both legs.
 
-use aqua::{Aqua, AquaConfig, RewriteChoice, SamplingStrategy, StatsSnapshot, Warehouse};
+use aqua::{Aqua, AquaConfig, Request, RewriteChoice, SamplingStrategy, StatsSnapshot, Warehouse};
 use congress::MemStore;
 use engine::{AggregateSpec, GroupByQuery};
 use relation::{ColumnId, DataType, Expr, Predicate, Relation, RelationBuilder, Value};
@@ -167,9 +167,9 @@ fn sql_and_error_counters() {
         config(RewriteChoice::Integrated),
     )
     .unwrap();
-    aqua.answer_sql("SELECT region, COUNT(*) AS c FROM sales GROUP BY region")
+    aqua.answer_sql_shared("SELECT region, COUNT(*) AS c FROM sales GROUP BY region")
         .unwrap();
-    aqua.answer_sql("SELEKT nope").unwrap_err();
+    aqua.answer_sql_shared("SELEKT nope").unwrap_err();
     let s = aqua.stats();
     if obs::ENABLED {
         assert_eq!(s.counter("aqua_sql_queries_total"), 2);
@@ -289,14 +289,15 @@ fn warehouse_triggers_and_durability_counters() {
         .unwrap();
     w.save_all(&store).unwrap();
     let q = summary_query();
+    let sales = w.system("sales").unwrap();
 
     // Cold then warm through the warehouse; record both patterns.
     let s0 = cache_counters(&w.stats());
-    w.answer("sales", &q).unwrap();
+    sales.answer(&q).unwrap();
     let s1 = cache_counters(&w.stats());
     let cold_hits = s1.0 - s0.0;
     let cold_misses = s1.1 - s0.1;
-    w.answer("sales", &q).unwrap();
+    sales.answer(&q).unwrap();
     let s2 = cache_counters(&w.stats());
     assert_eq!(s2.1, s1.1, "warehouse warm repeat must not miss");
     let warm_hits = s2.0 - s1.0;
@@ -311,10 +312,10 @@ fn warehouse_triggers_and_durability_counters() {
         after_fire.2 > s2.2,
         "insert_logged must invalidate the query cache"
     );
-    w.answer("sales", &q).unwrap();
+    sales.answer(&q).unwrap();
     let after_cold = cache_counters(&w.stats());
     assert!(after_cold.1 > after_fire.1, "post-WAL answer must re-miss");
-    w.answer("sales", &q).unwrap();
+    sales.answer(&q).unwrap();
     let after_warm = cache_counters(&w.stats());
     assert_eq!(after_warm.1, after_cold.1);
     assert_eq!(after_warm.0 - after_cold.0, warm_hits);
@@ -334,17 +335,18 @@ fn warehouse_triggers_and_durability_counters() {
     w.save_all(&store).unwrap();
     let (w2, report) = Warehouse::open(&store, aqua::RecoveryPolicy::Rebuild).unwrap();
     assert!(report.fully_healthy(), "{report:?}");
+    let sales = w2.system("sales").unwrap();
     let r0 = cache_counters(&w2.stats());
     assert_eq!(r0.0, 0, "reopened warehouse must start with zero hits");
     assert_eq!(r0.1, 0, "reopened warehouse must start with zero misses");
-    w2.answer("sales", &q).unwrap();
+    sales.answer(&q).unwrap();
     let r1 = cache_counters(&w2.stats());
     assert_eq!(
         (r1.0, r1.1),
         (cold_hits, cold_misses),
         "reopened cold pattern must match a fresh system's"
     );
-    w2.answer("sales", &q).unwrap();
+    sales.answer(&q).unwrap();
     let r2 = cache_counters(&w2.stats());
     assert_eq!(r2.1, r1.1, "reopened warm repeat must not miss");
     assert_eq!(r2.0 - r1.0, warm_hits, "reopened warm pattern must match");
@@ -405,8 +407,8 @@ fn synopsis_maintenance_counters() {
     assert_eq!(s.counter("synopsis_rebuilds_total"), 2);
 }
 
-/// Exact scans are spans too: `Aqua::exact` / `exact_sql` and a degraded
-/// relation's fallback count themselves, their latency, and the rows and
+/// Exact scans are spans too: exact requests (`exact_sql` among them) and
+/// a degraded relation's fallback count themselves, their latency, and the rows and
 /// chunks they walked — and, on the degraded path, honor cancellation.
 #[test]
 fn exact_scans_count_on_sampled_and_degraded_relations() {
@@ -432,7 +434,12 @@ fn exact_scans_count_on_sampled_and_degraded_relations() {
         config(RewriteChoice::Integrated),
     )
     .unwrap();
-    let by_query = aqua.exact(&scan_query()).unwrap();
+    let scan = scan_query();
+    let exact = Request {
+        exact: true,
+        ..Request::query(&scan)
+    };
+    let by_query = aqua.run(&exact).unwrap().answer.result.clone();
     assert_eq!(aqua.exact_sql(sql).unwrap(), by_query);
     let s = aqua.stats();
     if obs::ENABLED {
@@ -445,7 +452,8 @@ fn exact_scans_count_on_sampled_and_degraded_relations() {
     }
 
     // A relation whose synopsis blob is gone reopens degraded; every way
-    // of asking it is an exact scan recorded in the warehouse's registry.
+    // of asking it is an exact scan recorded in the relation's registry,
+    // which the warehouse's stats merge.
     let store = MemStore::new();
     let w = Warehouse::new();
     let t = sales(rows as i64);
@@ -459,16 +467,22 @@ fn exact_scans_count_on_sampled_and_degraded_relations() {
     let (w, _) = Warehouse::open(&store, RecoveryPolicy::Degrade).unwrap();
     assert_eq!(w.degraded_relations().len(), 1);
 
-    assert_eq!(w.answer("sales", &scan_query()).unwrap().result, by_query);
-    assert_eq!(w.exact("sales", &scan_query()).unwrap(), by_query);
-    let served = w.answer_sql("sales", sql).unwrap();
+    let sales = w.system("sales").unwrap();
+    assert_eq!(sales.answer(&scan).unwrap().result, by_query);
+    assert_eq!(sales.run(&exact).unwrap().answer.result, by_query);
+    let served = sales.answer_sql_shared(sql).unwrap();
     assert!(served.answer.is_degraded());
     assert_eq!(served.answer.result, by_query);
 
     // A token that never fires changes nothing; one that already has
     // stops the scan before its first chunk.
     let idle = CancelToken::new();
-    let same = w.answer_sql_cancellable("sales", sql, Some(&idle)).unwrap();
+    let same = sales
+        .run(&Request {
+            cancel: Some(&idle),
+            ..Request::sql(sql)
+        })
+        .unwrap();
     assert_eq!(same.answer.result, by_query);
     let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
     let overdue = std::time::Instant::now() - std::time::Duration::from_millis(1);
@@ -476,7 +490,10 @@ fn exact_scans_count_on_sampled_and_degraded_relations() {
         CancelToken::with_flag(flag),
         CancelToken::with_deadline(overdue),
     ] {
-        let stopped = w.answer_sql_cancellable("sales", sql, Some(&fired));
+        let stopped = sales.run(&Request {
+            cancel: Some(&fired),
+            ..Request::sql(sql)
+        });
         assert!(matches!(
             stopped,
             Err(AquaError::Engine(EngineError::Cancelled))

@@ -30,14 +30,14 @@ fn sales(n: i64) -> Relation {
     b.finish()
 }
 
-fn config(rewrite: RewriteChoice, parallelism: usize) -> AquaConfig {
+fn config(rewrite: RewriteChoice) -> AquaConfig {
     AquaConfig {
         space: 150,
         strategy: SamplingStrategy::Congress,
         rewrite,
         confidence: 0.9,
         seed: 7,
-        parallelism,
+        parallelism: 1,
     }
 }
 
@@ -109,13 +109,11 @@ fn manual_answers(
     let plan = synopsis.plan().unwrap();
     let cache = synopsis.query_cache();
     let input = synopsis.input().unwrap();
-    let parallel = synopsis.config().effective_parallelism() != 1;
     queries
         .iter()
         .map(|q| {
             let opts = ExecOptions {
                 cache: Some(cache),
-                parallel,
                 trace: None,
                 cancel: None,
                 ..ExecOptions::default()
@@ -130,31 +128,29 @@ fn manual_answers(
 
 #[test]
 fn instrumented_answers_bit_identical_to_uninstrumented_path() {
-    for parallelism in [1usize, 0] {
-        for rewrite in RewriteChoice::all() {
-            let table = sales(2_000);
-            let cfg = config(rewrite, parallelism);
-            let reference = manual_answers(&table, cfg, &workload());
+    for rewrite in RewriteChoice::all() {
+        let table = sales(2_000);
+        let cfg = config(rewrite);
+        let reference = manual_answers(&table, cfg, &workload());
 
-            let aqua = Aqua::build(table, vec![ColumnId(0)], cfg).unwrap();
-            // Two passes: cold (populating the cache under tracing) and
-            // warm (cache hits under tracing) must both match.
-            for pass in ["cold", "warm"] {
-                for (q, (want_result, want_bounds)) in workload().iter().zip(&reference) {
-                    let got = aqua.answer(q).unwrap();
-                    assert_eq!(
-                        &result_bits(&got.result),
-                        want_result,
-                        "{} {pass} parallelism={parallelism}: values drifted",
-                        rewrite.name()
-                    );
-                    assert_eq!(
-                        &bound_bits(&got.bounds),
-                        want_bounds,
-                        "{} {pass} parallelism={parallelism}: bounds drifted",
-                        rewrite.name()
-                    );
-                }
+        let aqua = Aqua::build(table, vec![ColumnId(0)], cfg).unwrap();
+        // Two passes: cold (populating the cache under tracing) and warm
+        // (cache hits under tracing) must both match.
+        for pass in ["cold", "warm"] {
+            for (q, (want_result, want_bounds)) in workload().iter().zip(&reference) {
+                let got = aqua.answer(q).unwrap();
+                assert_eq!(
+                    &result_bits(&got.result),
+                    want_result,
+                    "{} {pass}: values drifted",
+                    rewrite.name()
+                );
+                assert_eq!(
+                    &bound_bits(&got.bounds),
+                    want_bounds,
+                    "{} {pass}: bounds drifted",
+                    rewrite.name()
+                );
             }
         }
     }

@@ -154,8 +154,9 @@ fn warehouse_logged_inserts_invalidate_the_cache() {
     w.save_all(&store).unwrap();
 
     let q = GroupByQuery::new(vec![ColumnId(0)], vec![AggregateSpec::count("c")]);
-    let before = w.answer("sales", &q).unwrap();
-    w.answer("sales", &q).unwrap(); // warm
+    let sales = w.system("sales").unwrap();
+    let before = sales.answer(&q).unwrap();
+    sales.answer(&q).unwrap(); // warm
     let north = GroupKey::new(vec![Value::str("north")]);
     assert!(before.result.get(&north).is_none());
 
@@ -164,7 +165,7 @@ fn warehouse_logged_inserts_invalidate_the_cache() {
         .collect();
     w.insert_logged(&store, "sales", &rows).unwrap();
 
-    let after = w.answer("sales", &q).unwrap();
+    let after = sales.answer(&q).unwrap();
     assert!(
         after.result.get(&north).is_some(),
         "logged insert must invalidate the query cache"

@@ -5,7 +5,7 @@
 //! scanning sample rows. These tests pin the contract from ISSUE 4:
 //!
 //! 1. Summary-served error bounds are *bit-identical* to the scan path
-//!    (`compute_bounds` with no cache), cold and warm.
+//!    (`compute_bounds_cached` with no cache), cold and warm.
 //! 2. Every invalidation trigger — `insert_batch`, `refresh`, `rebuild`,
 //!    warehouse logged inserts, warehouse save/open — drops the summaries
 //!    so answers never serve stale state, and answers after a round-trip
@@ -21,7 +21,7 @@
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use aqua::answer::{compute_bounds, compute_bounds_cached, compute_bounds_from_cells};
+use aqua::answer::{compute_bounds_cached, compute_bounds_from_cells};
 use aqua::{ApproximateAnswer, Aqua, AquaConfig, RewriteChoice, SamplingStrategy, Warehouse};
 use congress::bounds::{
     avg_bound_hoeffding, stratified_avg_bound, stratified_sum_bound, BoundKind, Moments,
@@ -131,7 +131,7 @@ fn summary_bounds_bit_identical_to_scan_bounds() {
     for q in bound_queries() {
         let result = plan.execute_opts(&q, &ExecOptions::default()).unwrap();
         // Scan path: no cache, masked row scan.
-        let scan = compute_bounds(&input, &q, &result, 0.9).unwrap();
+        let scan = compute_bounds_cached(&input, &q, &result, 0.9, None).unwrap();
         // Summary path, cold (builds the cells) then warm (hits them).
         let cold = compute_bounds_cached(&input, &q, &result, 0.9, Some(&cache)).unwrap();
         let warm = compute_bounds_cached(&input, &q, &result, 0.9, Some(&cache)).unwrap();
@@ -393,12 +393,10 @@ fn cached_answer(
     input: &StratifiedInput,
     q: &GroupByQuery,
     cache: &QueryCache,
-    parallel: bool,
 ) -> (QueryResult, Vec<aqua::GroupBounds>, Option<ServedFrom>) {
     let (slot, trace) = (OnceLock::new(), ExecTrace::new());
     let opts = ExecOptions {
         cache: Some(cache),
-        parallel,
         trace: Some(&trace),
         capture: Some(&slot),
         ..ExecOptions::default()
@@ -416,23 +414,20 @@ fn dense_bounds_bit_identical_to_hashmap_reference() {
     let input = stratified_two_columns(40_000, 6);
     assert!(relation::chunk_count(input.rows.row_count()) >= 3);
     for plan in &plans(&input) {
-        for parallel in [false, true] {
-            let cache = QueryCache::new();
-            for (what, q, from_cached_cells) in layout_queries() {
-                let ctx = format!("{} parallel={parallel}: {what}", plan.name());
-                let (result, captured, served) =
-                    cached_answer(plan.as_ref(), &input, &q, &cache, parallel);
-                let summary = served == Some(ServedFrom::Summary);
-                assert_eq!(summary, from_cached_cells, "{ctx}");
+        let cache = QueryCache::new();
+        for (what, q, from_cached_cells) in layout_queries() {
+            let ctx = format!("{}: {what}", plan.name());
+            let (result, captured, served) = cached_answer(plan.as_ref(), &input, &q, &cache);
+            let summary = served == Some(ServedFrom::Summary);
+            assert_eq!(summary, from_cached_cells, "{ctx}");
 
-                let reference = bound_bits(&reference_bounds(&input, &q, &result, 0.9));
-                let own = compute_bounds_cached(&input, &q, &result, 0.9, Some(&cache)).unwrap();
-                let cold = compute_bounds(&input, &q, &result, 0.9).unwrap();
-                assert_eq!(reference, bound_bits(&captured), "{ctx}: captured cells");
-                assert_eq!(reference, bound_bits(&own), "{ctx}: self-evaluated");
-                assert_eq!(reference, bound_bits(&cold), "{ctx}: no cache");
-                assert_eq!(reference.len(), result.group_count(), "{ctx}");
-            }
+            let reference = bound_bits(&reference_bounds(&input, &q, &result, 0.9));
+            let own = compute_bounds_cached(&input, &q, &result, 0.9, Some(&cache)).unwrap();
+            let cold = compute_bounds_cached(&input, &q, &result, 0.9, None).unwrap();
+            assert_eq!(reference, bound_bits(&captured), "{ctx}: captured cells");
+            assert_eq!(reference, bound_bits(&own), "{ctx}: self-evaluated");
+            assert_eq!(reference, bound_bits(&cold), "{ctx}: no cache");
+            assert_eq!(reference.len(), result.group_count(), "{ctx}");
         }
     }
 }
@@ -452,22 +447,20 @@ fn cached_cells_answer_bit_identical_to_forced_scan() {
         .collect();
     assert!(!cases.is_empty());
     for plan in &plans(&input) {
-        for parallel in [false, true] {
-            let cache = QueryCache::new();
-            for (what, q, _) in &cases {
-                let ctx = format!("{} parallel={parallel}: {what}", plan.name());
-                // `v >= 0` holds on every row but names a measure column,
-                // so the same query has to fold the rows.
-                let all_rows = Predicate::ge(ColumnId(3), 0.0);
-                let forced = q.clone().with_predicate(q.predicate.clone().and(all_rows));
-                let (r1, b1, s1) = cached_answer(plan.as_ref(), &input, q, &cache, parallel);
-                let (r2, b2, s2) = cached_answer(plan.as_ref(), &input, &forced, &cache, parallel);
-                assert_eq!(s1, Some(ServedFrom::Summary), "{ctx}");
-                assert_eq!(s2, Some(ServedFrom::CachedScan), "{ctx}");
-                assert!(r1.group_count() > 0, "{ctx}");
-                assert_eq!(value_bits(&r1), value_bits(&r2), "{ctx}: estimates");
-                assert_eq!(bound_bits(&b1), bound_bits(&b2), "{ctx}: bounds");
-            }
+        let cache = QueryCache::new();
+        for (what, q, _) in &cases {
+            let ctx = format!("{}: {what}", plan.name());
+            // `v >= 0` holds on every row but names a measure column, so
+            // the same query has to fold the rows.
+            let all_rows = Predicate::ge(ColumnId(3), 0.0);
+            let forced = q.clone().with_predicate(q.predicate.clone().and(all_rows));
+            let (r1, b1, s1) = cached_answer(plan.as_ref(), &input, q, &cache);
+            let (r2, b2, s2) = cached_answer(plan.as_ref(), &input, &forced, &cache);
+            assert_eq!(s1, Some(ServedFrom::Summary), "{ctx}");
+            assert_eq!(s2, Some(ServedFrom::CachedScan), "{ctx}");
+            assert!(r1.group_count() > 0, "{ctx}");
+            assert_eq!(value_bits(&r1), value_bits(&r2), "{ctx}: estimates");
+            assert_eq!(bound_bits(&b1), bound_bits(&b2), "{ctx}: bounds");
         }
     }
 }
@@ -482,7 +475,8 @@ fn layout_cases_exercise_the_branches_they_name() {
             .find(|(w, _, _)| w.starts_with(what))
             .unwrap();
         let result = plan.execute(&q).unwrap();
-        (compute_bounds(&input, &q, &result, 0.9).unwrap(), result)
+        let bounds = compute_bounds_cached(&input, &q, &result, 0.9, None).unwrap();
+        (bounds, result)
     };
     let kinds = |b: &[aqua::GroupBounds], ai: usize| -> Vec<Option<BoundKind>> {
         b.iter().map(|gb| gb.bounds[ai].map(|e| e.kind)).collect()
@@ -641,11 +635,12 @@ fn warehouse_roundtrip_preserves_summary_served_answers() {
     w.register("sales", t, grouping, config(RewriteChoice::Integrated))
         .unwrap();
     w.save_all(&store).unwrap();
+    let sales = w.system("sales").unwrap();
 
     // Warm the summaries, then push a logged insert through the WAL.
     let warm: Vec<ApproximateAnswer> = probe_queries()
         .iter()
-        .map(|q| w.answer("sales", q).unwrap())
+        .map(|q| sales.answer(q).unwrap())
         .collect();
     let north = GroupKey::new(vec![Value::str("north")]);
     assert!(warm[0].result.get(&north).is_none());
@@ -655,7 +650,7 @@ fn warehouse_roundtrip_preserves_summary_served_answers() {
     w.insert_logged(&store, "sales", &rows).unwrap();
     let after: Vec<ApproximateAnswer> = probe_queries()
         .iter()
-        .map(|q| w.answer("sales", q).unwrap())
+        .map(|q| sales.answer(q).unwrap())
         .collect();
     assert!(
         after[0].result.get(&north).is_some() && after[1].result.get(&north).is_some(),
@@ -666,14 +661,15 @@ fn warehouse_roundtrip_preserves_summary_served_answers() {
     // (values and bounds) bit-for-bit.
     let warm2: Vec<ApproximateAnswer> = probe_queries()
         .iter()
-        .map(|q| w.answer("sales", q).unwrap())
+        .map(|q| sales.answer(q).unwrap())
         .collect();
     w.save_all(&store).unwrap();
 
     let (w2, report) = Warehouse::open(&store, aqua::RecoveryPolicy::Rebuild).unwrap();
     assert!(report.fully_healthy(), "{report:?}");
+    let sales = w2.system("sales").unwrap();
     for (q, expect) in probe_queries().iter().zip(&warm2) {
-        let got = w2.answer("sales", q).unwrap();
+        let got = sales.answer(q).unwrap();
         assert_eq!(expect.result, got.result, "reopened answers drifted");
         assert_eq!(
             half_widths(&expect.bounds),

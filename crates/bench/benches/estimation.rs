@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use aqua::answer::compute_bounds;
+use aqua::answer::compute_bounds_cached;
 use aqua::{RewriteChoice, SamplingStrategy};
 use bench::harness::{build_plan, ExperimentSetup};
 use congress::alloc::Congress;
@@ -51,7 +51,7 @@ fn bench_estimation(c: &mut Criterion) {
     let input = sample.to_stratified_input(&setup.dataset.relation).unwrap();
     let result = plan.execute(&setup.qg2).unwrap();
     c.bench_function("bounds_qg2", |b| {
-        b.iter(|| compute_bounds(&input, &setup.qg2, &result, 0.9).unwrap())
+        b.iter(|| compute_bounds_cached(&input, &setup.qg2, &result, 0.9, None).unwrap())
     });
 }
 

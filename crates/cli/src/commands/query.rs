@@ -3,7 +3,7 @@
 
 use std::fmt::Write as _;
 
-use aqua::{Aqua, AquaConfig};
+use aqua::{Aqua, AquaConfig, Request};
 use congress::compare_results;
 
 use crate::args::Args;
@@ -28,7 +28,8 @@ pub fn query(args: &Args) -> Result<String> {
     };
     let table_rows = source.relation.row_count();
     let aqua = Aqua::build(source.relation, source.grouping, config).map_err(err)?;
-    let (answer, rewritten) = aqua.answer_sql(&sql).map_err(err)?;
+    let served = aqua.run(&Request::sql(&sql)).map_err(err)?;
+    let (answer, rewritten) = (&served.answer, &served.rewritten);
 
     let mut out = String::new();
     let _ = writeln!(

@@ -4,7 +4,7 @@
 
 use std::fmt::Write as _;
 
-use aqua::{Aqua, AquaConfig, RecoveryPolicy, StatsSnapshot, Warehouse};
+use aqua::{Aqua, AquaConfig, RecoveryPolicy, Request, StatsSnapshot, Warehouse};
 use congress::FsStore;
 
 use crate::args::Args;
@@ -56,7 +56,7 @@ pub fn stats(args: &Args) -> Result<String> {
         let repeat: usize = args.get_parsed("repeat", 2usize)?;
         for _ in 0..repeat.max(1) {
             for sql in &queries {
-                aqua.answer_sql(sql).map_err(err)?;
+                aqua.run(&Request::sql(sql)).map_err(err)?;
             }
         }
         aqua.stats()

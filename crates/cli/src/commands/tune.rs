@@ -3,7 +3,7 @@
 
 use std::fmt::Write as _;
 
-use aqua::{Aqua, AquaConfig, TuneOptions};
+use aqua::{Aqua, AquaConfig, Request, TuneOptions};
 
 use crate::args::Args;
 use crate::data::{load, rewrite, strategy};
@@ -51,7 +51,7 @@ pub fn tune(args: &Args) -> Result<String> {
     let repeat: usize = args.get_parsed("repeat", 2usize)?;
     for _ in 0..repeat.max(1) {
         for sql in &queries {
-            aqua.answer_sql(sql).map_err(err)?;
+            aqua.run(&Request::sql(sql)).map_err(err)?;
         }
     }
 

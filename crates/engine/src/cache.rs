@@ -43,7 +43,7 @@ use parking_lot::RwLock;
 
 use relation::{ColumnId, Relation};
 
-use crate::grouping::{GroupIndex, PAR_MIN_ROWS};
+use crate::grouping::GroupIndex;
 use crate::rewrite::QueryCells;
 
 /// Number of lock shards per table. Sixteen keeps the per-shard collision
@@ -59,9 +59,10 @@ fn shard_of<K: Hash + ?Sized>(key: &K) -> usize {
 
 /// Execution options threaded through
 /// [`SamplePlan::execute_opts`](crate::rewrite::SamplePlan::execute_opts):
-/// which cache to consult (if any) and whether parallel work may be used.
-/// `parallel`, `trace` and a `cancel` token that never fires leave results
-/// bit-identical. With a cache, every rewrite answers from
+/// which cache to consult (if any), what to record, and when to stop.
+/// `trace` and a `cancel` token that never fires leave results
+/// bit-identical. Every fold is serial: the cold plans' chunked
+/// aggregation, the cached path's cell fold and exact scans. With a cache, every rewrite answers from
 /// per-cell moments ([`execute_cells`](crate::rewrite::execute_cells)),
 /// whose estimates scale each stratum's sum once instead of each row's
 /// value: the same groups as the cold path, values within a few ulp of it.
@@ -71,11 +72,6 @@ pub struct ExecOptions<'a> {
     /// `None` recomputes everything per query (the cold path, which runs
     /// the paper's per-rewrite plan).
     pub cache: Option<&'a QueryCache>,
-    /// Allow a group index missing from the cache to be built in shards on
-    /// the current rayon pool (above [`PAR_MIN_ROWS`] rows), which yields an
-    /// identical index. Every fold is serial: the cold plans' chunked
-    /// aggregation, the cached path's cell fold and exact scans.
-    pub parallel: bool,
     /// Optional per-query trace sink. The executor records which path
     /// served the answer and how many rows it touched; recording never
     /// affects the computed result.
@@ -89,7 +85,7 @@ pub struct ExecOptions<'a> {
     /// Read by nothing in the workspace: every scan runs the decode-free
     /// kernels (see [`relation::kernels`]). Defaults to `true`; kept only
     /// because the benchmark's traced replay still reads it, and goes once
-    /// that replay is replaced by in-crate spans (ROADMAP item 8).
+    /// that replay is replaced by in-crate spans (ROADMAP item 6).
     pub kernels: bool,
     /// Internal plumbing, not a knob: a slot the cached path moves the
     /// query's [`QueryCells`] into once the estimates are read off them, so
@@ -103,7 +99,6 @@ impl Default for ExecOptions<'_> {
     fn default() -> Self {
         ExecOptions {
             cache: None,
-            parallel: false,
             trace: None,
             cancel: None,
             kernels: true,
@@ -582,9 +577,7 @@ impl QueryCache {
     }
 
     /// The *unfiltered* group index of `rel` under `cols`, memoized.
-    /// `parallel` only affects how a missing index is built (the sharded
-    /// build produces an identical index at any thread count).
-    pub fn index_for(&self, rel: &Relation, cols: &[ColumnId], parallel: bool) -> Arc<GroupIndex> {
+    pub fn index_for(&self, rel: &Relation, cols: &[ColumnId]) -> Arc<GroupIndex> {
         let shard_ix = shard_of(cols);
         let shard = &self.indexes[shard_ix];
         if let Some(ix) = shard.read().get(cols) {
@@ -592,11 +585,7 @@ impl QueryCache {
             return Arc::clone(ix);
         }
         self.miss(Kind::Index, Some(shard_ix));
-        let built = Arc::new(if parallel && rel.row_count() >= PAR_MIN_ROWS {
-            GroupIndex::par_build(rel, cols)
-        } else {
-            GroupIndex::build(rel, cols)
-        });
+        let built = Arc::new(GroupIndex::build(rel, cols));
         Arc::clone(shard.write().entry(cols.to_vec()).or_insert(built))
     }
 
@@ -785,13 +774,13 @@ mod tests {
     fn index_cache_hits_on_same_grouping() {
         let r = rel(100);
         let cache = QueryCache::new();
-        let a = cache.index_for(&r, &[ColumnId(0)], false);
-        let b = cache.index_for(&r, &[ColumnId(0)], false);
+        let a = cache.index_for(&r, &[ColumnId(0)]);
+        let b = cache.index_for(&r, &[ColumnId(0)]);
         assert!(Arc::ptr_eq(&a, &b));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         // A different grouping is a separate entry.
-        let c = cache.index_for(&r, &[ColumnId(0), ColumnId(1)], false);
+        let c = cache.index_for(&r, &[ColumnId(0), ColumnId(1)]);
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(cache.stats().misses, 2);
     }
@@ -858,7 +847,7 @@ mod tests {
     fn invalidate_drops_entries_but_keeps_counters() {
         let r = rel(50);
         let cache = QueryCache::new();
-        cache.index_for(&r, &[ColumnId(0)], false);
+        cache.index_for(&r, &[ColumnId(0)]);
         let by_stratum = cache.layout_for(|| StratumLayout::build(&[0; 50], 1));
         let ix = GroupIndex::build(&r, &[ColumnId(0)]);
         let layout = cache.cell_layout_for(&[ColumnId(0)], || CellLayout::build(&ix, &by_stratum));
@@ -867,10 +856,10 @@ mod tests {
             .unwrap();
         cache.invalidate();
         let before = cache.stats();
-        let a = cache.index_for(&r, &[ColumnId(0)], false);
+        let a = cache.index_for(&r, &[ColumnId(0)]);
         assert_eq!(cache.stats().misses, before.misses + 1);
         // Re-built after invalidation, not resurrected.
-        let b = cache.index_for(&r, &[ColumnId(0)], false);
+        let b = cache.index_for(&r, &[ColumnId(0)]);
         assert!(Arc::ptr_eq(&a, &b));
         // Cells were dropped too: the rebuild closures must run.
         let mut ran = false;
@@ -892,8 +881,8 @@ mod tests {
     fn detailed_stats_break_down_by_kind_and_shard() {
         let r = rel(100);
         let cache = QueryCache::new();
-        cache.index_for(&r, &[ColumnId(0)], false);
-        cache.index_for(&r, &[ColumnId(0)], false);
+        cache.index_for(&r, &[ColumnId(0)]);
+        cache.index_for(&r, &[ColumnId(0)]);
         let _ = cache.layout_for(|| StratumLayout::build(&[0, 0], 1));
         let d = cache.stats_detailed();
         assert_eq!((d.index.hits, d.index.misses), (1, 1));
@@ -940,10 +929,8 @@ mod tests {
     #[test]
     fn parallel_index_build_is_identical() {
         let r = rel(10_000);
-        let cold = QueryCache::new();
-        let seq = cold.index_for(&r, &[ColumnId(0)], false);
-        let warm = QueryCache::new();
-        let par = warm.index_for(&r, &[ColumnId(0)], true);
+        let seq = QueryCache::new().index_for(&r, &[ColumnId(0)]);
+        let par = GroupIndex::par_build(&r, &[ColumnId(0)]);
         assert_eq!(seq.group_ids(), par.group_ids());
         assert_eq!(seq.keys(), par.keys());
     }
@@ -954,9 +941,9 @@ mod tests {
         let cache = QueryCache::new();
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
-                .map(|_| s.spawn(|| cache.index_for(&r, &[ColumnId(0)], false)))
+                .map(|_| s.spawn(|| cache.index_for(&r, &[ColumnId(0)])))
                 .collect();
-            let first = cache.index_for(&r, &[ColumnId(0)], false);
+            let first = cache.index_for(&r, &[ColumnId(0)]);
             for h in handles {
                 let ix = h.join().unwrap();
                 // All callers converge on the single inserted Arc.

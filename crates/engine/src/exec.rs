@@ -71,8 +71,8 @@ pub fn execute_exact(rel: &Relation, query: &GroupByQuery) -> Result<QueryResult
 /// `opts.cancel` is polled before the scan and at every chunk folded, so a
 /// scan of a large base table (e.g. a degraded warehouse relation) honors
 /// per-request deadlines; a token that never fires cannot change the
-/// result. `opts.cache` and `opts.parallel` are ignored: the predicate is
-/// per-query and the chunks fold serially.
+/// result. `opts.cache` is ignored: the predicate is per-query and the
+/// chunks fold serially.
 pub fn execute_exact_opts(
     rel: &Relation,
     query: &GroupByQuery,

@@ -1,6 +1,6 @@
 //! The plan cache: normalized SQL text → parsed + rewritten plan.
 //!
-//! The serving path pays three text-shaped costs per `answer_sql` call
+//! The serving path pays three text-shaped costs per SQL query
 //! before any data is touched: tokenize + parse the query, then render
 //! the rewritten SQL for the active strategy (the paper's Figures 8–11).
 //! Dashboard workloads repeat a small set of query strings, so both costs
@@ -39,7 +39,7 @@ fn shard_of(key: &str) -> usize {
 
 /// A fully planned query: the parse result plus the rewritten SQL text
 /// the strategy would hand a back-end DBMS. Immutable and shared —
-/// `answer_sql` clones the `Arc`, never the plan.
+/// a cache hit clones the `Arc`, never the plan.
 #[derive(Debug)]
 pub struct CachedPlan {
     /// The parsed query (resolved against the base schema).

@@ -311,8 +311,8 @@ pub struct QueryCells {
 ///
 /// Both sources are the same float operations in the same order (a cell
 /// folds its rows in row order either way), so cached-cell and scanned
-/// answers are bit-identical. `opts.parallel` only shards a group-index
-/// build; the fold is serial so the bounds keep their bits.
+/// answers are bit-identical. The fold is serial so the bounds keep their
+/// bits.
 pub fn execute_cells(
     rel: &Relation,
     stratum_of_row: &[u32],
@@ -324,7 +324,7 @@ pub fn execute_cells(
     query.validate(rel)?;
     let grouping = &query.grouping;
     let strata = scale_factors.len();
-    let (index, layout) = cell_layout(rel, stratum_of_row, strata, grouping, opts.parallel, cache);
+    let (index, layout) = cell_layout(rel, stratum_of_row, strata, grouping, cache);
     let (measures, slots) = measures(query);
 
     let mut selected: Option<Vec<bool>> = None;
@@ -436,10 +436,9 @@ pub fn cell_layout(
     stratum_of_row: &[u32],
     strata: usize,
     grouping: &[ColumnId],
-    parallel: bool,
     cache: &QueryCache,
 ) -> (Arc<GroupIndex>, Arc<CellLayout>) {
-    let index = cache.index_for(rel, grouping, parallel);
+    let index = cache.index_for(rel, grouping);
     let layout = cache.cell_layout_for(grouping, || {
         let by_stratum = cache.layout_for(|| StratumLayout::build(stratum_of_row, strata));
         CellLayout::build(&index, &by_stratum)
@@ -824,17 +823,16 @@ mod tests {
         result.rows().iter().map(|(k, v)| (k, to_bits(v))).collect()
     }
 
-    fn cached(cache: &QueryCache, parallel: bool) -> ExecOptions<'_> {
+    fn cached(cache: &QueryCache) -> ExecOptions<'_> {
         ExecOptions {
             cache: Some(cache),
-            parallel,
             ..ExecOptions::default()
         }
     }
 
     /// Every rewrite's cached path returns the cold plan's groups with
     /// values within 1e-12 relative (NaN where it has NaN), and the same
-    /// bits on every plan, serial or parallel, cold cache or warm.
+    /// bits on every plan, cold cache or warm.
     #[test]
     fn cells_answer_like_the_cold_plans() {
         let s = chunked_sample();
@@ -842,33 +840,27 @@ mod tests {
         for (what, q) in cell_cases() {
             let mut reference: Option<QueryResult> = None;
             for plan in plans_over(&s) {
-                for parallel in [false, true] {
-                    let ctx = format!("{what}: {} parallel={parallel}", plan.name());
-                    let cold_opts = ExecOptions {
-                        parallel,
-                        ..ExecOptions::default()
-                    };
-                    let cold = plan.execute_opts(&q, &cold_opts).unwrap();
-                    let cache = QueryCache::new();
-                    let first = plan.execute_opts(&q, &cached(&cache, parallel)).unwrap();
-                    let warm = plan.execute_opts(&q, &cached(&cache, parallel)).unwrap();
-                    assert_eq!(bits(&first), bits(&warm), "{ctx}: cold vs warm cache");
-                    let reference = reference.get_or_insert_with(|| warm.clone());
-                    assert_eq!(bits(&warm), bits(reference), "{ctx}: across plans");
+                let ctx = format!("{what}: {}", plan.name());
+                let cold = plan.execute(&q).unwrap();
+                let cache = QueryCache::new();
+                let first = plan.execute_opts(&q, &cached(&cache)).unwrap();
+                let warm = plan.execute_opts(&q, &cached(&cache)).unwrap();
+                assert_eq!(bits(&first), bits(&warm), "{ctx}: cold vs warm cache");
+                let reference = reference.get_or_insert_with(|| warm.clone());
+                assert_eq!(bits(&warm), bits(reference), "{ctx}: across plans");
 
-                    assert_eq!(warm.aggregate_names, cold.aggregate_names, "{ctx}");
-                    let keys = |r: &QueryResult| r.iter().map(|(k, _)| k.clone()).collect();
-                    let (warm_keys, cold_keys): (Vec<GroupKey>, Vec<GroupKey>) =
-                        (keys(&warm), keys(&cold));
-                    assert_eq!(warm_keys, cold_keys, "{ctx}: groups");
-                    for ((key, w), (_, c)) in warm.iter().zip(cold.iter()) {
-                        for (x, y) in w.iter().zip(c) {
-                            let close = (x - y).abs() <= 1e-12 * y.abs();
-                            assert!(
-                                x == y || close || (x.is_nan() && y.is_nan()),
-                                "{ctx}: {x} vs cold {y} at {key}"
-                            );
-                        }
+                assert_eq!(warm.aggregate_names, cold.aggregate_names, "{ctx}");
+                let keys = |r: &QueryResult| r.iter().map(|(k, _)| k.clone()).collect();
+                let (warm_keys, cold_keys): (Vec<GroupKey>, Vec<GroupKey>) =
+                    (keys(&warm), keys(&cold));
+                assert_eq!(warm_keys, cold_keys, "{ctx}: groups");
+                for ((key, w), (_, c)) in warm.iter().zip(cold.iter()) {
+                    for (x, y) in w.iter().zip(c) {
+                        let close = (x - y).abs() <= 1e-12 * y.abs();
+                        assert!(
+                            x == y || close || (x.is_nan() && y.is_nan()),
+                            "{ctx}: {x} vs cold {y} at {key}"
+                        );
                     }
                 }
             }
@@ -883,7 +875,7 @@ mod tests {
         let cache = QueryCache::new();
         let run = |what: &str| {
             let (_, q) = cell_cases().into_iter().find(|(w, _)| *w == what).unwrap();
-            plan.execute_opts(&q, &cached(&cache, false)).unwrap()
+            plan.execute_opts(&q, &cached(&cache)).unwrap()
         };
         let nan = run("NaN and -0.0 measures, SUM and AVG sharing one");
         assert!(nan.iter().any(|(_, v)| v[0].is_nan() && v[1].is_nan()));
@@ -915,7 +907,7 @@ mod tests {
                 let trace = crate::ExecTrace::new();
                 let opts = ExecOptions {
                     trace: Some(&trace),
-                    ..cached(&cache, false)
+                    ..cached(&cache)
                 };
                 let summary = plan.execute_opts(&q, &opts).unwrap();
                 assert_eq!(trace.served(), Some(ServedFrom::Summary), "{what}");
@@ -974,15 +966,13 @@ mod tests {
         for (what, q) in [&cases[0], group_only.unwrap()] {
             for plan in plans_over(&s) {
                 let ctx = format!("{what}: {}", plan.name());
-                let plain = plan
-                    .execute_opts(q, &cached(&QueryCache::new(), false))
-                    .unwrap();
+                let plain = plan.execute_opts(q, &cached(&QueryCache::new())).unwrap();
                 // One cache across the runs below, cold at the first.
                 let cache = QueryCache::new();
                 let run = |token: CancelToken| {
                     let opts = ExecOptions {
                         cancel: Some(&token),
-                        ..cached(&cache, false)
+                        ..cached(&cache)
                     };
                     plan.execute_opts(q, &opts)
                 };

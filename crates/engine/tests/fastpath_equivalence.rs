@@ -1,13 +1,12 @@
 //! Fast-path equivalence: every rewrite strategy must produce
-//! *bit-identical* cached [`QueryResult`]s whether the group index was
-//! built serially or in shards, and the same groups with values within
-//! 1e-12 relative across {cold, warm cache} — the cached path scales each
-//! stratum's sum once where the cold plans scale each row.
+//! *bit-identical* cached [`QueryResult`]s whether the cache was cold or
+//! warm, and the same groups with values within 1e-12 relative across
+//! {cold plan, cached path} — the cached path scales each stratum's sum
+//! once where the cold plans scale each row.
 //!
-//! The fixture is deliberately larger than both the sharded index build's
-//! threshold (`PAR_MIN_ROWS`) and the chunk size (`CHUNK_ROWS` = 16·1024),
-//! so the parallel leg genuinely shards and the cold plans' chunk merges
-//! are exercised rather than short-circuited.
+//! The fixture is deliberately larger than the chunk size (`CHUNK_ROWS` =
+//! 16·1024), so the cold plans' chunk merges are exercised rather than
+//! short-circuited.
 
 use engine::{
     AggregateSpec, ExecOptions, GroupByQuery, Having, Integrated, KeyNormalized, NestedIntegrated,
@@ -149,20 +148,14 @@ fn strategies_bit_identical_across_modes_and_cache_states() {
         let cache = QueryCache::new();
         for (qi, q) in queries().into_iter().enumerate() {
             let cold = plan.execute_opts(&q, &ExecOptions::default()).unwrap();
-            // The parallel run fills the shared cache (an index for a new
-            // grouping is built in shards) and the serial run reads it
-            // (warm); `built_serially` builds everything in a fresh cache.
-            let cached = |cache, parallel| ExecOptions {
+            // The shared cache is warm from the earlier queries; `fresh`
+            // builds everything in a new one.
+            let cached = |cache| ExecOptions {
                 cache: Some(cache),
-                parallel,
                 ..ExecOptions::default()
             };
-            let warm_parallel = plan.execute_opts(&q, &cached(&cache, true)).unwrap();
-            let warm_serial = plan.execute_opts(&q, &cached(&cache, false)).unwrap();
-            let serial_cache = QueryCache::new();
-            let built_serially = plan
-                .execute_opts(&q, &cached(&serial_cache, false))
-                .unwrap();
+            let warm = plan.execute_opts(&q, &cached(&cache)).unwrap();
+            let fresh = plan.execute_opts(&q, &cached(&QueryCache::new())).unwrap();
             // Query 6 selects no groups on purpose (predicate matches no
             // stratum); every other fixture query must produce rows.
             if qi == 6 {
@@ -174,19 +167,8 @@ fn strategies_bit_identical_across_modes_and_cache_states() {
                     plan.name()
                 );
             }
-            assert_eq!(
-                warm_serial,
-                warm_parallel,
-                "{}: warm vs cold-with-cache",
-                plan.name()
-            );
-            assert_eq!(
-                built_serially,
-                warm_parallel,
-                "{}: serial vs sharded index build",
-                plan.name()
-            );
-            assert_close(&cold, &warm_serial, plan.name());
+            assert_eq!(fresh, warm, "{}: warm vs cold-with-cache", plan.name());
+            assert_close(&cold, &warm, plan.name());
         }
         let stats = cache.stats();
         assert!(
@@ -212,7 +194,6 @@ fn warm_cache_results_survive_repeated_execution() {
     );
     let opts = ExecOptions {
         cache: Some(&cache),
-        parallel: true,
         trace: None,
         cancel: None,
         ..ExecOptions::default()

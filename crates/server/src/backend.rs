@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use aqua::{Aqua, AquaError, ServedAnswer, Warehouse};
+use aqua::{Aqua, AquaError, Request, ServedAnswer, Warehouse};
 use engine::{CancelToken, EngineError};
 
 /// Why a query could not be answered, split by who is at fault: a
@@ -93,8 +93,11 @@ impl QueryBackend for Aqua {
     ) -> Result<Arc<ServedAnswer>, BackendError> {
         // A single-relation backend: any relation name is "the" relation.
         let _ = relation;
-        self.answer_sql_shared_cancellable(sql, Some(cancel))
-            .map_err(classify)
+        self.run(&Request {
+            cancel: Some(cancel),
+            ..Request::sql(sql)
+        })
+        .map_err(classify)
     }
 
     fn stats(&self) -> obs::Snapshot {
@@ -117,8 +120,13 @@ impl QueryBackend for Warehouse {
                 ))
             }
         };
-        Warehouse::answer_sql_cancellable(self, name, sql, Some(cancel)).map_err(|e| match e {
-            // `Warehouse::serving` reports unknown relations as
+        let request = Request {
+            cancel: Some(cancel),
+            ..Request::sql(sql)
+        };
+        let answer = self.system(name).and_then(|aqua| aqua.run(&request));
+        answer.map_err(|e| match e {
+            // `Warehouse::system` reports unknown relations as
             // InvalidConfig — from the API's point of view that's the
             // client's mistake.
             AquaError::InvalidConfig(m) if m.starts_with("unknown relation") => {

@@ -79,6 +79,7 @@ pub fn render_answer(served: &ServedAnswer) -> String {
     out.push_str("{\"provenance\":");
     match &answer.provenance {
         AnswerProvenance::Sampled => out.push_str("\"sampled\""),
+        AnswerProvenance::Exact => out.push_str("\"exact\""),
         AnswerProvenance::ExactFallback { reason } => {
             out.push_str("\"exact_fallback\",\"degraded_reason\":");
             push_escaped(&mut out, reason);

@@ -2,7 +2,7 @@
 
 //! Concurrent HTTP/JSON serving front end for the Aqua middleware.
 //!
-//! The serving story so far ends at a Rust API ([`aqua::Aqua::answer_sql`]);
+//! The serving story so far ends at a Rust API ([`aqua::Aqua::run`]);
 //! this crate puts a network in front of it without taking on an async
 //! runtime the build environment doesn't have. The shape is a classic
 //! reactor: **one epoll thread owns every socket** (accept, read, parse,

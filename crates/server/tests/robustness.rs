@@ -9,7 +9,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use aqua::{AnswerProvenance, ApproximateAnswer, Aqua, AquaConfig, SamplingStrategy, ServedAnswer};
+use aqua::{
+    AnswerProvenance, ApproximateAnswer, Aqua, AquaConfig, Request, SamplingStrategy, ServedAnswer,
+};
 use engine::{CancelToken, QueryResult};
 use relation::{DataType, RelationBuilder, Value};
 use server::{BackendError, QueryBackend, Server, ServerConfig};
@@ -322,10 +324,10 @@ fn cancelled_aqua_scan_counts_in_metrics() {
     let aqua = census_aqua();
     let expired = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
     let err = aqua
-        .answer_sql_shared_cancellable(
-            "SELECT state, COUNT(*) AS c FROM census GROUP BY state",
-            Some(&expired),
-        )
+        .run(&Request {
+            cancel: Some(&expired),
+            ..Request::sql("SELECT state, COUNT(*) AS c FROM census GROUP BY state")
+        })
         .expect_err("expired deadline must cancel");
     assert!(matches!(
         err,

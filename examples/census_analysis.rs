@@ -9,7 +9,7 @@
 //!
 //! Run: `cargo run --release --example census_analysis`
 
-use aqua::{Aqua, AquaConfig, SamplingStrategy};
+use aqua::{Aqua, AquaConfig, Request, SamplingStrategy};
 use congress::compare_results;
 use engine::{AggregateSpec, GroupByQuery};
 use rand::rngs::StdRng;
@@ -83,7 +83,15 @@ fn main() {
         )
         .expect("aqua builds");
 
-        let exact = aqua.exact(&per_state).unwrap();
+        let exact = aqua
+            .run(&Request {
+                exact: true,
+                ..Request::query(&per_state)
+            })
+            .unwrap()
+            .answer
+            .result
+            .clone();
         let approx = aqua.answer(&per_state).unwrap();
         let report = compare_results(&exact, &approx.result, 0, 100.0);
 
@@ -130,7 +138,15 @@ fn main() {
     ] {
         let q = GroupByQuery::new(cols, vec![AggregateSpec::avg(Expr::col(sal), "avg_income")]);
         let report = compare_results(
-            &aqua.exact(&q).unwrap(),
+            &aqua
+                .run(&Request {
+                    exact: true,
+                    ..Request::query(&q)
+                })
+                .unwrap()
+                .answer
+                .result
+                .clone(),
             &aqua.answer(&q).unwrap().result,
             0,
             100.0,

@@ -14,7 +14,7 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
-use aqua::{Aqua, AquaConfig, SamplingStrategy};
+use aqua::{Aqua, AquaConfig, Request, SamplingStrategy};
 use congress::compare_results;
 use engine::{AggregateSpec, GroupByQuery};
 use relation::{Expr, Predicate, Value};
@@ -56,7 +56,15 @@ fn main() {
         )
         .expect("aqua builds over the generated table");
 
-        let exact = aqua.exact(&query).expect("exact execution");
+        let exact = aqua
+            .run(&Request {
+                exact: true,
+                ..Request::query(&query)
+            })
+            .expect("exact execution")
+            .answer
+            .result
+            .clone();
         let approx = aqua.answer(&query).expect("approximate answering");
         let report = compare_results(&exact, &approx.result, 0, 100.0);
 

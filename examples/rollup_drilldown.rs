@@ -10,7 +10,7 @@
 //!
 //! Run: `cargo run --release --example rollup_drilldown`
 
-use aqua::{Aqua, AquaConfig, SamplingStrategy};
+use aqua::{Aqua, AquaConfig, Request, SamplingStrategy};
 use congress::compare_results;
 use engine::{AggregateSpec, GroupByQuery};
 use relation::{ColumnId, Expr};
@@ -74,7 +74,15 @@ fn main() {
         );
         let mut errs = Vec::new();
         for (_, aqua) in &systems {
-            let exact = aqua.exact(&q).unwrap();
+            let exact = aqua
+                .run(&Request {
+                    exact: true,
+                    ..Request::query(&q)
+                })
+                .unwrap()
+                .answer
+                .result
+                .clone();
             let approx = aqua.answer(&q).unwrap();
             let report = compare_results(&exact, &approx.result, 0, 100.0);
             errs.push(report.l1());

@@ -12,7 +12,7 @@
 
 use std::io::BufRead;
 
-use aqua::{Aqua, AquaConfig, SamplingStrategy};
+use aqua::{Aqua, AquaConfig, Request, SamplingStrategy};
 use tpcd::{GeneratorConfig, TpcdDataset};
 
 fn main() {
@@ -65,16 +65,13 @@ fn main() {
     for sql in queries {
         println!("── SQL ──────────────────────────────────────────────");
         println!("{sql}");
-        match aqua.answer_sql(&sql) {
-            Ok((answer, rewritten)) => {
+        match aqua.run(&Request::sql(&sql)) {
+            Ok(served) => {
                 println!("── rewritten for the synopsis (Figure 8–11 style) ──");
-                println!("{rewritten}");
+                println!("{}", served.rewritten);
                 println!("── approximate answer ──");
-                print!("{answer}");
-                match engine::sql::parse(ds.relation.schema(), &sql)
-                    .map_err(aqua::AquaError::from)
-                    .and_then(|q| aqua.exact(&q))
-                {
+                print!("{}", served.answer);
+                match aqua.exact_sql(&sql) {
                     Ok(exact) => {
                         println!("── exact answer ──");
                         print!("{exact}");

@@ -10,7 +10,7 @@
 //!
 //! Run: `cargo run --release --example star_join`
 
-use aqua::{Aqua, AquaConfig, SamplingStrategy};
+use aqua::{Aqua, AquaConfig, Request, SamplingStrategy};
 use congress::compare_results;
 use engine::{AggregateSpec, GroupByQuery};
 use relation::Expr;
@@ -64,7 +64,15 @@ fn main() {
             AggregateSpec::count("lineitems"),
         ],
     );
-    let exact = aqua.exact(&q).unwrap();
+    let exact = aqua
+        .run(&Request {
+            exact: true,
+            ..Request::query(&q)
+        })
+        .unwrap()
+        .answer
+        .result
+        .clone();
     let approx = aqua.answer(&q).unwrap();
     let report = compare_results(&exact, &approx.result, 0, 100.0);
 
@@ -82,7 +90,15 @@ fn main() {
         vec![AggregateSpec::avg(Expr::col(revenue), "avg_revenue")],
     );
     let report = compare_results(
-        &aqua.exact(&rollup).unwrap(),
+        &aqua
+            .run(&Request {
+                exact: true,
+                ..Request::query(&rollup)
+            })
+            .unwrap()
+            .answer
+            .result
+            .clone(),
         &aqua.answer(&rollup).unwrap().result,
         0,
         100.0,

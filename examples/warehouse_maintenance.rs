@@ -8,7 +8,7 @@
 //!
 //! Run: `cargo run --release --example warehouse_maintenance`
 
-use aqua::{Aqua, AquaConfig, SamplingStrategy};
+use aqua::{Aqua, AquaConfig, Request, SamplingStrategy};
 use congress::compare_results;
 use engine::{AggregateSpec, GroupByQuery};
 use rand::rngs::StdRng;
@@ -68,7 +68,15 @@ fn main() {
         aqua.synopsis_rows()
     );
     let report = compare_results(
-        &aqua.exact(&by_product).unwrap(),
+        &aqua
+            .run(&Request {
+                exact: true,
+                ..Request::query(&by_product)
+            })
+            .unwrap()
+            .answer
+            .result
+            .clone(),
         &aqua.answer(&by_product).unwrap().result,
         0,
         100.0,
@@ -86,7 +94,15 @@ fn main() {
         aqua.insert_batch(&batch).expect("insert batch");
 
         let approx = aqua.answer(&by_product).expect("answer after insert");
-        let exact = aqua.exact(&by_product).unwrap();
+        let exact = aqua
+            .run(&Request {
+                exact: true,
+                ..Request::query(&by_product)
+            })
+            .unwrap()
+            .answer
+            .result
+            .clone();
         let report = compare_results(&exact, &approx.result, 0, 100.0);
         let sprockets = approx
             .result

@@ -5,7 +5,7 @@
 //! SQL with bounds — in a dozen lines:
 //!
 //! ```
-//! use aqua::{Aqua, AquaConfig, SamplingStrategy};
+//! use aqua::{Aqua, AquaConfig, Request, SamplingStrategy};
 //! use relation::{parse_csv, CsvOptions};
 //!
 //! let table = parse_csv(
@@ -21,11 +21,10 @@
 //!     ..AquaConfig::default()
 //! }).unwrap();
 //!
-//! let (answer, rewritten_sql) = aqua
-//!     .answer_sql("SELECT state, AVG(income) AS a FROM census GROUP BY state")
-//!     .unwrap();
-//! assert_eq!(answer.result.group_count(), 2); // WY survives the sampling
-//! assert!(rewritten_sql.contains("SF"));      // the Figure-8/11 rewrite
+//! let sql = "SELECT state, AVG(income) AS a FROM census GROUP BY state";
+//! let served = aqua.run(&Request::sql(sql)).unwrap();
+//! assert_eq!(served.answer.result.group_count(), 2); // WY survives the sampling
+//! assert!(served.rewritten.contains("SF"));          // the Figure-8/11 rewrite
 //! ```
 
 pub use aqua;

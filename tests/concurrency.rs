@@ -162,12 +162,13 @@ fn warehouse_shared_across_threads() {
             let w = Arc::clone(&w);
             let query = query.clone();
             std::thread::spawn(move || {
+                let sales = w.system("sales").unwrap();
                 if i % 2 == 0 {
-                    let ans = w.answer("sales", &query).unwrap();
+                    let ans = sales.answer(&query).unwrap();
                     assert_eq!(ans.result.group_count(), 3);
                 } else {
-                    w.insert("sales", &[vec![Value::str("a"), Value::from(1.0)]])
-                        .unwrap();
+                    let row = vec![Value::str("a"), Value::from(1.0)];
+                    sales.insert_batch(&[row]).unwrap();
                 }
             })
         })

@@ -1,4 +1,4 @@
-//! Concurrency stress: N reader threads hammer `answer_sql` while a
+//! Concurrency stress: N reader threads hammer `answer_sql_shared` while a
 //! writer ingests — no torn answers, generation-consistent caches,
 //! counters that add up.
 //!
@@ -105,7 +105,7 @@ fn answers_equal(a: &ApproximateAnswer, b: &ApproximateAnswer) -> bool {
 fn ground_truth(aqua: &Aqua) -> Vec<ApproximateAnswer> {
     QUERIES
         .iter()
-        .map(|q| aqua.answer_sql(q).unwrap().0)
+        .map(|q| aqua.answer_sql_shared(q).unwrap().answer.clone())
         .collect()
 }
 
@@ -157,7 +157,7 @@ fn readers_race_one_writer_without_torn_answers() {
                 let mut seen: Vec<(usize, ApproximateAnswer)> = Vec::new();
                 for i in 0..ITERS {
                     let qi = (r + i) % QUERIES.len();
-                    let (answer, _) = aqua.answer_sql(QUERIES[qi]).unwrap();
+                    let answer = aqua.answer_sql_shared(QUERIES[qi]).unwrap().answer.clone();
                     seen.push((qi, answer));
                 }
                 seen

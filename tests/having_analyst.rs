@@ -3,7 +3,7 @@
 //! small states' estimates are reliable — so with a HAVING threshold, a
 //! House sample misclassifies small groups far more often than Congress.
 
-use aqua::{Aqua, AquaConfig, SamplingStrategy};
+use aqua::{Aqua, AquaConfig, Request, SamplingStrategy};
 use engine::{AggregateSpec, GroupByQuery, Having};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,7 +39,14 @@ fn census_table() -> relation::Relation {
 
 fn rich_states(aqua: &Aqua, query: &GroupByQuery, exact: bool) -> BTreeSet<String> {
     let result = if exact {
-        aqua.exact(query).unwrap()
+        aqua.run(&Request {
+            exact: true,
+            ..Request::query(query)
+        })
+        .unwrap()
+        .answer
+        .result
+        .clone()
     } else {
         aqua.answer(query).unwrap().result
     };

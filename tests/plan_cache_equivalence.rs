@@ -46,6 +46,12 @@ fn build_system(rewrite: RewriteChoice) -> Aqua {
     Aqua::build(b.finish(), vec![relation::ColumnId(0)], config).unwrap()
 }
 
+/// The answer and rewritten SQL `aqua` serves for `sql`.
+fn answer_sql(aqua: &Aqua, sql: &str) -> (ApproximateAnswer, String) {
+    let served = aqua.answer_sql_shared(sql).unwrap();
+    (served.answer.clone(), served.rewritten.clone())
+}
+
 /// Bitwise equality: estimates, bounds, confidence, provenance.
 fn assert_bit_identical(a: &ApproximateAnswer, b: &ApproximateAnswer, tag: &str) {
     assert_eq!(
@@ -119,13 +125,13 @@ fn cache_hit_equals_cold_parse_across_rewrites() {
         let warm = build_system(rewrite);
         let cold = build_system(rewrite);
 
-        let (base_answer, base_rewritten) = warm.answer_sql(BASE).unwrap();
+        let (base_answer, base_rewritten) = answer_sql(&warm, BASE);
         for (vi, variant) in VARIANTS.iter().enumerate() {
             // Warm system: this variant hits the answer cache entry the
             // base spelling created.
-            let (hit, hit_rewritten) = warm.answer_sql(variant).unwrap();
+            let (hit, hit_rewritten) = answer_sql(&warm, variant);
             // Cold system: the variant is parsed from scratch.
-            let (parsed, cold_rewritten) = cold.answer_sql(variant).unwrap();
+            let (parsed, cold_rewritten) = answer_sql(&cold, variant);
             let tag = format!("{rewrite:?} variant {vi}");
             assert_bit_identical(&hit, &base_answer, &tag);
             assert_bit_identical(&hit, &parsed, &tag);
@@ -149,7 +155,7 @@ fn cache_hit_equals_cold_parse_across_rewrites() {
 #[test]
 fn plan_cache_hit_after_ingest_equals_fresh_plan() {
     let aqua = build_system(RewriteChoice::NestedIntegrated);
-    let (_warmup, rewritten_before) = aqua.answer_sql(BASE).unwrap();
+    let (_warmup, rewritten_before) = answer_sql(&aqua, BASE);
 
     // Ingest clears the answer cache (data changed) but not the plan
     // cache (schema didn't).
@@ -165,7 +171,7 @@ fn plan_cache_hit_after_ingest_equals_fresh_plan() {
     aqua.insert_batch(&batch).unwrap();
 
     // Served through the cached plan…
-    let (via_plan_cache, rewritten_after) = aqua.answer_sql(BASE).unwrap();
+    let (via_plan_cache, rewritten_after) = answer_sql(&aqua, BASE);
     // …must equal the uncached path over a freshly parsed query.
     let query = engine::sql::parse(
         aqua.table_snapshot().schema(),
@@ -265,7 +271,7 @@ const BASE_PROPTEST: &str = "SELECT state, SUM(income) AS rev FROM census \
 #[test]
 fn respelled_queries_share_one_cache_entry_end_to_end() {
     let aqua = build_system(RewriteChoice::Integrated);
-    let (base, _) = aqua.answer_sql(BASE_PROPTEST).unwrap();
+    let (base, _) = answer_sql(&aqua, BASE_PROPTEST);
     for seed in 0u8..12 {
         let ws = [" ", "  ", "\t", " \n "];
         let mut variant = String::new();
@@ -273,7 +279,7 @@ fn respelled_queries_share_one_cache_entry_end_to_end() {
             let r = seed.wrapping_mul(31).wrapping_add(i as u8);
             variant.push_str(&respell(tok, r % 3, r % 4, ws[(r as usize / 3) % 4]));
         }
-        let (answer, _) = aqua.answer_sql(&variant).unwrap();
+        let (answer, _) = answer_sql(&aqua, &variant);
         assert_bit_identical(&answer, &base, &format!("respelling seed {seed}"));
     }
     let snap = aqua.stats();

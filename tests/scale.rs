@@ -2,7 +2,7 @@
 //! run with `cargo test --release --test scale -- --ignored` (several GiB
 //! of RAM and a few minutes).
 
-use aqua::{Aqua, AquaConfig, SamplingStrategy};
+use aqua::{Aqua, AquaConfig, Request, SamplingStrategy};
 use congress::alloc::Congress;
 use congress::{compare_results, CongressionalSample, GroupCensus};
 use engine::execute_exact;
@@ -69,7 +69,15 @@ fn two_hundred_thousand_groups_end_to_end() {
     .unwrap();
     let q = q_g2(&ds.ids);
     let ans = aqua.answer(&q).unwrap();
-    let exact = aqua.exact(&q).unwrap();
+    let exact = aqua
+        .run(&Request {
+            exact: true,
+            ..Request::query(&q)
+        })
+        .unwrap()
+        .answer
+        .result
+        .clone();
     // Qg2 groups = (NG^(1/3))² ≈ 3364 — every one must be answered.
     assert_eq!(ans.result.group_count(), exact.group_count());
     let report = compare_results(&exact, &ans.result, 0, 100.0);
