@@ -61,7 +61,9 @@ impl SamplingStrategy {
     }
 }
 
-/// Which §5 physical rewrite executes queries.
+/// Which §5 rewrite the served answers name: it picks the rewritten SQL
+/// and the `rewrite` metric label. Every choice is answered from the same
+/// per-(group, stratum) moments, so the estimates do not depend on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RewriteChoice {
     /// ScaleFactor column per tuple (Fig 8).

@@ -5,8 +5,9 @@
 //! [`Aqua`] sits on top of a stored relation the way the original system
 //! sat on top of Oracle: at setup time it builds a biased sample synopsis
 //! (any §4 strategy, via the one-pass §6 maintainers), and at query time it
-//! "rewrites" group-by queries against the synopsis — here, executes them
-//! through one of the §5 physical plans — returning scaled estimates
+//! "rewrites" group-by queries against the synopsis — here, answers them
+//! from the per-(group, stratum) moments all four §5 rewrites share, and
+//! renders the configured rewrite's SQL — returning scaled estimates
 //! *with probabilistic error bounds* at a configurable confidence level
 //! (the `error1` column of Figure 4).
 //!
@@ -57,8 +58,8 @@ pub use answer::{AnswerProvenance, ApproximateAnswer, GroupBounds};
 pub use config::{AquaConfig, RewriteChoice, SamplingStrategy};
 pub use error::{AquaError, Result};
 pub use manifest::{Manifest, ManifestEntry};
-pub use serve_cache::{AnswerCache, AnswerCacheStats, ServedAnswer};
-pub use synopsis::Synopsis;
+pub use serve_cache::{AnswerCache, ServedAnswer};
+pub use synopsis::{Generation, Synopsis};
 pub use system::{Aqua, Query, Request, StatsSnapshot, TuneOptions, TuneReport};
 pub use warehouse::{
     OpenReport, RecoveryPolicy, RelationReport, RelationStatus, SaveReport, VerifyReport, Warehouse,

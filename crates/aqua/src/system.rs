@@ -3,17 +3,17 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::{Mutex, RwLock, RwLockReadGuard};
+use parking_lot::{Mutex, RwLock};
 
 use congress::adaptive::{recompute_weights, DriftDetector, GroupMoments, WorkloadProfile};
 use congress::GroupCensus;
-use engine::rewrite::{cell_layout, measure_key, unfiltered_cells};
+use engine::rewrite::{cell_layout, execute_cells, measure_key, unfiltered_cells};
 use engine::sql::render::RewriteKind;
 use engine::{
     execute_exact_opts, CachedPlan, CancelToken, EngineError, ExecOptions, ExecTrace, GroupByQuery,
-    QueryResult, ServedFrom,
+    PlanCache, QueryResult, ServedFrom,
 };
-use relation::{ColumnId, Relation, Value};
+use relation::{ColumnId, Relation, Schema, Value};
 
 /// Serializable point-in-time metrics snapshot returned by
 /// [`Aqua::stats`] (re-exported from the `obs` crate).
@@ -23,7 +23,7 @@ use crate::answer::{compute_bounds_from_cells, AnswerProvenance, ApproximateAnsw
 use crate::config::{AquaConfig, RewriteChoice};
 use crate::error::{AquaError, Result};
 use crate::serve_cache::ServedAnswer;
-use crate::synopsis::Synopsis;
+use crate::synopsis::{Generation, Synopsis};
 
 /// `served` label for answers returned straight from the answer cache —
 /// such a query never reaches the executor, so [`ExecTrace`] cannot name
@@ -268,13 +268,21 @@ impl<'a> Request<'a> {
 /// relation (the paper reduces multi-table warehouses to this case via
 /// join synopses).
 ///
-/// Thread-safe: queries take a read lock; insertions and refreshes take a
-/// write lock. The synopsis refreshes lazily — after a batch of warehouse
-/// insertions, the next query pays one plan rebuild. A system may also
-/// have no synopsis (a warehouse relation whose snapshot was lost): it
-/// then answers every query with an exact scan until [`Aqua::rebuild`].
+/// Thread-safe: a query takes the read lock just long enough to pin what
+/// it reads — the synopsis [`Generation`], or the stored table for an exact
+/// scan — and answers without it; insertions, refreshes and rebuilds take
+/// the write lock and swap in a new table or generation. The synopsis
+/// refreshes lazily — after a batch of warehouse insertions, the next
+/// query pays one refresh. A system may also have no synopsis (a warehouse
+/// relation whose snapshot was lost): it then answers every query with an
+/// exact scan until [`Aqua::rebuild`].
 pub struct Aqua {
     inner: RwLock<Inner>,
+    grouping: Vec<ColumnId>,
+    config: AquaConfig,
+    /// Normalized SQL → parsed + rewritten plan. A plan depends on the
+    /// schema alone, so one cache serves every generation.
+    plans: PlanCache,
     /// The system's metric registry (its synopsis records into it too) and
     /// cached handles into it — outside the lock, so span recording never
     /// takes it.
@@ -289,10 +297,10 @@ pub struct Aqua {
 }
 
 struct Inner {
-    /// The stored warehouse table, grown by [`Aqua::insert_batch`].
-    table: Relation,
-    grouping: Vec<ColumnId>,
-    config: AquaConfig,
+    /// The stored warehouse table, replaced whole by
+    /// [`Aqua::insert_batch`]. Shared with the exact scans reading it, so
+    /// the zone maps and encoded twin one of them builds serve the rest.
+    table: Arc<Relation>,
     /// The synopsis, or why there is none.
     synopsis: std::result::Result<Synopsis, String>,
 }
@@ -301,13 +309,9 @@ impl Inner {
     /// The table and the synopsis, or an error naming why there is none.
     fn sampled(&mut self) -> Result<(&Relation, &mut Synopsis)> {
         match &mut self.synopsis {
-            Ok(synopsis) => Ok((&self.table, synopsis)),
+            Ok(synopsis) => Ok((self.table.as_ref(), synopsis)),
             Err(reason) => Err(AquaError::Storage(format!("no synopsis: {reason}"))),
         }
-    }
-
-    fn is_stale(&self) -> bool {
-        self.synopsis.as_ref().is_ok_and(Synopsis::is_stale)
     }
 }
 
@@ -392,11 +396,12 @@ impl Aqua {
     ) -> Aqua {
         Aqua {
             inner: RwLock::new(Inner {
-                table,
-                grouping,
-                config,
+                table: Arc::new(table),
                 synopsis,
             }),
+            grouping,
+            config,
+            plans: PlanCache::default(),
             metrics: QueryMetrics::new(registry, config.rewrite.name()),
             profile: Mutex::new(WorkloadProfile::new()),
             tune_opts: Mutex::new(TuneOptions::default()),
@@ -406,18 +411,18 @@ impl Aqua {
 
     /// The declared grouping columns.
     pub fn grouping_columns(&self) -> Vec<ColumnId> {
-        self.inner.read().grouping.clone()
+        self.grouping.clone()
     }
 
     /// The active configuration (needed to persist and rebuild the system).
     pub fn config(&self) -> AquaConfig {
-        self.inner.read().config
+        self.config
     }
 
     /// A snapshot of the stored table (cheap: the columns and their string
     /// dictionaries are shared `Arc`s).
     pub fn table_snapshot(&self) -> Relation {
-        self.inner.read().table.clone()
+        Relation::clone(&self.inner.read().table)
     }
 
     /// Rows currently stored in the warehouse table.
@@ -443,9 +448,8 @@ impl Aqua {
     ///   and plan caches, and parsed on a miss; a parsed query skips the
     ///   answer cache. A miss folds the selected sample rows once into
     ///   per-(group, stratum) moments ([`engine::rewrite::execute_cells`])
-    ///   and reads the estimates and the error bounds off them. The read
-    ///   lock is held from lookup to insert, so every answer comes from one
-    ///   synopsis generation.
+    ///   and reads the estimates and the error bounds off them. All of it
+    ///   runs against the one [`Generation`] the request pinned.
     /// * **Exact** — a scan of the stored table: no bounds, confidence 1.0,
     ///   [`AnswerProvenance::Exact`]. Without a synopsis, approximate
     ///   requests are answered so too, as [`AnswerProvenance::ExactFallback`].
@@ -455,23 +459,26 @@ impl Aqua {
     /// regardless, and a cancelled answer is never cached.
     pub fn run(&self, request: &Request<'_>) -> Result<Arc<ServedAnswer>> {
         let timer = obs::Timer::start();
-        let inner = self.read_fresh(!request.exact)?;
-        match &inner.synopsis {
+        let inner = self.inner.read();
+        let fallback = match &inner.synopsis {
             Ok(synopsis) if !request.exact => {
-                let served = self.estimate(&inner.table, synopsis, request, &timer);
+                let pinned = synopsis.generation().cloned();
                 drop(inner);
+                let generation = match pinned {
+                    Some(generation) => generation,
+                    None => self.refreshed()?,
+                };
+                let served = self.estimate(&generation, request, &timer);
                 if served.is_ok() {
-                    // The read guard is gone, so an auto-tune (write lock)
-                    // is safe.
                     self.maybe_auto_tune();
                 }
-                served
+                return served;
             }
-            missing => {
-                let fallback = missing.as_ref().err().filter(|_| !request.exact);
-                self.scan(&inner.table, request, fallback)
-            }
-        }
+            synopsis => synopsis.as_ref().err().filter(|_| !request.exact).cloned(),
+        };
+        let table = Arc::clone(&inner.table);
+        drop(inner);
+        self.scan(&table, request, fallback.as_ref())
     }
 
     /// [`Self::run`] on a parsed query, approximately. A name of its own
@@ -496,34 +503,18 @@ impl Aqua {
         Ok(Arc::unwrap_or_clone(self.run(&request)?).answer.result)
     }
 
-    /// Take the read lock — with a *fresh* synopsis if `fresh`, refreshing
-    /// under the write lock as needed (an exact scan reads the table alone).
-    /// The guard pins the generation — while held, no writer can ingest,
-    /// refresh, or invalidate, so anything computed from it may be
-    /// published to the generation-scoped caches before release.
-    fn read_fresh(&self, fresh: bool) -> Result<RwLockReadGuard<'_, Inner>> {
-        loop {
-            let inner = self.inner.read();
-            if !fresh || !inner.is_stale() {
-                return Ok(inner);
-            }
-            drop(inner);
-            // Re-checked under the write lock: of many readers racing past a
-            // stale probe only the first refreshes (and invalidates caches).
-            let mut inner = self.inner.write();
-            if inner.is_stale() {
-                let (table, synopsis) = inner.sampled()?;
-                synopsis.refresh(table)?;
-            }
-        }
+    /// The generation of a stale synopsis, refreshed under the write lock:
+    /// of many readers racing past a stale probe only the first refreshes.
+    fn refreshed(&self) -> Result<Arc<Generation>> {
+        let mut inner = self.inner.write();
+        let (table, synopsis) = inner.sampled()?;
+        synopsis.current(table)
     }
 
-    /// The approximate arm of [`Self::run`], under the read lock of a fresh
-    /// synopsis.
+    /// The approximate arm of [`Self::run`], against a pinned generation.
     fn estimate(
         &self,
-        table: &Relation,
-        synopsis: &Synopsis,
+        generation: &Generation,
         request: &Request<'_>,
         timer: &obs::Timer,
     ) -> Result<Arc<ServedAnswer>> {
@@ -537,19 +528,19 @@ impl Aqua {
                 self.metrics.sql_query();
                 let key =
                     engine::sql::normalize(sql).inspect_err(|_| self.metrics.parse_error())?;
-                if let Some(served) = synopsis.answer_cache().get(&key) {
-                    // Hits are workload signal too: the plan cache still has
-                    // the parsed query (both caches share a generation).
-                    let plan = synopsis.plan_cache().get(&key);
+                if let Some(served) = generation.answers.get(&key) {
+                    // Hits are workload signal too. The plan cache still has
+                    // the parsed query; peeking does not count a plan hit.
+                    let plan = self.plans.peek(&key);
                     let query = plan.as_ref().map(|p| &p.query);
                     self.answered(SERVED_ANSWER_CACHE, timer, &trace, query);
                     return Ok(served);
                 }
-                plan = self.plan(table, synopsis, &key)?;
+                plan = self.plan(generation.input.rows.schema(), &key)?;
                 (Some(key), &plan.query, plan.rewritten.clone())
             }
         };
-        let result = self.answer_locked(synopsis, query, &trace, request.cancel);
+        let result = self.answer_from(generation, query, &trace, request.cancel);
         if let (Err(e), true) = (&result, obs::ENABLED) {
             self.metrics.record_result_error(e);
         }
@@ -558,28 +549,27 @@ impl Aqua {
         self.answered(served, timer, &trace, Some(query));
         let served = Arc::new(ServedAnswer { answer, rewritten });
         Ok(match key {
-            Some(key) => synopsis.answer_cache().insert(key, served),
+            Some(key) => generation.answers.insert(key, served),
             None => served,
         })
     }
 
-    /// The plan of normalized SQL `key` from the plan cache, parsed and
-    /// rendered into it on a miss.
-    fn plan(&self, table: &Relation, synopsis: &Synopsis, key: &str) -> Result<Arc<CachedPlan>> {
-        if let Some(plan) = synopsis.plan_cache().get(key) {
-            return Ok(plan);
-        }
-        let schema = table.schema();
-        let query = engine::sql::parse(schema, key).inspect_err(|_| self.metrics.parse_error())?;
-        let kind = match synopsis.config().rewrite {
-            RewriteChoice::Integrated => RewriteKind::Integrated,
-            RewriteChoice::NestedIntegrated => RewriteKind::NestedIntegrated,
-            RewriteChoice::Normalized => RewriteKind::Normalized,
-            RewriteChoice::KeyNormalized => RewriteKind::KeyNormalized,
-        };
-        let rewritten = engine::sql::render_rewritten(&query, schema, kind, "samp_rel", "aux_rel")?;
-        let plan = CachedPlan { query, rewritten };
-        Ok(synopsis.plan_cache().insert(key.to_string(), plan))
+    /// The plan of normalized SQL `key` from the plan cache, parsed against
+    /// `schema` and rendered into it on a miss.
+    fn plan(&self, schema: &Schema, key: &str) -> Result<Arc<CachedPlan>> {
+        self.plans.get_or_try_insert_with(key, || {
+            let query =
+                engine::sql::parse(schema, key).inspect_err(|_| self.metrics.parse_error())?;
+            let kind = match self.config.rewrite {
+                RewriteChoice::Integrated => RewriteKind::Integrated,
+                RewriteChoice::NestedIntegrated => RewriteKind::NestedIntegrated,
+                RewriteChoice::Normalized => RewriteKind::Normalized,
+                RewriteChoice::KeyNormalized => RewriteKind::KeyNormalized,
+            };
+            let rewritten =
+                engine::sql::render_rewritten(&query, schema, kind, "samp_rel", "aux_rel")?;
+            Ok(CachedPlan { query, rewritten })
+        })
     }
 
     /// Record one answered approximate query: its span and, given its
@@ -599,37 +589,36 @@ impl Aqua {
         }
     }
 
-    /// The estimate and its bounds from a fresh synopsis; `trace` receives
-    /// the served-from path and rows touched without affecting the result.
-    fn answer_locked(
+    /// The estimate and its bounds from `generation`; `trace` receives the
+    /// served-from path and rows touched without affecting the result.
+    fn answer_from(
         &self,
-        synopsis: &Synopsis,
+        generation: &Generation,
         query: &GroupByQuery,
         trace: &ExecTrace,
         cancel: Option<&CancelToken>,
     ) -> Result<ApproximateAnswer> {
-        let plan = synopsis.plan().expect("read_fresh materialized the plan");
-        // The plan leaves the cells it read the estimates off here, for
-        // the bounds below.
+        // The fold leaves the cells it read the estimates off here, for the
+        // bounds below.
         let cells = OnceLock::new();
         let opts = ExecOptions {
-            cache: Some(synopsis.query_cache()),
             trace: Some(trace),
             cancel,
             capture: Some(&cells),
             ..ExecOptions::default()
         };
-        let result = plan.execute_opts(query, &opts)?;
+        let input = &generation.input;
+        let (strata, sfs) = (&input.stratum_of_row, &input.scale_factors);
+        let result = execute_cells(&input.rows, strata, sfs, query, &opts, &generation.cells)?;
         // Coarse checkpoint between the scan and the bounds pass: a token
         // that fired during execution already aborted above; one that fires
         // right after still skips the bounds computation.
         if let Some(c) = cancel {
             c.check()?;
         }
-        let input = synopsis.input().expect("read_fresh materialized the input");
-        let confidence = synopsis.config().confidence;
+        let confidence = self.config.confidence;
         let timer = obs::Timer::start();
-        let cells = cells.get().expect("a cached plan captures its cells");
+        let cells = cells.get().expect("the cell fold captures its cells");
         let bounds = compute_bounds_from_cells(input, query, &result, confidence, cells);
         if obs::ENABLED {
             let histogram = || self.metrics.registry.histogram("aqua_bounds_latency_us");
@@ -718,49 +707,28 @@ impl Aqua {
         let inner = self.inner.read();
         let mut snap = self.metrics.registry.snapshot();
         if let Ok(synopsis) = &inner.synopsis {
-            let detail = synopsis.query_cache().stats_detailed();
-            for (name, k) in detail.kinds() {
-                snap.set_counter(&format!("aqua_cache_{name}_hits_total"), k.hits);
-                snap.set_counter(&format!("aqua_cache_{name}_misses_total"), k.misses);
+            let (mut hits, mut misses) = (0, 0);
+            for (name, k) in synopsis.cell_counts().kinds() {
+                snap.set_counter(&format!("aqua_cache_{name}_hits_total"), k.hits());
+                snap.set_counter(&format!("aqua_cache_{name}_misses_total"), k.misses());
+                (hits, misses) = (hits + k.hits(), misses + k.misses());
             }
-            for (i, s) in detail.shards.iter().enumerate() {
-                let shard = i.to_string();
-                let label = |name| obs::label(name, &[("shard", &shard)]);
-                snap.set_counter(&label("aqua_cache_shard_hits_total"), s.hits);
-                snap.set_counter(&label("aqua_cache_shard_misses_total"), s.misses);
-            }
-            snap.set_counter("aqua_cache_invalidations_total", detail.invalidations);
-            let total = detail.total();
-            snap.set_counter("aqua_cache_hits_total", total.hits);
-            snap.set_counter("aqua_cache_misses_total", total.misses);
-            let (p, a) = (
-                synopsis.plan_cache().stats(),
-                synopsis.answer_cache().stats(),
-            );
-            for (kind, hits, misses, invalidations, entries, rate) in [
-                (
-                    "plan",
-                    p.hits,
-                    p.misses,
-                    p.invalidations,
-                    p.entries,
-                    p.hit_rate(),
-                ),
-                (
-                    "answer",
-                    a.hits,
-                    a.misses,
-                    a.invalidations,
-                    a.entries,
-                    a.hit_rate(),
-                ),
+            snap.set_counter("aqua_cache_hits_total", hits);
+            snap.set_counter("aqua_cache_misses_total", misses);
+            let retired = synopsis.retired();
+            snap.set_counter("aqua_cache_invalidations_total", retired);
+            snap.set_counter("aqua_answer_cache_invalidations_total", retired);
+            let answers = synopsis.generation().map_or(0, |g| g.answers.len());
+            for (kind, counts, entries) in [
+                ("plan", self.plans.counts(), self.plans.len()),
+                ("answer", synopsis.answer_counts(), answers),
             ] {
                 let name = |what| format!("aqua_{kind}_cache_{what}");
-                snap.set_counter(&name("hits_total"), hits);
-                snap.set_counter(&name("misses_total"), misses);
-                snap.set_counter(&name("invalidations_total"), invalidations);
+                snap.set_counter(&name("hits_total"), counts.hits());
+                snap.set_counter(&name("misses_total"), counts.misses());
                 snap.set_gauge(&name("entries"), entries as i64);
-                snap.set_gauge(&name("hit_rate_permille"), (rate * 1000.0).round() as i64);
+                let permille = (counts.hit_rate() * 1000.0).round() as i64;
+                snap.set_gauge(&name("hit_rate_permille"), permille);
             }
         }
         let sample_rows = inner.synopsis.as_ref().map_or(0, Synopsis::sample_rows);
@@ -774,8 +742,8 @@ impl Aqua {
     }
 
     /// Insert new tuples into the warehouse. The stored table grows; with a
-    /// synopsis, its maintainer sees each tuple once and the physical plan
-    /// is rebuilt lazily on the next query.
+    /// synopsis, its maintainer sees each tuple once and the next
+    /// approximate query refreshes it.
     pub fn insert_batch(&self, rows: &[Vec<Value>]) -> Result<()> {
         if rows.is_empty() {
             return Ok(());
@@ -790,7 +758,7 @@ impl Aqua {
         if let Ok(synopsis) = &mut inner.synopsis {
             synopsis.ingest(&batch, inner.table.row_count())?;
         }
-        inner.table = Relation::concat(&[&inner.table, &batch])?;
+        inner.table = Arc::new(Relation::concat(&[&inner.table, &batch])?);
         Ok(())
     }
 
@@ -811,23 +779,19 @@ impl Aqua {
         &self,
     ) -> Result<(Relation, Vec<ColumnId>, AquaConfig, Option<bytes::Bytes>)> {
         let mut inner = self.inner.write();
-        let Inner {
-            table,
-            grouping,
-            config,
-            synopsis,
-        } = &mut *inner;
+        let Inner { table, synopsis } = &mut *inner;
         let snapshot = match synopsis {
             Ok(synopsis) => Some(synopsis.export(table)?),
             Err(_) => None,
         };
-        Ok((table.clone(), grouping.clone(), *config, snapshot))
+        let table = Relation::clone(table);
+        Ok((table, self.grouping.clone(), self.config, snapshot))
     }
 
     /// Force a bulk *parallel* reconstruction of the synopsis from the
-    /// stored table, on `config.parallelism` threads. Queries block for
-    /// the duration (writer lock) and then see the new synopsis whole —
-    /// never a partially rebuilt one. The maintainer keeps its stream
+    /// stored table, on `config.parallelism` threads. Queries that pinned
+    /// the old generation finish on it; later ones wait for the writer lock
+    /// and then see the new synopsis whole — never a partially rebuilt one. The maintainer keeps its stream
     /// state for future incremental refreshes. A system without a synopsis
     /// gets one built as [`Self::build`] builds it, and sampled service.
     pub fn rebuild(&self) -> Result<()> {
@@ -837,12 +801,7 @@ impl Aqua {
             Ok(synopsis) => synopsis.rebuild_bulk(&inner.table),
             Err(_) => {
                 let registry = &self.metrics.registry;
-                inner.synopsis = Ok(sample(
-                    &inner.table,
-                    &inner.grouping,
-                    inner.config,
-                    registry,
-                )?);
+                inner.synopsis = Ok(sample(&inner.table, &self.grouping, self.config, registry)?);
                 Ok(())
             }
         }
@@ -931,16 +890,14 @@ impl Aqua {
         let mut profile = self.profile.lock().clone();
         let mut inner = self.inner.write();
         let (table, synopsis) = inner.sampled()?;
-        if synopsis.is_stale() {
-            synopsis.refresh(table)?;
-        }
+        let generation = synopsis.current(table)?;
         // Variance criterion: per-group moments of the workload's hottest
         // measure, summed from the same cached moment cells the bounds
         // path serves from (built on demand if cold).
-        let hottest = profile.hottest_measure().map(|(_, m)| m.expr.clone());
-        if let (Some(expr), Some(input)) = (hottest, synopsis.input()) {
+        if let Some((_, measure)) = profile.hottest_measure() {
+            let (expr, input) = (measure.expr.clone(), &generation.input);
             let (rel, grouping) = (&input.rows, synopsis.grouping());
-            let (strata, cache) = (input.scale_factors.len(), synopsis.query_cache());
+            let (strata, cache) = (input.scale_factors.len(), &generation.cells);
             let (index, layout) = cell_layout(rel, &input.stratum_of_row, strata, grouping, cache);
             let summary = unfiltered_cells(rel, &layout, grouping, expr.as_ref(), cache, None)?;
             for (gid, key) in index.keys().iter().enumerate() {
@@ -1174,6 +1131,22 @@ mod tests {
         assert!(aqua.workload_profile().is_empty());
     }
 
+    /// An answer-cache hit reads the parse for the profile without a
+    /// counted plan-cache lookup: the plan answered nothing.
+    #[test]
+    fn answer_cache_hits_are_not_plan_cache_hits() {
+        let aqua = Aqua::build(table(1000), vec![ColumnId(0)], config()).unwrap();
+        let sql = "SELECT g, COUNT(*) AS c FROM t GROUP BY g";
+        for _ in 0..5 {
+            aqua.answer_sql_shared(sql).unwrap();
+        }
+        let s = aqua.stats();
+        assert_eq!(s.counter("aqua_answer_cache_hits_total"), 4);
+        assert_eq!(s.counter("aqua_plan_cache_hits_total"), 0);
+        assert_eq!(s.counter("aqua_plan_cache_misses_total"), 1);
+        assert_eq!(aqua.workload_profile().queries(), 5);
+    }
+
     /// A row predicate's selectivity reaches the profile on both feature
     /// legs, through the structured and the SQL entry point.
     #[test]
@@ -1210,6 +1183,17 @@ mod tests {
         assert_eq!(served.answer.provenance, AnswerProvenance::Exact);
         assert!(served.answer.bounds.is_empty() && served.rewritten.is_empty());
         assert_eq!(served.answer.confidence, 1.0);
+    }
+
+    /// An exact scan reads the stored table itself, not a copy, so the zone
+    /// maps its pruning pass builds serve every later scan.
+    #[test]
+    fn exact_scans_build_the_tables_zone_maps_once() {
+        let aqua = Aqua::build(table(500), vec![ColumnId(0)], config()).unwrap();
+        assert!(aqua.table_snapshot().zone_maps_if_built().is_none());
+        let q = count_query().with_predicate(relation::Predicate::ge(ColumnId(1), 12.0));
+        exact(&aqua, &q);
+        assert!(aqua.table_snapshot().zone_maps_if_built().is_some());
     }
 
     /// A system without a synopsis scans for every request, only grows its

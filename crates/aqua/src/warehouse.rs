@@ -340,9 +340,9 @@ impl Warehouse {
     /// write-ahead log (length + CRC32C framed) before being applied in
     /// memory, so a crash before the next [`Self::save_all`] loses
     /// nothing — [`Self::open`] replays the log. The in-memory apply is
-    /// [`Aqua::insert_batch`], so WAL inserts invalidate cached
-    /// indexes/summaries exactly like plain ones; a replay on `open` starts
-    /// from a fresh (empty) cache anyway.
+    /// [`Aqua::insert_batch`], so a WAL insert retires the synopsis
+    /// generation exactly like a plain one; a replay on `open` starts from
+    /// a fresh generation anyway.
     pub fn insert_logged(
         &self,
         store: &dyn SnapshotStore,

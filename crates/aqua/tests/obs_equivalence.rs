@@ -1,7 +1,8 @@
 //! Observability must be a pure observer: answers and error bounds from
 //! the instrumented [`Aqua::answer`] path are bit-identical to a manual,
-//! uninstrumented execution of the same pipeline (`Synopsis` +
-//! `plan.execute_opts` with no trace + `compute_bounds_cached`).
+//! uninstrumented execution of the same pipeline (`Synopsis` + the
+//! configured rewrite's plan over its generation, `plan.execute_opts` with
+//! no trace + `compute_bounds_cached`).
 //!
 //! The manual path below contains zero metric calls on *either* feature
 //! leg, so running this test under both the default build and
@@ -11,7 +12,10 @@
 
 use aqua::answer::compute_bounds_cached;
 use aqua::{Aqua, AquaConfig, RewriteChoice, SamplingStrategy, Synopsis};
-use engine::{AggregateSpec, ExecOptions, GroupByQuery};
+use engine::{
+    AggregateSpec, ExecOptions, GroupByQuery, Integrated, KeyNormalized, NestedIntegrated,
+    Normalized, SamplePlan,
+};
 use relation::{ColumnId, DataType, Expr, GroupKey, Predicate, Relation, RelationBuilder, Value};
 
 fn sales(n: i64) -> Relation {
@@ -96,8 +100,9 @@ fn bound_bits(bounds: &[aqua::GroupBounds]) -> BoundBits {
 
 /// The uninstrumented reference: a `Synopsis` built exactly the way
 /// `Aqua::build` builds one (ingest + bulk rebuild), queried directly
-/// through `plan.execute_opts` with `trace: None` and bounds computed via
-/// `compute_bounds_cached` — the answer pipeline with no observer.
+/// through the configured rewrite's `plan.execute_opts` over its generation
+/// with `trace: None` and bounds computed via `compute_bounds_cached` — the
+/// answer pipeline with no observer.
 fn manual_answers(
     table: &Relation,
     config: AquaConfig,
@@ -106,9 +111,14 @@ fn manual_answers(
     let mut synopsis = Synopsis::new(config, vec![ColumnId(0)]).unwrap();
     synopsis.ingest(table, 0).unwrap();
     synopsis.rebuild_bulk(table).unwrap();
-    let plan = synopsis.plan().unwrap();
-    let cache = synopsis.query_cache();
-    let input = synopsis.input().unwrap();
+    let generation = synopsis.generation().unwrap();
+    let (cache, input) = (&generation.cells, &generation.input);
+    let plan: Box<dyn SamplePlan> = match config.rewrite {
+        RewriteChoice::Integrated => Box::new(Integrated::build(input).unwrap()),
+        RewriteChoice::NestedIntegrated => Box::new(NestedIntegrated::build(input).unwrap()),
+        RewriteChoice::Normalized => Box::new(Normalized::build(input).unwrap()),
+        RewriteChoice::KeyNormalized => Box::new(KeyNormalized::build(input).unwrap()),
+    };
     queries
         .iter()
         .map(|q| {

@@ -1,4 +1,4 @@
-//! Per-synopsis memoization for the query-serving fast path.
+//! Per-generation memoization for the query-serving fast path.
 //!
 //! The paper's premise (§5) is that the synopsis is small and precomputed
 //! so queries are cheap — but a naive executor still rebuilds a
@@ -21,41 +21,21 @@
 //!   stratum id, with one contiguous run per stratum — the one counting
 //!   sort every grouping's [`CellLayout`] is built from.
 //!
-//! Concurrency: the maps are sharded by key hash and guarded by
-//! `parking_lot::RwLock`s, so the steady state (every entry warm) is
-//! read-locks only — many clients answer concurrently without contending on
-//! a single mutex. Heavy computation happens outside any lock; on a cold
-//! race both racers compute the identical value and the first insert wins.
-//!
-//! The owner ([`Synopsis`](../../aqua) in the aqua crate) must call
-//! [`QueryCache::invalidate`] whenever the backing sample changes;
-//! everything here is interior-mutable and `Sync` because answering holds
-//! only a read lock on the synopsis.
+//! Each kind is a [`Memo`] map, so lookups are shard read locks and the
+//! heavy computation happens outside any lock. A [`QueryCache`] belongs to
+//! one immutable sample generation and is dropped with it, never cleared;
+//! [`CacheCounts`] carry the hit/miss counts from one generation's cache
+//! to the next.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::RwLock;
-
 use relation::{ColumnId, Relation};
 
 use crate::grouping::GroupIndex;
+use crate::memo::{Memo, MemoCounts};
 use crate::rewrite::QueryCells;
-
-/// Number of lock shards per table. Sixteen keeps the per-shard collision
-/// probability low for realistic working sets (a handful of groupings ×
-/// measures) while the array stays small enough to scan on invalidation.
-const SHARDS: usize = 16;
-
-fn shard_of<K: Hash + ?Sized>(key: &K) -> usize {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() as usize) % SHARDS
-}
 
 /// Execution options threaded through
 /// [`SamplePlan::execute_opts`](crate::rewrite::SamplePlan::execute_opts):
@@ -242,75 +222,6 @@ impl ExecTrace {
     }
 }
 
-/// Hit/miss counters for a [`QueryCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that had to compute and insert.
-    pub misses: u64,
-}
-
-/// Hit/miss pair for one cache kind or shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct KindStats {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that had to compute and insert.
-    pub misses: u64,
-}
-
-impl KindStats {
-    /// Hits over total lookups; 0.0 when nothing was looked up.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Full counter breakdown for a [`QueryCache`]: per memoized-structure
-/// kind, per lock shard (for the sharded maps), plus the invalidation
-/// count. `total()` recovers the legacy aggregate [`CacheStats`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CacheStatsDetail {
-    /// Unfiltered group-index lookups.
-    pub index: KindStats,
-    /// Stratum-summary (moment cells) and cell-layout lookups.
-    pub stratum_summary: KindStats,
-    /// Stratum-layout lookups (single-slot, unsharded).
-    pub layout: KindStats,
-    /// Per-lock-shard totals across the sharded maps.
-    pub shards: Vec<KindStats>,
-    /// Times [`QueryCache::invalidate`] dropped every entry.
-    pub invalidations: u64,
-}
-
-impl CacheStatsDetail {
-    /// `(name, stats)` for every kind, in a stable order.
-    pub fn kinds(&self) -> [(&'static str, KindStats); KINDS] {
-        [
-            ("index", self.index),
-            ("stratum_summary", self.stratum_summary),
-            ("layout", self.layout),
-        ]
-    }
-
-    /// Aggregate hit/miss totals over every kind.
-    pub fn total(&self) -> CacheStats {
-        let mut hits = 0;
-        let mut misses = 0;
-        for (_, k) in self.kinds() {
-            hits += k.hits;
-            misses += k.misses;
-        }
-        CacheStats { hits, misses }
-    }
-}
-
 /// Per-(group, stratum) moment cell: `count`, `Σx`, `Σx²`, and the value
 /// range. Mirrors `congress::bounds::Moments` field-for-field (the aqua
 /// crate converts directly) without making engine depend on congress.
@@ -489,104 +400,59 @@ impl StratumSummary {
     }
 }
 
-type IndexShard = RwLock<HashMap<Vec<ColumnId>, Arc<GroupIndex>>>;
-type StratumKey = (Vec<ColumnId>, String);
-type StratumShard = RwLock<HashMap<StratumKey, Arc<StratumSummary>>>;
-type CellLayoutShard = RwLock<HashMap<Vec<ColumnId>, Arc<CellLayout>>>;
+/// Lifetime hit/miss counts of the [`QueryCache`]s of successive sample
+/// generations, per memoized-structure kind.
+#[derive(Debug, Default)]
+pub struct CacheCounts {
+    /// Unfiltered group-index lookups.
+    pub index: Arc<MemoCounts>,
+    /// Stratum-summary (moment cells) and cell-layout lookups.
+    pub stratum_summary: Arc<MemoCounts>,
+    /// Stratum-layout lookups.
+    pub layout: Arc<MemoCounts>,
+}
+
+impl CacheCounts {
+    /// `(name, counts)` for every kind, in a stable order.
+    pub fn kinds(&self) -> [(&'static str, &MemoCounts); 3] {
+        [
+            ("index", &self.index),
+            ("stratum_summary", &self.stratum_summary),
+            ("layout", &self.layout),
+        ]
+    }
+}
 
 /// Memoized query-serving state for one immutable sample generation.
-///
-/// Thread-safe with interior mutability; see the module docs for the
-/// sharded read-mostly locking design.
+#[derive(Debug, Default)]
 pub struct QueryCache {
-    indexes: Vec<IndexShard>,
-    stratum_summaries: Vec<StratumShard>,
+    indexes: Memo<Vec<ColumnId>, GroupIndex>,
     /// Per-grouping cell layouts; counted with the stratum-summary kind.
-    cell_layouts: Vec<CellLayoutShard>,
-    layout: RwLock<Option<Arc<StratumLayout>>>,
-    /// Hit/miss counters per cache kind ([`Kind`] order).
-    kind_hits: [AtomicU64; KINDS],
-    kind_misses: [AtomicU64; KINDS],
-    /// Hit/miss counters per lock shard (sharded maps only).
-    shard_hits: Vec<AtomicU64>,
-    shard_misses: Vec<AtomicU64>,
-    invalidations: AtomicU64,
-}
-
-/// Internal index into the per-kind counter arrays; mirrors the field
-/// order of [`CacheStatsDetail`].
-#[derive(Clone, Copy)]
-enum Kind {
-    Index = 0,
-    StratumSummary = 1,
-    Layout = 2,
-}
-
-const KINDS: usize = 3;
-
-impl Default for QueryCache {
-    fn default() -> Self {
-        QueryCache {
-            indexes: (0..SHARDS).map(|_| RwLock::default()).collect(),
-            stratum_summaries: (0..SHARDS).map(|_| RwLock::default()).collect(),
-            cell_layouts: (0..SHARDS).map(|_| RwLock::default()).collect(),
-            layout: RwLock::new(None),
-            kind_hits: std::array::from_fn(|_| AtomicU64::new(0)),
-            kind_misses: std::array::from_fn(|_| AtomicU64::new(0)),
-            shard_hits: (0..SHARDS).map(|_| AtomicU64::new(0)).collect(),
-            shard_misses: (0..SHARDS).map(|_| AtomicU64::new(0)).collect(),
-            invalidations: AtomicU64::new(0),
-        }
-    }
-}
-
-impl std::fmt::Debug for QueryCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let stats = self.stats();
-        let groupings: usize = self.indexes.iter().map(|s| s.read().len()).sum();
-        let summaries: usize = self.stratum_summaries.iter().map(|s| s.read().len()).sum();
-        f.debug_struct("QueryCache")
-            .field("cached_groupings", &groupings)
-            .field("cached_summaries", &summaries)
-            .field("hits", &stats.hits)
-            .field("misses", &stats.misses)
-            .finish()
-    }
+    cell_layouts: Memo<Vec<ColumnId>, CellLayout>,
+    summaries: Memo<(Vec<ColumnId>, String), StratumSummary>,
+    layout: Memo<(), StratumLayout>,
 }
 
 impl QueryCache {
-    /// Fresh, empty cache.
+    /// Fresh, empty cache with counts of its own.
     pub fn new() -> QueryCache {
         QueryCache::default()
     }
 
-    #[inline]
-    fn hit(&self, kind: Kind, shard: Option<usize>) {
-        self.kind_hits[kind as usize].fetch_add(1, Ordering::Relaxed);
-        if let Some(s) = shard {
-            self.shard_hits[s].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    #[inline]
-    fn miss(&self, kind: Kind, shard: Option<usize>) {
-        self.kind_misses[kind as usize].fetch_add(1, Ordering::Relaxed);
-        if let Some(s) = shard {
-            self.shard_misses[s].fetch_add(1, Ordering::Relaxed);
+    /// Fresh, empty cache counting into `counts`.
+    pub fn counting(counts: &CacheCounts) -> QueryCache {
+        QueryCache {
+            indexes: Memo::new(Arc::clone(&counts.index)),
+            cell_layouts: Memo::new(Arc::clone(&counts.stratum_summary)),
+            summaries: Memo::new(Arc::clone(&counts.stratum_summary)),
+            layout: Memo::new(Arc::clone(&counts.layout)),
         }
     }
 
     /// The *unfiltered* group index of `rel` under `cols`, memoized.
     pub fn index_for(&self, rel: &Relation, cols: &[ColumnId]) -> Arc<GroupIndex> {
-        let shard_ix = shard_of(cols);
-        let shard = &self.indexes[shard_ix];
-        if let Some(ix) = shard.read().get(cols) {
-            self.hit(Kind::Index, Some(shard_ix));
-            return Arc::clone(ix);
-        }
-        self.miss(Kind::Index, Some(shard_ix));
-        let built = Arc::new(GroupIndex::build(rel, cols));
-        Arc::clone(shard.write().entry(cols.to_vec()).or_insert(built))
+        self.indexes
+            .get_or_insert_with(cols, || GroupIndex::build(rel, cols))
     }
 
     /// The memoized [`CellLayout`] for grouping `cols`, building it via
@@ -597,15 +463,7 @@ impl QueryCache {
         cols: &[ColumnId],
         build: impl FnOnce() -> CellLayout,
     ) -> Arc<CellLayout> {
-        let shard_ix = shard_of(cols);
-        let shard = &self.cell_layouts[shard_ix];
-        if let Some(l) = shard.read().get(cols) {
-            self.hit(Kind::StratumSummary, Some(shard_ix));
-            return Arc::clone(l);
-        }
-        self.miss(Kind::StratumSummary, Some(shard_ix));
-        let built = Arc::new(build());
-        Arc::clone(shard.write().entry(cols.to_vec()).or_insert(built))
+        self.cell_layouts.get_or_insert_with(cols, build)
     }
 
     /// The memoized [`StratumSummary`] for `(cols, measure)`, building it
@@ -616,71 +474,13 @@ impl QueryCache {
         measure: &str,
         build: impl FnOnce() -> crate::error::Result<StratumSummary>,
     ) -> crate::error::Result<Arc<StratumSummary>> {
-        let key: StratumKey = (cols.to_vec(), measure.to_string());
-        let shard_ix = shard_of(&key);
-        let shard = &self.stratum_summaries[shard_ix];
-        if let Some(s) = shard.read().get(&key) {
-            self.hit(Kind::StratumSummary, Some(shard_ix));
-            return Ok(Arc::clone(s));
-        }
-        self.miss(Kind::StratumSummary, Some(shard_ix));
-        let built = Arc::new(build()?);
-        Ok(Arc::clone(shard.write().entry(key).or_insert(built)))
+        let key = (cols.to_vec(), measure.to_string());
+        self.summaries.get_or_try_insert_with(&key, build)
     }
 
     /// The memoized stratum layout, building it via `build` on a miss.
     pub fn layout_for(&self, build: impl FnOnce() -> StratumLayout) -> Arc<StratumLayout> {
-        if let Some(l) = &*self.layout.read() {
-            self.hit(Kind::Layout, None);
-            return Arc::clone(l);
-        }
-        self.miss(Kind::Layout, None);
-        let l = Arc::new(build());
-        let mut guard = self.layout.write();
-        Arc::clone(guard.get_or_insert(l))
-    }
-
-    /// Drop every memoized value. Must be called whenever the backing
-    /// sample changes (insert/refresh/rebuild/import); counters survive so
-    /// long-running systems keep meaningful hit rates.
-    pub fn invalidate(&self) {
-        for shard in &self.indexes {
-            shard.write().clear();
-        }
-        for shard in &self.stratum_summaries {
-            shard.write().clear();
-        }
-        for shard in &self.cell_layouts {
-            shard.write().clear();
-        }
-        *self.layout.write() = None;
-        self.invalidations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Lifetime hit/miss counters, aggregated over every cache kind.
-    pub fn stats(&self) -> CacheStats {
-        self.stats_detailed().total()
-    }
-
-    /// Full counter breakdown: per kind, per lock shard, plus the
-    /// invalidation count.
-    pub fn stats_detailed(&self) -> CacheStatsDetail {
-        let kind = |k: Kind| KindStats {
-            hits: self.kind_hits[k as usize].load(Ordering::Relaxed),
-            misses: self.kind_misses[k as usize].load(Ordering::Relaxed),
-        };
-        CacheStatsDetail {
-            index: kind(Kind::Index),
-            stratum_summary: kind(Kind::StratumSummary),
-            layout: kind(Kind::Layout),
-            shards: (0..SHARDS)
-                .map(|s| KindStats {
-                    hits: self.shard_hits[s].load(Ordering::Relaxed),
-                    misses: self.shard_misses[s].load(Ordering::Relaxed),
-                })
-                .collect(),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-        }
+        self.layout.get_or_insert_with(&(), build)
     }
 }
 
@@ -773,16 +573,16 @@ mod tests {
     #[test]
     fn index_cache_hits_on_same_grouping() {
         let r = rel(100);
-        let cache = QueryCache::new();
+        let counts = CacheCounts::default();
+        let cache = QueryCache::counting(&counts);
         let a = cache.index_for(&r, &[ColumnId(0)]);
         let b = cache.index_for(&r, &[ColumnId(0)]);
         assert!(Arc::ptr_eq(&a, &b));
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
+        assert_eq!((counts.index.hits(), counts.index.misses()), (1, 1));
         // A different grouping is a separate entry.
         let c = cache.index_for(&r, &[ColumnId(0), ColumnId(1)]);
         assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(cache.stats().misses, 2);
+        assert_eq!(counts.index.misses(), 2);
     }
 
     fn empty_table() -> StratumSummary {
@@ -844,69 +644,55 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_drops_entries_but_keeps_counters() {
+    fn next_generation_rebuilds_entries_and_keeps_counts() {
         let r = rel(50);
-        let cache = QueryCache::new();
-        cache.index_for(&r, &[ColumnId(0)]);
-        let by_stratum = cache.layout_for(|| StratumLayout::build(&[0; 50], 1));
-        let ix = GroupIndex::build(&r, &[ColumnId(0)]);
-        let layout = cache.cell_layout_for(&[ColumnId(0)], || CellLayout::build(&ix, &by_stratum));
-        let _ = cache
+        let counts = CacheCounts::default();
+        let retired = QueryCache::counting(&counts);
+        let a = retired.index_for(&r, &[ColumnId(0)]);
+        let by_stratum = retired.layout_for(|| StratumLayout::build(&[0; 50], 1));
+        let _ = retired
             .stratum_summary_for(&[ColumnId(0)], "SUM(v)", || Ok(empty_table()))
             .unwrap();
-        cache.invalidate();
-        let before = cache.stats();
-        let a = cache.index_for(&r, &[ColumnId(0)]);
-        assert_eq!(cache.stats().misses, before.misses + 1);
-        // Re-built after invalidation, not resurrected.
-        let b = cache.index_for(&r, &[ColumnId(0)]);
-        assert!(Arc::ptr_eq(&a, &b));
-        // Cells were dropped too: the rebuild closures must run.
+        let next = QueryCache::counting(&counts);
+        // Built again for the new generation, not carried over.
+        let b = next.index_for(&r, &[ColumnId(0)]);
+        assert!(!Arc::ptr_eq(&a, &b));
         let mut ran = false;
-        let _ = cache
+        let _ = next
             .stratum_summary_for(&[ColumnId(0)], "SUM(v)", || {
                 ran = true;
                 Ok(empty_table())
             })
             .unwrap();
         assert!(ran);
-        let rebuilt = cache.cell_layout_for(&[ColumnId(0)], || CellLayout::build(&ix, &by_stratum));
-        assert!(!Arc::ptr_eq(&layout, &rebuilt));
-        let resorted = cache.layout_for(|| StratumLayout::build(&[0; 50], 1));
+        let resorted = next.layout_for(|| StratumLayout::build(&[0; 50], 1));
         assert!(!Arc::ptr_eq(&by_stratum, &resorted));
-        assert!(format!("{cache:?}").contains("cached_groupings"));
+        // Both generations counted into the same kinds.
+        assert_eq!((counts.index.hits(), counts.index.misses()), (0, 2));
+        assert_eq!(counts.stratum_summary.misses(), 2);
+        assert_eq!(counts.layout.misses(), 2);
+        assert!(format!("{next:?}").contains("indexes"));
     }
 
     #[test]
-    fn detailed_stats_break_down_by_kind_and_shard() {
+    fn counts_break_down_by_kind() {
         let r = rel(100);
-        let cache = QueryCache::new();
+        let counts = CacheCounts::default();
+        let cache = QueryCache::counting(&counts);
         cache.index_for(&r, &[ColumnId(0)]);
         cache.index_for(&r, &[ColumnId(0)]);
-        let _ = cache.layout_for(|| StratumLayout::build(&[0, 0], 1));
-        let d = cache.stats_detailed();
-        assert_eq!((d.index.hits, d.index.misses), (1, 1));
-        assert_eq!((d.layout.hits, d.layout.misses), (0, 1));
-        assert_eq!(d.stratum_summary, KindStats::default());
-        // The aggregate view is exactly the per-kind sum.
-        assert_eq!(d.total(), cache.stats());
-        assert_eq!(d.total(), CacheStats { hits: 1, misses: 2 });
-        // Shard counters only track the sharded maps (index lookups here),
-        // and both index lookups hashed to the same shard.
-        let shard_total: u64 = d.shards.iter().map(|s| s.hits + s.misses).sum();
-        assert_eq!(shard_total, 2);
-        assert!(d.shards.iter().any(|s| (s.hits, s.misses) == (1, 1)));
-        assert!((d.index.hit_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(KindStats::default().hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn invalidations_are_counted() {
-        let cache = QueryCache::new();
-        assert_eq!(cache.stats_detailed().invalidations, 0);
-        cache.invalidate();
-        cache.invalidate();
-        assert_eq!(cache.stats_detailed().invalidations, 2);
+        let by_stratum = cache.layout_for(|| StratumLayout::build(&[0; 100], 1));
+        let ix = GroupIndex::build(&r, &[ColumnId(0)]);
+        cache.cell_layout_for(&[ColumnId(0)], || CellLayout::build(&ix, &by_stratum));
+        let seen: Vec<_> = counts
+            .kinds()
+            .iter()
+            .map(|(name, c)| (*name, c.hits(), c.misses()))
+            .collect();
+        assert_eq!(
+            seen,
+            [("index", 1, 1), ("stratum_summary", 0, 1), ("layout", 0, 1)]
+        );
     }
 
     #[test]

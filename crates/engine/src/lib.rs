@@ -26,6 +26,7 @@ pub mod error;
 pub mod exec;
 pub mod grouping;
 pub mod join;
+pub mod memo;
 pub mod plan_cache;
 pub mod query;
 pub mod result;
@@ -35,14 +36,15 @@ pub mod stratified;
 
 pub use aggregate::{AggregateFn, AggregateSpec, Partial};
 pub use cache::{
-    CacheStats, CacheStatsDetail, CellLayout, ExecOptions, ExecTrace, KindStats, QueryCache,
-    ServedFrom, StratumCell, StratumLayout, StratumSummary,
+    CacheCounts, CellLayout, ExecOptions, ExecTrace, QueryCache, ServedFrom, StratumCell,
+    StratumLayout, StratumSummary,
 };
 pub use cancel::CancelToken;
 pub use error::{EngineError, Result};
 pub use exec::{execute_exact, execute_exact_opts};
 pub use grouping::GroupIndex;
-pub use plan_cache::{CachedPlan, PlanCache, PlanCacheStats};
+pub use memo::{Memo, MemoCounts};
+pub use plan_cache::{CachedPlan, PlanCache};
 pub use query::{GroupByQuery, Having};
 pub use result::QueryResult;
 pub use rewrite::{

@@ -1,8 +1,9 @@
-//! The paper's four query-rewriting strategies (§5.2) as physical plans.
+//! The paper's four query-rewriting strategies (§5.2) as physical plans,
+//! and the one moment fold that serves them all.
 //!
-//! Given a [`StratifiedInput`](crate::StratifiedInput), each strategy materializes a physical
-//! *synopsis layout* once (at sample-construction time) and then answers
-//! arbitrary [`GroupByQuery`]s against it:
+//! Given a [`StratifiedInput`](crate::StratifiedInput), each strategy's
+//! `build` materializes the paper's physical *synopsis layout* and then
+//! answers arbitrary [`GroupByQuery`]s against it:
 //!
 //! | Strategy | Layout | Per-query cost profile |
 //! |---|---|---|
@@ -17,11 +18,14 @@
 //! every tuple, so a group's rate change rewrites many tuples; Normalized
 //! layouts confine it to one AuxRel row).
 //!
-//! The table's costs are those of the cold plans (no [`QueryCache`]), which
-//! the paper's experiments time. With a cache every strategy is served by
-//! [`execute_cells`]: one fold of the selected rows into per-(group,
-//! stratum) moments, from which both the estimates and the error bounds
-//! are read.
+//! The table's costs are those of these cold plans (no [`QueryCache`]),
+//! which the paper's experiments, the criterion benches and the
+//! equivalence tests run. Serving builds no layout: it calls
+//! [`execute_cells`] on the stratified input itself — one fold of the
+//! selected rows into per-(group, stratum) moments, from which both the
+//! estimates and the error bounds are read — and a plan given a cache
+//! sends its query there too. The layouts only append columns, so both
+//! see the same rows in the same order.
 
 mod integrated;
 mod key_normalized;

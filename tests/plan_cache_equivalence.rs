@@ -156,6 +156,7 @@ fn cache_hit_equals_cold_parse_across_rewrites() {
 fn plan_cache_hit_after_ingest_equals_fresh_plan() {
     let aqua = build_system(RewriteChoice::NestedIntegrated);
     let (_warmup, rewritten_before) = answer_sql(&aqua, BASE);
+    let plans_before = aqua.stats().gauge("aqua_plan_cache_entries");
 
     // Ingest clears the answer cache (data changed) but not the plan
     // cache (schema didn't).
@@ -169,6 +170,11 @@ fn plan_cache_hit_after_ingest_equals_fresh_plan() {
         })
         .collect();
     aqua.insert_batch(&batch).unwrap();
+    assert_eq!(
+        aqua.stats().gauge("aqua_plan_cache_entries"),
+        plans_before,
+        "ingest must keep every cached plan"
+    );
 
     // Served through the cached plan…
     let (via_plan_cache, rewritten_after) = answer_sql(&aqua, BASE);
@@ -189,7 +195,6 @@ fn plan_cache_hit_after_ingest_equals_fresh_plan() {
         "post-ingest repeat must hit the plan cache"
     );
     assert_eq!(snap.counter("aqua_plan_cache_misses_total"), 1);
-    assert_eq!(snap.counter("aqua_plan_cache_invalidations_total"), 0);
     assert!(
         snap.counter("aqua_answer_cache_invalidations_total") >= 1,
         "ingest must clear the answer cache"
