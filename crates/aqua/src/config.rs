@@ -3,63 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Which §4 allocation strategy backs the synopsis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SamplingStrategy {
-    /// Uniform sample of the relation (§4.3).
-    House,
-    /// Equal space per finest group (§4.4).
-    Senate,
-    /// max(House, Senate) scaled (§4.5).
-    BasicCongress,
-    /// Full lattice maximum (§4.6) — the paper's recommendation.
-    Congress,
-}
-
-impl SamplingStrategy {
-    /// Display name matching the paper's figures.
-    pub fn name(self) -> &'static str {
-        match self {
-            SamplingStrategy::House => "House",
-            SamplingStrategy::Senate => "Senate",
-            SamplingStrategy::BasicCongress => "Basic Congress",
-            SamplingStrategy::Congress => "Congress",
-        }
-    }
-
-    /// All four, in the paper's presentation order.
-    pub fn all() -> [SamplingStrategy; 4] {
-        [
-            SamplingStrategy::House,
-            SamplingStrategy::Senate,
-            SamplingStrategy::BasicCongress,
-            SamplingStrategy::Congress,
-        ]
-    }
-
-    /// Stable lowercase token used by the CLI.
-    pub fn token(self) -> &'static str {
-        match self {
-            SamplingStrategy::House => "house",
-            SamplingStrategy::Senate => "senate",
-            SamplingStrategy::BasicCongress => "basic",
-            SamplingStrategy::Congress => "congress",
-        }
-    }
-
-    /// Parse a [`Self::token`] back.
-    pub fn from_token(token: &str) -> crate::Result<SamplingStrategy> {
-        match token {
-            "house" => Ok(SamplingStrategy::House),
-            "senate" => Ok(SamplingStrategy::Senate),
-            "basic" => Ok(SamplingStrategy::BasicCongress),
-            "congress" => Ok(SamplingStrategy::Congress),
-            other => Err(crate::AquaError::InvalidConfig(format!(
-                "unknown strategy `{other}` (house|senate|basic|congress)"
-            ))),
-        }
-    }
-}
+pub use congress::SamplingStrategy;
 
 /// Which §5 rewrite the served answers name: it picks the rewritten SQL
 /// and the `rewrite` metric label. Every choice is answered from the same

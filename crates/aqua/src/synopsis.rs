@@ -6,71 +6,14 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use congress::build::{
-    BasicCongressMaintainer, CongressEvictionMaintainer, HouseMaintainer, IncrementalMaintainer,
-    SenateMaintainer,
-};
+use congress::build::{BasicCongressMaintainer, IncrementalMaintainer, Maintainer};
 use congress::{AllocationStrategy, CongressionalSample, GroupCensus, SeedSpec};
 use engine::{CacheCounts, MemoCounts, QueryCache, StratifiedInput};
 use relation::{ColumnId, GroupKey, Relation};
 
-use crate::config::{AquaConfig, SamplingStrategy};
+use crate::config::AquaConfig;
 use crate::error::Result;
 use crate::serve_cache::AnswerCache;
-
-/// Maintainer dispatch over the four strategies. Basic Congress streams
-/// each ingest batch into a private delta maintainer and merges it
-/// (Theorem 6.1); full Congress runs the bounded-memory Eq-8
-/// probabilistic-eviction maintainer — both keep sustained streaming
-/// ingest O(sample) instead of forcing full rebuilds.
-#[derive(Debug, Clone)]
-enum Maintainer {
-    House(HouseMaintainer),
-    Senate(SenateMaintainer),
-    Basic(BasicCongressMaintainer),
-    Congress(CongressEvictionMaintainer),
-}
-
-impl Maintainer {
-    fn new(strategy: SamplingStrategy, space: usize, attrs: usize) -> Maintainer {
-        match strategy {
-            SamplingStrategy::House => Maintainer::House(HouseMaintainer::new(space)),
-            SamplingStrategy::Senate => Maintainer::Senate(SenateMaintainer::new(space)),
-            SamplingStrategy::BasicCongress => {
-                Maintainer::Basic(BasicCongressMaintainer::new(space))
-            }
-            SamplingStrategy::Congress => {
-                Maintainer::Congress(CongressEvictionMaintainer::new(attrs, space as f64))
-            }
-        }
-    }
-
-    fn insert(&mut self, row: usize, key: &GroupKey, rng: &mut StdRng) {
-        match self {
-            Maintainer::House(m) => m.insert(row, key, rng),
-            Maintainer::Senate(m) => m.insert(row, key, rng),
-            Maintainer::Basic(m) => m.insert(row, key, rng),
-            Maintainer::Congress(m) => m.insert(row, key, rng),
-        }
-    }
-
-    fn snapshot(&self, rng: &mut StdRng) -> Result<CongressionalSample> {
-        Ok(match self {
-            Maintainer::House(m) => m.snapshot(rng)?,
-            Maintainer::Senate(m) => m.snapshot(rng)?,
-            Maintainer::Basic(m) => m.snapshot(rng)?,
-            Maintainer::Congress(m) => m.snapshot(rng)?,
-        })
-    }
-
-    /// Tuples evicted by Eq-8 rebalances (full Congress only).
-    fn evictions(&self) -> u64 {
-        match self {
-            Maintainer::Congress(m) => m.evictions(),
-            _ => 0,
-        }
-    }
-}
 
 /// One immutable state of a synopsis: the materialized sample and every
 /// structure built from it. A refresh, rebuild or import makes a new one;
@@ -158,7 +101,7 @@ impl Synopsis {
     pub fn ingest(&mut self, rel: &Relation, first_row: usize) -> Result<()> {
         let evictions_before = self.maintainer.evictions();
         self.stream(rel, first_row);
-        if matches!(self.maintainer, Maintainer::Basic(_)) {
+        if matches!(self.maintainer, Maintainer::BasicCongress(_)) {
             self.registry.counter("synopsis_delta_merges_total").inc();
         }
         let evicted = self.maintainer.evictions() - evictions_before;
@@ -184,7 +127,7 @@ impl Synopsis {
             // delta maintainer, then merge it into the history in one
             // O(sample) step — the batch never re-touches old reservoirs
             // row by row.
-            Maintainer::Basic(m) => {
+            Maintainer::BasicCongress(m) => {
                 let mut delta = BasicCongressMaintainer::new(self.config.space);
                 for r in 0..rel.row_count() {
                     delta.insert(first_row + r, &key(r), &mut self.rng);
@@ -197,16 +140,6 @@ impl Synopsis {
                 }
             }
         }
-    }
-
-    /// `sample` over `table` as the plan's stratified input: House is
-    /// scaled as a plain uniform sample (Figure 2's 100×), the others
-    /// post-stratified.
-    fn input_of(&self, sample: &CongressionalSample, table: &Relation) -> Result<StratifiedInput> {
-        Ok(match self.config.strategy {
-            SamplingStrategy::House => sample.to_stratified_input_uniform(table)?,
-            _ => sample.to_stratified_input(table)?,
-        })
     }
 
     /// Retire the generation, if it is still fresh: it counts in
@@ -242,7 +175,7 @@ impl Synopsis {
         let timer = obs::Timer::start();
         let mut sample = self.maintainer.snapshot(&mut self.rng)?;
         sample.set_grouping_columns(self.grouping.clone());
-        let input = self.input_of(&sample, table)?;
+        let input = self.config.strategy.stratified_input(&sample, table)?;
         self.install(sample, input);
         self.registry.counter("synopsis_refreshes_total").inc();
         self.registry
@@ -294,13 +227,7 @@ impl Synopsis {
                 .histogram("synopsis_build_census_us")
                 .record(timer.elapsed_us());
             let spec = SeedSpec::new(self.config.seed);
-            let configured: &dyn AllocationStrategy = match self.config.strategy {
-                SamplingStrategy::House => &congress::alloc::House,
-                SamplingStrategy::Senate => &congress::alloc::Senate,
-                SamplingStrategy::BasicCongress => &congress::alloc::BasicCongress,
-                SamplingStrategy::Congress => &congress::alloc::Congress,
-            };
-            let strategy = strategy_override.unwrap_or(configured);
+            let strategy = strategy_override.unwrap_or(self.config.strategy.allocator());
             let timer = obs::Timer::start();
             let allocation = strategy.allocate(&census, self.config.space as f64)?;
             registry
@@ -314,7 +241,7 @@ impl Synopsis {
                 strategy.name(),
                 &spec,
             )?;
-            let input = self.input_of(&sample, table)?;
+            let input = self.config.strategy.stratified_input(&sample, table)?;
             registry
                 .histogram("synopsis_build_draw_us")
                 .record(timer.elapsed_us());
@@ -434,7 +361,7 @@ impl Synopsis {
         let sample = congress::snapshot::decode(snapshot)?;
         let grouping = sample.grouping_columns().to_vec();
         let mut syn = Synopsis::new_in(config, grouping, registry)?;
-        let input = syn.input_of(&sample, table)?;
+        let input = syn.config.strategy.stratified_input(&sample, table)?;
         syn.install(sample, input);
         syn.stream(table, 0);
         syn.registry.counter("synopsis_imports_total").inc();
@@ -445,7 +372,7 @@ impl Synopsis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RewriteChoice;
+    use crate::config::{RewriteChoice, SamplingStrategy};
     use relation::{DataType, RelationBuilder, Value};
 
     fn table(n: i64) -> Relation {

@@ -5,9 +5,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use congress::alloc::{BasicCongress, Congress, House, Senate};
-use congress::build::{construct_one_pass, OnePassStrategy};
-use congress::{CongressionalSample, GroupCensus};
+use congress::alloc::Congress;
+use congress::build::construct_one_pass;
+use congress::{CongressionalSample, GroupCensus, SamplingStrategy, SeedSpec};
 use tpcd::{GeneratorConfig, TpcdDataset};
 
 fn bench_construction(c: &mut Criterion) {
@@ -24,54 +24,25 @@ fn bench_construction(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("construct_census");
     group.sample_size(10);
-    group.bench_function("House", |b| {
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(3);
-            CongressionalSample::draw(&ds.relation, &census, &House, space as f64, &mut rng)
-                .unwrap()
-        })
-    });
-    group.bench_function("Senate", |b| {
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(3);
-            CongressionalSample::draw(&ds.relation, &census, &Senate, space as f64, &mut rng)
-                .unwrap()
-        })
-    });
-    group.bench_function("BasicCongress", |b| {
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(3);
-            CongressionalSample::draw(
-                &ds.relation,
-                &census,
-                &BasicCongress,
-                space as f64,
-                &mut rng,
-            )
-            .unwrap()
-        })
-    });
-    group.bench_function("Congress", |b| {
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(3);
-            CongressionalSample::draw(&ds.relation, &census, &Congress, space as f64, &mut rng)
-                .unwrap()
-        })
-    });
+    for strategy in SamplingStrategy::all() {
+        group.bench_function(format!("{strategy:?}"), |b| {
+            b.iter(|| {
+                let spec = SeedSpec::new(3);
+                let allocator = strategy.allocator();
+                CongressionalSample::draw_par(&ds.relation, &census, allocator, space as f64, &spec)
+                    .unwrap()
+            })
+        });
+    }
     group.finish();
 
     let mut group = c.benchmark_group("construct_one_pass");
     group.sample_size(10);
-    for (name, strat) in [
-        ("House", OnePassStrategy::House),
-        ("Senate", OnePassStrategy::Senate),
-        ("BasicCongress", OnePassStrategy::BasicCongress),
-        ("Congress", OnePassStrategy::Congress),
-    ] {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &strat, |b, &strat| {
+    for strategy in SamplingStrategy::all() {
+        group.bench_function(BenchmarkId::from_parameter(format!("{strategy:?}")), |b| {
             b.iter(|| {
                 let mut rng = StdRng::seed_from_u64(3);
-                construct_one_pass(&ds.relation, &cols, strat, space, &mut rng).unwrap()
+                construct_one_pass(&ds.relation, &cols, strategy, space, &mut rng).unwrap()
             })
         });
     }

@@ -8,10 +8,8 @@ use aqua::answer::compute_bounds_cached;
 use aqua::{RewriteChoice, SamplingStrategy};
 use bench::harness::{build_plan, ExperimentSetup};
 use congress::alloc::Congress;
-use congress::CongressionalSample;
+use congress::{CongressionalSample, SeedSpec};
 use engine::execute_exact;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use tpcd::GeneratorConfig;
 
 fn bench_estimation(c: &mut Criterion) {
@@ -39,13 +37,12 @@ fn bench_estimation(c: &mut Criterion) {
     });
 
     // Bounds computation over the stratified input.
-    let mut rng = StdRng::seed_from_u64(9);
-    let sample = CongressionalSample::draw(
+    let sample = CongressionalSample::draw_par(
         &setup.dataset.relation,
         &setup.census,
         &Congress,
         14_000.0,
-        &mut rng,
+        &SeedSpec::new(9),
     )
     .unwrap();
     let input = sample.to_stratified_input(&setup.dataset.relation).unwrap();

@@ -6,10 +6,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use congress::build::{
-    BasicCongressMaintainer, CongressMaintainer, HouseMaintainer, IncrementalMaintainer,
-    SenateMaintainer,
-};
+use congress::build::{IncrementalMaintainer, Maintainer};
+use congress::SamplingStrategy;
 use relation::{GroupKey, Value};
 
 /// A pre-materialized insert stream: 20K tuples over 100 (a, b) groups.
@@ -33,46 +31,18 @@ fn bench_maintenance(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(n));
 
-    group.bench_function(BenchmarkId::from_parameter("House"), |b| {
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(5);
-            let mut m = HouseMaintainer::new(1000);
-            for (r, k) in &items {
-                m.insert(*r, k, &mut rng);
-            }
-            m.sample_len()
-        })
-    });
-    group.bench_function(BenchmarkId::from_parameter("Senate"), |b| {
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(5);
-            let mut m = SenateMaintainer::new(1000);
-            for (r, k) in &items {
-                m.insert(*r, k, &mut rng);
-            }
-            m.sample_len()
-        })
-    });
-    group.bench_function(BenchmarkId::from_parameter("BasicCongress"), |b| {
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(5);
-            let mut m = BasicCongressMaintainer::new(1000);
-            for (r, k) in &items {
-                m.insert(*r, k, &mut rng);
-            }
-            m.sample_len()
-        })
-    });
-    group.bench_function(BenchmarkId::from_parameter("Congress"), |b| {
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(5);
-            let mut m = CongressMaintainer::new(2, 1000.0);
-            for (r, k) in &items {
-                m.insert(*r, k, &mut rng);
-            }
-            m.sample_len()
-        })
-    });
+    for strategy in SamplingStrategy::all() {
+        group.bench_function(BenchmarkId::from_parameter(format!("{strategy:?}")), |b| {
+            b.iter(|| {
+                let mut rng = StdRng::seed_from_u64(5);
+                let mut m = Maintainer::new(strategy, 1000, 2);
+                for (r, k) in &items {
+                    m.insert(*r, k, &mut rng);
+                }
+                m.sample_len()
+            })
+        });
+    }
     group.finish();
 }
 

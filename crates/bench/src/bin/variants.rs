@@ -15,8 +15,8 @@
 use bench::harness::ExperimentSetup;
 use bench::report::{pct, Table};
 use congress::alloc::Congress;
-use congress::build::{construct_congress_shared, construct_one_pass, OnePassStrategy};
-use congress::{compare_results, CongressionalSample};
+use congress::build::{construct_congress_shared, construct_one_pass};
+use congress::{compare_results, CongressionalSample, SamplingStrategy, SeedSpec};
 use engine::execute_exact;
 use engine::rewrite::{Integrated, SamplePlan};
 use rand::rngs::StdRng;
@@ -52,15 +52,15 @@ fn main() {
         (
             "exact draw (Eq 5)",
             Box::new(move |seed| {
-                let mut rng = StdRng::seed_from_u64(seed);
-                CongressionalSample::draw(rel, census, &Congress, space, &mut rng).unwrap()
+                let spec = SeedSpec::new(seed);
+                CongressionalSample::draw_par(rel, census, &Congress, space, &spec).unwrap()
             }),
         ),
         (
             "Bernoulli (SampleSize/n_g)",
             Box::new(move |seed| {
-                let mut rng = StdRng::seed_from_u64(seed);
-                CongressionalSample::draw_bernoulli(rel, census, &Congress, space, &mut rng)
+                let spec = SeedSpec::new(seed);
+                CongressionalSample::draw_bernoulli_par(rel, census, &Congress, space, &spec)
                     .unwrap()
             }),
         ),
@@ -71,7 +71,7 @@ fn main() {
                 construct_one_pass(
                     rel,
                     &cols,
-                    OnePassStrategy::Congress,
+                    SamplingStrategy::Congress,
                     space as usize,
                     &mut rng,
                 )

@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use aqua::{RewriteChoice, SamplingStrategy};
-use congress::alloc::{AllocationStrategy, BasicCongress, Congress, House, Senate};
+use congress::alloc::AllocationStrategy;
 use congress::{compare_results, CongressionalSample, GroupCensus, SeedSpec};
 use engine::rewrite::{Integrated, KeyNormalized, NestedIntegrated, Normalized, SamplePlan};
 use engine::{execute_exact, GroupByQuery, QueryResult};
@@ -102,47 +102,19 @@ pub fn build_plan(
     sample_fraction: f64,
     seed: u64,
 ) -> Box<dyn SamplePlan> {
-    let space = sample_fraction * setup.dataset.relation.row_count() as f64;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let sample = match strategy {
-        SamplingStrategy::House => CongressionalSample::draw(
-            &setup.dataset.relation,
-            &setup.census,
-            &House,
-            space,
-            &mut rng,
-        ),
-        SamplingStrategy::Senate => CongressionalSample::draw(
-            &setup.dataset.relation,
-            &setup.census,
-            &Senate,
-            space,
-            &mut rng,
-        ),
-        SamplingStrategy::BasicCongress => CongressionalSample::draw(
-            &setup.dataset.relation,
-            &setup.census,
-            &BasicCongress,
-            space,
-            &mut rng,
-        ),
-        SamplingStrategy::Congress => CongressionalSample::draw(
-            &setup.dataset.relation,
-            &setup.census,
-            &Congress,
-            space,
-            &mut rng,
-        ),
-    }
+    let rel = &setup.dataset.relation;
+    let space = sample_fraction * rel.row_count() as f64;
+    let sample = CongressionalSample::draw_par(
+        rel,
+        &setup.census,
+        strategy.allocator(),
+        space,
+        &SeedSpec::new(seed),
+    )
     .expect("sampling from a census-built setup cannot fail");
-    let input = match strategy {
-        SamplingStrategy::House => sample
-            .to_stratified_input_uniform(&setup.dataset.relation)
-            .expect("sample is consistent"),
-        _ => sample
-            .to_stratified_input(&setup.dataset.relation)
-            .expect("sample is consistent"),
-    };
+    let input = strategy
+        .stratified_input(&sample, rel)
+        .expect("sample is consistent");
     match rewrite {
         RewriteChoice::Integrated => Box::new(Integrated::build(&input).expect("valid input")),
         RewriteChoice::NestedIntegrated => {

@@ -2,7 +2,6 @@
 
 use std::fmt::Write as _;
 
-use congress::alloc::{AllocationStrategy, BasicCongress, Congress, House, Senate};
 use congress::{snapshot, CongressionalSample, GroupCensus, SeedSpec};
 
 use crate::args::Args;
@@ -25,13 +24,7 @@ pub fn sample(args: &Args) -> Result<String> {
     let spec = SeedSpec::new(args.get_parsed("seed", 0u64)?);
     let parallelism: usize = args.get_parsed("parallelism", 0usize)?;
 
-    let chosen = strategy(args)?;
-    let boxed: Box<dyn AllocationStrategy> = match chosen {
-        aqua::SamplingStrategy::House => Box::new(House),
-        aqua::SamplingStrategy::Senate => Box::new(Senate),
-        aqua::SamplingStrategy::BasicCongress => Box::new(BasicCongress),
-        aqua::SamplingStrategy::Congress => Box::new(Congress),
-    };
+    let allocator = strategy(args)?.allocator();
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(parallelism)
         .build()
@@ -39,14 +32,7 @@ pub fn sample(args: &Args) -> Result<String> {
     let sample = pool
         .install(|| -> congress::Result<CongressionalSample> {
             let census = GroupCensus::par_build(&source.relation, &source.grouping)?;
-            let allocation = boxed.allocate(&census, space)?;
-            CongressionalSample::draw_with_allocation_par(
-                &source.relation,
-                &census,
-                &allocation,
-                boxed.name(),
-                &spec,
-            )
+            CongressionalSample::draw_par(&source.relation, &census, allocator, space, &spec)
         })
         .map_err(err)?;
     let bytes = snapshot::encode(&sample);

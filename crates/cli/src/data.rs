@@ -78,7 +78,7 @@ fn resolve_grouping(
 /// Parse the `--strategy` flag ([`aqua::SamplingStrategy::from_token`]).
 pub fn strategy(args: &Args) -> Result<aqua::SamplingStrategy> {
     aqua::SamplingStrategy::from_token(args.get("strategy").unwrap_or("congress"))
-        .map_err(|e| format!("--strategy: {e}"))
+        .map_err(|e| format!("--strategy: {}", aqua::AquaError::InvalidConfig(e)))
 }
 
 /// Parse the `--rewrite` flag ([`aqua::RewriteChoice::from_token`]).

@@ -1,24 +1,27 @@
-//! §6 sample construction: reservoirs, one-pass incremental maintainers,
-//! and the census-based (cube) construction routes.
+//! §6 sample construction: reservoirs, the one-pass maintainers, and the
+//! shared-lattice-walk census route.
 //!
 //! The paper gives two ways to materialize a congressional sample:
 //!
-//! 1. **Cube-based** (§4.6 / §6): compute the census (the count cube at
+//! 1. **Census-based** (§4.6 / §6): compute the census (the count cube at
 //!    the finest grouping), run an allocation strategy, then draw the
-//!    per-group sample sizes exactly — [`construct_with_census`] — or in
-//!    one shared Bernoulli pass over the tuples using the Eq-8 per-tuple
-//!    probabilities — [`construct_congress_shared`].
+//!    per-group sample sizes exactly from seeded per-stratum streams —
+//!    [`CongressionalSample::draw_par`] — or in one shared Bernoulli pass
+//!    over the tuples using the Eq-8 per-tuple probabilities —
+//!    [`construct_congress_shared`].
 //! 2. **One-pass incremental** (§6): stream the tuples once, maintaining
-//!    per-group reservoirs plus the exact group counts, and snapshot a
-//!    valid sample at any prefix of the stream. The four maintainers
-//!    ([`HouseMaintainer`], [`SenateMaintainer`], [`BasicCongressMaintainer`]
-//!    per Theorem 6.1, and [`CongressMaintainer`] per the Eq-8 scheme)
-//!    share the [`IncrementalMaintainer`] trait; [`construct_one_pass`]
-//!    drives one of them over a whole relation.
+//!    per-group samples plus the exact group counts, and snapshot a valid
+//!    sample at any prefix of the stream. [`Maintainer`] holds the one
+//!    maintainer of each strategy ([`HouseMaintainer`],
+//!    [`SenateMaintainer`], [`BasicCongressMaintainer`] per Theorem 6.1,
+//!    and [`CongressEvictionMaintainer`] per the Eq-8 scheme); all share
+//!    the [`IncrementalMaintainer`] trait, and [`construct_one_pass`]
+//!    drives one over a whole relation.
 //!
 //! Every maintainer snapshot reports **exact** group sizes (counts are
 //! maintained outside the reservoirs), so scale factors computed from a
-//! snapshot are unbiased even when the reservoirs subsample heavily.
+//! snapshot are unbiased even when the reservoirs subsample heavily, and
+//! carries its strategy's [`SamplingStrategy::name`], as census draws do.
 
 use std::collections::HashMap;
 
@@ -28,6 +31,7 @@ use crate::alloc::{per_tuple_probabilities, AllocationStrategy, BasicCongress, C
 use crate::census::GroupCensus;
 use crate::error::{CongressError, Result};
 use crate::sample::CongressionalSample;
+use crate::strategy::SamplingStrategy;
 use relation::{ColumnId, GroupKey, Relation};
 
 // ---------------------------------------------------------------------------
@@ -151,19 +155,6 @@ impl<T: Clone> Reservoir<T> {
             items,
         }
     }
-
-    /// A uniformly random `min(k, len)`-subset of the held items.
-    fn subsample<R: Rng + ?Sized>(&self, k: usize, rng: &mut R) -> Vec<T> {
-        let k = k.min(self.items.len());
-        // Partial Fisher–Yates over indices; the reservoir itself is not
-        // disturbed (snapshots must leave the maintainer resumable).
-        let mut idx: Vec<usize> = (0..self.items.len()).collect();
-        for i in 0..k {
-            let j = rng.gen_range(i..idx.len());
-            idx.swap(i, j);
-        }
-        idx[..k].iter().map(|&i| self.items[i].clone()).collect()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -198,6 +189,24 @@ impl GroupDirectory {
     fn len(&self) -> usize {
         self.keys.len()
     }
+
+    /// A snapshot holding `rows` (one list per group, in first-seen order)
+    /// with the exact counts, named for `strategy`. With no group yet it is
+    /// the empty (zero-strata) sample: a zero-length stream prefix is still
+    /// a valid snapshot point for a resumable maintainer.
+    fn snapshot(
+        &self,
+        rows: Vec<Vec<usize>>,
+        strategy: SamplingStrategy,
+    ) -> Result<CongressionalSample> {
+        CongressionalSample::from_parts(
+            Vec::new(),
+            self.keys.clone(),
+            self.counts.clone(),
+            rows,
+            strategy.name(),
+        )
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -221,13 +230,6 @@ pub trait IncrementalMaintainer {
     /// exact stream counts; the grouping columns are left empty (callers
     /// that know them use [`CongressionalSample::set_grouping_columns`]).
     fn snapshot<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<CongressionalSample>;
-}
-
-/// An empty maintainer yields an empty (zero-strata) snapshot: a
-/// zero-length stream prefix is still a valid snapshot point for a
-/// resumable maintainer.
-fn empty_snapshot(name: &str) -> Result<CongressionalSample> {
-    CongressionalSample::from_parts(Vec::new(), Vec::new(), Vec::new(), Vec::new(), name)
 }
 
 // ---------------------------------------------------------------------------
@@ -271,20 +273,11 @@ impl IncrementalMaintainer for HouseMaintainer {
     }
 
     fn snapshot<R: Rng + ?Sized>(&self, _rng: &mut R) -> Result<CongressionalSample> {
-        if self.dir.len() == 0 {
-            return empty_snapshot("House");
-        }
         let mut rows: Vec<Vec<usize>> = vec![Vec::new(); self.dir.len()];
         for &(row, g) in self.reservoir.items() {
             rows[g].push(row);
         }
-        CongressionalSample::from_parts(
-            Vec::new(),
-            self.dir.keys.clone(),
-            self.dir.counts.clone(),
-            rows,
-            "House",
-        )
+        self.dir.snapshot(rows, SamplingStrategy::House)
     }
 }
 
@@ -343,17 +336,8 @@ impl IncrementalMaintainer for SenateMaintainer {
     }
 
     fn snapshot<R: Rng + ?Sized>(&self, _rng: &mut R) -> Result<CongressionalSample> {
-        if self.dir.len() == 0 {
-            return empty_snapshot("Senate");
-        }
         let rows: Vec<Vec<usize>> = self.reservoirs.iter().map(|r| r.items().to_vec()).collect();
-        CongressionalSample::from_parts(
-            Vec::new(),
-            self.dir.keys.clone(),
-            self.dir.counts.clone(),
-            rows,
-            "Senate",
-        )
+        self.dir.snapshot(rows, SamplingStrategy::Senate)
     }
 }
 
@@ -479,7 +463,9 @@ impl IncrementalMaintainer for BasicCongressMaintainer {
 
     fn snapshot<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<CongressionalSample> {
         if self.dir.len() == 0 {
-            return empty_snapshot("BasicCongress");
+            return self
+                .dir
+                .snapshot(Vec::new(), SamplingStrategy::BasicCongress);
         }
         let mut pools: Vec<Vec<usize>> =
             self.per_group.iter().map(|r| r.items().to_vec()).collect();
@@ -505,105 +491,7 @@ impl IncrementalMaintainer for BasicCongressMaintainer {
             .zip(&targets)
             .map(|(pool, &t)| crate::sample::sample_without_replacement(pool, t.max(1), rng))
             .collect();
-        CongressionalSample::from_parts(
-            Vec::new(),
-            self.dir.keys.clone(),
-            self.dir.counts.clone(),
-            rows,
-            "BasicCongress",
-        )
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Congress
-// ---------------------------------------------------------------------------
-
-/// One-pass Congress maintainer (the Eq-8 scheme): exact counts for every
-/// finest group plus a generously-capped per-group reservoir. A snapshot
-/// rebuilds the count cube from the exact counts, runs the Eq-5 Congress
-/// allocation, and subsamples each reservoir down to its integer target —
-/// so snapshots track the census-based allocation exactly wherever the
-/// reservoirs hold enough tuples.
-#[derive(Debug, Clone)]
-pub struct CongressMaintainer {
-    attrs: usize,
-    budget: f64,
-    cap: usize,
-    dir: GroupDirectory,
-    reservoirs: Vec<Reservoir<usize>>,
-    seen: u64,
-}
-
-impl CongressMaintainer {
-    /// A maintainer over `attrs` grouping attributes with tuple budget `y`.
-    pub fn new(attrs: usize, y: f64) -> CongressMaintainer {
-        let cap = (y.max(1.0).ceil() as usize).max(1);
-        CongressMaintainer {
-            attrs,
-            budget: y,
-            cap,
-            dir: GroupDirectory::default(),
-            reservoirs: Vec::new(),
-            seen: 0,
-        }
-    }
-
-    /// Snapshot against an explicit budget (defaults to the construction
-    /// budget when `None`): recompute the Congress allocation from the
-    /// exact maintained counts and subsample the reservoirs to it.
-    pub fn snapshot_with_budget<R: Rng + ?Sized>(
-        &self,
-        budget: Option<f64>,
-        rng: &mut R,
-    ) -> Result<CongressionalSample> {
-        if self.dir.len() == 0 {
-            return empty_snapshot("Congress");
-        }
-        let budget = budget.unwrap_or(self.budget);
-        // Placeholder column ids: the maintainer never saw the schema, only
-        // the keys. Callers attach real columns via set_grouping_columns.
-        let cols: Vec<ColumnId> = (0..self.attrs).map(ColumnId).collect();
-        let census =
-            GroupCensus::from_counts(cols, self.dir.keys.clone(), self.dir.counts.clone())?;
-        let alloc = Congress.allocate(&census, budget)?;
-        let targets = alloc.integer_counts(census.sizes());
-        let rows: Vec<Vec<usize>> = self
-            .reservoirs
-            .iter()
-            .zip(&targets)
-            .map(|(r, &t)| r.subsample(t, rng))
-            .collect();
-        CongressionalSample::from_parts(
-            Vec::new(),
-            self.dir.keys.clone(),
-            self.dir.counts.clone(),
-            rows,
-            "Congress",
-        )
-    }
-}
-
-impl IncrementalMaintainer for CongressMaintainer {
-    fn insert<R: Rng + ?Sized>(&mut self, row: usize, key: &GroupKey, rng: &mut R) {
-        let (g, new) = self.dir.observe(key);
-        if new {
-            self.reservoirs.push(Reservoir::new(self.cap));
-        }
-        self.reservoirs[g].offer(row, rng);
-        self.seen += 1;
-    }
-
-    fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    fn sample_len(&self) -> usize {
-        self.reservoirs.iter().map(Reservoir::len).sum()
-    }
-
-    fn snapshot<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<CongressionalSample> {
-        self.snapshot_with_budget(None, rng)
+        self.dir.snapshot(rows, SamplingStrategy::BasicCongress)
     }
 }
 
@@ -611,10 +499,9 @@ impl IncrementalMaintainer for CongressMaintainer {
 // Congress with Eq-8 probabilistic eviction (§6 streaming maintenance)
 // ---------------------------------------------------------------------------
 
-/// The §6 streaming-maintenance variant of full Congress: instead of one
-/// budget-sized reservoir per group (`O(m·X)` memory, as
-/// [`CongressMaintainer`] keeps), hold exactly the sample itself and run
-/// the Eq-8 probability scheme *in place*.
+/// The §6 streaming maintainer of full Congress: instead of one
+/// budget-sized reservoir per group (`O(m·X)` memory), hold exactly the
+/// sample itself and run the Eq-8 probability scheme *in place*.
 ///
 /// Every held tuple is tagged with the retention probability `q` it
 /// currently enjoys. New tuples are admitted by a Bernoulli draw at their
@@ -754,12 +641,12 @@ impl IncrementalMaintainer for CongressEvictionMaintainer {
 
     fn snapshot<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<CongressionalSample> {
         if self.dir.len() == 0 {
-            return empty_snapshot("Congress");
+            return self.dir.snapshot(Vec::new(), SamplingStrategy::Congress);
         }
-        // Publish against the Eq-5 allocation over the exact counts, as the
-        // reservoir-based maintainer does: subsample each group's held pool
-        // down to its integer target (held pools are uniform within the
-        // group at known probability, so a uniform subset stays uniform).
+        // Publish against the Eq-5 allocation over the exact counts:
+        // subsample each group's held pool down to its integer target (held
+        // pools are uniform within the group at known probability, so a
+        // uniform subset stays uniform).
         let census = self.census()?;
         let alloc = Congress.allocate(&census, self.budget)?;
         let targets = alloc.integer_counts(census.sizes());
@@ -772,84 +659,104 @@ impl IncrementalMaintainer for CongressEvictionMaintainer {
                 crate::sample::sample_without_replacement(&rows_only, t.min(rows_only.len()), rng)
             })
             .collect();
-        CongressionalSample::from_parts(
-            Vec::new(),
-            self.dir.keys.clone(),
-            self.dir.counts.clone(),
-            rows,
-            "Congress",
-        )
+        self.dir.snapshot(rows, SamplingStrategy::Congress)
     }
 }
 
 // ---------------------------------------------------------------------------
-// Driver functions
+// One maintainer per strategy
 // ---------------------------------------------------------------------------
 
-/// Which one-pass maintainer [`construct_one_pass`] should drive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OnePassStrategy {
-    /// Uniform sampling ([`HouseMaintainer`]).
-    House,
-    /// Equal per-group allocation ([`SenateMaintainer`]).
-    Senate,
-    /// House ∪ Senate union ([`BasicCongressMaintainer`]).
-    BasicCongress,
-    /// Full Eq-5/Eq-8 Congress ([`CongressMaintainer`]).
-    Congress,
+/// The one-pass maintainer of each strategy. Full Congress runs the
+/// bounded-memory Eq-8 probabilistic-eviction maintainer, so sustained
+/// streaming ingest stays O(sample); Basic Congress also merges delta
+/// samples ([`BasicCongressMaintainer::absorb`]).
+#[derive(Debug, Clone)]
+pub enum Maintainer {
+    /// Uniform sampling.
+    House(HouseMaintainer),
+    /// Equal per-group allocation.
+    Senate(SenateMaintainer),
+    /// House ∪ Senate union (Theorem 6.1).
+    BasicCongress(BasicCongressMaintainer),
+    /// Full Eq-5/Eq-8 Congress.
+    Congress(CongressEvictionMaintainer),
+}
+
+impl Maintainer {
+    /// `strategy`'s maintainer for a budget of `space` tuples over `attrs`
+    /// grouping attributes.
+    pub fn new(strategy: SamplingStrategy, space: usize, attrs: usize) -> Maintainer {
+        match strategy {
+            SamplingStrategy::House => Maintainer::House(HouseMaintainer::new(space)),
+            SamplingStrategy::Senate => Maintainer::Senate(SenateMaintainer::new(space)),
+            SamplingStrategy::BasicCongress => {
+                Maintainer::BasicCongress(BasicCongressMaintainer::new(space))
+            }
+            SamplingStrategy::Congress => {
+                Maintainer::Congress(CongressEvictionMaintainer::new(attrs, space as f64))
+            }
+        }
+    }
+
+    /// Tuples evicted by Eq-8 rebalances (full Congress only).
+    pub fn evictions(&self) -> u64 {
+        match self {
+            Maintainer::Congress(m) => m.evictions(),
+            _ => 0,
+        }
+    }
+}
+
+/// `$body` with `$m` bound to whichever maintainer `$maintainer` holds.
+macro_rules! each {
+    ($maintainer:expr, $m:ident => $body:expr) => {
+        match $maintainer {
+            Maintainer::House($m) => $body,
+            Maintainer::Senate($m) => $body,
+            Maintainer::BasicCongress($m) => $body,
+            Maintainer::Congress($m) => $body,
+        }
+    };
+}
+
+impl IncrementalMaintainer for Maintainer {
+    fn insert<R: Rng + ?Sized>(&mut self, row: usize, key: &GroupKey, rng: &mut R) {
+        each!(self, m => m.insert(row, key, rng))
+    }
+
+    fn seen(&self) -> u64 {
+        each!(self, m => m.seen())
+    }
+
+    fn sample_len(&self) -> usize {
+        each!(self, m => m.sample_len())
+    }
+
+    fn snapshot<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<CongressionalSample> {
+        each!(self, m => m.snapshot(rng))
+    }
 }
 
 /// Build a sample in a single pass over `rel` without a precomputed
-/// census, streaming every row through the chosen maintainer.
+/// census, streaming every row through `strategy`'s [`Maintainer`].
 pub fn construct_one_pass<R: Rng + ?Sized>(
     rel: &Relation,
     cols: &[ColumnId],
-    strategy: OnePassStrategy,
+    strategy: SamplingStrategy,
     space: usize,
     rng: &mut R,
 ) -> Result<CongressionalSample> {
     if rel.row_count() == 0 {
         return Err(CongressError::EmptyRelation);
     }
-    fn drive<M: IncrementalMaintainer, R: Rng + ?Sized>(
-        mut m: M,
-        rel: &Relation,
-        cols: &[ColumnId],
-        rng: &mut R,
-    ) -> Result<CongressionalSample> {
-        for row in 0..rel.row_count() {
-            let key = GroupKey::from_row(rel, row, cols);
-            m.insert(row, &key, rng);
-        }
-        m.snapshot(rng)
+    let mut m = Maintainer::new(strategy, space, cols.len());
+    for row in 0..rel.row_count() {
+        m.insert(row, &GroupKey::from_row(rel, row, cols), rng);
     }
-    let mut sample = match strategy {
-        OnePassStrategy::House => drive(HouseMaintainer::new(space), rel, cols, rng)?,
-        OnePassStrategy::Senate => drive(SenateMaintainer::new(space), rel, cols, rng)?,
-        OnePassStrategy::BasicCongress => {
-            drive(BasicCongressMaintainer::new(space), rel, cols, rng)?
-        }
-        OnePassStrategy::Congress => drive(
-            CongressMaintainer::new(cols.len(), space as f64),
-            rel,
-            cols,
-            rng,
-        )?,
-    };
+    let mut sample = m.snapshot(rng)?;
     sample.set_grouping_columns(cols.to_vec());
     Ok(sample)
-}
-
-/// Cube-based construction (§4.6): allocate per-group sample sizes from a
-/// precomputed census and draw them exactly.
-pub fn construct_with_census<S: AllocationStrategy, R: Rng>(
-    rel: &Relation,
-    census: &GroupCensus,
-    strategy: &S,
-    space: f64,
-    rng: &mut R,
-) -> Result<CongressionalSample> {
-    CongressionalSample::draw(rel, census, strategy, space, rng)
 }
 
 /// The §4.6 "shared lattice walk" Congress variant: compute every tuple's
@@ -1099,9 +1006,26 @@ mod tests {
     }
 
     #[test]
+    fn one_pass_and_census_samples_share_strategy_names() {
+        let rel = crate::census::test_support::figure5_relation(10);
+        let cols = rel.schema().column_ids(&["A", "B"]).unwrap();
+        let census = GroupCensus::build(&rel, &cols).unwrap();
+        for strategy in SamplingStrategy::all() {
+            let mut rng = StdRng::seed_from_u64(1);
+            let one_pass = construct_one_pass(&rel, &cols, strategy, 100, &mut rng).unwrap();
+            let spec = crate::seed::SeedSpec::new(1);
+            let drawn =
+                CongressionalSample::draw_par(&rel, &census, strategy.allocator(), 100.0, &spec)
+                    .unwrap();
+            assert_eq!(one_pass.strategy_name(), drawn.strategy_name());
+            assert_eq!(one_pass.strategy_name(), strategy.name());
+        }
+    }
+
+    #[test]
     fn congress_snapshot_total_respects_budget() {
         let mut rng = StdRng::seed_from_u64(9);
-        let mut m = CongressMaintainer::new(1, 50.0);
+        let mut m = Maintainer::new(SamplingStrategy::Congress, 50, 1);
         for row in 0..2_000usize {
             m.insert(row, &key((row % 4) as i64), &mut rng);
         }

@@ -15,17 +15,19 @@
 //!   [`alloc::BasicCongress`], [`alloc::Congress`], the workload-weighted
 //!   variant of §4.7 ([`alloc::WorkloadWeighted`]), and the §8
 //!   multi-criteria weight-vector framework ([`alloc::criteria`]).
-//! * **Sampling & construction** (§6) — per-group reservoir sampling
-//!   ([`build::Reservoir`]), cube-based construction
-//!   ([`build::construct_with_census`]), and one-pass incremental
-//!   maintainers for House/Senate ([`build::SenateMaintainer`],
-//!   [`build::HouseMaintainer`]), Basic Congress
-//!   ([`build::BasicCongressMaintainer`], Theorem 6.1) and Congress
-//!   ([`build::CongressMaintainer`], the Eq-8 probability scheme), plus
-//!   the streaming-maintenance variants: Theorem 6.1 delta-sample merges
-//!   ([`build::BasicCongressMaintainer::absorb`]) and the bounded-memory
-//!   Eq-8 probabilistic-eviction maintainer
-//!   ([`build::CongressEvictionMaintainer`]).
+//! * **Strategies** ([`SamplingStrategy`]) — the four §4 strategies as one
+//!   value, naming each one's allocator and how its sample is scaled.
+//! * **Sampling & construction** (§6) — the census route draws each
+//!   group's quota from its own seeded stream
+//!   ([`sample::CongressionalSample::draw_par`]), or takes one shared
+//!   Bernoulli pass at the Eq-8 probabilities
+//!   ([`build::construct_congress_shared`]); the one-pass route streams
+//!   the rows through [`build::Maintainer`], one maintainer per strategy:
+//!   House and Senate reservoirs ([`build::HouseMaintainer`],
+//!   [`build::SenateMaintainer`]), Basic Congress with its Theorem 6.1
+//!   delta-sample merge ([`build::BasicCongressMaintainer::absorb`]), and
+//!   the bounded-memory Eq-8 probabilistic-eviction maintainer for
+//!   Congress ([`build::CongressEvictionMaintainer`]).
 //! * **Adaptive allocation** ([`adaptive`]) — a closed loop from observed
 //!   workload to allocation: [`adaptive::WorkloadProfile`] accumulates
 //!   per-grouping hit frequencies, predicate selectivities and per-group
@@ -58,7 +60,6 @@ pub mod alloc;
 pub mod bounds;
 pub mod build;
 pub mod census;
-pub mod cube;
 pub mod error;
 pub mod lattice;
 pub mod metrics;
@@ -66,13 +67,14 @@ pub mod sample;
 pub mod seed;
 pub mod snapshot;
 pub mod store;
+pub mod strategy;
 
 pub use adaptive::{DriftDetector, DriftReport, WorkloadProfile};
 pub use alloc::{Allocation, AllocationStrategy, BasicCongress, Congress, House, Senate};
 pub use census::GroupCensus;
-pub use cube::CountCube;
 pub use error::{CongressError, Result};
 pub use metrics::{compare_results, mac_error, GroupByErrorReport};
 pub use sample::CongressionalSample;
 pub use seed::SeedSpec;
 pub use store::{Fault, FaultyStore, FsStore, MemStore, SnapshotStore, StoreError, StoreResult};
+pub use strategy::SamplingStrategy;

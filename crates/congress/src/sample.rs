@@ -31,95 +31,10 @@ impl CongressionalSample {
     ///
     /// This is the "given a data cube ... constructed in one pass" route of
     /// §6: the census provides the counts, and each group's quota is drawn
-    /// uniformly without replacement.
-    pub fn draw<S: AllocationStrategy, R: Rng>(
-        rel: &Relation,
-        census: &GroupCensus,
-        strategy: &S,
-        space: f64,
-        rng: &mut R,
-    ) -> Result<CongressionalSample> {
-        let allocation = strategy.allocate(census, space)?;
-        Self::draw_with_allocation(rel, census, &allocation, strategy.name(), rng)
-    }
-
-    /// Draw a sample for an already-computed allocation.
-    pub fn draw_with_allocation<R: Rng>(
-        rel: &Relation,
-        census: &GroupCensus,
-        allocation: &Allocation,
-        strategy_name: &str,
-        rng: &mut R,
-    ) -> Result<CongressionalSample> {
-        if census.group_of_row().map(<[u32]>::len) != Some(rel.row_count()) {
-            return Err(CongressError::CensusMismatch(format!(
-                "census covers {:?} rows, relation has {}",
-                census.group_of_row().map(<[u32]>::len),
-                rel.row_count()
-            )));
-        }
-        let counts = allocation.integer_counts(census.sizes());
-        let rows_by_group = census.rows_by_group()?;
-        let mut sampled_rows = Vec::with_capacity(counts.len());
-        for (rows, &want) in rows_by_group.iter().zip(&counts) {
-            sampled_rows.push(sample_without_replacement(rows, want, rng));
-        }
-        Ok(CongressionalSample {
-            grouping_columns: census.grouping_columns().to_vec(),
-            strata_keys: census.keys().to_vec(),
-            group_sizes: census.sizes().to_vec(),
-            sampled_rows,
-            strategy_name: strategy_name.to_string(),
-        })
-    }
-
-    /// Draw with *Bernoulli* semantics — §4.6's first alternative
-    /// definition: "instead select each tuple in a group g with probability
-    /// SampleSize(g)/n_g. Thus the expected number of tuples from g in the
-    /// sample remains SampleSize(g), but the actual number may vary due to
-    /// random fluctuations."
-    pub fn draw_bernoulli<S: AllocationStrategy, R: Rng>(
-        rel: &Relation,
-        census: &GroupCensus,
-        strategy: &S,
-        space: f64,
-        rng: &mut R,
-    ) -> Result<CongressionalSample> {
-        let allocation = strategy.allocate(census, space)?;
-        if census.group_of_row().map(<[u32]>::len) != Some(rel.row_count()) {
-            return Err(CongressError::CensusMismatch(format!(
-                "census covers {:?} rows, relation has {}",
-                census.group_of_row().map(<[u32]>::len),
-                rel.row_count()
-            )));
-        }
-        // Per-group inclusion probability, capped at 1.
-        let probs: Vec<f64> = allocation
-            .targets()
-            .iter()
-            .zip(census.sizes())
-            .map(|(&t, &n)| (t / n as f64).min(1.0))
-            .collect();
-        let gor = census.group_of_row().expect("checked above");
-        let mut sampled_rows: Vec<Vec<usize>> = vec![Vec::new(); census.group_count()];
-        for (row, &g) in gor.iter().enumerate() {
-            if rng.gen::<f64>() < probs[g as usize] {
-                sampled_rows[g as usize].push(row);
-            }
-        }
-        Ok(CongressionalSample {
-            grouping_columns: census.grouping_columns().to_vec(),
-            strata_keys: census.keys().to_vec(),
-            group_sizes: census.sizes().to_vec(),
-            sampled_rows,
-            strategy_name: format!("{} (Bernoulli)", strategy.name()),
-        })
-    }
-
-    /// Parallel variant of [`Self::draw`]: strata are filled concurrently,
-    /// each from its own RNG stream derived from `spec` by group key, so
-    /// the result is bit-for-bit identical for *any* thread count —
-    /// including the sequential `parallelism = 1` path.
+    /// uniformly without replacement. Strata are filled concurrently, each
+    /// from its own RNG stream derived from `spec` by group key, so the
+    /// result is bit-for-bit identical for *any* thread count — including
+    /// the sequential `parallelism = 1` path.
     pub fn draw_par<S: AllocationStrategy + ?Sized>(
         rel: &Relation,
         census: &GroupCensus,
@@ -131,7 +46,7 @@ impl CongressionalSample {
         Self::draw_with_allocation_par(rel, census, &allocation, strategy.name(), spec)
     }
 
-    /// Parallel variant of [`Self::draw_with_allocation`] (see
+    /// Draw a sample for an already-computed allocation (see
     /// [`Self::draw_par`] for the determinism contract).
     pub fn draw_with_allocation_par(
         rel: &Relation,
@@ -140,13 +55,7 @@ impl CongressionalSample {
         strategy_name: &str,
         spec: &SeedSpec,
     ) -> Result<CongressionalSample> {
-        if census.group_of_row().map(<[u32]>::len) != Some(rel.row_count()) {
-            return Err(CongressError::CensusMismatch(format!(
-                "census covers {:?} rows, relation has {}",
-                census.group_of_row().map(<[u32]>::len),
-                rel.row_count()
-            )));
-        }
+        check_census(rel, census)?;
         let counts = allocation.integer_counts(census.sizes());
         let rows_by_group = census.rows_by_group()?;
         let keys = census.keys();
@@ -167,10 +76,13 @@ impl CongressionalSample {
         })
     }
 
-    /// Parallel variant of [`Self::draw_bernoulli`]: each group's Bernoulli
-    /// coin flips come from that group's own seeded stream, walked over the
-    /// group's rows in base-relation order — scheduling-independent, like
-    /// [`Self::draw_par`].
+    /// Draw with *Bernoulli* semantics — §4.6's first alternative
+    /// definition: "instead select each tuple in a group g with probability
+    /// SampleSize(g)/n_g. Thus the expected number of tuples from g in the
+    /// sample remains SampleSize(g), but the actual number may vary due to
+    /// random fluctuations." Each group's coin flips come from that group's
+    /// own seeded stream, walked over the group's rows in base-relation
+    /// order — scheduling-independent, like [`Self::draw_par`].
     pub fn draw_bernoulli_par<S: AllocationStrategy + ?Sized>(
         rel: &Relation,
         census: &GroupCensus,
@@ -179,13 +91,8 @@ impl CongressionalSample {
         spec: &SeedSpec,
     ) -> Result<CongressionalSample> {
         let allocation = strategy.allocate(census, space)?;
-        if census.group_of_row().map(<[u32]>::len) != Some(rel.row_count()) {
-            return Err(CongressError::CensusMismatch(format!(
-                "census covers {:?} rows, relation has {}",
-                census.group_of_row().map(<[u32]>::len),
-                rel.row_count()
-            )));
-        }
+        check_census(rel, census)?;
+        // Per-group inclusion probability, capped at 1.
         let probs: Vec<f64> = allocation
             .targets()
             .iter()
@@ -356,6 +263,18 @@ impl CongressionalSample {
     }
 }
 
+/// A census drawn from is one built from `rel`'s own rows.
+fn check_census(rel: &Relation, census: &GroupCensus) -> Result<()> {
+    let covered = census.group_of_row().map(<[u32]>::len);
+    if covered != Some(rel.row_count()) {
+        return Err(CongressError::CensusMismatch(format!(
+            "census covers {covered:?} rows, relation has {}",
+            rel.row_count()
+        )));
+    }
+    Ok(())
+}
+
 /// Uniform sample of `want` distinct elements from `rows`, preserving no
 /// particular order. Uses a partial Fisher–Yates over a copied index
 /// vector — O(|rows|) copy, O(want) shuffling.
@@ -394,8 +313,8 @@ mod tests {
     #[test]
     fn draw_senate_equal_counts() {
         let (rel, census) = setup();
-        let mut rng = StdRng::seed_from_u64(7);
-        let s = CongressionalSample::draw(&rel, &census, &Senate, 100.0, &mut rng).unwrap();
+        let spec = SeedSpec::new(7);
+        let s = CongressionalSample::draw_par(&rel, &census, &Senate, 100.0, &spec).unwrap();
         assert_eq!(s.total_sampled(), 100);
         for rows in s.sampled_rows() {
             assert_eq!(rows.len(), 25);
@@ -410,8 +329,8 @@ mod tests {
         let mut avg = vec![0.0f64; census.group_count()];
         let mut totals = Vec::new();
         for t in 0..trials {
-            let mut rng = StdRng::seed_from_u64(600 + t);
-            let s = CongressionalSample::draw_bernoulli(&rel, &census, &Congress, 100.0, &mut rng)
+            let spec = SeedSpec::new(600 + t);
+            let s = CongressionalSample::draw_bernoulli_par(&rel, &census, &Congress, 100.0, &spec)
                 .unwrap();
             assert!(s.strategy_name().contains("Bernoulli"));
             totals.push(s.total_sampled());
@@ -437,8 +356,8 @@ mod tests {
     #[test]
     fn sampled_rows_are_distinct_and_in_group() {
         let (rel, census) = setup();
-        let mut rng = StdRng::seed_from_u64(42);
-        let s = CongressionalSample::draw(&rel, &census, &Congress, 120.0, &mut rng).unwrap();
+        let spec = SeedSpec::new(42);
+        let s = CongressionalSample::draw_par(&rel, &census, &Congress, 120.0, &spec).unwrap();
         let by_group = census.rows_by_group().unwrap();
         for (g, rows) in s.sampled_rows().iter().enumerate() {
             let mut sorted = rows.clone();
@@ -454,8 +373,8 @@ mod tests {
     #[test]
     fn scale_factors_reflect_rates() {
         let (rel, census) = setup();
-        let mut rng = StdRng::seed_from_u64(3);
-        let s = CongressionalSample::draw(&rel, &census, &House, 100.0, &mut rng).unwrap();
+        let spec = SeedSpec::new(3);
+        let s = CongressionalSample::draw_par(&rel, &census, &House, 100.0, &spec).unwrap();
         for g in 0..s.stratum_count() {
             let sf = s.scale_factor(g).unwrap();
             let expect = census.sizes()[g] as f64 / s.sampled_rows()[g].len() as f64;
@@ -524,22 +443,10 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let (rel, census) = setup();
-        let a = CongressionalSample::draw(
-            &rel,
-            &census,
-            &Congress,
-            80.0,
-            &mut StdRng::seed_from_u64(5),
-        )
-        .unwrap();
-        let b = CongressionalSample::draw(
-            &rel,
-            &census,
-            &Congress,
-            80.0,
-            &mut StdRng::seed_from_u64(5),
-        )
-        .unwrap();
+        let a = CongressionalSample::draw_par(&rel, &census, &Congress, 80.0, &SeedSpec::new(5))
+            .unwrap();
+        let b = CongressionalSample::draw_par(&rel, &census, &Congress, 80.0, &SeedSpec::new(5))
+            .unwrap();
         assert_eq!(a.sampled_rows(), b.sampled_rows());
     }
 

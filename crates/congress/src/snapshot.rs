@@ -108,15 +108,13 @@ mod tests {
     use super::*;
     use crate::alloc::Congress;
     use crate::census::test_support::{figure5_census, figure5_relation};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crate::seed::SeedSpec;
     use relation::binio::Writer;
 
     fn sample() -> CongressionalSample {
         let rel = figure5_relation(10);
         let census = figure5_census(10);
-        let mut rng = StdRng::seed_from_u64(12);
-        CongressionalSample::draw(&rel, &census, &Congress, 80.0, &mut rng).unwrap()
+        CongressionalSample::draw_par(&rel, &census, &Congress, 80.0, &SeedSpec::new(12)).unwrap()
     }
 
     #[test]

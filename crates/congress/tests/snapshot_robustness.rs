@@ -3,10 +3,8 @@
 //! never attempt a huge allocation.
 
 use congress::snapshot;
-use congress::{Congress, GroupCensus};
+use congress::{Congress, GroupCensus, SeedSpec};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use relation::{DataType, Relation, RelationBuilder, Value};
 
 fn skewed_relation() -> Relation {
@@ -35,9 +33,9 @@ fn valid_snapshot() -> bytes::Bytes {
     let rel = skewed_relation();
     let cols = rel.schema().column_ids(&["a", "b"]).unwrap();
     let census = GroupCensus::build(&rel, &cols).unwrap();
-    let mut rng = StdRng::seed_from_u64(12);
     let sample =
-        congress::CongressionalSample::draw(&rel, &census, &Congress, 80.0, &mut rng).unwrap();
+        congress::CongressionalSample::draw_par(&rel, &census, &Congress, 80.0, &SeedSpec::new(12))
+            .unwrap();
     snapshot::encode(&sample)
 }
 

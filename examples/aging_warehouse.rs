@@ -14,7 +14,7 @@
 //! Run: `cargo run --release --example aging_warehouse`
 
 use congress::alloc::{House, RangeBias, WorkloadWeighted};
-use congress::{compare_results, CongressionalSample, GroupCensus};
+use congress::{compare_results, CongressionalSample, GroupCensus, SeedSpec};
 use engine::rewrite::{Integrated, SamplePlan};
 use engine::{execute_exact, AggregateSpec, GroupByQuery};
 use rand::rngs::StdRng;
@@ -50,6 +50,7 @@ fn main() {
     let census = GroupCensus::build(&rel, &[quarter]).expect("census");
     let strategy = WorkloadWeighted::new(vec![bias.grouping_preference(0)]).expect("preferences");
     let space = rel.row_count() as f64 * 0.01; // 1% budget
+    let spec = SeedSpec::new(2026);
 
     let recent_window = Predicate::ge(day, Value::Date(6 * 365 - 182)); // last 2 quarters
     let q_recent = GroupByQuery::new(
@@ -62,11 +63,11 @@ fn main() {
     for (label, sample) in [
         (
             "uniform (House)",
-            CongressionalSample::draw(&rel, &census, &House, space, &mut rng).unwrap(),
+            CongressionalSample::draw_par(&rel, &census, &House, space, &spec).unwrap(),
         ),
         (
             "recency-weighted (§8)",
-            CongressionalSample::draw(&rel, &census, &strategy, space, &mut rng).unwrap(),
+            CongressionalSample::draw_par(&rel, &census, &strategy, space, &spec).unwrap(),
         ),
     ] {
         let input = sample.to_stratified_input(&rel).unwrap();

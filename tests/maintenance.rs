@@ -4,10 +4,10 @@
 
 use congress::alloc::{AllocationStrategy, Congress, Senate};
 use congress::build::{
-    construct_one_pass, BasicCongressMaintainer, CongressMaintainer, IncrementalMaintainer,
-    OnePassStrategy, SenateMaintainer,
+    construct_one_pass, BasicCongressMaintainer, CongressEvictionMaintainer, IncrementalMaintainer,
+    SenateMaintainer,
 };
-use congress::GroupCensus;
+use congress::{GroupCensus, SamplingStrategy};
 use engine::rewrite::{Integrated, SamplePlan};
 use engine::{execute_exact, GroupByQuery};
 use rand::rngs::StdRng;
@@ -36,7 +36,7 @@ fn one_pass_senate_matches_census_allocation() {
     let one_pass = construct_one_pass(
         &ds.relation,
         &cols,
-        OnePassStrategy::Senate,
+        SamplingStrategy::Senate,
         space,
         &mut rng,
     )
@@ -77,7 +77,7 @@ fn one_pass_congress_tracks_eq5_targets_in_expectation() {
         let s = construct_one_pass(
             &ds.relation,
             &cols,
-            OnePassStrategy::Congress,
+            SamplingStrategy::Congress,
             space as usize,
             &mut rng,
         )
@@ -110,7 +110,7 @@ fn maintainers_survive_distribution_drift() {
 
     let mut senate = SenateMaintainer::new(120);
     let mut basic = BasicCongressMaintainer::new(120);
-    let mut congress = CongressMaintainer::new(1, 120.0);
+    let mut congress = CongressEvictionMaintainer::new(1, 120.0);
 
     let mut row = 0usize;
     for phase in 0..2 {
@@ -176,4 +176,43 @@ fn maintained_sample_answers_queries_about_new_data() {
     let report = congress::compare_results(&exact, &approx, 0, 100.0);
     assert_eq!(report.missing_groups, 0);
     assert!(report.l1() < 30.0, "mean error {}%", report.l1());
+}
+
+#[test]
+fn synopsis_and_one_pass_share_one_maintainer_dispatch() {
+    // Ingesting the whole relation from row 0 and refreshing streams the
+    // same rows through the same maintainer with the same seed as
+    // `construct_one_pass`, so the samples agree row for row. Basic
+    // Congress is left out: its ingest merges the batch as a Theorem 6.1
+    // delta sample instead of streaming row by row.
+    let ds = dataset(64);
+    let cols = ds.grouping_columns();
+    let seed = 21;
+    for strategy in [
+        SamplingStrategy::House,
+        SamplingStrategy::Senate,
+        SamplingStrategy::Congress,
+    ] {
+        let config = aqua::AquaConfig {
+            space: 1_500,
+            strategy,
+            seed,
+            ..aqua::AquaConfig::default()
+        };
+        let mut synopsis = aqua::Synopsis::new(config, cols.clone()).unwrap();
+        synopsis.ingest(&ds.relation, 0).unwrap();
+        synopsis.refresh(&ds.relation).unwrap();
+        let served = &synopsis.generation().unwrap().sample;
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let one_pass = construct_one_pass(&ds.relation, &cols, strategy, 1_500, &mut rng).unwrap();
+        assert_eq!(served.strata_keys(), one_pass.strata_keys(), "{strategy:?}");
+        assert_eq!(served.group_sizes(), one_pass.group_sizes(), "{strategy:?}");
+        assert_eq!(
+            served.sampled_rows(),
+            one_pass.sampled_rows(),
+            "{strategy:?}"
+        );
+        assert_eq!(served.strategy_name(), one_pass.strategy_name());
+    }
 }

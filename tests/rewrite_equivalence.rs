@@ -4,11 +4,9 @@
 
 use aqua::{RewriteChoice, SamplingStrategy};
 use congress::alloc::Senate;
-use congress::CongressionalSample;
+use congress::{CongressionalSample, SeedSpec};
 use engine::rewrite::{Integrated, KeyNormalized, NestedIntegrated, Normalized, SamplePlan};
 use engine::{execute_exact, AggregateSpec, GroupByQuery};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use relation::{Expr, Predicate};
 use tpcd::{q_g0, q_g2, q_g3, GeneratorConfig, TpcdDataset};
 
@@ -24,9 +22,9 @@ fn dataset() -> TpcdDataset {
 
 fn plans(ds: &TpcdDataset, space: f64) -> Vec<Box<dyn SamplePlan>> {
     let census = congress::GroupCensus::build(&ds.relation, &ds.grouping_columns()).unwrap();
-    let mut rng = StdRng::seed_from_u64(5);
     let sample =
-        CongressionalSample::draw(&ds.relation, &census, &Senate, space, &mut rng).unwrap();
+        CongressionalSample::draw_par(&ds.relation, &census, &Senate, space, &SeedSpec::new(5))
+            .unwrap();
     let input = sample.to_stratified_input(&ds.relation).unwrap();
     vec![
         Box::new(Integrated::build(&input).unwrap()),

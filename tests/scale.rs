@@ -4,11 +4,9 @@
 
 use aqua::{Aqua, AquaConfig, Request, SamplingStrategy};
 use congress::alloc::Congress;
-use congress::{compare_results, CongressionalSample, GroupCensus};
+use congress::{compare_results, CongressionalSample, GroupCensus, SeedSpec};
 use engine::execute_exact;
 use engine::rewrite::{Integrated, SamplePlan};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use tpcd::{q_g2, GeneratorConfig, TpcdDataset};
 
 #[test]
@@ -23,13 +21,12 @@ fn six_million_rows_full_pipeline() {
     });
     let census = GroupCensus::build(&ds.relation, &ds.grouping_columns()).unwrap();
     assert_eq!(census.total_rows(), 6_000_000);
-    let mut rng = StdRng::seed_from_u64(1);
-    let sample = CongressionalSample::draw(
+    let sample = CongressionalSample::draw_par(
         &ds.relation,
         &census,
         &Congress,
         420_000.0, // 7%
-        &mut rng,
+        &SeedSpec::new(1),
     )
     .unwrap();
     let input = sample.to_stratified_input(&ds.relation).unwrap();

@@ -4,7 +4,7 @@
 
 use congress::alloc::Senate;
 use congress::bounds::standard_error_of_mean;
-use congress::{CongressionalSample, GroupCensus};
+use congress::{CongressionalSample, GroupCensus, SeedSpec};
 use engine::rewrite::{Integrated, SamplePlan};
 use engine::{execute_exact, AggregateSpec, GroupByQuery};
 use rand::rngs::StdRng;
@@ -47,9 +47,9 @@ fn empirical_standard_error_matches_eq2() {
         let trials = 400u64;
         let mut sq_err = 0.0;
         for t in 0..trials {
-            let mut rng = StdRng::seed_from_u64(10_000 + t);
+            let spec = SeedSpec::new(10_000 + t);
             let sample =
-                CongressionalSample::draw(&rel, &census, &Senate, sample_size as f64, &mut rng)
+                CongressionalSample::draw_par(&rel, &census, &Senate, sample_size as f64, &spec)
                     .unwrap();
             let input = sample.to_stratified_input(&rel).unwrap();
             let plan = Integrated::build(&input).unwrap();
@@ -82,9 +82,9 @@ fn error_scales_inverse_sqrt_n() {
         let trials = 300u64;
         let mut sq = 0.0;
         for t in 0..trials {
-            let mut rng = StdRng::seed_from_u64(20_000 + t + sample_size as u64 * 1_000);
+            let spec = SeedSpec::new(20_000 + t + sample_size as u64 * 1_000);
             let sample =
-                CongressionalSample::draw(&rel, &census, &Senate, sample_size as f64, &mut rng)
+                CongressionalSample::draw_par(&rel, &census, &Senate, sample_size as f64, &spec)
                     .unwrap();
             let input = sample.to_stratified_input(&rel).unwrap();
             let plan = Integrated::build(&input).unwrap();
@@ -117,8 +117,9 @@ fn fully_sampled_relation_has_zero_error() {
     );
     let exact = execute_exact(&rel, &q).unwrap();
     for seed in 0..5 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let sample = CongressionalSample::draw(&rel, &census, &Senate, 500.0, &mut rng).unwrap();
+        let sample =
+            CongressionalSample::draw_par(&rel, &census, &Senate, 500.0, &SeedSpec::new(seed))
+                .unwrap();
         let input = sample.to_stratified_input(&rel).unwrap();
         let plan = Integrated::build(&input).unwrap();
         let approx = plan.execute(&q).unwrap();

@@ -9,12 +9,9 @@ use congress::alloc::AllocationStrategy;
 /// (the root test crate cannot depend on `bench`'s unpublished internals
 /// without making the root package heavier, so this mirrors the setup).
 mod bench_harness {
-    use congress::alloc::{BasicCongress, Congress, House, Senate};
-    use congress::{compare_results, CongressionalSample, GroupCensus};
+    use congress::{compare_results, CongressionalSample, GroupCensus, SeedSpec};
     use engine::rewrite::{Integrated, SamplePlan};
     use engine::{execute_exact, GroupByQuery};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     use aqua::SamplingStrategy;
     use tpcd::{GeneratorConfig, TpcdDataset};
@@ -48,32 +45,15 @@ mod bench_harness {
         let space = fraction * s.ds.relation.row_count() as f64;
         let mut total = 0.0;
         for t in 0..trials {
-            let mut rng = StdRng::seed_from_u64(900 + t);
-            let sample = match strategy {
-                SamplingStrategy::House => {
-                    CongressionalSample::draw(&s.ds.relation, &s.census, &House, space, &mut rng)
-                }
-                SamplingStrategy::Senate => {
-                    CongressionalSample::draw(&s.ds.relation, &s.census, &Senate, space, &mut rng)
-                }
-                SamplingStrategy::BasicCongress => CongressionalSample::draw(
-                    &s.ds.relation,
-                    &s.census,
-                    &BasicCongress,
-                    space,
-                    &mut rng,
-                ),
-                SamplingStrategy::Congress => {
-                    CongressionalSample::draw(&s.ds.relation, &s.census, &Congress, space, &mut rng)
-                }
-            }
+            let sample = CongressionalSample::draw_par(
+                &s.ds.relation,
+                &s.census,
+                strategy.allocator(),
+                space,
+                &SeedSpec::new(900 + t),
+            )
             .unwrap();
-            let input = match strategy {
-                SamplingStrategy::House => {
-                    sample.to_stratified_input_uniform(&s.ds.relation).unwrap()
-                }
-                _ => sample.to_stratified_input(&s.ds.relation).unwrap(),
-            };
+            let input = strategy.stratified_input(&sample, &s.ds.relation).unwrap();
             let plan = Integrated::build(&input).unwrap();
             let approx = plan.execute(query).unwrap();
             total += compare_results(&exact, &approx, 0, 100.0).l1();
@@ -164,30 +144,13 @@ fn no_missing_groups_at_reasonable_sample_sizes() {
     ] {
         let exact = engine::execute_exact(&s.ds.relation, &q).unwrap();
         let space = 0.07 * s.ds.relation.row_count() as f64;
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(8);
-        let sample = match strategy {
-            SamplingStrategy::Senate => congress::CongressionalSample::draw(
-                &s.ds.relation,
-                &s.census,
-                &congress::alloc::Senate,
-                space,
-                &mut rng,
-            ),
-            SamplingStrategy::BasicCongress => congress::CongressionalSample::draw(
-                &s.ds.relation,
-                &s.census,
-                &congress::alloc::BasicCongress,
-                space,
-                &mut rng,
-            ),
-            _ => congress::CongressionalSample::draw(
-                &s.ds.relation,
-                &s.census,
-                &congress::alloc::Congress,
-                space,
-                &mut rng,
-            ),
-        }
+        let sample = congress::CongressionalSample::draw_par(
+            &s.ds.relation,
+            &s.census,
+            strategy.allocator(),
+            space,
+            &congress::SeedSpec::new(8),
+        )
         .unwrap();
         let input = sample.to_stratified_input(&s.ds.relation).unwrap();
         let plan = engine::rewrite::Integrated::build(&input).unwrap();

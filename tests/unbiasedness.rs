@@ -4,7 +4,7 @@
 
 use aqua::{Aqua, AquaConfig, RewriteChoice, SamplingStrategy};
 use congress::alloc::Congress;
-use congress::CongressionalSample;
+use congress::{CongressionalSample, SeedSpec};
 use engine::rewrite::{Integrated, SamplePlan};
 use engine::{execute_exact, AggregateSpec, GroupByQuery};
 use rand::rngs::StdRng;
@@ -39,9 +39,10 @@ fn sum_and_count_estimators_are_unbiased() {
     let trials = 60u64;
     let mut sums: std::collections::HashMap<GroupKey, (f64, f64)> = Default::default();
     for t in 0..trials {
-        let mut rng = StdRng::seed_from_u64(3_000 + t);
+        let spec = SeedSpec::new(3_000 + t);
         let sample =
-            CongressionalSample::draw(&ds.relation, &census, &Congress, 1_500.0, &mut rng).unwrap();
+            CongressionalSample::draw_par(&ds.relation, &census, &Congress, 1_500.0, &spec)
+                .unwrap();
         let input = sample.to_stratified_input(&ds.relation).unwrap();
         let plan = Integrated::build(&input).unwrap();
         let approx = plan.execute(&q).unwrap();
@@ -79,9 +80,10 @@ fn avg_estimator_converges() {
     let trials = 40u64;
     let mut means: std::collections::HashMap<GroupKey, f64> = Default::default();
     for t in 0..trials {
-        let mut rng = StdRng::seed_from_u64(4_000 + t);
+        let spec = SeedSpec::new(4_000 + t);
         let sample =
-            CongressionalSample::draw(&ds.relation, &census, &Congress, 2_000.0, &mut rng).unwrap();
+            CongressionalSample::draw_par(&ds.relation, &census, &Congress, 2_000.0, &spec)
+                .unwrap();
         let input = sample.to_stratified_input(&ds.relation).unwrap();
         let plan = Integrated::build(&input).unwrap();
         let approx = plan.execute(&q).unwrap();
@@ -167,9 +169,11 @@ fn per_stratum_scaling_beats_subsampling_to_common_rate() {
     let trials = 30u64;
     let (mut err_strat, mut err_common) = (0.0, 0.0);
     for t in 0..trials {
-        let mut rng = StdRng::seed_from_u64(6_000 + t);
+        let spec = SeedSpec::new(6_000 + t);
         let sample =
-            CongressionalSample::draw(&ds.relation, &census, &Congress, 1_500.0, &mut rng).unwrap();
+            CongressionalSample::draw_par(&ds.relation, &census, &Congress, 1_500.0, &spec)
+                .unwrap();
+        let mut rng = StdRng::seed_from_u64(6_000 + t);
         let input = sample.to_stratified_input(&ds.relation).unwrap();
         // Stratified estimate.
         let plan = Integrated::build(&input).unwrap();

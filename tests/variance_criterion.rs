@@ -5,7 +5,7 @@
 
 use congress::alloc::criteria::{MultiCriteria, WeightVector};
 use congress::alloc::{AllocationStrategy, Senate};
-use congress::{compare_results, CongressionalSample, GroupCensus};
+use congress::{compare_results, CongressionalSample, GroupCensus, SeedSpec};
 use engine::rewrite::{Integrated, SamplePlan};
 use engine::{execute_exact, AggregateSpec, GroupByQuery};
 use rand::rngs::StdRng;
@@ -57,20 +57,13 @@ fn variance_criterion_beats_plain_senate_under_heteroscedasticity() {
     let trials = 25u64;
     let (mut err_senate, mut err_aware) = (0.0, 0.0);
     for t in 0..trials {
-        let mut rng = StdRng::seed_from_u64(9_000 + t);
+        let spec = SeedSpec::new(9_000 + t);
         for (strategy, err) in [
             (&Senate as &dyn AllocationStrategy, &mut err_senate),
             (&aware as &dyn AllocationStrategy, &mut err_aware),
         ] {
-            let alloc = strategy.allocate(&census, space).unwrap();
-            let sample = CongressionalSample::draw_with_allocation(
-                &rel,
-                &census,
-                &alloc,
-                strategy.name(),
-                &mut rng,
-            )
-            .unwrap();
+            let sample =
+                CongressionalSample::draw_par(&rel, &census, strategy, space, &spec).unwrap();
             let input = sample.to_stratified_input(&rel).unwrap();
             let plan = Integrated::build(&input).unwrap();
             let approx = plan.execute(&q).unwrap();
