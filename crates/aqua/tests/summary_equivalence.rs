@@ -170,7 +170,7 @@ fn reference_bounds(
     let exprs: Vec<Option<Vec<f64>>> = query
         .aggregates
         .iter()
-        .map(|a| a.expr.as_ref().map(|e| e.eval_masked(rel, &mask).unwrap()))
+        .map(|a| a.expr.as_ref().map(|e| e.eval(rel).unwrap()))
         .collect();
 
     type Cell = (Vec<Moments>, Vec<Moments>, u64, u64); // (all, sel, n_all, n_sel)

@@ -1,4 +1,4 @@
-//! Aggregate functions and their accumulators.
+//! Aggregate functions and the partial state every fold accumulates.
 
 use std::fmt;
 
@@ -190,100 +190,31 @@ impl Partial {
         self.rows
     }
 
-    /// `Σ value·weight` accumulated so far.
-    pub fn weighted_sum(&self) -> f64 {
-        self.weighted_sum
+    /// Merge an unscaled partial whose rows all carry ScaleFactor `sf`:
+    /// one multiply per partial instead of one per row, the outer step of
+    /// the Nested-integrated plan (Fig 11). MIN/MAX and the row count pass
+    /// through unscaled.
+    pub fn merge_scaled(&mut self, other: &Partial, sf: f64) {
+        self.weighted_sum += other.weighted_sum * sf;
+        self.weight += other.weight * sf;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+        self.rows += other.rows;
     }
 
-    /// `Σ weight` accumulated so far.
-    pub fn total_weight(&self) -> f64 {
-        self.weight
-    }
-
-    /// Minimum raw value seen (`+∞` if empty).
-    pub fn min_value(&self) -> f64 {
-        self.min
-    }
-
-    /// Maximum raw value seen (`-∞` if empty).
-    pub fn max_value(&self) -> f64 {
-        self.max
-    }
-}
-
-/// Streaming accumulator for one aggregate over one group.
-///
-/// `add` takes the row's expression value and a weight. Exact execution
-/// passes weight 1; the rewrite strategies pass the stratum ScaleFactor,
-/// which yields exactly the paper's scaled SUM / scaled COUNT / ratio AVG.
-#[derive(Debug, Clone, Copy)]
-pub struct Accumulator {
-    func: AggregateFn,
-    state: Partial,
-}
-
-impl Accumulator {
-    /// Fresh accumulator for `func`.
-    pub fn new(func: AggregateFn) -> Self {
-        Accumulator {
-            func,
-            state: Partial::new(),
-        }
-    }
-
-    /// Restore an accumulator from a cached [`Partial`]. Because the state
-    /// is function-independent, one cached partial per (grouping, measure)
-    /// serves SUM, COUNT, AVG, MIN, and MAX alike.
-    pub fn from_partial(func: AggregateFn, state: Partial) -> Self {
-        Accumulator { func, state }
-    }
-
-    /// Fold in one row. `value` is ignored for COUNT.
-    #[inline]
-    pub fn add(&mut self, value: f64, weight: f64) {
-        self.state.add(value, weight);
-    }
-
-    /// Merge another accumulator of the same function into this one.
-    pub fn merge(&mut self, other: &Accumulator) {
-        debug_assert_eq!(self.func, other.func);
-        self.state.merge(&other.state);
-    }
-
-    /// Number of raw rows folded in.
-    pub fn rows(&self) -> u64 {
-        self.state.rows()
-    }
-
-    /// `Σ value·weight` accumulated so far.
-    pub fn weighted_sum(&self) -> f64 {
-        self.state.weighted_sum()
-    }
-
-    /// `Σ weight` accumulated so far.
-    pub fn total_weight(&self) -> f64 {
-        self.state.total_weight()
-    }
-
-    /// Minimum raw value seen (`+∞` if empty).
-    pub fn min_value(&self) -> f64 {
-        self.state.min_value()
-    }
-
-    /// Maximum raw value seen (`-∞` if empty).
-    pub fn max_value(&self) -> f64 {
-        self.state.max_value()
-    }
-
-    /// The aggregate's final value. AVG of an empty group is NaN; the
-    /// executors never emit empty groups, so this is unreachable in queries.
-    pub fn finish(&self) -> f64 {
-        match self.func {
-            AggregateFn::Sum => self.state.weighted_sum(),
-            AggregateFn::Count => self.state.total_weight(),
-            AggregateFn::Avg => self.state.weighted_sum() / self.state.total_weight(),
-            AggregateFn::Min => self.state.min_value(),
-            AggregateFn::Max => self.state.max_value(),
+    /// The value of `func` over what was folded: SUM = `Σ value·weight`,
+    /// COUNT = `Σ weight`, AVG their ratio, MIN/MAX the raw range. With
+    /// weight 1 that is the exact aggregate; with each row's stratum
+    /// ScaleFactor as its weight it is the paper's scaled SUM / scaled
+    /// COUNT / ratio AVG (§5.1). AVG of an empty partial is NaN; the
+    /// executors never emit empty groups.
+    pub fn finish(&self, func: AggregateFn) -> f64 {
+        match func {
+            AggregateFn::Sum => self.weighted_sum,
+            AggregateFn::Count => self.weight,
+            AggregateFn::Avg => self.weighted_sum / self.weight,
+            AggregateFn::Min => self.min,
+            AggregateFn::Max => self.max,
         }
     }
 }
@@ -293,59 +224,57 @@ mod tests {
     use super::*;
     use relation::ColumnId;
 
+    /// `pairs` folded into one partial and finished as `func`.
+    fn folded(func: AggregateFn, pairs: &[(f64, f64)]) -> f64 {
+        let mut p = Partial::new();
+        for &(v, w) in pairs {
+            p.add(v, w);
+        }
+        p.finish(func)
+    }
+
     #[test]
     fn sum_with_unit_weight_is_plain_sum() {
-        let mut a = Accumulator::new(AggregateFn::Sum);
+        let mut p = Partial::new();
         for v in [1.0, 2.0, 3.5] {
-            a.add(v, 1.0);
+            p.add(v, 1.0);
         }
-        assert_eq!(a.finish(), 6.5);
-        assert_eq!(a.rows(), 3);
+        assert_eq!(p.finish(AggregateFn::Sum), 6.5);
+        assert_eq!(p.rows(), 3);
     }
 
     #[test]
     fn scaled_sum_matches_paper_example() {
         // §5.1: q1 from a 1% stratum (SF=100), q2 from a 2% stratum (SF=50).
-        let mut a = Accumulator::new(AggregateFn::Sum);
-        a.add(10.0, 100.0);
-        a.add(20.0, 50.0);
-        assert_eq!(a.finish(), 10.0 * 100.0 + 20.0 * 50.0);
+        let got = folded(AggregateFn::Sum, &[(10.0, 100.0), (20.0, 50.0)]);
+        assert_eq!(got, 10.0 * 100.0 + 20.0 * 50.0);
     }
 
     #[test]
     fn count_sums_scale_factors() {
-        let mut a = Accumulator::new(AggregateFn::Count);
-        a.add(0.0, 100.0);
-        a.add(0.0, 50.0);
-        assert_eq!(a.finish(), 150.0);
+        let got = folded(AggregateFn::Count, &[(0.0, 100.0), (0.0, 50.0)]);
+        assert_eq!(got, 150.0);
     }
 
     #[test]
     fn avg_is_ratio_of_scaled_sums() {
-        let mut a = Accumulator::new(AggregateFn::Avg);
-        a.add(10.0, 100.0);
-        a.add(20.0, 50.0);
+        let got = folded(AggregateFn::Avg, &[(10.0, 100.0), (20.0, 50.0)]);
         let expect = (10.0 * 100.0 + 20.0 * 50.0) / 150.0;
-        assert!((a.finish() - expect).abs() < 1e-12);
+        assert!((got - expect).abs() < 1e-12);
     }
 
     #[test]
     fn min_max_ignore_weights() {
-        let mut mn = Accumulator::new(AggregateFn::Min);
-        let mut mx = Accumulator::new(AggregateFn::Max);
-        for (v, w) in [(5.0, 10.0), (-2.0, 1.0), (7.0, 0.5)] {
-            mn.add(v, w);
-            mx.add(v, w);
-        }
-        assert_eq!(mn.finish(), -2.0);
-        assert_eq!(mx.finish(), 7.0);
+        let pairs = [(5.0, 10.0), (-2.0, 1.0), (7.0, 0.5)];
+        assert_eq!(folded(AggregateFn::Min, &pairs), -2.0);
+        assert_eq!(folded(AggregateFn::Max, &pairs), 7.0);
     }
 
     #[test]
     fn merge_equals_sequential() {
-        let mut a = Accumulator::new(AggregateFn::Avg);
-        let mut b = Accumulator::new(AggregateFn::Avg);
-        let mut whole = Accumulator::new(AggregateFn::Avg);
+        let mut a = Partial::new();
+        let mut b = Partial::new();
+        let mut whole = Partial::new();
         for (i, v) in [1.0, 4.0, 9.0, 16.0].iter().enumerate() {
             let w = (i + 1) as f64;
             if i % 2 == 0 {
@@ -356,62 +285,27 @@ mod tests {
             whole.add(*v, w);
         }
         a.merge(&b);
-        assert!((a.finish() - whole.finish()).abs() < 1e-12);
+        let avg = AggregateFn::Avg;
+        assert!((a.finish(avg) - whole.finish(avg)).abs() < 1e-12);
         assert_eq!(a.rows(), whole.rows());
     }
 
+    /// One multiply per inner partial: an unscaled partial merged at
+    /// ScaleFactor `sf` is the rows folded at weight `sf`, up to rounding.
     #[test]
-    fn restored_partial_is_bit_identical_to_streamed() {
-        // One shared Partial serves every aggregate function: streaming the
-        // same (value, weight) pairs through an Accumulator must land on
-        // exactly the same state.
-        let pairs = [(1.5, 2.0), (-3.25, 8.0), (7.0, 0.5), (0.1, 1.0)];
-        let mut p = Partial::new();
-        for (v, w) in pairs {
-            p.add(v, w);
+    fn merge_scaled_applies_the_scale_factor_once() {
+        let mut raw = Partial::new();
+        for v in [1.0, 3.0, 10.0] {
+            raw.add(v, 1.0);
         }
-        for func in [
-            AggregateFn::Sum,
-            AggregateFn::Count,
-            AggregateFn::Avg,
-            AggregateFn::Min,
-            AggregateFn::Max,
-        ] {
-            let mut streamed = Accumulator::new(func);
-            for (v, w) in pairs {
-                streamed.add(v, w);
-            }
-            let restored = Accumulator::from_partial(func, p);
-            assert_eq!(restored.finish().to_bits(), streamed.finish().to_bits());
-            assert_eq!(restored.rows(), streamed.rows());
-            assert_eq!(restored.weighted_sum(), streamed.weighted_sum());
-        }
-    }
-
-    #[test]
-    fn partial_merge_matches_accumulator_merge() {
-        let mut a = Partial::new();
-        let mut b = Partial::new();
-        let mut aa = Accumulator::new(AggregateFn::Sum);
-        let mut ab = Accumulator::new(AggregateFn::Sum);
-        for (i, v) in [2.0, 3.0, 5.0, 7.0].iter().enumerate() {
-            if i % 2 == 0 {
-                a.add(*v, 1.5);
-                aa.add(*v, 1.5);
-            } else {
-                b.add(*v, 1.5);
-                ab.add(*v, 1.5);
-            }
-        }
-        a.merge(&b);
-        aa.merge(&ab);
-        assert_eq!(
-            Accumulator::from_partial(AggregateFn::Sum, a).finish(),
-            aa.finish()
-        );
-        assert_eq!(a.rows(), aa.rows());
-        assert_eq!(a.min_value(), aa.min_value());
-        assert_eq!(a.max_value(), aa.max_value());
+        let mut outer = Partial::new();
+        outer.merge_scaled(&raw, 2.0);
+        assert_eq!(outer.finish(AggregateFn::Sum), 28.0);
+        assert_eq!(outer.finish(AggregateFn::Count), 6.0);
+        assert_eq!(outer.finish(AggregateFn::Avg), 28.0 / 6.0);
+        assert_eq!(outer.finish(AggregateFn::Min), 1.0);
+        assert_eq!(outer.finish(AggregateFn::Max), 10.0);
+        assert_eq!(outer.rows(), 3);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! already blown its budget. Rust threads cannot be killed, so the engine
 //! cancels cooperatively: a [`CancelToken`] travels in
 //! [`ExecOptions`](crate::cache::ExecOptions) and the chunked aggregation
-//! loops poll it at [`CHUNK_ROWS`](crate::rewrite) boundaries (every 16Ki
+//! loops poll it at [`CHUNK_ROWS`](relation::CHUNK_ROWS) boundaries (every 16Ki
 //! rows). A fired token makes the executor return
 //! [`EngineError::Cancelled`] instead of a result; a token that never fires
 //! costs one relaxed atomic load plus one `Instant` read per chunk and

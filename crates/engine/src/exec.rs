@@ -1,4 +1,5 @@
-//! Exact query execution via hash aggregation, one surviving chunk at a time.
+//! The cold group-by scan — exact queries and the four sample rewrites —
+//! via hash aggregation, one surviving chunk at a time.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -9,9 +10,9 @@ use relation::{
     F64,
 };
 
-use crate::aggregate::{Accumulator, AggregateSpec, Partial};
+use crate::aggregate::{AggregateSpec, Partial};
 use crate::cache::{ExecOptions, ServedFrom};
-use crate::cancel;
+use crate::cancel::{self, CancelToken};
 use crate::error::Result;
 use crate::query::GroupByQuery;
 use crate::result::QueryResult;
@@ -48,25 +49,11 @@ pub fn execute_exact(rel: &Relation, query: &GroupByQuery) -> Result<QueryResult
     execute_exact_opts(rel, query, &ExecOptions::default())
 }
 
-/// [`execute_exact`] with explicit [`ExecOptions`]: the zone-map pass with
-/// code-domain kernels over the relation's encoded twin, then one
-/// aggregation pass over the chunks holding a selected row (`fold_chunks`),
-/// or the decode-free scalar fold (`scalar_fold_encoded`) where it applies.
-/// Beyond the predicate's bitmap nothing allocated is longer than a chunk
-/// or the set of groups actually seen.
-///
-/// Bit-identical to folding *every* chunk and merging in chunk order with
-/// chunk 0 as the base — the contract `rewrite::accumulate` gives the
-/// sample rewrites — because chunk verdicts are exact, chunks are the same
-/// [`relation::CHUNK_ROWS`], rows fold in row order, partials merge in
-/// chunk order, and merging an empty [`Partial`] is a bitwise no-op: a
-/// partial sum starts at `+0.0` and `+0.0 + −0.0 = +0.0`, so none is ever
-/// `−0.0` and adding the empty `+0.0` on either side returns its bits;
-/// `x.min(+∞) = +∞.min(x) = x` (`min`/`max` never hold NaN); weight and row
-/// count add zero. So a pruned chunk, a chunk without a row of some group,
-/// and a group first seen in a late chunk (its total starts empty) leave
-/// the totals as the full merge would. Group ids are scan-local; output
-/// order comes from the final key sort.
+/// [`execute_exact`] with explicit [`ExecOptions`]: the engine's one cold
+/// group-by scan (`scan`, which the sample rewrites run too) at weight 1 —
+/// the zone-map pass with code-domain kernels, then one aggregation pass
+/// over the chunks holding a selected row, or the decode-free scalar fold
+/// where it applies.
 ///
 /// `opts.cancel` is polled before the scan and at every chunk folded, so a
 /// scan of a large base table (e.g. a degraded warehouse relation) honors
@@ -78,7 +65,52 @@ pub fn execute_exact_opts(
     query: &GroupByQuery,
     opts: &ExecOptions,
 ) -> Result<QueryResult> {
+    scan(rel, query, None, opts)
+}
+
+/// The cold group-by scan that exact queries and the Integrated, Normalized
+/// and Key-normalized rewrites run (Nested-integrated stops at [`fold`] and
+/// scales its inner groups itself): validate, the zone-map pass with code-domain kernels over the
+/// relation's encoded twin, then one aggregation pass over the chunks
+/// holding a selected row ([`fold_chunks`]) with row `r` folded at weight
+/// `weights[r]` (1 when `None`), or — unweighted — the decode-free scalar
+/// fold ([`scalar_fold_encoded`]) where it applies. Beyond the predicate's
+/// bitmap nothing allocated is longer than a chunk or the set of groups
+/// actually seen. The trace records a [`ServedFrom::ColdScan`] of the rows
+/// in the chunks the zone-map pass kept.
+///
+/// Bit-identical to folding *every* chunk over a whole-relation group index
+/// and merging in chunk order with chunk 0 as the base, because chunk
+/// verdicts are exact, chunks are the same [`relation::CHUNK_ROWS`], rows
+/// fold in row order, partials merge in chunk order, and merging an empty
+/// [`Partial`] is a bitwise no-op: a partial sum starts at `+0.0` and
+/// `+0.0 + −0.0 = +0.0`, so none is ever `−0.0` and adding the empty
+/// `+0.0` on either side returns its bits; `x.min(+∞) = +∞.min(x) = x`
+/// (`min`/`max` never hold NaN); weight and row count add zero. So a pruned
+/// chunk, a chunk without a row of some group, and a group first seen in a
+/// late chunk (its total starts empty) leave the totals as the full merge
+/// would. Group ids are scan-local; output order comes from the final key
+/// sort.
+pub(crate) fn scan(
+    rel: &Relation,
+    query: &GroupByQuery,
+    weights: Option<&[f64]>,
+    opts: &ExecOptions,
+) -> Result<QueryResult> {
+    let (keys, totals) = fold(rel, query, weights, opts)?;
+    emit_rows(keys, &totals, query)
+}
+
+/// [`scan`] up to the per-group totals: each group's key and its
+/// aggregates' [`Partial`]s, flat `keys.len() × aggregates`.
+pub(crate) fn fold(
+    rel: &Relation,
+    query: &GroupByQuery,
+    weights: Option<&[f64]>,
+    opts: &ExecOptions,
+) -> Result<(Vec<GroupKey>, Vec<Partial>)> {
     query.validate(rel)?;
+    debug_assert!(weights.is_none_or(|ws| ws.len() == rel.row_count()));
 
     let (mask, stats) = eval_predicate(rel, &query.predicate, opts);
     if let Some(trace) = opts.trace {
@@ -87,10 +119,11 @@ pub fn execute_exact_opts(
     // Decode-free scalar fold: a no-grouping query over bare columns needs
     // no group ids, no expression buffers, and — for fully selected chunks
     // — no decode at all.
-    if scalar_fold_applies(rel, query) {
-        return scalar_fold_encoded(rel, &mask, query, opts);
+    if weights.is_none() && scalar_fold_applies(rel, query) {
+        let totals = scalar_fold_encoded(rel, &mask, query, opts)?;
+        return Ok((vec![GroupKey::empty()], totals));
     }
-    fold_chunks(rel, &mask, query, opts)
+    fold_chunks(rel, &mask, query, weights, opts.cancel)
 }
 
 /// The value of `col` that [`Column::group_code`] `code` stands for.
@@ -129,20 +162,24 @@ impl Hasher for CodeHasher {
 
 type CodeMap<K> = HashMap<K, u32, BuildHasherDefault<CodeHasher>>;
 
-/// The exact aggregation: one pass over the chunks holding a row `mask`
+/// The group-by fold: one pass over the chunks holding a row `mask`
 /// selects, skipping the rest. Per chunk: list the selected rows from the
 /// mask words, fetch the grouping columns' codes and resolve each row's
 /// group id with one probe (a fixed-width key up to the paper's |G| ≤ 4,
 /// an allocated one beyond), gather each measure at those rows only, fold
-/// them in row order into a flat `groups × aggregates` scratch of
-/// [`Partial`]s, and merge the groups the chunk touched into the running
-/// totals, reusing every buffer. Bit-identity: see [`execute_exact_opts`].
+/// them in row order at their `weights` (1 when `None`) into a flat
+/// `groups × aggregates` scratch of [`Partial`]s, and merge the groups the
+/// chunk touched into the running totals, reusing every buffer. Returns
+/// each group's key, in first-selected-row order, and its totals. `cancel`
+/// is polled before the scan and at every chunk folded. Bit-identity: see
+/// [`scan`].
 fn fold_chunks(
     rel: &Relation,
     mask: &Bitmap,
     query: &GroupByQuery,
-    opts: &ExecOptions,
-) -> Result<QueryResult> {
+    weights: Option<&[f64]>,
+    cancel: Option<&CancelToken>,
+) -> Result<(Vec<GroupKey>, Vec<Partial>)> {
     let (cols, na) = (&query.grouping, query.aggregates.len());
     let mut narrow = CodeMap::<[u64; 4]>::default();
     let mut wide = CodeMap::<Vec<u64>>::default();
@@ -152,7 +189,7 @@ fn fold_chunks(
     let (mut rows, mut codes, mut vals) = (Vec::new(), Vec::new(), Vec::new());
     let (mut gids, mut touched) = (Vec::new(), Vec::new());
 
-    cancel::check(opts.cancel)?;
+    cancel::check(cancel)?;
     for c in 0..chunk_count(mask.len()) {
         let (start, end) = chunk_range(c, mask.len());
         rows.clear();
@@ -160,7 +197,7 @@ fn fold_chunks(
         if rows.is_empty() {
             continue;
         }
-        cancel::check(opts.cancel)?;
+        cancel::check(cancel)?;
         let m = rows.len();
         // Column-major: column `j`'s codes are `codes[j * m..][..m]`, and
         // aggregate `a`'s inputs `vals[a * m..][..m]`.
@@ -197,28 +234,32 @@ fn fold_chunks(
             gids.push(gid);
         }
 
-        for (i, &g) in gids.iter().enumerate() {
+        for (i, (&g, &row)) in gids.iter().zip(&rows).enumerate() {
             let at = g as usize * na;
             if partials[at].rows() == 0 {
                 touched.push(at);
             }
+            let w = weights.map_or(1.0, |ws| ws[row as usize]);
             for (a, p) in partials[at..at + na].iter_mut().enumerate() {
-                p.add(vals[a * m + i], 1.0);
+                p.add(vals[a * m + i], w);
             }
         }
         for at in touched.drain(..).flat_map(|at| at..at + na) {
             totals[at].merge(&std::mem::take(&mut partials[at]));
         }
     }
-    emit_rows(keys, &totals, query)
+    Ok((keys, totals))
 }
 
 /// Per-group totals (flat `keys.len() × aggregates`) as a [`QueryResult`]
 /// sorted by key, without groups of no qualifying rows, HAVING applied.
-fn emit_rows(keys: Vec<GroupKey>, totals: &[Partial], query: &GroupByQuery) -> Result<QueryResult> {
+pub(crate) fn emit_rows(
+    keys: Vec<GroupKey>,
+    totals: &[Partial],
+    query: &GroupByQuery,
+) -> Result<QueryResult> {
     let names = query.aggregates.iter().map(|a| a.name.clone()).collect();
-    let finish =
-        |(a, p): (&AggregateSpec, &Partial)| Accumulator::from_partial(a.func, *p).finish();
+    let finish = |(a, p): (&AggregateSpec, &Partial)| p.finish(a.func);
     let rows = keys
         .into_iter()
         .zip(totals.chunks(query.aggregates.len()))
@@ -257,13 +298,14 @@ fn scalar_fold_applies(rel: &Relation, query: &GroupByQuery) -> bool {
 ///   selected rows through [`Partial::add`], the scan path's own op.
 ///
 /// Partials merge in chunk order into empty totals — bit for bit
-/// [`fold_chunks`]'s result (see [`execute_exact_opts`]).
+/// [`fold_chunks`]'s result (see [`scan`]) — returned as the totals of the
+/// one empty-key group.
 fn scalar_fold_encoded(
     rel: &Relation,
     mask: &Bitmap,
     query: &GroupByQuery,
     opts: &ExecOptions,
-) -> Result<QueryResult> {
+) -> Result<Vec<Partial>> {
     let n = rel.row_count();
     let nchunks = chunk_count(n);
     let (enc, zm) = (rel.encoded(), rel.zone_maps());
@@ -323,7 +365,46 @@ fn scalar_fold_encoded(
     if let Some(trace) = opts.trace {
         trace.record_kernels(&kstats);
     }
-    emit_rows(vec![GroupKey::empty()], &totals, query)
+    Ok(totals)
+}
+
+/// The cold composition the scan replaced, kept as the reference for
+/// [`scan`]: the unpruned decode-path mask ([`relation::Predicate::eval`]),
+/// each measure over the whole relation ([`Expr::eval`]), the unfiltered
+/// [`GroupIndex`](crate::GroupIndex), every chunk's selected rows folded
+/// in row order at `weights` (1 when `None`) into fresh per-group
+/// [`Partial`]s, and the chunks merged in order with chunk 0 as the base.
+#[cfg(test)]
+pub(crate) fn reference_fold(
+    rel: &Relation,
+    query: &GroupByQuery,
+    weights: Option<&[f64]>,
+) -> QueryResult {
+    let n = rel.row_count();
+    let mask = query.predicate.eval(rel);
+    let measure = |a: &AggregateSpec| a.expr.as_ref().map(|e| e.eval(rel).unwrap());
+    let exprs: Vec<Option<Vec<f64>>> = query.aggregates.iter().map(measure).collect();
+    let index = crate::GroupIndex::build(rel, &query.grouping);
+    let na = query.aggregates.len();
+    let chunk = |c: usize| {
+        let (start, end) = chunk_range(c, n);
+        let mut partials = vec![Partial::new(); index.group_count() * na];
+        for row in mask.ones_range(start, end) {
+            let at = index.group_of(row) as usize * na;
+            let w = weights.map_or(1.0, |ws| ws[row]);
+            for (a, p) in partials[at..at + na].iter_mut().enumerate() {
+                p.add(exprs[a].as_ref().map_or(0.0, |vals| vals[row]), w);
+            }
+        }
+        partials
+    };
+    let merge = |mut base: Vec<Partial>, next: Vec<Partial>| {
+        base.iter_mut().zip(&next).for_each(|(b, p)| b.merge(p));
+        base
+    };
+    let totals = (0..chunk_count(n)).map(chunk).reduce(merge);
+    let totals = totals.unwrap_or_else(|| vec![Partial::new(); index.group_count() * na]);
+    emit_rows(index.keys().to_vec(), &totals, query).unwrap()
 }
 
 #[cfg(test)]
@@ -606,27 +687,66 @@ mod tests {
         }
     }
 
-    /// A traced exact scan reports as scanned exactly the rows of the
-    /// chunks that hold a selected row (decided row by row), so skipping
-    /// chunks without one cannot move the scanned-rows counter.
+    /// `rel` as a sample stratified on `col`, stratum `s` at ScaleFactor
+    /// `1 + s/2`.
+    fn stratified(rel: &Relation, col: ColumnId) -> crate::StratifiedInput {
+        let index = crate::GroupIndex::build(rel, &[col]);
+        let strata = index.group_count();
+        crate::StratifiedInput {
+            rows: rel.clone(),
+            stratum_of_row: index.group_ids().to_vec(),
+            scale_factors: (0..strata).map(|s| 1.0 + s as f64 / 2.0).collect(),
+            strata_keys: index.keys().to_vec(),
+            grouping_columns: vec![col],
+        }
+    }
+
+    /// The Integrated and Nested-integrated cold plans over `rel`
+    /// stratified on `col`.
+    fn cold_plans(rel: &Relation, col: ColumnId) -> Vec<Box<dyn crate::SamplePlan>> {
+        use crate::rewrite::{Integrated, NestedIntegrated};
+        let input = stratified(rel, col);
+        vec![
+            Box::new(Integrated::build(&input).unwrap()),
+            Box::new(NestedIntegrated::build(&input).unwrap()),
+        ]
+    }
+
+    /// A traced exact scan — and a cold Integrated or Nested-integrated
+    /// plan — reports as scanned exactly the rows of the chunks that hold a
+    /// selected row (decided row by row), so skipping chunks without one
+    /// cannot move the scanned-rows counter.
     #[test]
     fn rows_scanned_counts_the_chunks_holding_a_selected_row() {
         use crate::ExecTrace;
         let rows = 40_000;
-        for (r, queries) in [
-            (chunked_rel(rows), chunked_queries(rows)),
-            (wide_rel(), wide_queries()),
+        let plans = cold_plans(&chunked_rel(rows), ColumnId(1));
+        for (r, queries, plans) in [
+            (chunked_rel(rows), chunked_queries(rows), plans),
+            (wide_rel(), wide_queries(), Vec::new()),
         ] {
             let n = r.row_count();
             for q in &queries {
-                let trace = ExecTrace::new();
-                execute_exact_opts(&r, q, &traced(&trace)).unwrap();
                 let kept: usize = (0..relation::chunk_count(n))
                     .map(|c| chunk_range(c, n))
                     .filter(|&(start, end)| (start..end).any(|row| q.predicate.eval_row(&r, row)))
                     .map(|(start, end)| end - start)
                     .sum();
+                let trace = ExecTrace::new();
+                execute_exact_opts(&r, q, &traced(&trace)).unwrap();
                 assert_eq!(trace.rows_scanned(), kept as u64, "{}", q.predicate);
+                for plan in &plans {
+                    let trace = ExecTrace::new();
+                    plan.execute_opts(q, &traced(&trace)).unwrap();
+                    assert_eq!(
+                        trace.served(),
+                        Some(ServedFrom::ColdScan),
+                        "{}",
+                        plan.name()
+                    );
+                    let what = format!("{}: {}", plan.name(), q.predicate);
+                    assert_eq!(trace.rows_scanned(), kept as u64, "{what}");
+                }
             }
         }
     }
@@ -693,23 +813,9 @@ mod tests {
         assert_eq!(trace.chunks_scanned(), 1);
     }
 
-    /// The grouped path this module had before the per-chunk fold, kept as
-    /// the reference: the unpruned decode-path mask ([`Predicate::eval`]),
-    /// a predicate-filtered [`GroupIndex`](crate::GroupIndex) and masked
-    /// measure buffers over the whole relation, every chunk folded (empty
-    /// or not) and merged with chunk 0 as the base, rows emitted in the
-    /// index's key order.
+    /// The unweighted [`reference_fold`].
     fn whole_relation_reference(rel: &Relation, query: &GroupByQuery) -> QueryResult {
-        use crate::rewrite::{accumulate, finish_rows};
-        let mask = query.predicate.eval(rel);
-        let exprs: Vec<_> = query
-            .aggregates
-            .iter()
-            .map(|a| a.expr.as_ref().map(|e| e.eval_masked(rel, &mask).unwrap()))
-            .collect();
-        let index = crate::GroupIndex::build_filtered(rel, &query.grouping, Some(&mask));
-        let accs = accumulate(&index, &mask, &exprs, None, query, None).unwrap();
-        finish_rows(&index, accs, query).unwrap()
+        reference_fold(rel, query, None)
     }
 
     const WIDE_ROWS: usize = 70_000; // 5 chunks, the last one short
@@ -872,36 +978,53 @@ mod tests {
     }
 
     /// A fired token stops the scan with `Cancelled` — before it starts,
-    /// and from inside after the first chunk — grouped and scalar; a token
-    /// that never fires leaves the bits unchanged.
+    /// and from inside after the first chunk — grouped and scalar, exact
+    /// and in the cold Integrated and Nested-integrated plans; a token that
+    /// never fires leaves the bits unchanged.
     #[test]
     fn cancellation_before_and_inside_the_scan() {
         use crate::{CancelToken, EngineError};
         use std::sync::atomic::AtomicBool;
         let r = wide_rel();
+        let plans = cold_plans(&r, ColumnId(1));
         let v = Expr::col(ColumnId(7));
         let grouped =
             GroupByQuery::new(vec![ColumnId(1)], vec![AggregateSpec::sum(v.clone(), "s")]);
         let scalar = GroupByQuery::new(vec![], vec![AggregateSpec::sum(v, "s")]);
         for q in [&grouped, &scalar] {
             // A fresh token per run: a fuse is spent by the polls it sees.
-            let run = |token: CancelToken| {
+            let run = |plan: Option<&dyn crate::SamplePlan>, token: CancelToken| {
                 let opts = ExecOptions {
                     cancel: Some(&token),
                     ..ExecOptions::default()
                 };
-                execute_exact_opts(&r, q, &opts)
+                match plan {
+                    Some(plan) => plan.execute_opts(q, &opts),
+                    None => execute_exact_opts(&r, q, &opts),
+                }
             };
-            let fired = CancelToken::with_flag(std::sync::Arc::new(AtomicBool::new(true)));
-            assert_eq!(run(fired).unwrap_err(), EngineError::Cancelled);
-            // Two polls pass (grouped: before the scan and at the first
-            // chunk; scalar: the first two chunks); the next one fires.
-            let res = run(CancelToken::firing_after(2));
-            assert_eq!(res.unwrap_err(), EngineError::Cancelled);
-            // At most one poll per chunk plus the one before: never fires.
-            let plain = execute_exact(&r, q).unwrap();
-            for token in [CancelToken::new(), CancelToken::firing_after(6)] {
-                assert_eq!(bits(&run(token).unwrap()), bits(&plain));
+            let cold = plans.iter().map(|p| Some(p.as_ref()));
+            for plan in [None].into_iter().chain(cold) {
+                let what = plan.map_or("exact", |p| p.name());
+                let fired = CancelToken::with_flag(std::sync::Arc::new(AtomicBool::new(true)));
+                assert_eq!(
+                    run(plan, fired).unwrap_err(),
+                    EngineError::Cancelled,
+                    "{what}"
+                );
+                // Two polls pass (grouped, and every cold plan: before the
+                // scan and at the first chunk; exact scalar: the first two
+                // chunks); the next one fires.
+                let res = run(plan, CancelToken::firing_after(2));
+                assert_eq!(res.unwrap_err(), EngineError::Cancelled, "{what}");
+                // At most one poll per chunk plus the one before: never fires.
+                let plain = match plan {
+                    Some(plan) => plan.execute(q).unwrap(),
+                    None => execute_exact(&r, q).unwrap(),
+                };
+                for token in [CancelToken::new(), CancelToken::firing_after(6)] {
+                    assert_eq!(bits(&run(plan, token).unwrap()), bits(&plain), "{what}");
+                }
             }
         }
     }

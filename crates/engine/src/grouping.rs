@@ -1,11 +1,12 @@
 //! The group index: dense group ids for rows under a grouping.
 //!
-//! Grouping is the single hottest operation in this workspace — every
-//! rewrite strategy, the congress census, and per-group reservoir
-//! construction need "which group is row *r* in?" (an exact scan resolves
-//! its own ids chunk by chunk, see `exec`). The [`GroupIndex`] computes,
-//! for a set of grouping columns, a dense `u32` group id per row plus the
-//! materialized [`GroupKey`] per id.
+//! The served rewrites' cell layouts, the congress census and per-group
+//! reservoir construction all need "which group is row *r* in?" for every
+//! row of a relation. The [`GroupIndex`] computes, for a set of grouping
+//! columns, a dense `u32` group id per row plus the materialized
+//! [`GroupKey`] per id. The cold scan — exact queries and the four cold
+//! rewrite plans — builds no index: it resolves ids for the selected rows
+//! only, chunk by chunk (see `exec`).
 //!
 //! Implementation: each grouping column is first re-encoded to a dense
 //! per-column code (string columns already are; int/float/date columns get
@@ -19,11 +20,10 @@ use std::collections::HashMap;
 
 use rayon::prelude::*;
 
-use relation::{Bitmap, ColumnId, GroupKey, Relation};
+use relation::{ColumnId, GroupKey, Relation};
 
-/// Below this row count sharded/chunked parallel execution is pure
-/// overhead. Shared by the parallel index build and the chunked
-/// aggregation path so the two gates stay consistent.
+/// Below this row count the sharded parallel index build is pure
+/// overhead: [`GroupIndex::par_build`] builds sequentially.
 pub const PAR_MIN_ROWS: usize = 4096;
 
 /// Minimum rows *per shard* for the sharded parallel index build. The
@@ -42,7 +42,7 @@ pub struct GroupIndex {
     group_of_row: Vec<u32>,
     keys: Vec<GroupKey>,
     /// First-occurrence row per group id (`u32::MAX` only for the empty
-    /// grouping when every row is masked out).
+    /// grouping of a relation with no rows).
     first_rows: Vec<u32>,
     /// Group ids sorted by ascending key, computed once on first use so a
     /// memoized index lets repeat queries skip the per-result key sort.
@@ -60,25 +60,13 @@ impl GroupIndex {
     /// An empty `cols` produces the single empty group (the `T = ∅`
     /// no-group-by grouping), with every row assigned to it.
     pub fn build(rel: &Relation, cols: &[ColumnId]) -> GroupIndex {
-        Self::build_filtered(rel, cols, None)
-    }
-
-    /// Build the index over only the rows where `mask` is true (or all rows
-    /// if `mask` is `None`). Rows excluded by the mask get group id
-    /// `u32::MAX` and contribute no group.
-    pub fn build_filtered(rel: &Relation, cols: &[ColumnId], mask: Option<&Bitmap>) -> GroupIndex {
         let n = rel.row_count();
-        let live = |r: usize| mask.is_none_or(|m| m.get(r));
-
         if cols.is_empty() {
-            let group_of_row: Vec<u32> =
-                (0..n).map(|r| if live(r) { 0 } else { u32::MAX }).collect();
-            let first = group_of_row.iter().position(|&g| g == 0);
             return GroupIndex {
                 cols: Vec::new(),
-                group_of_row,
+                group_of_row: vec![0; n],
                 keys: vec![GroupKey::empty()],
-                first_rows: vec![first.map_or(u32::MAX, |r| r as u32)],
+                first_rows: vec![if n > 0 { 0 } else { u32::MAX }],
                 sorted_gids: std::sync::OnceLock::new(),
                 key_to_gid: std::sync::OnceLock::new(),
             };
@@ -100,9 +88,6 @@ impl GroupIndex {
             let mut dict: HashMap<u64, u32> = HashMap::with_capacity(col_hint(c));
             let mut codes = vec![0u32; n];
             for (r, code) in codes.iter_mut().enumerate() {
-                if !live(r) {
-                    continue;
-                }
                 let raw = col.group_code(r);
                 let next = dict.len() as u32;
                 *code = *dict.entry(raw).or_insert(next);
@@ -110,13 +95,13 @@ impl GroupIndex {
             dense_codes.push(codes);
         }
 
-        let mut group_of_row = vec![u32::MAX; n];
+        let mut group_of_row = vec![0u32; n];
         let mut keys: Vec<GroupKey> = Vec::new();
         let mut first_rows: Vec<u32> = Vec::new();
 
         if cols.len() <= 4 {
             let mut map: HashMap<u128, u32> = HashMap::with_capacity(group_hint);
-            for r in (0..n).filter(|&r| live(r)) {
+            for r in 0..n {
                 let mut packed: u128 = 0;
                 for codes in &dense_codes {
                     packed = (packed << 32) | codes[r] as u128;
@@ -132,7 +117,7 @@ impl GroupIndex {
         } else {
             let mut map: HashMap<Vec<u32>, u32> = HashMap::with_capacity(group_hint);
             let mut scratch: Vec<u32> = Vec::with_capacity(dense_codes.len());
-            for r in (0..n).filter(|&r| live(r)) {
+            for r in 0..n {
                 scratch.clear();
                 scratch.extend(dense_codes.iter().map(|codes| codes[r]));
                 // Probe by slice (`Vec<u32>` hashes identically to
@@ -311,7 +296,7 @@ impl GroupIndex {
         map.get(key).copied()
     }
 
-    /// Group id of `row`, or `u32::MAX` if the row was masked out.
+    /// Group id of `row`.
     #[inline]
     pub fn group_of(&self, row: usize) -> u32 {
         self.group_of_row[row]
@@ -337,7 +322,7 @@ impl GroupIndex {
     /// predicate over the grouping columns).
     ///
     /// # Panics
-    /// For the empty grouping when every row was masked out, since no
+    /// For the empty grouping of a relation with no rows, since no
     /// representative row exists.
     pub fn first_row(&self, gid: u32) -> usize {
         let r = self.first_rows[gid as usize];
@@ -349,9 +334,7 @@ impl GroupIndex {
     pub fn group_sizes(&self) -> Vec<usize> {
         let mut sizes = vec![0usize; self.keys.len()];
         for &g in &self.group_of_row {
-            if g != u32::MAX {
-                sizes[g as usize] += 1;
-            }
+            sizes[g as usize] += 1;
         }
         sizes
     }
@@ -360,9 +343,7 @@ impl GroupIndex {
     pub fn rows_by_group(&self) -> Vec<Vec<usize>> {
         let mut out: Vec<Vec<usize>> = vec![Vec::new(); self.keys.len()];
         for (r, &g) in self.group_of_row.iter().enumerate() {
-            if g != u32::MAX {
-                out[g as usize].push(r);
-            }
+            out[g as usize].push(r);
         }
         out
     }
@@ -423,19 +404,6 @@ mod tests {
         assert_eq!(ix.group_count(), 1);
         assert!(ix.keys()[0].is_empty());
         assert!(ix.group_ids().iter().all(|&g| g == 0));
-    }
-
-    #[test]
-    fn mask_excludes_rows_and_groups() {
-        let r = rel();
-        let cols = r.schema().column_ids(&["a", "b"]).unwrap();
-        // keep only rows 0 and 3, both (x,1)
-        let mask = Bitmap::from_bools(&[true, false, false, true, false, false]);
-        let ix = GroupIndex::build_filtered(&r, &cols, Some(&mask));
-        assert_eq!(ix.group_count(), 1);
-        assert_eq!(ix.group_of(1), u32::MAX);
-        assert_eq!(ix.group_of(0), 0);
-        assert_eq!(ix.group_sizes(), vec![2]);
     }
 
     #[test]
@@ -515,12 +483,6 @@ mod tests {
             assert_eq!(w[4], Value::Int(42));
             assert_eq!(wide.first_row(gid), packed.first_row(gid));
         }
-
-        // Same agreement under a selection mask.
-        let mask = Bitmap::from_fn(r.row_count(), |i| i % 3 != 1);
-        let packed_m = GroupIndex::build_filtered(&r, &packed_cols, Some(&mask));
-        let wide_m = GroupIndex::build_filtered(&r, &wide_cols, Some(&mask));
-        assert_eq!(wide_m.group_ids(), packed_m.group_ids());
     }
 
     /// A relation big enough to exercise the sharded parallel path
@@ -589,14 +551,6 @@ mod tests {
         // "x" first appears at row 0, "y" at row 1.
         assert_eq!(ix.first_row(ix.group_of(0)), 0);
         assert_eq!(ix.first_row(ix.group_of(1)), 1);
-        // Under a mask the representative is the first *live* row.
-        let mask = Bitmap::from_bools(&[false, true, true, true, false, false]);
-        let m = GroupIndex::build_filtered(&r, &[a], Some(&mask));
-        assert_eq!(m.first_row(m.group_of(2)), 2); // "x" now first at row 2
-        assert_eq!(m.first_row(m.group_of(1)), 1);
-        // Empty grouping: representative is the first live row overall.
-        let e = GroupIndex::build_filtered(&r, &[], Some(&mask));
-        assert_eq!(e.first_row(0), 1);
     }
 
     #[test]

@@ -6,9 +6,10 @@ use relation::{Column, ColumnId, DataType, Field, Relation};
 
 use crate::cache::ExecOptions;
 use crate::error::Result;
+use crate::exec;
 use crate::query::GroupByQuery;
 use crate::result::QueryResult;
-use crate::rewrite::{aggregate_weighted_opts, SamplePlan};
+use crate::rewrite::SamplePlan;
 use crate::stratified::StratifiedInput;
 
 /// Name of the appended ScaleFactor column.
@@ -61,7 +62,7 @@ impl SamplePlan for Integrated {
             .column(self.sf_col)
             .as_float()
             .expect("SF column is Float by construction");
-        aggregate_weighted_opts(&self.rel, weights, query, opts)
+        exec::scan(&self.rel, query, Some(weights), opts)
     }
 
     fn sample_relation(&self) -> &Relation {

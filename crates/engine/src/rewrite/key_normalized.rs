@@ -7,11 +7,12 @@ use relation::{Column, ColumnId, DataType, Field, Relation};
 
 use crate::cache::ExecOptions;
 use crate::error::{EngineError, Result};
+use crate::exec;
 use crate::join::hash_join_unique_int;
 use crate::query::GroupByQuery;
 use crate::result::QueryResult;
 use crate::rewrite::normalized::build_gid_aux;
-use crate::rewrite::{aggregate_weighted_opts, SamplePlan};
+use crate::rewrite::SamplePlan;
 use crate::stratified::StratifiedInput;
 
 /// Name of the appended GID column.
@@ -92,7 +93,7 @@ impl SamplePlan for KeyNormalized {
     fn execute_cold(&self, query: &GroupByQuery, opts: &ExecOptions) -> Result<QueryResult> {
         // Pay the single-int GID join per query (Fig 10).
         let weights = self.join_scale_factors()?;
-        aggregate_weighted_opts(&self.rel, &weights, query, opts)
+        exec::scan(&self.rel, query, Some(&weights), opts)
     }
 
     fn sample_relation(&self) -> &Relation {

@@ -20,12 +20,16 @@
 //!
 //! The table's costs are those of these cold plans (no [`QueryCache`]),
 //! which the paper's experiments, the criterion benches and the
-//! equivalence tests run. Serving builds no layout: it calls
-//! [`execute_cells`] on the stratified input itself — one fold of the
-//! selected rows into per-(group, stratum) moments, from which both the
-//! estimates and the error bounds are read — and a plan given a cache
-//! sends its query there too. The layouts only append columns, so both
-//! see the same rows in the same order.
+//! equivalence tests run. Each runs the exact scan's pruned chunk fold
+//! ([`crate::exec`]) and adds only its §5.2 step: Integrated passes its SF
+//! column as the row weights, Normalized and Key-normalized the weights
+//! their per-query join produces, and Nested-integrated folds (grouping,
+//! SF) unweighted, then scales each inner group once. Serving builds no
+//! layout: it calls [`execute_cells`] on the stratified input itself — one
+//! fold of the selected rows into per-(group, stratum) moments, from which
+//! both the estimates and the error bounds are read — and a plan given a
+//! cache sends its query there too. The layouts only append columns, so
+//! both see the same rows in the same order.
 
 mod integrated;
 mod key_normalized;
@@ -41,7 +45,7 @@ use std::sync::Arc;
 
 use relation::{chunk_count, chunk_range, Bitmap, ColumnId, Expr, Predicate, PruneStats, Relation};
 
-use crate::aggregate::{Accumulator, AggregateFn, AggregateSpec};
+use crate::aggregate::{AggregateFn, AggregateSpec};
 use crate::cache::{
     CellLayout, ExecOptions, QueryCache, ServedFrom, StratumCell, StratumLayout, StratumSummary,
 };
@@ -103,12 +107,6 @@ pub trait SamplePlan {
     fn rate_change_cost(&self, stratum: u32) -> usize;
 }
 
-/// Rows per aggregation chunk — re-exported from the storage layer so
-/// aggregation chunks coincide one-to-one with encoded storage chunks and
-/// their zone maps. A multiple of 64 so chunk boundaries align with bitmap
-/// words.
-pub(crate) use relation::CHUNK_ROWS;
-
 /// Evaluate `pred` over `rel` through the zone-map pruning pass: chunk
 /// verdicts first, then only the `Maybe` chunks, in the code domain of the
 /// relation's encoded twin where a kernel applies. Returns the selection
@@ -132,95 +130,6 @@ pub(crate) fn eval_predicate(
     (mask, stats)
 }
 
-/// What a cold sample scan selected: the predicate's bitmap over the
-/// sample rows and each aggregate's input expression evaluated over the
-/// selected rows (`None` for COUNT; unselected slots hold `0.0`).
-#[derive(Debug)]
-pub(crate) struct Selection {
-    /// Rows satisfying the query's predicate.
-    pub(crate) mask: Bitmap,
-    /// Masked measure values, aligned with the query's aggregates.
-    pub(crate) exprs: Vec<Option<Vec<f64>>>,
-}
-
-/// The rows `query` selects from `rel` and its measures over them: what
-/// the cold rewrites fold into per-group accumulators.
-pub(crate) fn select(
-    rel: &Relation,
-    query: &GroupByQuery,
-    opts: &ExecOptions,
-) -> Result<Selection> {
-    let (mask, _) = eval_predicate(rel, &query.predicate, opts);
-    // Unselected rows are never evaluated (their slots stay `0.0`).
-    let masked = |e: &Expr| e.eval_masked(rel, &mask);
-    let exprs = query
-        .aggregates
-        .iter()
-        .map(|a| a.expr.as_ref().map(masked).transpose());
-    let exprs = exprs.collect::<std::result::Result<_, _>>()?;
-    Ok(Selection { mask, exprs })
-}
-
-/// Chunked accumulation of the masked rows of `rel` into per-group
-/// accumulators, for the cold plans.
-///
-/// The row range is cut into fixed [`CHUNK_ROWS`] chunks; each chunk folds
-/// its selected rows in row order into fresh partials, merged into the
-/// totals in chunk order. Serial: the cold plans run at sample sizes of a
-/// few chunks, where forking a rayon pool per query cost more than it won.
-///
-/// Cancellation contract: `cancel` is polled before every chunk. A token
-/// that fires makes this return
-/// [`EngineError::Cancelled`](crate::error::EngineError::Cancelled) within
-/// one chunk of work; a token that never fires cannot change the
-/// accumulated values.
-pub(crate) fn accumulate(
-    index: &GroupIndex,
-    mask: &Bitmap,
-    exprs: &[Option<Vec<f64>>],
-    weights: Option<&[f64]>,
-    query: &GroupByQuery,
-    cancel: Option<&CancelToken>,
-) -> Result<Vec<Vec<Accumulator>>> {
-    let n = mask.len();
-    let chunk_accs = |start: usize, end: usize| -> Vec<Vec<Accumulator>> {
-        let mut accs: Vec<Vec<Accumulator>> = (0..index.group_count())
-            .map(|_| {
-                query
-                    .aggregates
-                    .iter()
-                    .map(|a| Accumulator::new(a.func))
-                    .collect()
-            })
-            .collect();
-        for row in mask.ones_range(start, end) {
-            let gid = index.group_of(row);
-            if gid == u32::MAX {
-                continue;
-            }
-            let w = weights.map_or(1.0, |ws| ws[row]);
-            for (ai, acc) in accs[gid as usize].iter_mut().enumerate() {
-                let v = exprs[ai].as_ref().map_or(0.0, |vals| vals[row]);
-                acc.add(v, w);
-            }
-        }
-        accs
-    };
-
-    cancel::check(cancel)?;
-    let mut totals = chunk_accs(0, n.min(CHUNK_ROWS));
-    for start in (CHUNK_ROWS..n).step_by(CHUNK_ROWS) {
-        cancel::check(cancel)?;
-        let partial = chunk_accs(start, (start + CHUNK_ROWS).min(n));
-        for (group, partial_group) in totals.iter_mut().zip(partial) {
-            for (acc, p) in group.iter_mut().zip(partial_group) {
-                acc.merge(&p);
-            }
-        }
-    }
-    Ok(totals)
-}
-
 /// Canonical cache key for a measure expression. `Debug` formatting is
 /// injective over [`Expr`] trees (unlike `Display`, which cannot
 /// distinguish e.g. the literal `1` from a column named `1`), and `None`
@@ -230,53 +139,6 @@ pub fn measure_key(expr: Option<&Expr>) -> String {
         Some(e) => format!("{e:?}"),
         None => "COUNT(*)".to_string(),
     }
-}
-
-/// Turn per-group accumulators into a sorted [`QueryResult`], dropping
-/// groups with no qualifying rows and applying HAVING.
-pub(crate) fn finish_rows(
-    index: &GroupIndex,
-    accs: Vec<Vec<Accumulator>>,
-    query: &GroupByQuery,
-) -> Result<QueryResult> {
-    let names = query.aggregates.iter().map(|a| a.name.clone()).collect();
-    // Emit rows in the index's memoized key order: identical to sorting
-    // after the fact (keys are distinct), but skips the sort.
-    let mut rows = Vec::with_capacity(accs.len());
-    for &gid in index.gids_by_key() {
-        let a = &accs[gid as usize];
-        if a.first().is_some_and(|x| x.rows() > 0) {
-            rows.push((
-                index.key(gid).clone(),
-                a.iter().map(Accumulator::finish).collect(),
-            ));
-        }
-    }
-    query.apply_having(QueryResult::from_sorted(names, rows))
-}
-
-/// Cold flat aggregation: evaluate `query` over `rel` where each row
-/// carries precomputed weight `weights[row]` (its stratum's ScaleFactor).
-///
-/// This is the execution core of Integrated, Normalized, and Key-normalized
-/// — they differ only in how `weights` is obtained. The group index is the
-/// *unfiltered* one; the selection bitmap is applied during accumulation.
-pub(crate) fn aggregate_weighted_opts(
-    rel: &Relation,
-    weights: &[f64],
-    query: &GroupByQuery,
-    opts: &ExecOptions,
-) -> Result<QueryResult> {
-    query.validate(rel)?;
-    debug_assert_eq!(weights.len(), rel.row_count());
-    if let Some(trace) = opts.trace {
-        trace.record(ServedFrom::ColdScan, rel.row_count() as u64);
-    }
-    let selection = select(rel, query, opts)?;
-    let index = GroupIndex::build(rel, &query.grouping);
-    let (mask, exprs) = (&selection.mask, &selection.exprs);
-    let accs = accumulate(&index, mask, exprs, Some(weights), query, opts.cancel)?;
-    finish_rows(&index, accs, query)
 }
 
 /// One query's per-(group, stratum) moments over its grouping's
@@ -469,10 +331,11 @@ pub fn unfiltered_cells(
 }
 
 /// Fold the rows of `rel` that `mask` selects (every row when `None`) into
-/// one moment table per measure over `layout`, one [`CHUNK_ROWS`] chunk at
-/// a time: list the chunk's rows from the mask words, gather their cells
-/// once, gather each measure at those rows ([`Expr::eval_rows`]; `None`
-/// is the constant `1`), and push each value into its cell.
+/// one moment table per measure over `layout`, one
+/// [`relation::CHUNK_ROWS`] chunk at a time: list the chunk's rows from
+/// the mask words, gather their cells once, gather each measure at those
+/// rows ([`Expr::eval_rows`]; `None` is the constant `1`), and push each
+/// value into its cell.
 ///
 /// Serial and in row order, so every cell folds its rows in row order
 /// whichever subset is selected: a table folded over whole groups' rows
@@ -700,7 +563,7 @@ mod tests {
         let mut stratum_of_row = Vec::with_capacity(rows);
         for i in 0..rows {
             let g = (i * 7 + i / 13) % 6;
-            let middle = (CHUNK_ROWS..2 * CHUNK_ROWS).contains(&i);
+            let middle = (relation::CHUNK_ROWS..2 * relation::CHUNK_ROWS).contains(&i);
             let k = if middle && i % 97 == 0 { 9 } else { i % 4 };
             let v = match i % 211 {
                 0 => f64::NAN,
@@ -864,6 +727,40 @@ mod tests {
                         assert!(
                             x == y || close || (x.is_nan() && y.is_nan()),
                             "{ctx}: {x} vs cold {y} at {key}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Integrated, Normalized and Key-normalized run the scan at the
+    /// sample's per-row ScaleFactors: bit for bit the whole-relation
+    /// reference fold at those weights. Nested-integrated scales each
+    /// (group, SF) partial once instead, so it sits within 1e-12 relative.
+    #[test]
+    fn cold_plans_match_the_whole_relation_reference() {
+        let s = chunked_sample();
+        let weights = s.row_scale_factors();
+        for (what, q) in cell_cases() {
+            let reference = crate::exec::reference_fold(&s.rows, &q, Some(&weights));
+            for plan in plans_over(&s) {
+                let ctx = format!("{what}: {}", plan.name());
+                let cold = plan.execute(&q).unwrap();
+                assert_eq!(cold.aggregate_names, reference.aggregate_names, "{ctx}");
+                if plan.name() != "Nested-integrated" {
+                    assert_eq!(bits(&cold), bits(&reference), "{ctx}");
+                    continue;
+                }
+                let keys = |r: &QueryResult| r.iter().map(|(k, _)| k.clone()).collect();
+                let (got, want): (Vec<GroupKey>, Vec<GroupKey>) = (keys(&cold), keys(&reference));
+                assert_eq!(got, want, "{ctx}: groups");
+                for ((key, c), (_, r)) in cold.iter().zip(reference.iter()) {
+                    for (x, y) in c.iter().zip(r) {
+                        let close = (x - y).abs() <= 1e-12 * y.abs();
+                        assert!(
+                            x == y || close || (x.is_nan() && y.is_nan()),
+                            "{ctx}: {x} vs reference {y} at {key}"
                         );
                     }
                 }

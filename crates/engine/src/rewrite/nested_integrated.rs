@@ -4,15 +4,17 @@
 //! per inner group — "fewer multiplications with the scalefactor ... (one
 //! per group)" (§7.3.1).
 
+use std::collections::HashMap;
+
 use relation::{Column, ColumnId, DataType, Field, GroupKey, Relation};
 
-use crate::aggregate::{Accumulator, AggregateFn};
-use crate::cache::{ExecOptions, ServedFrom};
+use crate::aggregate::Partial;
+use crate::cache::ExecOptions;
 use crate::error::Result;
-use crate::grouping::GroupIndex;
+use crate::exec;
 use crate::query::GroupByQuery;
 use crate::result::QueryResult;
-use crate::rewrite::{accumulate, select, SamplePlan};
+use crate::rewrite::SamplePlan;
 use crate::stratified::StratifiedInput;
 
 /// The Nested-integrated physical layout (identical storage to
@@ -23,50 +25,6 @@ pub struct NestedIntegrated {
     sf_col: ColumnId,
     stratum_of_row: Vec<u32>,
     scale_factors: Vec<f64>,
-}
-
-/// Outer-level accumulator combining inner per-SF partial aggregates.
-#[derive(Debug, Clone, Copy)]
-struct OuterAcc {
-    func: AggregateFn,
-    scaled_sum: f64,
-    scaled_weight: f64,
-    min: f64,
-    max: f64,
-    rows: u64,
-}
-
-impl OuterAcc {
-    fn new(func: AggregateFn) -> Self {
-        OuterAcc {
-            func,
-            scaled_sum: 0.0,
-            scaled_weight: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            rows: 0,
-        }
-    }
-
-    /// Fold in one inner group's raw accumulator with its ScaleFactor —
-    /// the single multiply per (group × SF) the strategy is about.
-    fn fold(&mut self, inner: &Accumulator, sf: f64) {
-        self.scaled_sum += inner.weighted_sum() * sf;
-        self.scaled_weight += inner.total_weight() * sf;
-        self.min = self.min.min(inner.min_value());
-        self.max = self.max.max(inner.max_value());
-        self.rows += inner.rows();
-    }
-
-    fn finish(&self) -> f64 {
-        match self.func {
-            AggregateFn::Sum => self.scaled_sum,
-            AggregateFn::Count => self.scaled_weight,
-            AggregateFn::Avg => self.scaled_sum / self.scaled_weight,
-            AggregateFn::Min => self.min,
-            AggregateFn::Max => self.max,
-        }
-    }
 }
 
 impl NestedIntegrated {
@@ -98,22 +56,36 @@ impl SamplePlan for NestedIntegrated {
     }
 
     fn execute_cold(&self, query: &GroupByQuery, opts: &ExecOptions) -> Result<QueryResult> {
-        let rel = &self.rel;
-        query.validate(rel)?;
-        if let Some(trace) = opts.trace {
-            trace.record(ServedFrom::ColdScan, rel.row_count() as u64);
+        // Inner query: raw (unscaled) aggregates per (query grouping, SF).
+        // HAVING filters outer groups only.
+        let g = query.grouping.len();
+        let mut inner = GroupByQuery {
+            having: None,
+            ..query.clone()
+        };
+        inner.grouping.push(self.sf_col);
+        let (inner_keys, inner_totals) = exec::fold(&self.rel, &inner, None, opts)?;
+
+        // Outer: one multiply per inner group, merged in first-selected-row
+        // order into the key with the trailing SF dropped.
+        let na = query.aggregates.len();
+        let positions: Vec<usize> = (0..g).collect();
+        let mut outer: HashMap<GroupKey, usize> = HashMap::new();
+        let (mut keys, mut totals) = (Vec::new(), Vec::<Partial>::new());
+        for (key, partials) in inner_keys.iter().zip(inner_totals.chunks(na)) {
+            let sf = key.values()[g].as_f64().expect("SF key value is numeric");
+            let at = *outer
+                .entry(key.project(&positions))
+                .or_insert_with_key(|k| {
+                    keys.push(k.clone());
+                    totals.resize(totals.len() + na, Partial::new());
+                    keys.len() - 1
+                });
+            for (total, p) in totals[at * na..][..na].iter_mut().zip(partials) {
+                total.merge_scaled(p, sf);
+            }
         }
-
-        // Inner grouping: (query grouping columns, SF).
-        let mut inner_cols = query.grouping.clone();
-        inner_cols.push(self.sf_col);
-        let selection = select(rel, query, opts)?;
-        let inner = GroupIndex::build(rel, &inner_cols);
-
-        // Pass 1: raw (unscaled) aggregation per inner group.
-        let (mask, exprs) = (&selection.mask, &selection.exprs);
-        let inner_accs = accumulate(&inner, mask, exprs, None, query, opts.cancel)?;
-        self.fold_outer(&inner, inner_accs, query)
+        exec::emit_rows(keys, &totals, query)
     }
 
     fn sample_relation(&self) -> &Relation {
@@ -126,48 +98,6 @@ impl SamplePlan for NestedIntegrated {
             .iter()
             .filter(|&&s| s == stratum)
             .count()
-    }
-}
-
-impl NestedIntegrated {
-    /// Pass 2: scale each inner group once and merge into the outer group
-    /// obtained by dropping the trailing SF key value.
-    fn fold_outer(
-        &self,
-        inner: &GroupIndex,
-        inner_accs: Vec<Vec<Accumulator>>,
-        query: &GroupByQuery,
-    ) -> Result<QueryResult> {
-        let outer_positions: Vec<usize> = (0..query.grouping.len()).collect();
-        let mut outer: std::collections::HashMap<GroupKey, Vec<OuterAcc>> =
-            std::collections::HashMap::new();
-        for (gid, inner_group) in inner_accs.iter().enumerate() {
-            if inner_group.first().is_none_or(|a| a.rows() == 0) {
-                continue;
-            }
-            let inner_key = inner.key(gid as u32);
-            let sf = inner_key.values()[query.grouping.len()]
-                .as_f64()
-                .expect("SF key value is numeric");
-            let outer_key = inner_key.project(&outer_positions);
-            let accs = outer.entry(outer_key).or_insert_with(|| {
-                query
-                    .aggregates
-                    .iter()
-                    .map(|a| OuterAcc::new(a.func))
-                    .collect()
-            });
-            for (acc, raw) in accs.iter_mut().zip(inner_group) {
-                acc.fold(raw, sf);
-            }
-        }
-
-        let names = query.aggregates.iter().map(|a| a.name.clone()).collect();
-        let rows = outer
-            .into_iter()
-            .map(|(k, accs)| (k, accs.iter().map(OuterAcc::finish).collect()))
-            .collect();
-        query.apply_having(QueryResult::new(names, rows))
     }
 }
 

@@ -7,10 +7,11 @@ use relation::{Column, ColumnId, DataType, Field, Relation, RelationBuilder, Val
 
 use crate::cache::ExecOptions;
 use crate::error::{EngineError, Result};
+use crate::exec;
 use crate::join::hash_join_unique;
 use crate::query::GroupByQuery;
 use crate::result::QueryResult;
-use crate::rewrite::{aggregate_weighted_opts, SamplePlan};
+use crate::rewrite::SamplePlan;
 use crate::stratified::StratifiedInput;
 
 /// The Normalized physical layout: plain sample + grouping-keyed AuxRel.
@@ -95,7 +96,7 @@ impl SamplePlan for Normalized {
         // The join is part of the rewritten query (Fig 9), so it is paid on
         // every execution — that cost is exactly what Expt 3/4 measure.
         let weights = self.join_scale_factors()?;
-        aggregate_weighted_opts(&self.rel, &weights, query, opts)
+        exec::scan(&self.rel, query, Some(&weights), opts)
     }
 
     fn sample_relation(&self) -> &Relation {

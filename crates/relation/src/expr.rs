@@ -10,7 +10,6 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::bitmap::Bitmap;
 use crate::error::{RelationError, Result};
 use crate::relation::Relation;
 use crate::schema::ColumnId;
@@ -155,48 +154,6 @@ impl Expr {
         }
     }
 
-    /// Evaluate only the rows selected by `mask` into a dense vector;
-    /// unselected slots are left at `0.0` and must not be consumed.
-    ///
-    /// For the selected rows this performs exactly the same per-row
-    /// operations as [`Self::eval`], so the values at selected positions
-    /// are bit-identical to a full evaluation — selective predicates just
-    /// stop paying for the rows the query discards anyway.
-    pub fn eval_masked(&self, rel: &Relation, mask: &Bitmap) -> Result<Vec<f64>> {
-        self.validate(rel)?;
-        debug_assert_eq!(mask.len(), rel.row_count());
-        Ok(self.eval_masked_validated(rel, mask))
-    }
-
-    fn eval_masked_validated(&self, rel: &Relation, mask: &Bitmap) -> Vec<f64> {
-        let n = rel.row_count();
-        match self {
-            Expr::Column(id) => {
-                let col = rel.column(*id);
-                let mut out = vec![0.0; n];
-                for r in mask.ones() {
-                    out[r] = col.value_f64(r).expect("validated numeric");
-                }
-                out
-            }
-            Expr::Literal(v) => {
-                let mut out = vec![0.0; n];
-                for r in mask.ones() {
-                    out[r] = *v;
-                }
-                out
-            }
-            Expr::Binary { op, lhs, rhs } => {
-                let mut a = lhs.eval_masked_validated(rel, mask);
-                let b = rhs.eval_masked_validated(rel, mask);
-                for r in mask.ones() {
-                    a[r] = op.apply(a[r], b[r]);
-                }
-                a
-            }
-        }
-    }
-
     /// Check that every referenced column exists and is numeric.
     pub fn validate(&self, rel: &Relation) -> Result<()> {
         match self {
@@ -219,10 +176,10 @@ impl Expr {
     }
 
     /// Evaluate at `rows` only (ascending row ids), appending one value per
-    /// row to `out` — the compact twin of [`Self::eval_masked`] for callers
-    /// that already hold the selected rows of one chunk. Performs exactly
-    /// the per-row casts and `op.apply` calls of [`Self::eval`], so the
-    /// values are bit-identical to a full evaluation at those rows.
+    /// row to `out` — for callers that hold the selected rows of one chunk.
+    /// Performs exactly the per-row casts and `op.apply` calls of
+    /// [`Self::eval`], so the values are bit-identical to a full evaluation
+    /// at those rows.
     pub fn eval_rows(&self, rel: &Relation, rows: &[u32], out: &mut Vec<f64>) -> Result<()> {
         self.validate(rel)?;
         self.eval_rows_validated(rel, rows, out);
@@ -343,22 +300,6 @@ mod tests {
         for (i, &vi) in v.iter().enumerate() {
             assert_eq!(vi, e.eval_row(&r, i).unwrap());
         }
-    }
-
-    #[test]
-    fn masked_eval_matches_full_on_selected_rows() {
-        use crate::bitmap::Bitmap;
-        let r = rel();
-        let e = Expr::col(ColumnId(0))
-            .mul(Expr::lit(1.0).sub(Expr::col(ColumnId(1))))
-            .mul(Expr::lit(1.0).add(Expr::col(ColumnId(2))));
-        let full = e.eval(&r).unwrap();
-        let mask = Bitmap::from_fn(r.row_count(), |i| i == 1);
-        let masked = e.eval_masked(&r, &mask).unwrap();
-        assert_eq!(masked[1], full[1]); // bit-identical where selected
-        assert_eq!(masked[0], 0.0); // unselected slots untouched
-                                    // Validation still applies to masked evaluation.
-        assert!(Expr::col(ColumnId(3)).eval_masked(&r, &mask).is_err());
     }
 
     #[test]
