@@ -1,15 +1,14 @@
 //! Approximate answers with per-group error bounds (Figures 2 and 4).
 
 use std::fmt;
-use std::sync::OnceLock;
 
 use congress::bounds::{
-    avg_bound_hoeffding, stratified_avg_bound, stratified_sum_bound, ErrorBound, Moments,
+    avg_bound_hoeffding, stratified_avg_bound, stratified_sum_bound, ErrorBound,
 };
 use engine::rewrite::execute_cells;
 use engine::{
-    AggregateFn, AggregateSpec, ExecOptions, GroupByQuery, QueryCache, QueryCells, QueryResult,
-    StratifiedInput, StratumSummary,
+    AggregateFn, AggregateSpec, ExecOptions, GroupByQuery, Moments, QueryCache, QueryCells,
+    QueryResult, StratifiedInput, StratumSummary,
 };
 use relation::GroupKey;
 
@@ -96,10 +95,13 @@ impl fmt::Display for ApproximateAnswer {
 }
 
 /// Compute per-group, per-aggregate error bounds for `query` over a
-/// stratified sample, from [`execute_cells`] (the answer path's fold) over
-/// `cache`, if given. The answer path reads them off the cells its estimate
-/// folded ([`compute_bounds_from_cells`]); this entry point stays for the
-/// benchmark's traced replay (ROADMAP item 6).
+/// stratified sample: run [`execute_cells`] (the answer path's fold) over
+/// `cache`, if given, and read the bounds off the cells it returns
+/// ([`compute_bounds_from_cells`]). `_result` is not read: the bounds
+/// follow the groups the fold finds, which are `result`'s when it answers
+/// `query` over `input`. The answer path reads the bounds off the cells
+/// its estimate came from; this entry point stays for the benchmark's
+/// traced replay (ROADMAP item 6).
 ///
 /// For each output group `h` and contributing stratum `i`, the bound
 /// machinery needs the moments of the aggregate input over the sampled
@@ -112,7 +114,7 @@ impl fmt::Display for ApproximateAnswer {
 pub fn compute_bounds_cached(
     input: &StratifiedInput,
     query: &GroupByQuery,
-    result: &QueryResult,
+    _result: &QueryResult,
     confidence: f64,
     cache: Option<&QueryCache>,
 ) -> Result<Vec<GroupBounds>> {
@@ -124,46 +126,17 @@ pub fn compute_bounds_cached(
             &local
         }
     };
-    let slot = OnceLock::new();
-    let opts = ExecOptions {
-        cache: Some(cache),
-        capture: Some(&slot),
-        ..ExecOptions::default()
-    };
     let (strata, sfs) = (&input.stratum_of_row, &input.scale_factors);
-    execute_cells(&input.rows, strata, sfs, query, &opts, cache)?;
-    let cells = slot
-        .into_inner()
-        .expect("the cached path captures its cells");
-    let rows = result
-        .iter()
-        .map(|(key, _)| (key, cells.index.gid_of_key(key)));
-    Ok(assemble_bounds(input, query, confidence, &cells, rows))
+    let opts = ExecOptions::default();
+    let (_, cells) = execute_cells(&input.rows, strata, sfs, query, &opts, cache)?;
+    Ok(compute_bounds_from_cells(input, query, confidence, &cells))
 }
 
-/// Bounds for `result` from the [`QueryCells`] the cached answer path read
-/// it off (see [`ExecOptions::capture`]): `cells.gids` names each result
-/// row's group, so no row is folded again. Each pairing is checked against
-/// the row's key; a row that does not match (a result other than the one
-/// the cells were read for) is looked up in the index instead.
-pub fn compute_bounds_from_cells(
-    input: &StratifiedInput,
-    query: &GroupByQuery,
-    result: &QueryResult,
-    confidence: f64,
-    cells: &QueryCells,
-) -> Vec<GroupBounds> {
-    let mut gids = cells.gids.iter().copied();
-    let rows = result.iter().map(|(key, _)| {
-        let gid = gids.next().filter(|&g| cells.index.key(g) == key);
-        (key, gid.or_else(|| cells.index.gid_of_key(key)))
-    });
-    assemble_bounds(input, query, confidence, cells, rows)
-}
-
-/// Bounds for each `(key, group id)` from the query's per-aggregate moment
-/// tables. A group's cells come sorted by stratum id, so the bound formulas
-/// fold their floating-point terms in one fixed order on every path.
+/// Bounds for each group the [`QueryCells`] name (`cells.gids`, the rows
+/// of the result [`execute_cells`] returned beside them), from the query's
+/// per-aggregate moment tables, so no row is folded again. A group's cells
+/// come sorted by stratum id, so the bound formulas fold their
+/// floating-point terms in one fixed order on every path.
 ///
 /// SUM and COUNT are bounded over predicate-indicator values `v·sel` of all
 /// of a cell's rows. The unselected rows would each add `0.0` to `Σx` and
@@ -171,15 +144,14 @@ pub fn compute_bounds_from_cells(
 /// `+0.0` is never `−0.0`), so those are the selected rows' sums with the
 /// layout's unfiltered row count as `n`. COUNT's value is the constant `1`,
 /// whose sum and sum of squares over `k` selected rows are exactly `k`.
-fn assemble_bounds<'a>(
+pub fn compute_bounds_from_cells(
     input: &StratifiedInput,
     query: &GroupByQuery,
     confidence: f64,
     cells: &QueryCells,
-    rows: impl Iterator<Item = (&'a GroupKey, Option<u32>)>,
 ) -> Vec<GroupBounds> {
     let layout = &cells.layout;
-    let mut parts: Vec<(Moments, f64, u64)> = Vec::new();
+    let mut parts: Vec<(Moments, u64)> = Vec::new();
     let mut bound = |spec: &AggregateSpec, table: &StratumSummary, gid: u32| {
         let table = table.cells();
         // A cell's moments with `n` sampled tuples standing for `SF × n` of
@@ -187,7 +159,7 @@ fn assemble_bounds<'a>(
         let part = |c: usize, n: u64| {
             let cell = &table[c];
             let (sum, sum_sq) = match spec.func {
-                AggregateFn::Count => (cell.count as f64, cell.count as f64),
+                AggregateFn::Count => (cell.n as f64, cell.n as f64),
                 _ => (cell.sum, cell.sum_sq),
             };
             let sf = input.scale_factors[layout.stratum_of(c) as usize];
@@ -196,10 +168,9 @@ fn assemble_bounds<'a>(
                 n,
                 sum,
                 sum_sq,
-                min: cell.min,
-                max: cell.max,
+                ..*cell
             };
-            (moments, sf, pop.max(n))
+            (moments, pop.max(n))
         };
         parts.clear();
         match spec.func {
@@ -207,8 +178,8 @@ fn assemble_bounds<'a>(
             AggregateFn::Min | AggregateFn::Max => None,
             AggregateFn::Avg => {
                 // Qualifying tuples only; strata with none drop out.
-                let selected = layout.cells_of(gid).filter(|&c| table[c].count > 0);
-                parts.extend(selected.map(|c| part(c, table[c].count)));
+                let selected = layout.cells_of(gid).filter(|&c| table[c].n > 0);
+                parts.extend(selected.map(|c| part(c, table[c].n)));
                 Some(if parts.len() == 1 {
                     avg_bound_hoeffding(&parts[0].0, confidence)
                 } else {
@@ -221,15 +192,17 @@ fn assemble_bounds<'a>(
             }
         }
     };
-    rows.map(|(key, gid)| {
-        let aggregates = query.aggregates.iter().zip(&cells.tables);
-        let bounds = aggregates.map(|(spec, table)| gid.and_then(|g| bound(spec, table, g)));
-        GroupBounds {
-            key: key.clone(),
-            bounds: bounds.collect(),
-        }
-    })
-    .collect()
+    cells
+        .gids
+        .iter()
+        .map(|&gid| {
+            let aggregates = query.aggregates.iter().zip(&cells.tables);
+            GroupBounds {
+                key: cells.index.key(gid).clone(),
+                bounds: aggregates.map(|(spec, t)| bound(spec, t, gid)).collect(),
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -347,27 +320,6 @@ mod tests {
             w_half > w_all,
             "predicate indicator variance: {w_half} vs {w_all}"
         );
-    }
-
-    #[test]
-    fn bounds_from_cells_follow_the_keys_of_another_result() {
-        // The cells were read for both groups; a result holding only the
-        // second still gets that group's own bounds.
-        let (input, q) = fixture();
-        let plan = Integrated::build(&input).unwrap();
-        let (cache, slot) = (QueryCache::new(), OnceLock::new());
-        let opts = ExecOptions {
-            cache: Some(&cache),
-            capture: Some(&slot),
-            ..ExecOptions::default()
-        };
-        let full = plan.execute_opts(&q, &opts).unwrap();
-        let tail = QueryResult::new(full.aggregate_names.clone(), full.rows()[1..].to_vec());
-        let got = compute_bounds_from_cells(&input, &q, &tail, 0.9, slot.get().unwrap());
-        let want = bounds(&input, &q, &tail);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].key, want[0].key);
-        assert_eq!(got[0].bounds, want[0].bounds);
     }
 
     #[test]

@@ -8,62 +8,7 @@ pub use congress::SamplingStrategy;
 /// Which §5 rewrite the served answers name: it picks the rewritten SQL
 /// and the `rewrite` metric label. Every choice is answered from the same
 /// per-(group, stratum) moments, so the estimates do not depend on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RewriteChoice {
-    /// ScaleFactor column per tuple (Fig 8).
-    Integrated,
-    /// Nested plan, one multiply per (group × SF) (Fig 11).
-    NestedIntegrated,
-    /// AuxRel join on grouping columns (Fig 9).
-    Normalized,
-    /// AuxRel join on integer GID (Fig 10).
-    KeyNormalized,
-}
-
-impl RewriteChoice {
-    /// Display name matching the paper's tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            RewriteChoice::Integrated => "Integrated",
-            RewriteChoice::NestedIntegrated => "Nested-integrated",
-            RewriteChoice::Normalized => "Normalized",
-            RewriteChoice::KeyNormalized => "Key-normalized",
-        }
-    }
-
-    /// All four, in the paper's presentation order.
-    pub fn all() -> [RewriteChoice; 4] {
-        [
-            RewriteChoice::Integrated,
-            RewriteChoice::NestedIntegrated,
-            RewriteChoice::Normalized,
-            RewriteChoice::KeyNormalized,
-        ]
-    }
-
-    /// Stable lowercase token used by the CLI.
-    pub fn token(self) -> &'static str {
-        match self {
-            RewriteChoice::Integrated => "integrated",
-            RewriteChoice::NestedIntegrated => "nested",
-            RewriteChoice::Normalized => "normalized",
-            RewriteChoice::KeyNormalized => "keynorm",
-        }
-    }
-
-    /// Parse a [`Self::token`] back.
-    pub fn from_token(token: &str) -> crate::Result<RewriteChoice> {
-        match token {
-            "integrated" => Ok(RewriteChoice::Integrated),
-            "nested" => Ok(RewriteChoice::NestedIntegrated),
-            "normalized" => Ok(RewriteChoice::Normalized),
-            "keynorm" => Ok(RewriteChoice::KeyNormalized),
-            other => Err(crate::AquaError::InvalidConfig(format!(
-                "unknown rewrite `{other}` (integrated|nested|normalized|keynorm)"
-            ))),
-        }
-    }
-}
+pub use engine::sql::RewriteKind as RewriteChoice;
 
 /// Full middleware configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

@@ -503,7 +503,9 @@ mod tests {
             let g = s.generation().unwrap();
             let (input, opts) = (&g.input, engine::ExecOptions::default());
             let (strata, sfs) = (&input.stratum_of_row, &input.scale_factors);
-            engine::rewrite::execute_cells(&input.rows, strata, sfs, &q, &opts, &g.cells).unwrap()
+            let served =
+                engine::rewrite::execute_cells(&input.rows, strata, sfs, &q, &opts, &g.cells);
+            served.unwrap().0
         };
         let (a, b) = (answer(&s), answer(&restored));
         // Export encodes exactly the sample queries are answered from, so

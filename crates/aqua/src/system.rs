@@ -5,13 +5,12 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
 
-use congress::adaptive::{recompute_weights, DriftDetector, GroupMoments, WorkloadProfile};
+use congress::adaptive::{recompute_weights, DriftDetector, WorkloadProfile};
 use congress::GroupCensus;
 use engine::rewrite::{cell_layout, execute_cells, measure_key, unfiltered_cells};
-use engine::sql::render::RewriteKind;
 use engine::{
     execute_exact_opts, CachedPlan, CancelToken, EngineError, ExecOptions, ExecTrace, GroupByQuery,
-    PlanCache, QueryResult, ServedFrom,
+    Moments, PlanCache, QueryResult, ServedFrom,
 };
 use relation::{ColumnId, Relation, Schema, Value};
 
@@ -20,7 +19,7 @@ use relation::{ColumnId, Relation, Schema, Value};
 pub use obs::Snapshot as StatsSnapshot;
 
 use crate::answer::{compute_bounds_from_cells, AnswerProvenance, ApproximateAnswer};
-use crate::config::{AquaConfig, RewriteChoice};
+use crate::config::AquaConfig;
 use crate::error::{AquaError, Result};
 use crate::serve_cache::ServedAnswer;
 use crate::synopsis::{Generation, Synopsis};
@@ -560,12 +559,7 @@ impl Aqua {
         self.plans.get_or_try_insert_with(key, || {
             let query =
                 engine::sql::parse(schema, key).inspect_err(|_| self.metrics.parse_error())?;
-            let kind = match self.config.rewrite {
-                RewriteChoice::Integrated => RewriteKind::Integrated,
-                RewriteChoice::NestedIntegrated => RewriteKind::NestedIntegrated,
-                RewriteChoice::Normalized => RewriteKind::Normalized,
-                RewriteChoice::KeyNormalized => RewriteKind::KeyNormalized,
-            };
+            let kind = self.config.rewrite;
             let rewritten =
                 engine::sql::render_rewritten(&query, schema, kind, "samp_rel", "aux_rel")?;
             Ok(CachedPlan { query, rewritten })
@@ -598,18 +592,17 @@ impl Aqua {
         trace: &ExecTrace,
         cancel: Option<&CancelToken>,
     ) -> Result<ApproximateAnswer> {
-        // The fold leaves the cells it read the estimates off here, for the
-        // bounds below.
-        let cells = OnceLock::new();
         let opts = ExecOptions {
             trace: Some(trace),
             cancel,
-            capture: Some(&cells),
             ..ExecOptions::default()
         };
         let input = &generation.input;
         let (strata, sfs) = (&input.stratum_of_row, &input.scale_factors);
-        let result = execute_cells(&input.rows, strata, sfs, query, &opts, &generation.cells)?;
+        // The fold returns the cells it read the estimates off, for the
+        // bounds below.
+        let (result, cells) =
+            execute_cells(&input.rows, strata, sfs, query, &opts, &generation.cells)?;
         // Coarse checkpoint between the scan and the bounds pass: a token
         // that fired during execution already aborted above; one that fires
         // right after still skips the bounds computation.
@@ -618,8 +611,7 @@ impl Aqua {
         }
         let confidence = self.config.confidence;
         let timer = obs::Timer::start();
-        let cells = cells.get().expect("the cell fold captures its cells");
-        let bounds = compute_bounds_from_cells(input, query, &result, confidence, cells);
+        let bounds = compute_bounds_from_cells(input, query, confidence, &cells);
         if obs::ENABLED {
             let histogram = || self.metrics.registry.histogram("aqua_bounds_latency_us");
             let bounds_latency = self.metrics.bounds_latency.get_or_init(histogram);
@@ -901,9 +893,9 @@ impl Aqua {
             let (index, layout) = cell_layout(rel, &input.stratum_of_row, strata, grouping, cache);
             let summary = unfiltered_cells(rel, &layout, grouping, expr.as_ref(), cache, None)?;
             for (gid, key) in index.keys().iter().enumerate() {
-                let mut m = GroupMoments::default();
+                let mut m = Moments::new();
                 for cell in &summary.cells()[layout.cells_of(gid as u32)] {
-                    m.n += cell.count;
+                    m.n += cell.n;
                     m.sum += cell.sum;
                     m.sum_sq += cell.sum_sq;
                 }

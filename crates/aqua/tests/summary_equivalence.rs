@@ -13,24 +13,24 @@
 //! 3. Concurrent readers hammering `Aqua::answer` while a writer ingests
 //!    never panic, and post-ingest answers reflect the new rows.
 //! 4. The dense cell-layout bounds (cached cells, scanned cells, and the
-//!    cells the cached plan captured) are *bit-identical* to the per-row
+//!    cells `execute_cells` returned) are *bit-identical* to the per-row
 //!    `HashMap` walk they replaced, kept below as the reference.
 //! 5. A group-only predicate served from cached cells answers — estimates
 //!    and bounds — bit for bit like the same query forced through the fold.
 
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 use aqua::answer::{compute_bounds_cached, compute_bounds_from_cells};
 use aqua::{ApproximateAnswer, Aqua, AquaConfig, RewriteChoice, SamplingStrategy, Warehouse};
 use congress::bounds::{
-    avg_bound_hoeffding, stratified_avg_bound, stratified_sum_bound, BoundKind, Moments,
+    avg_bound_hoeffding, stratified_avg_bound, stratified_sum_bound, BoundKind,
 };
 use congress::MemStore;
+use engine::rewrite::execute_cells;
 use engine::{
     AggregateFn, AggregateSpec, ExecOptions, ExecTrace, GroupByQuery, GroupIndex, Having,
-    Integrated, KeyNormalized, NestedIntegrated, Normalized, QueryCache, QueryResult, SamplePlan,
-    ServedFrom, StratifiedInput,
+    Integrated, KeyNormalized, Moments, NestedIntegrated, Normalized, QueryCache, QueryResult,
+    SamplePlan, ServedFrom, StratifiedInput,
 };
 use relation::predicate::CmpOp;
 use relation::{ColumnId, DataType, Expr, GroupKey, Predicate, Relation, RelationBuilder, Value};
@@ -214,24 +214,24 @@ fn reference_bounds(
                 .enumerate()
                 .map(|(ai, spec)| match spec.func {
                     AggregateFn::Sum | AggregateFn::Count => {
-                        let parts: Vec<(Moments, f64, u64)> = strata
+                        let parts: Vec<(Moments, u64)> = strata
                             .iter()
                             .map(|(s, cell)| {
                                 let sf = input.scale_factors[*s as usize];
                                 let pop = (sf * cell.2 as f64).round() as u64;
-                                (cell.0[ai], sf, pop.max(cell.2))
+                                (cell.0[ai], pop.max(cell.2))
                             })
                             .collect();
                         Some(stratified_sum_bound(&parts, confidence))
                     }
                     AggregateFn::Avg => {
-                        let parts: Vec<(Moments, f64, u64)> = strata
+                        let parts: Vec<(Moments, u64)> = strata
                             .iter()
                             .filter(|(_, cell)| cell.3 > 0)
                             .map(|(s, cell)| {
                                 let sf = input.scale_factors[*s as usize];
                                 let pop = (sf * cell.3 as f64).round() as u64;
-                                (cell.1[ai], sf, pop.max(cell.3))
+                                (cell.1[ai], pop.max(cell.3))
                             })
                             .collect();
                         Some(if parts.len() == 1 {
@@ -386,27 +386,29 @@ fn plans(input: &StratifiedInput) -> Vec<Box<dyn SamplePlan>> {
     ]
 }
 
-/// `plan`'s cached answer to `q`: the result, the bounds from the cells it
-/// captured, and the path it was served from.
+/// `plan`'s cached answer to `q`: the result, the bounds from the cells
+/// [`execute_cells`] returned with it, and the path it was served from. The
+/// result is the one `plan.execute_opts` returns over the same cache.
 fn cached_answer(
     plan: &dyn SamplePlan,
     input: &StratifiedInput,
     q: &GroupByQuery,
     cache: &QueryCache,
 ) -> (QueryResult, Vec<aqua::GroupBounds>, Option<ServedFrom>) {
-    let (slot, trace) = (OnceLock::new(), ExecTrace::new());
+    let trace = ExecTrace::new();
     let opts = ExecOptions {
         cache: Some(cache),
         trace: Some(&trace),
-        capture: Some(&slot),
         ..ExecOptions::default()
     };
-    let result = plan.execute_opts(q, &opts).unwrap();
-    let cells = slot
-        .into_inner()
-        .expect("the cached path captures its cells");
-    let bounds = compute_bounds_from_cells(input, q, &result, 0.9, &cells);
-    (result, bounds, trace.served())
+    let (strata, sfs) = plan.strata();
+    let rel = plan.sample_relation();
+    let (result, cells) = execute_cells(rel, strata, sfs, q, &opts, cache).unwrap();
+    let served = trace.served();
+    let planned = plan.execute_opts(q, &opts).unwrap();
+    assert_eq!(value_bits(&result), value_bits(&planned));
+    let bounds = compute_bounds_from_cells(input, q, 0.9, &cells);
+    (result, bounds, served)
 }
 
 #[test]

@@ -7,28 +7,20 @@
 //! Normalized times grow steeply with sample size (join cost); running on
 //! the full table is the slow baseline ("actual query time = 40 sec" on
 //! the paper's hardware).
-
-use std::time::{Duration, Instant};
+//!
+//! Each cell is the median and quartiles, in µs, of 15 timed runs (5 under
+//! `--quick`) after one discarded warm-up. The binary exits non-zero if a
+//! median reads 0 µs.
 
 use aqua::{RewriteChoice, SamplingStrategy};
 use bench::harness::{build_plan, ExperimentSetup};
-use bench::report::{secs, Table};
+use bench::report::{Table, Timing};
 use engine::execute_exact;
 use tpcd::GeneratorConfig;
 
-/// Paper methodology: run five times, report the mean of the last four.
-fn time_runs(mut f: impl FnMut()) -> Duration {
-    let mut times = Vec::with_capacity(5);
-    for _ in 0..5 {
-        let t0 = Instant::now();
-        f();
-        times.push(t0.elapsed());
-    }
-    times[1..].iter().sum::<Duration>() / 4
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
+    let runs = if quick { 5 } else { 15 };
     let config = GeneratorConfig {
         table_size: if quick { 200_000 } else { 1_000_000 },
         num_groups: 1000,
@@ -39,27 +31,36 @@ fn main() {
     eprintln!("generating lineitem: T={} ...", config.table_size);
     let setup = ExperimentSetup::new(config);
 
-    let exact_time = time_runs(|| {
+    let exact = Timing::measure(runs, || {
         let _ = execute_exact(&setup.dataset.relation, &setup.qg2).unwrap();
     });
-    println!("\nactual (full-table) query time: {} s", secs(exact_time));
+    println!("\nactual (full-table) query time: {exact} µs");
 
     let mut table = Table::new(
-        "Table 3: Qg2 execution time (s) by rewrite strategy vs sample % \
-         [expect: Integrated-family fastest; Normalized-family grows steeply]",
+        format!(
+            "Table 3: Qg2 execution time (µs, median [quartiles] of {runs} runs) by rewrite \
+             strategy vs sample % [expect: Integrated-family fastest; Normalized-family grows \
+             steeply]"
+        ),
         &["technique", "1%", "5%", "10%"],
     );
+    let mut timings = vec![exact];
     for rewrite in RewriteChoice::all() {
         let mut cells = vec![rewrite.name().to_string()];
         for f in [0.01, 0.05, 0.10] {
             let plan = build_plan(&setup, SamplingStrategy::Congress, rewrite, f, 3_000);
-            let d = time_runs(|| {
+            let t = Timing::measure(runs, || {
                 let _ = plan.execute(&setup.qg2).unwrap();
             });
-            cells.push(secs(d));
+            cells.push(t.to_string());
+            timings.push(t);
         }
         table.row(&cells);
         eprintln!("  {}: done", rewrite.name());
     }
     println!("{table}");
+    if timings.iter().any(Timing::unreadable) {
+        eprintln!("expt3: a median reads 0 µs");
+        std::process::exit(1);
+    }
 }

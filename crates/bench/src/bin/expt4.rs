@@ -7,26 +7,19 @@
 //! fastest; Normalized-family slower (join); Nested-integrated beats
 //! Integrated at low group counts but degrades past it at very high group
 //! counts (per-group multiply overhead + nested plan).
-
-use std::time::{Duration, Instant};
+//!
+//! Each cell is the median and quartiles, in µs, of 15 timed runs (5 under
+//! `--quick`) after one discarded warm-up. The binary exits non-zero if a
+//! median reads 0 µs.
 
 use aqua::{RewriteChoice, SamplingStrategy};
 use bench::harness::{build_plan, ExperimentSetup};
-use bench::report::{secs, Table};
+use bench::report::{Table, Timing};
 use tpcd::GeneratorConfig;
-
-fn time_runs(mut f: impl FnMut()) -> Duration {
-    let mut times = Vec::with_capacity(5);
-    for _ in 0..5 {
-        let t0 = Instant::now();
-        f();
-        times.push(t0.elapsed());
-    }
-    times[1..].iter().sum::<Duration>() / 4
-}
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
+    let runs = if quick { 5 } else { 15 };
     let table_size = if quick { 200_000 } else { 1_000_000 };
     let group_counts: &[usize] = if quick {
         &[10, 1000, 50_000]
@@ -35,10 +28,20 @@ fn main() {
     };
 
     let mut table = Table::new(
-        "Figure 18: Qg2 execution time (s) vs number of groups (SP=7%) \
-         [expect: Integrated-family flat & fast; Nested beats Integrated at low NG, loses at high NG]",
-        &["NG", "Integrated", "Nested-integrated", "Normalized", "Key-normalized"],
+        format!(
+            "Figure 18: Qg2 execution time (µs, median [quartiles] of {runs} runs) vs number of \
+             groups (SP=7%) [expect: Integrated-family flat & fast; Nested beats Integrated at \
+             low NG, loses at high NG]"
+        ),
+        &[
+            "NG",
+            "Integrated",
+            "Nested-integrated",
+            "Normalized",
+            "Key-normalized",
+        ],
     );
+    let mut timings = Vec::new();
     for &ng in group_counts {
         eprintln!("generating lineitem: T={table_size}, NG={ng} ...");
         let setup = ExperimentSetup::new(GeneratorConfig {
@@ -51,12 +54,17 @@ fn main() {
         let mut cells = vec![ng.to_string()];
         for rewrite in RewriteChoice::all() {
             let plan = build_plan(&setup, SamplingStrategy::Congress, rewrite, 0.07, 4_000);
-            let d = time_runs(|| {
+            let t = Timing::measure(runs, || {
                 let _ = plan.execute(&setup.qg2).unwrap();
             });
-            cells.push(secs(d));
+            cells.push(t.to_string());
+            timings.push(t);
         }
         table.row(&cells);
     }
     println!("{table}");
+    if timings.iter().any(Timing::unreadable) {
+        eprintln!("expt4: a median reads 0 µs");
+        std::process::exit(1);
+    }
 }

@@ -1,6 +1,7 @@
 //! Plain-text table rendering for experiment reports.
 
 use std::fmt;
+use std::time::Instant;
 
 /// A simple aligned text table: header row plus data rows.
 #[derive(Debug, Clone)]
@@ -79,6 +80,61 @@ pub fn secs(d: std::time::Duration) -> String {
     format!("{:.3}", d.as_secs_f64())
 }
 
+/// Wall-clock time of one operation in µs: the median and quartiles of
+/// `k` timed runs after one discarded warm-up.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Timing {
+    /// First quartile.
+    pub q1: f64,
+    /// Median.
+    pub median: f64,
+    /// Third quartile.
+    pub q3: f64,
+}
+
+impl Timing {
+    /// Run `f` once untimed, then time `k` more runs.
+    pub fn measure(k: usize, mut f: impl FnMut()) -> Timing {
+        f();
+        let mut us: Vec<f64> = (0..k)
+            .map(|_| {
+                let t0 = Instant::now();
+                f();
+                t0.elapsed().as_secs_f64() * 1e6
+            })
+            .collect();
+        Timing::of(&mut us)
+    }
+
+    /// Quartiles of `us`, interpolated linearly between order statistics.
+    pub fn of(us: &mut [f64]) -> Timing {
+        assert!(!us.is_empty(), "no timed runs");
+        us.sort_by(f64::total_cmp);
+        let at = |p: f64| {
+            let pos = p * (us.len() - 1) as f64;
+            let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+            us[lo] + (us[hi] - us[lo]) * (pos - lo as f64)
+        };
+        Timing {
+            q1: at(0.25),
+            median: at(0.5),
+            q3: at(0.75),
+        }
+    }
+
+    /// Whether the median prints as `0`: a cell that carries no reading.
+    pub fn unreadable(&self) -> bool {
+        self.median.round() == 0.0
+    }
+}
+
+/// `median [q1–q3]`, whole µs.
+impl fmt::Display for Timing {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:.0} [{:.0}–{:.0}]", self.median, self.q1, self.q3)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,5 +164,17 @@ mod tests {
         assert_eq!(pct(12.345), "12.35");
         assert_eq!(pct(0.1234), "0.1234");
         assert_eq!(secs(std::time::Duration::from_millis(1500)), "1.500");
+    }
+
+    #[test]
+    fn timing_quartiles() {
+        let t = Timing::of(&mut [50.0, 10.0, 40.0, 20.0, 30.0]);
+        assert_eq!((t.q1, t.median, t.q3), (20.0, 30.0, 40.0));
+        assert_eq!(t.to_string(), "30 [20–40]");
+        let even = Timing::of(&mut [4.0, 1.0, 3.0, 2.0]);
+        assert_eq!((even.q1, even.median, even.q3), (1.75, 2.5, 3.25));
+        assert!(!t.unreadable());
+        assert!(Timing::of(&mut [0.2, 0.4, 0.3]).unreadable());
+        assert!(Timing::measure(3, || {}).median >= 0.0);
     }
 }

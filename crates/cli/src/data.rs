@@ -84,7 +84,7 @@ pub fn strategy(args: &Args) -> Result<aqua::SamplingStrategy> {
 /// Parse the `--rewrite` flag ([`aqua::RewriteChoice::from_token`]).
 pub fn rewrite(args: &Args) -> Result<aqua::RewriteChoice> {
     aqua::RewriteChoice::from_token(args.get("rewrite").unwrap_or("nested"))
-        .map_err(|e| format!("--rewrite: {e}"))
+        .map_err(|e| format!("--rewrite: {}", aqua::AquaError::InvalidConfig(e)))
 }
 
 #[cfg(test)]

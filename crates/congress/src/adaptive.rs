@@ -6,8 +6,8 @@
 //!
 //! * [`WorkloadProfile`] — an accumulator for what was actually observed:
 //!   per-grouping hit frequencies, per-grouping predicate selectivities
-//!   (from the executor's scan traces), and per-group measure moments
-//!   (pulled from the cached per-stratum summary cells).
+//!   (from the executor's scan traces), and per-group measure
+//!   [`Moments`] (each group's cached per-stratum cells summed).
 //! * [`recompute_weights`] — turns a profile into a concrete
 //!   [`MultiCriteria`] strategy: the full Congress lattice vectors as a
 //!   floor (no observed group ever loses its §4.6 share), one §4.7
@@ -28,6 +28,7 @@
 
 use std::collections::HashMap;
 
+use engine::Moments;
 use relation::{ColumnId, Expr, GroupKey};
 
 use crate::alloc::criteria::{MultiCriteria, WeightVector};
@@ -68,30 +69,6 @@ pub struct MeasureStats {
     pub expr: Option<Expr>,
 }
 
-/// Sample moments of one finest group's measure values, in the same shape
-/// as a `StratumSummary` cell: count, sum, and sum of squares.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct GroupMoments {
-    /// Number of sampled values the moments were computed over.
-    pub n: u64,
-    /// Sum of the values.
-    pub sum: f64,
-    /// Sum of squared values.
-    pub sum_sq: f64,
-}
-
-impl GroupMoments {
-    /// Sample standard deviation (0 for fewer than two values).
-    pub fn std_dev(&self) -> f64 {
-        if self.n < 2 {
-            return 0.0;
-        }
-        let n = self.n as f64;
-        let var = (self.sum_sq - self.sum * self.sum / n) / (n - 1.0);
-        var.max(0.0).sqrt()
-    }
-}
-
 /// An accumulator of observed workload signals: which groupings queries
 /// hit, how selective their predicates were, and how spread each group's
 /// measure values are. Feeds [`recompute_weights`] and [`DriftDetector`].
@@ -100,7 +77,7 @@ pub struct WorkloadProfile {
     queries: u64,
     groupings: HashMap<Vec<ColumnId>, GroupingStats>,
     measures: HashMap<String, MeasureStats>,
-    moments: HashMap<GroupKey, GroupMoments>,
+    moments: HashMap<GroupKey, Moments>,
 }
 
 impl WorkloadProfile {
@@ -161,12 +138,12 @@ impl WorkloadProfile {
 
     /// Install (overwrite) the measure moments for one finest group. Cells
     /// are absolute snapshots of summary state, not increments.
-    pub fn set_group_moments(&mut self, key: GroupKey, moments: GroupMoments) {
+    pub fn set_group_moments(&mut self, key: GroupKey, moments: Moments) {
         self.moments.insert(key, moments);
     }
 
     /// Moments recorded for a group, if any.
-    pub fn group_moments(&self, key: &GroupKey) -> Option<&GroupMoments> {
+    pub fn group_moments(&self, key: &GroupKey) -> Option<&Moments> {
         self.moments.get(key)
     }
 
@@ -284,7 +261,7 @@ fn variance_vector(
     for (g, key) in census.keys().iter().enumerate() {
         let sd = profile
             .group_moments(key)
-            .map(GroupMoments::std_dev)
+            .map(Moments::std_dev)
             .unwrap_or(0.0);
         let w = census.sizes()[g] as f64 * sd;
         if w > 0.0 {
@@ -488,10 +465,11 @@ mod tests {
         for (g, key) in c.keys().iter().enumerate() {
             p.set_group_moments(
                 key.clone(),
-                GroupMoments {
+                Moments {
                     n: 10 + g as u64,
                     sum: 5.0 * g as f64,
                     sum_sq: 40.0 * g as f64,
+                    ..Moments::new()
                 },
             );
         }
@@ -557,25 +535,5 @@ mod tests {
             .assess(&c, &p, &applied, 50.0)
             .unwrap();
         assert!(report.divergence > 0.9, "divergence {}", report.divergence);
-    }
-
-    #[test]
-    fn moments_std_dev_matches_hand_computation() {
-        // Values 1..=5: variance 2.5, sd ~1.5811.
-        let m = GroupMoments {
-            n: 5,
-            sum: 15.0,
-            sum_sq: 55.0,
-        };
-        assert!((m.std_dev() - 2.5f64.sqrt()).abs() < 1e-12);
-        assert_eq!(
-            GroupMoments {
-                n: 1,
-                sum: 3.0,
-                sum_sq: 9.0
-            }
-            .std_dev(),
-            0.0
-        );
     }
 }

@@ -11,66 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Running moments of the values observed in one stratum of one group —
-/// enough to produce every bound below.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct Moments {
-    /// Number of sampled values.
-    pub n: u64,
-    /// Σ v
-    pub sum: f64,
-    /// Σ v²
-    pub sum_sq: f64,
-    /// min v
-    pub min: f64,
-    /// max v
-    pub max: f64,
-}
-
-impl Moments {
-    /// Empty moments.
-    pub fn new() -> Moments {
-        Moments {
-            n: 0,
-            sum: 0.0,
-            sum_sq: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Fold in one value.
-    pub fn push(&mut self, v: f64) {
-        self.n += 1;
-        self.sum += v;
-        self.sum_sq += v * v;
-        if v < self.min {
-            self.min = v;
-        }
-        if v > self.max {
-            self.max = v;
-        }
-    }
-
-    /// Sample mean.
-    pub fn mean(&self) -> f64 {
-        self.sum / self.n as f64
-    }
-
-    /// Unbiased sample variance (n−1 denominator); 0 for n < 2.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            return 0.0;
-        }
-        let n = self.n as f64;
-        ((self.sum_sq - self.sum * self.sum / n) / (n - 1.0)).max(0.0)
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
+use engine::Moments;
 
 /// The footnote-7 space lower bound: to guarantee (in expectation) that
 /// every one of `groups` non-empty groups contributes at least
@@ -141,13 +82,13 @@ pub struct ErrorBound {
 /// Per-group bounds for the three scalable aggregates, computed from the
 /// moments of the sampled values in each contributing stratum.
 ///
-/// For a group assembled from strata `(moments_i, scale factor sf_i,
-/// stratum population N_i)`, the SUM estimator is `Σ_i sf_i · sum_i` and
-/// its Chebyshev-bounded variance is `Σ_i N_i² (1−n_i/N_i) S_i²/n_i`
-/// (classic stratified-sampling variance, \[Coc77\]).
-pub fn stratified_sum_bound(strata: &[(Moments, f64, u64)], confidence: f64) -> ErrorBound {
+/// For a group assembled from strata `(moments_i, stratum population
+/// N_i)`, the SUM estimator is `Σ_i (N_i/n_i) · sum_i` and its
+/// Chebyshev-bounded variance is `Σ_i N_i² (1−n_i/N_i) S_i²/n_i` (classic
+/// stratified-sampling variance, \[Coc77\]).
+pub fn stratified_sum_bound(strata: &[(Moments, u64)], confidence: f64) -> ErrorBound {
     let mut variance = 0.0;
-    for (m, _sf, pop) in strata {
+    for (m, pop) in strata {
         if m.n == 0 {
             continue;
         }
@@ -181,11 +122,11 @@ pub fn avg_bound_hoeffding(m: &Moments, confidence: f64) -> ErrorBound {
 /// Chebyshev-based bound for an AVG over strata: conservative combination
 /// using the stratified mean's standard error with stratum weights
 /// `W_i = N_i / N`.
-pub fn stratified_avg_bound(strata: &[(Moments, f64, u64)], confidence: f64) -> ErrorBound {
-    let total_pop: u64 = strata.iter().map(|(_, _, p)| *p).sum();
+pub fn stratified_avg_bound(strata: &[(Moments, u64)], confidence: f64) -> ErrorBound {
+    let total_pop: u64 = strata.iter().map(|(_, p)| *p).sum();
     let mut variance = 0.0;
     if total_pop > 0 {
-        for (m, _sf, pop) in strata {
+        for (m, pop) in strata {
             if m.n == 0 {
                 continue;
             }
@@ -212,23 +153,6 @@ mod tests {
             m.push(v);
         }
         m
-    }
-
-    #[test]
-    fn moments_basic_stats() {
-        let m = moments_of(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(m.n, 4);
-        assert_eq!(m.mean(), 2.5);
-        assert!((m.variance() - 5.0 / 3.0).abs() < 1e-12);
-        assert_eq!(m.min, 1.0);
-        assert_eq!(m.max, 4.0);
-    }
-
-    #[test]
-    fn variance_degenerate_cases() {
-        assert_eq!(moments_of(&[5.0]).variance(), 0.0);
-        assert_eq!(moments_of(&[2.0, 2.0, 2.0]).variance(), 0.0);
-        assert_eq!(Moments::new().n, 0);
     }
 
     #[test]
@@ -283,7 +207,7 @@ mod tests {
     #[test]
     fn stratified_sum_bound_zero_when_fully_sampled() {
         let m = moments_of(&[1.0, 5.0, 9.0]);
-        let b = stratified_sum_bound(&[(m, 1.0, 3)], 0.9);
+        let b = stratified_sum_bound(&[(m, 3)], 0.9);
         assert_eq!(b.half_width, 0.0);
         assert_eq!(b.kind, BoundKind::Chebyshev);
     }
@@ -291,10 +215,10 @@ mod tests {
     #[test]
     fn stratified_sum_bound_positive_under_subsampling() {
         let m = moments_of(&[1.0, 5.0, 9.0]);
-        let b = stratified_sum_bound(&[(m, 10.0, 30)], 0.9);
+        let b = stratified_sum_bound(&[(m, 30)], 0.9);
         assert!(b.half_width > 0.0);
         // More strata add variance.
-        let b2 = stratified_sum_bound(&[(m, 10.0, 30), (m, 10.0, 30)], 0.9);
+        let b2 = stratified_sum_bound(&[(m, 30), (m, 30)], 0.9);
         assert!(b2.half_width > b.half_width);
     }
 
@@ -307,15 +231,15 @@ mod tests {
         let empty = avg_bound_hoeffding(&Moments::new(), 0.9);
         assert_eq!(empty.half_width, f64::INFINITY);
 
-        let s = stratified_avg_bound(&[(m, 5.0, 20)], 0.9);
+        let s = stratified_avg_bound(&[(m, 20)], 0.9);
         assert!(s.half_width > 0.0 && s.half_width.is_finite());
-        let full = stratified_avg_bound(&[(m, 1.0, 4)], 0.9);
+        let full = stratified_avg_bound(&[(m, 4)], 0.9);
         assert_eq!(full.half_width, 0.0);
     }
 
     #[test]
     fn empty_strata_are_skipped() {
-        let b = stratified_sum_bound(&[(Moments::new(), 1.0, 10)], 0.9);
+        let b = stratified_sum_bound(&[(Moments::new(), 10)], 0.9);
         assert_eq!(b.half_width, 0.0);
     }
 }

@@ -31,14 +31,16 @@
 //! * **Adaptive allocation** ([`adaptive`]) — a closed loop from observed
 //!   workload to allocation: [`adaptive::WorkloadProfile`] accumulates
 //!   per-grouping hit frequencies, predicate selectivities and per-group
-//!   measure moments; [`adaptive::recompute_weights`] turns a profile
-//!   into §4.7 workload-weighted + §8 variance-based weight vectors; and
-//!   [`adaptive::DriftDetector`] decides when the observed-vs-allocated
-//!   divergence justifies a reallocation.
+//!   measure moments ([`engine::Moments`]); [`adaptive::recompute_weights`]
+//!   turns a profile into §4.7 workload-weighted + §8 variance-based weight
+//!   vectors; and [`adaptive::DriftDetector`] decides when the
+//!   observed-vs-allocated divergence justifies a reallocation.
 //! * **Estimation & bounds** — conversion of a sample into the engine's
 //!   [`engine::StratifiedInput`] ([`sample::CongressionalSample`]),
 //!   plus standard-error / Hoeffding / Chebyshev error bounds
-//!   ([`bounds`]) matching Eq 2 and the Aqua error-bound machinery.
+//!   ([`bounds`]) matching Eq 2 and the Aqua error-bound machinery, read
+//!   off the per-(group, stratum) [`engine::Moments`] the served answers
+//!   are estimated from.
 //! * **Error metrics** ([`metrics`]) — the ε∞ / εL1 / εL2 group-by error
 //!   norms of Definition 3.1, used by every accuracy experiment.
 //! * **Parallel construction** — census building

@@ -15,12 +15,13 @@
 
 use std::collections::HashMap;
 
-use congress::adaptive::{recompute_weights, GroupMoments, WorkloadProfile};
+use congress::adaptive::{recompute_weights, WorkloadProfile};
 use congress::alloc::per_tuple_probabilities;
 use congress::build::{
     BasicCongressMaintainer, CongressEvictionMaintainer, IncrementalMaintainer, Reservoir,
 };
 use congress::{AllocationStrategy, Congress, GroupCensus};
+use engine::Moments;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -324,10 +325,11 @@ proptest! {
             profile.record_query(&[ColumnId(0), ColumnId(1)], None);
         }
         for (i, k) in keys.iter().enumerate() {
-            profile.set_group_moments(k.clone(), GroupMoments {
+            profile.set_group_moments(k.clone(), Moments {
                 n: 8,
                 sum: moment_scale * (i as f64 + 1.0),
                 sum_sq: moment_scale * (i as f64 + 1.0).powi(2),
+                ..Moments::new()
             });
         }
 

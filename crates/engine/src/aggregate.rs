@@ -1,4 +1,6 @@
-//! Aggregate functions and the partial state every fold accumulates.
+//! Aggregate functions, the weighted partial state the exact and cold
+//! folds accumulate, and the per-(group, stratum) moments the served
+//! answers and their error bounds are read from.
 
 use std::fmt;
 
@@ -219,6 +221,76 @@ impl Partial {
     }
 }
 
+/// Unweighted moments of the values in one (group, stratum) cell: `n`,
+/// `Σx`, `Σx²` and the range. The served estimates scale `Σx` and `n` by
+/// the stratum's ScaleFactor, and the Hoeffding and Chebyshev bounds
+/// (`congress::bounds`) read the same fields.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Moments {
+    /// Number of values folded in.
+    pub n: u64,
+    /// Σ v
+    pub sum: f64,
+    /// Σ v²
+    pub sum_sq: f64,
+    /// min v (`+∞` if empty)
+    pub min: f64,
+    /// max v (`−∞` if empty)
+    pub max: f64,
+}
+
+impl Default for Moments {
+    fn default() -> Self {
+        Moments::new()
+    }
+}
+
+impl Moments {
+    /// Empty moments.
+    pub fn new() -> Moments {
+        Moments {
+            n: 0,
+            sum: 0.0,
+            sum_sq: 0.0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+        }
+    }
+
+    /// Fold in one value.
+    #[inline]
+    pub fn push(&mut self, v: f64) {
+        self.n += 1;
+        self.sum += v;
+        self.sum_sq += v * v;
+        if v < self.min {
+            self.min = v;
+        }
+        if v > self.max {
+            self.max = v;
+        }
+    }
+
+    /// Sample mean.
+    pub fn mean(&self) -> f64 {
+        self.sum / self.n as f64
+    }
+
+    /// Unbiased sample variance (n−1 denominator); 0 for n < 2.
+    pub fn variance(&self) -> f64 {
+        if self.n < 2 {
+            return 0.0;
+        }
+        let n = self.n as f64;
+        ((self.sum_sq - self.sum * self.sum / n) / (n - 1.0)).max(0.0)
+    }
+
+    /// Sample standard deviation.
+    pub fn std_dev(&self) -> f64 {
+        self.variance().sqrt()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,6 +378,31 @@ mod tests {
         assert_eq!(outer.finish(AggregateFn::Min), 1.0);
         assert_eq!(outer.finish(AggregateFn::Max), 10.0);
         assert_eq!(outer.rows(), 3);
+    }
+
+    fn moments_of(values: &[f64]) -> Moments {
+        let mut m = Moments::new();
+        for &v in values {
+            m.push(v);
+        }
+        m
+    }
+
+    #[test]
+    fn moments_basic_stats() {
+        let m = moments_of(&[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(m.n, 4);
+        assert_eq!(m.mean(), 2.5);
+        assert!((m.variance() - 5.0 / 3.0).abs() < 1e-12);
+        assert_eq!(m.min, 1.0);
+        assert_eq!(m.max, 4.0);
+    }
+
+    #[test]
+    fn variance_degenerate_cases() {
+        assert_eq!(moments_of(&[5.0]).variance(), 0.0);
+        assert_eq!(moments_of(&[2.0, 2.0, 2.0]).variance(), 0.0);
+        assert_eq!(Moments::new().n, 0);
     }
 
     #[test]

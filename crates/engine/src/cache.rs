@@ -13,10 +13,10 @@
 //!   over the same grouping.
 //! * **Cells**: per grouping, the [`CellLayout`] naming which (group,
 //!   stratum) cells exist and which cell each sample row falls in; per
-//!   (grouping, measure), the [`StratumSummary`] of dense `count` / `Σx` /
-//!   `Σx²` / range cells over that layout folded from every row. Estimates
-//!   and error bounds of unfiltered and group-only-predicate queries are
-//!   both read off these without a row scan.
+//!   (grouping, measure), the [`StratumSummary`] of dense [`Moments`]
+//!   cells (`n` / `Σx` / `Σx²` / range) over that layout folded from every
+//!   row. Estimates and error bounds of unfiltered and group-only-predicate
+//!   queries are both read off these without a row scan.
 //! * **The stratum layout**: a stable permutation of sample rows sorted by
 //!   stratum id, with one contiguous run per stratum — the one counting
 //!   sort every grouping's [`CellLayout`] is built from.
@@ -29,23 +29,25 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use relation::{ColumnId, Relation};
 
+use crate::aggregate::Moments;
 use crate::grouping::GroupIndex;
 use crate::memo::{Memo, MemoCounts};
-use crate::rewrite::QueryCells;
 
 /// Execution options threaded through
 /// [`SamplePlan::execute_opts`](crate::rewrite::SamplePlan::execute_opts):
 /// which cache to consult (if any), what to record, and when to stop.
 /// `trace` and a `cancel` token that never fires leave results
 /// bit-identical. Every fold is serial: the cold plans' chunked
-/// aggregation, the cached path's cell fold and exact scans. With a cache, every rewrite answers from
-/// per-cell moments ([`execute_cells`](crate::rewrite::execute_cells)),
-/// whose estimates scale each stratum's sum once instead of each row's
-/// value: the same groups as the cold path, values within a few ulp of it.
+/// aggregation, the cached path's cell fold and exact scans. With a
+/// cache, every rewrite answers from per-cell moments
+/// ([`execute_cells`](crate::rewrite::execute_cells), which also returns
+/// the cells for the error bounds), whose estimates scale each stratum's
+/// sum once instead of each row's value: the same groups as the cold
+/// path, values within a few ulp of it.
 #[derive(Clone, Copy)]
 pub struct ExecOptions<'a> {
     /// Memoized indexes/layouts/cells for the relation being queried.
@@ -67,12 +69,6 @@ pub struct ExecOptions<'a> {
     /// because the benchmark's traced replay still reads it, and goes once
     /// that replay is replaced by in-crate spans (ROADMAP item 6).
     pub kernels: bool,
-    /// Internal plumbing, not a knob: a slot the cached path moves the
-    /// query's [`QueryCells`] into once the estimates are read off them, so
-    /// the answer pipeline's bounds come from the same tables without a
-    /// second fold. Stays empty on the cold path. Never affects the
-    /// computed result.
-    pub capture: Option<&'a OnceLock<QueryCells>>,
 }
 
 impl Default for ExecOptions<'_> {
@@ -82,7 +78,6 @@ impl Default for ExecOptions<'_> {
             trace: None,
             cancel: None,
             kernels: true,
-            capture: None,
         }
     }
 }
@@ -222,58 +217,6 @@ impl ExecTrace {
     }
 }
 
-/// Per-(group, stratum) moment cell: `count`, `Σx`, `Σx²`, and the value
-/// range. Mirrors `congress::bounds::Moments` field-for-field (the aqua
-/// crate converts directly) without making engine depend on congress.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StratumCell {
-    /// Number of values folded in.
-    pub count: u64,
-    /// Sum of values.
-    pub sum: f64,
-    /// Sum of squared values.
-    pub sum_sq: f64,
-    /// Minimum value seen (`+∞` if empty).
-    pub min: f64,
-    /// Maximum value seen (`-∞` if empty).
-    pub max: f64,
-}
-
-impl Default for StratumCell {
-    fn default() -> Self {
-        StratumCell::new()
-    }
-}
-
-impl StratumCell {
-    /// Empty cell.
-    pub fn new() -> StratumCell {
-        StratumCell {
-            count: 0,
-            sum: 0.0,
-            sum_sq: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Fold in one value, in the same operation order as
-    /// `congress::bounds::Moments::push` so restored moments are
-    /// bit-identical to streamed ones.
-    #[inline]
-    pub fn push(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
-        self.sum_sq += v * v;
-        if v < self.min {
-            self.min = v;
-        }
-        if v > self.max {
-            self.max = v;
-        }
-    }
-}
-
 /// Which (group, stratum) cells exist in one sample generation under one
 /// grouping, and which cell each sample row falls in. A property of the
 /// sample, not of any query: built once per grouping, then every
@@ -390,12 +333,12 @@ fn visit_by_stratum(
 /// [`execute_cells`](crate::rewrite::execute_cells)).
 #[derive(Debug, Clone)]
 pub struct StratumSummary {
-    pub(crate) cells: Vec<StratumCell>,
+    pub(crate) cells: Vec<Moments>,
 }
 
 impl StratumSummary {
     /// Moment cells, indexed by the layout's cell id.
-    pub fn cells(&self) -> &[StratumCell] {
+    pub fn cells(&self) -> &[Moments] {
         &self.cells
     }
 }

@@ -34,10 +34,10 @@ pub mod rewrite;
 pub mod sql;
 pub mod stratified;
 
-pub use aggregate::{AggregateFn, AggregateSpec, Partial};
+pub use aggregate::{AggregateFn, AggregateSpec, Moments, Partial};
 pub use cache::{
-    CacheCounts, CellLayout, ExecOptions, ExecTrace, QueryCache, ServedFrom, StratumCell,
-    StratumLayout, StratumSummary,
+    CacheCounts, CellLayout, ExecOptions, ExecTrace, QueryCache, ServedFrom, StratumLayout,
+    StratumSummary,
 };
 pub use cancel::CancelToken;
 pub use error::{EngineError, Result};

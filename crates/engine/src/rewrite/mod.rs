@@ -45,9 +45,9 @@ use std::sync::Arc;
 
 use relation::{chunk_count, chunk_range, Bitmap, ColumnId, Expr, Predicate, PruneStats, Relation};
 
-use crate::aggregate::{AggregateFn, AggregateSpec};
+use crate::aggregate::{AggregateFn, AggregateSpec, Moments};
 use crate::cache::{
-    CellLayout, ExecOptions, QueryCache, ServedFrom, StratumCell, StratumLayout, StratumSummary,
+    CellLayout, ExecOptions, QueryCache, ServedFrom, StratumLayout, StratumSummary,
 };
 use crate::cancel::{self, CancelToken};
 use crate::error::Result;
@@ -78,7 +78,8 @@ pub trait SamplePlan {
         match opts.cache {
             Some(cache) => {
                 let (strata, sfs) = self.strata();
-                execute_cells(self.sample_relation(), strata, sfs, query, opts, cache)
+                let rel = self.sample_relation();
+                Ok(execute_cells(rel, strata, sfs, query, opts, cache)?.0)
             }
             None => self.execute_cold(query, opts),
         }
@@ -142,9 +143,8 @@ pub fn measure_key(expr: Option<&Expr>) -> String {
 }
 
 /// One query's per-(group, stratum) moments over its grouping's
-/// [`CellLayout`]: what [`execute_cells`] read the estimates from and what
-/// the error bounds are read from. Handed to the answer pipeline through
-/// [`ExecOptions::capture`].
+/// [`CellLayout`]: what [`execute_cells`] read the estimates from and
+/// returns beside them, so the error bounds are read off the same cells.
 #[derive(Debug)]
 pub struct QueryCells {
     /// The grouping's unfiltered group index.
@@ -152,7 +152,7 @@ pub struct QueryCells {
     /// The grouping's cells.
     pub layout: Arc<CellLayout>,
     /// Per aggregate, the moment table of its measure. Aggregates over one
-    /// measure share a table; COUNT reads the `count`s of the query's first
+    /// measure share a table; COUNT reads the `n`s of the query's first
     /// measure (every table folds the same rows).
     pub tables: Vec<Arc<StratumSummary>>,
     /// Group id of each result row, in result order.
@@ -161,8 +161,9 @@ pub struct QueryCells {
 
 /// The cached path of all four rewrites: answer `query` from per-(group,
 /// stratum) moment cells over `rel`, whose rows fall in strata
-/// `stratum_of_row` with ScaleFactors `scale_factors`, and move the
-/// [`QueryCells`] into `opts.capture` when it is set.
+/// `stratum_of_row` with ScaleFactors `scale_factors`. Returns the result
+/// and the [`QueryCells`] it was read off, whose `gids` name the result's
+/// rows in order.
 ///
 /// * **Cells.** A predicate over the grouping columns alone selects whole
 ///   groups, so the generation's unfiltered tables
@@ -186,7 +187,7 @@ pub fn execute_cells(
     query: &GroupByQuery,
     opts: &ExecOptions,
     cache: &QueryCache,
-) -> Result<QueryResult> {
+) -> Result<(QueryResult, QueryCells)> {
     query.validate(rel)?;
     let grouping = &query.grouping;
     let strata = scale_factors.len();
@@ -224,7 +225,7 @@ pub fn execute_cells(
     let (mut rows, mut gids) = (Vec::with_capacity(groups), Vec::with_capacity(groups));
     for &gid in index.gids_by_key() {
         let cells = layout.cells_of(gid);
-        let sampled = |c: usize| tables[0].cells[c].count > 0;
+        let sampled = |c: usize| tables[0].cells[c].n > 0;
         if selected.as_ref().is_some_and(|s| !s[gid as usize]) || !cells.clone().any(sampled) {
             continue;
         }
@@ -237,7 +238,7 @@ pub fn execute_cells(
                     scale_factors[layout.stratum_of(c) as usize],
                 );
                 sum += sf * cell.sum;
-                weight += sf * cell.count as f64;
+                weight += sf * cell.n as f64;
                 min = min.min(cell.min);
                 max = max.max(cell.max);
             }
@@ -257,16 +258,13 @@ pub fn execute_cells(
         gids.push(gid);
     }
     let names = query.aggregates.iter().map(|a| a.name.clone()).collect();
-    if let Some(slot) = opts.capture {
-        // One fold per query; a slot someone already filled keeps its value.
-        let _ = slot.set(QueryCells {
-            index,
-            layout,
-            tables,
-            gids,
-        });
-    }
-    Ok(QueryResult::from_sorted(names, rows))
+    let cells = QueryCells {
+        index,
+        layout,
+        tables,
+        gids,
+    };
+    Ok((QueryResult::from_sorted(names, rows), cells))
 }
 
 /// The distinct measure expressions of `query` — COUNT's constant `1`
@@ -350,7 +348,7 @@ fn fold_cells(
     cancel: Option<&CancelToken>,
 ) -> Result<Vec<StratumSummary>> {
     let n = rel.row_count();
-    let empty = vec![StratumCell::new(); layout.cell_count()];
+    let empty = vec![Moments::new(); layout.cell_count()];
     let mut tables = vec![empty; measures.len()];
     let (mut rows, mut cells, mut vals) = (Vec::new(), Vec::new(), Vec::new());
     for c in 0..chunk_count(n) {
@@ -716,6 +714,17 @@ mod tests {
                 let reference = reference.get_or_insert_with(|| warm.clone());
                 assert_eq!(bits(&warm), bits(reference), "{ctx}: across plans");
 
+                // The returned cells name the result's groups, in order.
+                let (strata, sfs) = plan.strata();
+                let rel = plan.sample_relation();
+                let (got, cells) =
+                    execute_cells(rel, strata, sfs, &q, &cached(&cache), &cache).unwrap();
+                assert_eq!(bits(&got), bits(&warm), "{ctx}: returned result");
+                let named: Vec<&GroupKey> =
+                    cells.gids.iter().map(|&g| cells.index.key(g)).collect();
+                let rows: Vec<&GroupKey> = warm.iter().map(|(k, _)| k).collect();
+                assert_eq!(named, rows, "{ctx}: cells name the result rows");
+
                 assert_eq!(warm.aggregate_names, cold.aggregate_names, "{ctx}");
                 let keys = |r: &QueryResult| r.iter().map(|(k, _)| k.clone()).collect();
                 let (warm_keys, cold_keys): (Vec<GroupKey>, Vec<GroupKey>) =
@@ -840,7 +849,7 @@ mod tests {
         let even = fold_cells(&r, &layout, &[Some(&v)], Some(&evens), None).unwrap();
         for c in 0..layout.cell_count() {
             let rows = (0..40).filter(|&row| layout.cell_of_row(row) == c as u32);
-            let (mut want, mut want_even) = (StratumCell::new(), StratumCell::new());
+            let (mut want, mut want_even) = (Moments::new(), Moments::new());
             for row in rows {
                 want.push(row as f64);
                 if row % 2 == 0 {
@@ -849,7 +858,7 @@ mod tests {
             }
             assert_eq!(all[0].cells()[c], want);
             assert_eq!(even[0].cells()[c], want_even);
-            assert_eq!(all[1].cells()[c].sum, want.count as f64);
+            assert_eq!(all[1].cells()[c].sum, want.n as f64);
         }
     }
 

@@ -124,6 +124,48 @@ pub enum RewriteKind {
     KeyNormalized,
 }
 
+impl RewriteKind {
+    /// All four, in the paper's presentation order.
+    pub fn all() -> [RewriteKind; 4] {
+        [
+            RewriteKind::Integrated,
+            RewriteKind::NestedIntegrated,
+            RewriteKind::Normalized,
+            RewriteKind::KeyNormalized,
+        ]
+    }
+
+    /// Display name matching the paper's tables.
+    pub fn name(self) -> &'static str {
+        match self {
+            RewriteKind::Integrated => "Integrated",
+            RewriteKind::NestedIntegrated => "Nested-integrated",
+            RewriteKind::Normalized => "Normalized",
+            RewriteKind::KeyNormalized => "Key-normalized",
+        }
+    }
+
+    /// Stable lowercase token used by the CLI.
+    pub fn token(self) -> &'static str {
+        match self {
+            RewriteKind::Integrated => "integrated",
+            RewriteKind::NestedIntegrated => "nested",
+            RewriteKind::Normalized => "normalized",
+            RewriteKind::KeyNormalized => "keynorm",
+        }
+    }
+
+    /// Parse a [`Self::token`] back; the error names the valid tokens.
+    pub fn from_token(token: &str) -> std::result::Result<RewriteKind, String> {
+        RewriteKind::all()
+            .into_iter()
+            .find(|r| r.token() == token)
+            .ok_or_else(|| {
+                format!("unknown rewrite `{token}` (integrated|nested|normalized|keynorm)")
+            })
+    }
+}
+
 /// The rewritten SQL the middleware would send to the DBMS for `query`
 /// against sample relation `samp` (and auxiliary relation `aux` for the
 /// normalized family) — the paper's Figures 8–11, generalized to any query
